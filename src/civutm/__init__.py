@@ -14,7 +14,6 @@ from .controller import (
     compile_program,
     execute_instruction,
     extend_tape,
-    nb_state_semantics,
 )
 from .harness import LockstepReport, OverheadReport, lockstep_verify, overhead_report, random_tm
 from .tm import TMConfig, TMSpec, builtin_program, run, step, validate_spec
@@ -42,7 +41,6 @@ __all__ = [
     "extend_tape",
     "init_world",
     "lockstep_verify",
-    "nb_state_semantics",
     "overhead_report",
     "random_tm",
     "run",

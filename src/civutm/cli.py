@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import codec, harness, tables
-from .controller import compile_program, execute_instruction, macro_paper_command, program_to_json
+from .controller import compile_program, macro_paper_command, program_to_json
 from .errors import CivUtmError, MachineStuck
 from .tm import BUILTIN_NAMES, TMSpec, builtin_program, count_symbol, load_spec
 from .world import RULESET_VI, RULESETS, RulesetParams, init_world, yields
@@ -87,12 +87,12 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Game-side driver shared by run / demo / cost
+# Game-side driver shared by run / demo-bb3
 # ---------------------------------------------------------------------------
 
 
 def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructions: int, params: RulesetParams | None):
-    """Run the game side alone; returns (program, world, records, boundaries, outcome).
+    """Run the game side alone; returns (world, records, boundaries, outcome).
 
     ``boundaries`` holds one entry per instruction boundary (the initial one
     included): the decoded configuration, the world turn, the yields, and
@@ -101,8 +101,8 @@ def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructio
     program = compile_program(spec, ruleset, params)
     world = init_world(ruleset, codec.encode_tape(tape, program), params)
 
-    def boundary():
-        entry = {"decoded": codec.decode(world, program), "turn": world.turn, "yields": yields(world)}
+    def boundary(decoded):
+        entry = {"decoded": decoded, "turn": world.turn, "yields": yields(world)}
         if ruleset == RULESET_VI:
             entry["cities"] = [
                 {"index": c.index, "citizens": c.citizens, "growth_cap": c.growth_cap, "food_stock": c.food_stock}
@@ -111,20 +111,17 @@ def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructio
         return entry
 
     records = []
-    boundaries = [boundary()]
+    boundaries = [boundary(codec.decode(world, program))]
     outcome = "step-limit"
-    for index in range(1, max_instructions + 1):
-        try:
-            record = execute_instruction(world, program, index=index)
-        except MachineStuck:
-            outcome = "stuck"
-            break
-        records.append(record)
-        boundaries.append(boundary())
-        if record.halted:
-            outcome = "halted"
-            break
-    return program, world, records, boundaries, outcome
+    try:
+        for record, decoded in harness.run_instructions(world, program, max_instructions):
+            records.append(record)
+            boundaries.append(boundary(decoded))
+            if record.halted:
+                outcome = "halted"
+    except MachineStuck:
+        outcome = "stuck"
+    return world, records, boundaries, outcome
 
 
 def _trace_lines(boundaries) -> list[str]:
@@ -173,7 +170,7 @@ def cmd_run(args) -> int:
     spec = _load_machine(args)
     tape = _load_tape(args)
     params = _load_params(args)
-    program, world, records, boundaries, outcome = _drive_game(spec, args.ruleset, tape, args.max_instructions, params)
+    world, records, boundaries, outcome = _drive_game(spec, args.ruleset, tape, args.max_instructions, params)
     if args.out:
         _write_lines(args.out, _trace_lines(boundaries))
     print(_dump(_summary(world, records, boundaries, outcome)))
@@ -186,10 +183,11 @@ def cmd_verify(args) -> int:
     spec = _load_machine(args)
     tape = _load_tape(args)
     params = _load_params(args)
-    report = harness.lockstep_verify(spec, args.ruleset, tape, args.max_instructions, params)
+    program = compile_program(spec, args.ruleset, params)
+    report = harness.lockstep_verify(spec, args.ruleset, tape, args.max_instructions, params, program=program)
     print(_dump({"lockstep": report.to_json()}))
     ok = report.first_divergence is None
-    over = harness.overhead_report(report.records, params, compile_program(spec, args.ruleset, params))
+    over = harness.overhead_report(report.records, params, program)
     print(_dump({"overhead": over.to_json()}))
     ok = ok and over.paper_bound_satisfied and over.derived_bound_satisfied
 
@@ -230,7 +228,7 @@ def cmd_compile(args) -> int:
 def cmd_demo_bb3(args) -> int:
     spec = builtin_program("bb3")
     params = _load_params(args)
-    program, world, records, boundaries, outcome = _drive_game(spec, args.ruleset, {}, args.max_instructions, params)
+    world, records, boundaries, outcome = _drive_game(spec, args.ruleset, {}, args.max_instructions, params)
 
     cells = set()
     for entry in boundaries:
@@ -269,11 +267,11 @@ def cmd_cost(args) -> int:
     spec = _load_machine(args)
     tape = _load_tape(args)
     params = _load_params(args)
-    report = harness.lockstep_verify(spec, args.ruleset, tape, args.max_instructions, params)
+    program = compile_program(spec, args.ruleset, params)
+    report = harness.lockstep_verify(spec, args.ruleset, tape, args.max_instructions, params, program=program)
     if report.first_divergence is not None:
         print(_dump({"lockstep": report.to_json()}))
         return EXIT_FAIL
-    program = compile_program(spec, args.ruleset, params)
     over = harness.overhead_report(report.records, params, program)
     print(_dump({"overhead": over.to_json()}))
     return EXIT_OK if over.paper_bound_satisfied and over.derived_bound_satisfied else EXIT_FAIL

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .codec import read_cell, state_index, symbol_map
-from .errors import CompileError, DecodeError, IllegalCommand, MachineStuck
+from .errors import CivUtmError, CompileError, DecodeError, IllegalCommand, MachineStuck
 from .tm import HaltAction, TMSpec, validate_spec
 from .world import (
     PLAYER,
@@ -66,14 +66,6 @@ class CommandMacro:
     write_symbol: str = ""  # game symbol the cell holds afterwards
 
 
-@dataclass(frozen=True)
-class MacroPlan:
-    """A macro plus the extension steps its needs-settler variant appends."""
-
-    macro: CommandMacro
-    extension_steps: tuple[str, ...]
-
-
 @dataclass
 class ControllerProgram:
     """A compiled machine: bijections plus one macro per transition."""
@@ -85,7 +77,6 @@ class ControllerProgram:
     symbol_of: dict[str, str]  # machine symbol -> game symbol
     symbol_from_game: dict[str, str]
     macros: dict[tuple[int, str], CommandMacro]  # (state index, game read symbol)
-    extension_policy: dict | None = None
 
 
 # Tape action for writing `write` over `read`, per ruleset. Identity writes
@@ -157,15 +148,6 @@ def compile_program(spec: TMSpec, ruleset: str, params: RulesetParams | None = N
             )
         macros[(idx, game_read)] = macro
 
-    policy = None
-    if ruleset == RULESET_VI:
-        policy = {
-            "marker": "end city keeps growth cap 4 until it trains a settler",
-            "new_city_citizens": 2,
-            "new_city_growth_cap": 4,
-            "cap_after_training": 3,
-            "worker_waits_until": "new city reaches its growth cap",
-        }
     return ControllerProgram(
         ruleset=ruleset,
         spec=spec,
@@ -174,32 +156,7 @@ def compile_program(spec: TMSpec, ruleset: str, params: RulesetParams | None = N
         symbol_of=symbols,
         symbol_from_game={v: k for k, v in symbols.items()},
         macros=macros,
-        extension_policy=policy,
     )
-
-
-def nb_state_semantics(program: ControllerProgram, state_idx: int, needs_settler: bool) -> dict[str, MacroPlan]:
-    """Effective macro sequence for a VI state in its n/b variants.
-
-    The b-variant runs the base macro alone; the n-variant (needs a settler,
-    i.e. the move leaves the built strip) appends the full extension
-    procedure before the next instruction. This is the doubling that turns
-    the 24-state table into 48 effective states.
-    """
-    if program.ruleset != RULESET_VI:
-        raise CompileError("n/b state semantics apply to ruleset VI only")
-    plans: dict[str, MacroPlan] = {}
-    for (idx, game_read), macro in program.macros.items():
-        if idx != state_idx:
-            continue
-        if needs_settler and macro.head_move is not None:
-            steps = ("train_settler", "move_settler", "found_city", "grow_to_cap")
-        else:
-            steps = ()
-        plans[game_read] = MacroPlan(macro=macro, extension_steps=steps)
-    if not plans:
-        raise KeyError(f"no macros for state index {state_idx}")
-    return plans
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +273,6 @@ class InstructionRecord:
     halted: bool = False
 
 
-@dataclass
-class ExtensionRecord:
-    """Outcome of one boundary crossing (relocation or full extension)."""
-
-    case: str  # "relocate" | "settle"
-    turns: int
-    movement_turns: int
-    pre_train_wait: int = 0
-    new_city: int | None = None
-    tape_length_before: int | None = None
-    settler_cost_production: int | None = None
-    settler_cost_turns: int | None = None
-
-
 _UNIT_ORDER = (TAPE_WORKER, ROVER, STATE_WORKER, SETTLER)
 _DRIVE_GUARD = 1_000_000
 
@@ -356,7 +299,7 @@ def _drive(world: WorldState, queues: dict[str, list[Command]], gates: dict[str,
         if not any(queues.values()) and not world.any_busy():
             return
         advance_turn(world)
-    raise RuntimeError("command schedule failed to converge")
+    raise CivUtmError("command schedule failed to converge")
 
 
 def _tape_plan(world: WorldState, macro: CommandMacro, cell: int) -> tuple[list[Command], list[Command]]:
@@ -468,52 +411,39 @@ def _execute_vi(world: WorldState, macro: CommandMacro, head: int, record: Instr
         apply_command(world, PLAYER, Command(op="shift_monasteries", count=macro.state_delta))
     if macro.head_move is None:
         return
-    direction = macro.head_move
-    target = head + (1 if direction == "R" else -1)
-    if target // 2 == head // 2:
+    target = head + (1 if macro.head_move == "R" else -1)
+    if target // 2 in world.cities:
+        # Within the head's city or into an existing neighbour: a plain move.
         apply_command(world, TAPE_WORKER, Command(op="move", to=target))
         _drive(world, {})
         record.movement_turns = world.params.hexes_per_tape_cell * world.params.worker_move_turns_per_hex
         return
-    ext = extend_tape(world, direction)
-    record.movement_turns = ext.movement_turns
-    record.pre_train_wait = ext.pre_train_wait
-    record.extension = ext.case == "settle"
-    record.tape_length_before = ext.tape_length_before
-    record.settler_cost_production = ext.settler_cost_production
-    record.settler_cost_turns = ext.settler_cost_turns
+    extend_tape(world, macro.head_move, record)
 
 
-def extend_tape(world: WorldState, direction: str) -> ExtensionRecord:
-    """Carry the head across a city boundary, extending the strip if needed.
+def extend_tape(world: WorldState, direction: str, record: InstructionRecord) -> None:
+    """Extend the strip by one city in ``direction`` and carry the head onto it.
 
-    If the next city already exists, the worker simply relocates to its near
-    cell. Otherwise the end city (still at growth cap 4 unless it already
-    extended the other way) trains a Settler once its population matches its
-    cap, the Settler travels one spacing and founds the new city, and the
-    worker waits on the new near cell until the city grows to its cap of 4 —
-    at which point the four-citizen population again marks the end of tape.
+    The head must stand on the end city's outer cell, facing a city that does
+    not exist yet; a move into an existing city is a plain move. The end city
+    (still at growth cap 4 unless it already extended the other way) trains a
+    Settler once its population matches its cap, the Settler travels one
+    spacing and founds the new city, and the worker waits on the new near
+    cell until the city grows to its cap of 4 — at which point the
+    four-citizen population again marks the end of tape. The extension's
+    costs are filled into ``record``.
     """
     if world.params.ruleset != RULESET_VI:
         raise IllegalCommand("tape extension applies to ruleset VI only")
     if direction not in ("L", "R"):
         raise IllegalCommand(f"direction {direction!r} is not L or R")
     params = world.params
-    worker = world.units[TAPE_WORKER]
-    head = worker.position
-    step = 1 if direction == "R" else -1
-    target = head + step
+    head = world.units[TAPE_WORKER].position
+    target = head + (1 if direction == "R" else -1)
     src_index = head // 2
     new_index = target // 2
-    if new_index == src_index:
-        raise IllegalCommand("head move does not cross a city boundary")
-    start_turn = world.turn
-    move_cost = params.hexes_per_tape_cell * params.worker_move_turns_per_hex
-
     if new_index in world.cities:
-        apply_command(world, TAPE_WORKER, Command(op="move", to=target))
-        _drive(world, {})
-        return ExtensionRecord(case="relocate", turns=world.turn - start_turn, movement_turns=move_cost)
+        raise IllegalCommand(f"city {new_index} already exists: the head move does not cross the strip boundary")
 
     src = world.cities.get(src_index)
     if src is None or src_index not in (min(world.cities), max(world.cities)):
@@ -543,13 +473,9 @@ def extend_tape(world: WorldState, direction: str) -> ExtensionRecord:
     while new_city.citizens < new_city.growth_cap:
         advance_turn(world)
 
-    return ExtensionRecord(
-        case="settle",
-        turns=world.turn - start_turn,
-        movement_turns=params.city_spacing * params.worker_move_turns_per_hex,
-        pre_train_wait=pre_train_wait,
-        new_city=new_index,
-        tape_length_before=tape_length,
-        settler_cost_production=cost,
-        settler_cost_turns=-(-cost // params.production_per_turn),
-    )
+    record.extension = True
+    record.movement_turns = params.city_spacing * params.worker_move_turns_per_hex
+    record.pre_train_wait = pre_train_wait
+    record.tape_length_before = tape_length
+    record.settler_cost_production = cost
+    record.settler_cost_turns = -(-cost // params.production_per_turn)

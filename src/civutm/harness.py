@@ -1,5 +1,7 @@
 """Lockstep equivalence verification, overhead accounting, random machines.
 
+``run_instructions`` is the game side's one instruction loop; every caller
+that executes a compiled machine (the verifier and the CLI) consumes it.
 ``lockstep_verify`` runs the reference interpreter and the game construction
 side by side. After every game instruction it decodes the world back into a
 configuration and compares state identifier, head index, and canonical
@@ -17,6 +19,7 @@ growth waits) are itemized, never hidden.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import codec
@@ -72,6 +75,22 @@ def _config_json(config: TMConfig) -> dict:
     return {"state": config.state, "head": config.head, "tape": {str(k): v for k, v in sorted(config.tape.items())}}
 
 
+def run_instructions(
+    world: WorldState, program: ControllerProgram, max_instructions: int
+) -> Iterator[tuple[InstructionRecord, codec.DecodedConfig]]:
+    """Execute up to ``max_instructions`` instructions on ``world``.
+
+    After each one, yields its record and the world decoded at the boundary
+    that follows. Stops after a halting record; :class:`MachineStuck`
+    propagates to the caller.
+    """
+    for index in range(1, max_instructions + 1):
+        record = execute_instruction(world, program, index=index)
+        yield record, codec.decode(world, program)
+        if record.halted:
+            return
+
+
 def lockstep_verify(
     spec: TMSpec,
     ruleset: str,
@@ -90,17 +109,17 @@ def lockstep_verify(
     world = init_world(ruleset, content, params)
     report = LockstepReport(ruleset=ruleset, outcome=STEP_LIMIT, instructions_verified=0, world=world)
 
+    def diverged(index: int, oracle_side, game_side) -> LockstepReport:
+        report.outcome = DIVERGED
+        report.first_divergence = {"instruction": index, "oracle": oracle_side, "decoded": game_side}
+        return report
+
     oracle = initial_config(spec, initial_tape or {})
     decoded = codec.decode(world, program)
     if decoded.config != oracle:
-        report.outcome = DIVERGED
-        report.first_divergence = {
-            "instruction": 0,
-            "oracle": _config_json(oracle),
-            "decoded": _config_json(decoded.config) if decoded.config else None,
-        }
-        return report
+        return diverged(0, _config_json(oracle), _config_json(decoded.config) if decoded.config else None)
 
+    game = run_instructions(world, program, max_instructions)
     for index in range(1, max_instructions + 1):
         oracle_stuck = game_stuck = False
         oracle_halted = False
@@ -119,41 +138,24 @@ def lockstep_verify(
                 else:
                     oracle = next_oracle
 
-        record = None
         try:
-            record = execute_instruction(world, program, index=index)
+            record, decoded = next(game)
         except MachineStuck:
             game_stuck = True
 
+        if oracle_stuck and game_stuck:
+            report.outcome = ORACLE_STUCK
+            break
         if oracle_stuck or game_stuck:
-            if oracle_stuck and game_stuck:
-                report.outcome = ORACLE_STUCK
-            else:
-                report.outcome = DIVERGED
-                report.first_divergence = {
-                    "instruction": index,
-                    "oracle": "stuck" if oracle_stuck else _config_json(oracle),
-                    "decoded": "stuck" if game_stuck else "ran",
-                }
+            diverged(index, "stuck" if oracle_stuck else _config_json(oracle), "stuck" if game_stuck else "ran")
             break
         report.records.append(record)
 
-        decoded = codec.decode(world, program)
         if not decoded.boundary or decoded.config != oracle:
-            report.outcome = DIVERGED
-            report.first_divergence = {
-                "instruction": index,
-                "oracle": _config_json(oracle),
-                "decoded": _config_json(decoded.config) if decoded.config else "mid-instruction",
-            }
+            diverged(index, _config_json(oracle), _config_json(decoded.config) if decoded.config else "mid-instruction")
             break
         if oracle_halted != record.halted:
-            report.outcome = DIVERGED
-            report.first_divergence = {
-                "instruction": index,
-                "oracle": "halted" if oracle_halted else "running",
-                "decoded": "halted" if record.halted else "running",
-            }
+            diverged(index, "halted" if oracle_halted else "running", "halted" if record.halted else "running")
             break
         report.instructions_verified = index
         if oracle_halted:

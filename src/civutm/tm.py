@@ -422,9 +422,14 @@ def spec_from_json(data: dict) -> TMSpec:
         raise SpecError(f"missing fields in machine description: {sorted(missing)}")
     transitions: dict[tuple[str, str], Rule] = {}
     for rec in data["transitions"]:
+        if not isinstance(rec, dict):
+            raise SpecError("transition record must be a JSON object")
         extra = set(rec) - {"state", "read", "write", "move", "next", "halt"}
         if extra:
             raise SpecError(f"unknown fields in transition record: {sorted(extra)}")
+        required = {"state", "read"} if rec.get("halt") else {"state", "read", "write", "move", "next"}
+        if required - set(rec):
+            raise SpecError(f"missing fields in transition record: {sorted(required - set(rec))}")
         key = (rec["state"], rec["read"])
         if key in transitions:
             raise SpecError(f"duplicate transition record for {key}")
@@ -449,6 +454,3 @@ def spec_from_json(data: dict) -> TMSpec:
 def load_spec(path: str | Path) -> TMSpec:
     return spec_from_json(json.loads(Path(path).read_text()))
 
-
-def save_spec(spec: TMSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec_to_json(spec), indent=2, sort_keys=True) + "\n")

@@ -22,8 +22,9 @@ records every accepted command and completion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import IllegalCommand, Starvation
 
@@ -71,7 +72,7 @@ class RulesetParams:
     road_build_turns: int = 1  # M
     terrascape_build_turns: int = 3  # T
     railroad_build_turns: int = 2  # B_rr, must be > 1
-    remove_or_repair_turns: int = 1  # fixed
+    remove_or_repair_turns: int = 1  # fixed: the published bounds assume 1
     terrascape_culture: int = 3
     base_culture: int = 1  # C_*
     monastery_faith: int = 2
@@ -109,12 +110,17 @@ class RulesetParams:
     def validate(self) -> "RulesetParams":
         if self.ruleset not in RULESETS:
             raise IllegalCommand(f"unknown ruleset {self.ruleset!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "ruleset" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise IllegalCommand(f"{f.name} must be an integer, not {value!r}")
         if self.railroad_build_turns <= 1:
             raise IllegalCommand("railroad_build_turns must be > 1")
+        if self.remove_or_repair_turns != 1:
+            raise IllegalCommand("remove_or_repair_turns is fixed at 1: the published V bound 4*B_rr+1 assumes it")
         for name in (
             "road_build_turns",
             "terrascape_build_turns",
-            "remove_or_repair_turns",
             "city_growth_turns",
             "worker_move_turns_per_hex",
             "production_per_turn",
@@ -144,7 +150,6 @@ class RulesetParams:
 class Hex:
     improvement: Improvement = Improvement.NONE
     worked: bool = False
-    terrain: str = "flat"
 
 
 @dataclass
@@ -152,15 +157,16 @@ class StateRegion:
     """The reserved tiles encoding the machine state.
 
     ``tiles`` holds the improvement/worked flags (Terrascapes for BE,
-    Railroads for V, worked Monasteries for VI). For VI, ``farm_tiles`` holds
-    the worked-Farm flags; the region's Citizens all work something, so worked
-    Farms are always the complement of worked Monasteries.
+    Railroads for V, worked Monasteries for VI). Standing or worked tiles
+    always form a prefix of ``tiles``: builds take the lowest free tile and
+    removals the highest. VI's worked Farms are not stored; the region's
+    Citizens all work something, so they follow from the Monastery count
+    (see ``world_snapshot``).
     """
 
     kind: str  # "terrascape" | "railroad" | "monastery"
     tiles: list[bool]
     base_yield: int
-    farm_tiles: list[bool] | None = None
 
     @property
     def count(self) -> int:
@@ -239,23 +245,15 @@ class WorldState:
     min_food_observed: int | None = None
 
     def hex_at(self, cell: int) -> Hex:
-        terrain = "grassland" if self.params.ruleset == RULESET_VI else "flat"
-        return self.tape.get(cell, Hex(terrain=terrain))
+        return self.tape.get(cell, Hex())
 
     def _ensure_hex(self, cell: int) -> Hex:
         if cell not in self.tape:
-            terrain = "grassland" if self.params.ruleset == RULESET_VI else "flat"
-            self.tape[cell] = Hex(terrain=terrain)
+            self.tape[cell] = Hex()
         return self.tape[cell]
 
     def city_of_cell(self, cell: int) -> City | None:
         return self.cities.get(cell // 2)
-
-    def leftmost_city(self) -> City:
-        return self.cities[min(self.cities)]
-
-    def rightmost_city(self) -> City:
-        return self.cities[max(self.cities)]
 
     def any_busy(self) -> bool:
         return any(unit.busy for unit in self.units.values())
@@ -302,20 +300,14 @@ def init_world(ruleset: str, initial_content: dict[int, str] | None = None, para
     units = {TAPE_WORKER: Unit(uid=TAPE_WORKER, kind="TapeWorker", position=0)}
 
     if ruleset == RULESET_VI:
-        region = StateRegion(
-            kind="monastery",
-            tiles=[False] * params.state_region_tiles,
-            base_yield=params.base_faith,
-            farm_tiles=[True] * params.state_region_tiles,
-        )
+        region = StateRegion(kind="monastery", tiles=[False] * params.state_region_tiles, base_yield=params.base_faith)
         cells = set(content) | {0, 1}
         lo, hi = min(cells) // 2, max(cells) // 2
         for index in range(lo, hi + 1):
             end_city = index in (lo, hi)
             cities[index] = City(index=index, citizens=4 if end_city else 3, growth_cap=4 if end_city else 3)
         for cell, symbol in content.items():
-            hx = Hex(terrain="grassland", worked=(symbol == "worked"))
-            tape[cell] = hx
+            tape[cell] = Hex(worked=(symbol == "worked"))
     else:
         region = StateRegion(
             kind="terrascape" if ruleset == RULESET_BE else "railroad",
@@ -340,14 +332,49 @@ def init_world(ruleset: str, initial_content: dict[int, str] | None = None, para
 _INSTANT_OPS = ("set_worked", "shift_monasteries", "train_settler")
 
 
+class _TapeOp(NamedTuple):
+    """How one tape-improvement command is checked, timed and completed."""
+
+    verb: str  # for error messages: "cannot {verb} ..."
+    rulesets: tuple[str, ...]
+    unit: str | None  # the only unit allowed to issue it; None for any unit
+    requires: tuple[Improvement, ...]  # what the cell must hold beforehand
+    duration: str  # the RulesetParams field giving its turns
+    result: Improvement  # what the cell holds once the job completes
+
+
+_TAPE_OPS = {
+    # Building over a standing improvement is forbidden: a Road may not be
+    # rebuilt on a Road, and in V a Railroad must be removed first.
+    "build_road": _TapeOp(
+        "build a road", (RULESET_BE, RULESET_V), None, (Improvement.NONE,), "road_build_turns", Improvement.ROAD
+    ),
+    "build_railroad": _TapeOp(
+        "build a railroad", (RULESET_V,), None, (Improvement.NONE,), "railroad_build_turns", Improvement.RAILROAD
+    ),
+    "remove_improvement": _TapeOp(
+        "remove an improvement",
+        (RULESET_BE, RULESET_V),
+        None,
+        (Improvement.ROAD, Improvement.PILLAGED_ROAD, Improvement.RAILROAD),
+        "remove_or_repair_turns",
+        Improvement.NONE,
+    ),
+    "pillage_road": _TapeOp(
+        "pillage a road", (RULESET_BE,), ROVER, (Improvement.ROAD,), "remove_or_repair_turns", Improvement.PILLAGED_ROAD
+    ),
+    "repair_road": _TapeOp(
+        "repair a road", (RULESET_BE,), None, (Improvement.PILLAGED_ROAD,), "remove_or_repair_turns", Improvement.ROAD
+    ),
+}
+
+
 def _command_duration(world: WorldState, unit: Unit, command: Command) -> int:
     p = world.params
     op = command.op
-    if op == "build_road":
-        return p.road_build_turns
-    if op == "build_railroad":
-        return p.railroad_build_turns
-    if op in ("remove_improvement", "pillage_road", "repair_road", "remove_state"):
+    if op in _TAPE_OPS:
+        return getattr(p, _TAPE_OPS[op].duration)
+    if op == "remove_state":
         return p.remove_or_repair_turns
     if op == "build_state":
         return p.terrascape_build_turns if p.ruleset == RULESET_BE else p.railroad_build_turns
@@ -361,35 +388,18 @@ def _command_duration(world: WorldState, unit: Unit, command: Command) -> int:
 
 
 def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
-    p = world.params
     op = command.op
-    ruleset = p.ruleset
+    ruleset = world.params.ruleset
 
-    if op in ("build_road", "build_railroad", "remove_improvement", "pillage_road", "repair_road"):
-        if ruleset == RULESET_VI:
-            raise IllegalCommand(f"{op} is not available in ruleset VI")
-        hx = world.hex_at(command.cell)
-        if op == "build_road" and hx.improvement is not Improvement.NONE:
-            # Covers the forbidden build-a-Road-on-a-Road case and the V rule
-            # that a Railroad must be removed before building over it.
-            raise IllegalCommand(f"cannot build a road on {hx.improvement.value} at cell {command.cell}")
-        if op == "build_railroad":
-            if ruleset != RULESET_V:
-                raise IllegalCommand("railroads exist only in ruleset V")
-            if hx.improvement is not Improvement.NONE:
-                raise IllegalCommand(f"cannot build a railroad on {hx.improvement.value}; remove it first")
-        if op == "remove_improvement" and hx.improvement is Improvement.NONE:
-            raise IllegalCommand(f"nothing to remove at cell {command.cell}")
-        if op == "pillage_road":
-            if ruleset != RULESET_BE or unit_id != ROVER:
-                raise IllegalCommand("pillaging is available only to the BE rover")
-            if hx.improvement is not Improvement.ROAD:
-                raise IllegalCommand(f"no road to pillage at cell {command.cell}")
-        if op == "repair_road":
-            if ruleset != RULESET_BE:
-                raise IllegalCommand("repair applies to pillaged roads, ruleset BE only")
-            if hx.improvement is not Improvement.PILLAGED_ROAD:
-                raise IllegalCommand(f"no pillaged road to repair at cell {command.cell}")
+    if op in _TAPE_OPS:
+        tape_op = _TAPE_OPS[op]
+        if ruleset not in tape_op.rulesets:
+            raise IllegalCommand(f"cannot {tape_op.verb} in ruleset {ruleset}")
+        if tape_op.unit is not None and unit_id != tape_op.unit:
+            raise IllegalCommand(f"only the {tape_op.unit} can {tape_op.verb}")
+        improvement = world.hex_at(command.cell).improvement
+        if improvement not in tape_op.requires:
+            raise IllegalCommand(f"cannot {tape_op.verb} on {improvement.value} at cell {command.cell}")
     elif op == "build_state":
         if ruleset == RULESET_VI:
             raise IllegalCommand("VI encodes state via citizen reassignment, not builds")
@@ -480,38 +490,19 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
 
 
 def _shift_monasteries(world: WorldState, delta: int) -> None:
-    # Work the lowest-index idle monastery first, release the highest first;
-    # released citizens flow to farms and vice versa (only counts decode).
-    region = world.region
-    remaining = delta
-    while remaining > 0:
-        i = region.tiles.index(False)
-        region.tiles[i] = True
-        j = len(region.farm_tiles) - 1 - region.farm_tiles[::-1].index(True)
-        region.farm_tiles[j] = False
-        remaining -= 1
-    while remaining < 0:
-        i = len(region.tiles) - 1 - region.tiles[::-1].index(True)
-        region.tiles[i] = False
-        j = region.farm_tiles.index(False)
-        region.farm_tiles[j] = True
-        remaining += 1
+    # Work the lowest-index idle monastery first, release the highest first,
+    # so worked monasteries stay a prefix; released citizens flow to farms
+    # and vice versa (only counts decode).
+    count = world.region.count + delta
+    world.region.tiles[:] = [i < count for i in range(len(world.region.tiles))]
 
 
 def _complete_job(world: WorldState, unit: Unit) -> None:
     command = unit.job.command
     op = command.op
     unit.job = None
-    if op == "build_road":
-        world._ensure_hex(command.cell).improvement = Improvement.ROAD
-    elif op == "build_railroad":
-        world._ensure_hex(command.cell).improvement = Improvement.RAILROAD
-    elif op == "remove_improvement":
-        world._ensure_hex(command.cell).improvement = Improvement.NONE
-    elif op == "pillage_road":
-        world._ensure_hex(command.cell).improvement = Improvement.PILLAGED_ROAD
-    elif op == "repair_road":
-        world._ensure_hex(command.cell).improvement = Improvement.ROAD
+    if op in _TAPE_OPS:
+        world._ensure_hex(command.cell).improvement = _TAPE_OPS[op].result
     elif op == "build_state":
         region = world.region
         region.tiles[region.tiles.index(False)] = True
@@ -606,8 +597,9 @@ def yields(world: WorldState) -> dict[str, int]:
 
 
 def world_snapshot(world: WorldState) -> dict:
+    terrain = "grassland" if world.params.ruleset == RULESET_VI else "flat"
     tape = {
-        str(cell): {"improvement": hx.improvement.value, "worked": hx.worked, "terrain": hx.terrain}
+        str(cell): {"improvement": hx.improvement.value, "worked": hx.worked, "terrain": terrain}
         for cell, hx in sorted(world.tape.items())
     }
     region = {
@@ -615,8 +607,11 @@ def world_snapshot(world: WorldState) -> dict:
         "tiles": list(world.region.tiles),
         "base_yield": world.region.base_yield,
     }
-    if world.region.farm_tiles is not None:
-        region["farm_tiles"] = list(world.region.farm_tiles)
+    if world.params.ruleset == RULESET_VI:
+        # Farms release from the top while Monasteries fill from the bottom,
+        # so worked Farms are a prefix, not the complement of ``tiles``.
+        n, count = len(world.region.tiles), world.region.count
+        region["farm_tiles"] = [i < n - count for i in range(n)]
     units = {
         uid: {
             "kind": u.kind,

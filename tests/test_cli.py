@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from civutm.cli import main
 from civutm.tm import builtin_program, spec_to_json
 
@@ -62,6 +64,19 @@ def test_parse_error_status(tmp_path, capsys):
     status, _, err = run_cli(capsys, "run", str(bad), "--ruleset", "BE")
     assert status == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("missing", ["state", "read", "write", "move", "next"])
+def test_transition_missing_field_status(tmp_path, capsys, missing):
+    data = spec_to_json(builtin_program("bb3"))
+    del next(r for r in data["transitions"] if not r.get("halt"))[missing]
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(data))
+    status, out, err = run_cli(capsys, "run", str(path), "--ruleset", "BE")
+    assert status == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert missing in json.loads(line)["error"]
 
 
 def test_unknown_machine_status(capsys):
@@ -140,6 +155,18 @@ def test_params_file_roundtrip(tmp_path, capsys):
     params.write_text(json.dumps({"terrascape_build_turns": 2}))
     status, out, _ = run_cli(capsys, "run", "bb3", "--ruleset", "BE", "--params", str(params))
     assert status == 0
+
+
+@pytest.mark.parametrize("value", ["2", True, 1.5, None])
+def test_params_file_rejects_non_integer(tmp_path, capsys, value):
+    # 1.5 used to be accepted and made bb3 on BE take 34 turns instead of 30.
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"road_build_turns": value}))
+    status, out, err = run_cli(capsys, "run", "bb3", "--ruleset", "BE", "--params", str(params))
+    assert status == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert "road_build_turns must be an integer" in json.loads(line)["error"]
 
 
 def test_params_file_rejects_unknown_key(tmp_path, capsys):

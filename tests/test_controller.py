@@ -4,21 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+from civutm import controller
 from civutm.codec import decode
 from civutm.controller import (
+    InstructionRecord,
     TapeAction,
     compile_program,
     execute_instruction,
     extend_tape,
     macro_paper_command,
-    nb_state_semantics,
     program_to_json,
     vi_state_delta,
     vi_work_command,
 )
-from civutm.errors import CompileError, DecodeError, IllegalCommand, MachineStuck
+from civutm.errors import CivUtmError, CompileError, DecodeError, IllegalCommand, MachineStuck
 from civutm.tables import FIXTURE_FOR, load_fixture, table_fidelity
-from civutm.tm import HaltAction, TMSpec, builtin_program
+from civutm.tm import HaltAction, TMSpec, Transition, builtin_program
 from civutm.world import (
     RULESET_BE,
     RULESET_V,
@@ -206,12 +207,41 @@ def test_rover_shadows_worker():
     assert world.units["rover"].position == world.units[TAPE_WORKER].position == 1
 
 
+def test_drive_guard_raises_package_error(monkeypatch):
+    # A schedule that never converges is reported inside the package's error
+    # tree, so the CLI prints one JSON error line instead of a traceback.
+    monkeypatch.setattr(controller, "_DRIVE_GUARD", 5)
+    world = init_world(RULESET_BE, {})
+    queues = {TAPE_WORKER: [Command(op="move", to=1)]}
+    with pytest.raises(CivUtmError, match="converge"):
+        controller._drive(world, queues, {TAPE_WORKER: lambda w: False})
+    assert world.turn == 5
+
+
+def _blank_record() -> InstructionRecord:
+    return InstructionRecord(index=1, state_index=0, read="unworked", macro=None)
+
+
 def test_extend_tape_relocates_when_next_city_exists():
+    # Crossing into an existing city is the same plain move as a move inside
+    # a city: execute_instruction relocates the worker, extend_tape refuses.
     world = init_world(RULESET_VI, {3: "worked"})  # cities 0 and 1
     world.units[TAPE_WORKER].position = 1
     before = len(world.cities)
-    record = extend_tape(world, "R")
-    assert record.case == "relocate"
+    with pytest.raises(IllegalCommand, match="already exists"):
+        extend_tape(world, "R", _blank_record())
+    runner = TMSpec(
+        states=("a",),
+        alphabet=("0", "1"),
+        blank="0",
+        input_alphabet=("1",),
+        initial="a",
+        halting=(),
+        transitions={("a", "0"): Transition("0", "R", "a"), ("a", "1"): Transition("1", "R", "a")},
+    )
+    record = execute_instruction(world, compile_program(runner, RULESET_VI), index=1)
+    assert not record.extension
+    assert record.turns == record.movement_turns == 2  # two hexes per tape cell
     assert world.units[TAPE_WORKER].position == 2
     assert len(world.cities) == before
     assert SETTLER not in world.units
@@ -220,9 +250,10 @@ def test_extend_tape_relocates_when_next_city_exists():
 def test_extend_tape_settles_at_the_end():
     world = init_world(RULESET_VI, {})
     world.units[TAPE_WORKER].position = 1
-    record = extend_tape(world, "R")
-    assert record.case == "settle"
-    assert record.new_city == 1
+    record = _blank_record()
+    extend_tape(world, "R", record)
+    assert record.extension
+    assert sorted(world.cities) == [0, 1]
     assert world.units[TAPE_WORKER].position == 2
     assert world.cities[0].growth_cap == 3  # trained a settler, capped down
     assert world.cities[1].citizens == 4 and world.cities[1].growth_cap == 4
@@ -232,9 +263,10 @@ def test_extend_tape_settles_at_the_end():
 
 def test_extend_tape_left_is_symmetric():
     world = init_world(RULESET_VI, {})
-    record = extend_tape(world, "L")
-    assert record.case == "settle"
-    assert record.new_city == -1
+    record = _blank_record()
+    extend_tape(world, "L", record)
+    assert record.extension
+    assert sorted(world.cities) == [-1, 0]
     assert world.units[TAPE_WORKER].position == -1
     assert world.cities[-1].citizens == 4
 
@@ -242,23 +274,4 @@ def test_extend_tape_left_is_symmetric():
 def test_extend_tape_requires_crossing():
     world = init_world(RULESET_VI, {})
     with pytest.raises(IllegalCommand, match="boundary"):
-        extend_tape(world, "R")  # head 0 -> 1 stays inside city 0
-
-
-def test_nb_state_semantics():
-    program = compile_program(builtin_program("rogozhin_24_2"), RULESET_VI)
-    base_only = nb_state_semantics(program, 3, needs_settler=False)
-    assert all(plan.extension_steps == () for plan in base_only.values())
-    with_ext = nb_state_semantics(program, 3, needs_settler=True)
-    assert all(
-        plan.extension_steps == ("train_settler", "move_settler", "found_city", "grow_to_cap")
-        for plan in with_ext.values()
-    )
-    halted = nb_state_semantics(program, 10, needs_settler=True)
-    assert halted["worked"].extension_steps == ()  # halting macro never extends
-
-
-def test_nb_semantics_is_vi_only():
-    program = compile_program(builtin_program("bb3"), RULESET_BE)
-    with pytest.raises(CompileError):
-        nb_state_semantics(program, 0, needs_settler=False)
+        extend_tape(world, "R", _blank_record())  # head 0 -> 1 stays inside city 0

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -19,7 +21,7 @@ from civutm.harness import (
     random_tm,
 )
 from civutm.tm import TMSpec, Transition, builtin_program, count_symbol, validate_spec
-from civutm.world import RULESET_BE, RULESET_V, RULESET_VI, RulesetParams
+from civutm.world import RULESET_BE, RULESET_V, RULESET_VI, RulesetParams, event_log_lines, world_snapshot
 
 
 def test_bb3_be_equivalent_through_halt():
@@ -179,6 +181,30 @@ def test_report_json_is_deterministic():
     a = lockstep_verify(spec, RULESET_V, {}, 100).to_json()
     b = lockstep_verify(spec, RULESET_V, {}, 100).to_json()
     assert a == b
+
+
+# Pinned output digests: any change to event order, turn counts, world state,
+# report fields or instruction records changes one of these. Re-pin only for
+# a change that is meant to alter outputs.
+GOLDEN_DIGESTS = {
+    ("bb3", RULESET_BE, 100): "b64e04b2e8fc4e83eb7221172be0bf4d65e054084145044aac10df093088cbed",
+    ("bb3", RULESET_V, 100): "3813ec89f7f5bd945ad49ddf6cb67e154be2d7e05cd597f0377d68f0bbe48b4a",
+    ("bb3", RULESET_VI, 100): "d40ab05814aaddbfbe495bb7bf11ac462e043ae7ae04359e0ad3b910dd9a7bf6",
+    ("rogozhin_24_2", RULESET_VI, 30): "19c80a7dd97b1f364e41478d7479f9378611c3a885dc5a58c3bdf65ab66f67ad",
+}
+
+
+@pytest.mark.parametrize("name,ruleset,max_instructions", sorted(GOLDEN_DIGESTS))
+def test_golden_output_digest(name, ruleset, max_instructions):
+    report = lockstep_verify(builtin_program(name), ruleset, {}, max_instructions)
+    parts = [
+        *event_log_lines(report.world),
+        json.dumps(world_snapshot(report.world), sort_keys=True),
+        json.dumps(report.to_json(), sort_keys=True),
+        *(json.dumps(record, default=vars, sort_keys=True) for record in report.records),
+    ]
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[(name, ruleset, max_instructions)]
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,16 @@ def test_params_require_positive_durations():
         params.validate()
 
 
+def test_params_fix_remove_or_repair_turns():
+    # The published V bound 4*B_rr+1 assumes one-turn removals: with 4,
+    # random_tm(28, 6, 3) on V took 16 turns against a bound of 9.
+    for ruleset in (RULESET_BE, RULESET_V, RULESET_VI):
+        params = RulesetParams.defaults(ruleset)
+        params.remove_or_repair_turns = 4
+        with pytest.raises(IllegalCommand, match="remove_or_repair_turns"):
+            params.validate()
+
+
 def test_params_vi_spacing_must_be_even():
     params = RulesetParams.defaults(RULESET_VI)
     params.city_spacing = 3
@@ -175,7 +185,7 @@ def test_vi_citizen_reassignment_is_instant():
     base = yields(world)["faith"]
     apply_command(world, "player", Command(op="shift_monasteries", count=1))
     assert yields(world)["faith"] == base + world.params.monastery_faith
-    assert world.region.farm_tiles.count(True) == world.params.state_region_tiles - 1
+    assert world_snapshot(world)["state_region"]["farm_tiles"].count(True) == world.params.state_region_tiles - 1
     apply_command(world, "player", Command(op="set_worked", cell=0, worked=True))
     assert world.hex_at(0).worked
 

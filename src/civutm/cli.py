@@ -59,6 +59,9 @@ def _load_tape(args) -> dict[int, str]:
     data = json.loads(Path(args.tape).read_text())
     if not isinstance(data, dict):
         raise CivUtmError("tape file must be a JSON object mapping cell index to symbol")
+    for cell, sym in data.items():
+        if not isinstance(sym, str):
+            raise CivUtmError(f"tape cell {cell} must hold a symbol string")
     return {int(cell): sym for cell, sym in data.items()}
 
 

@@ -19,9 +19,7 @@ from .world import (
     GAME_SYMBOLS,
     RULESET_BE,
     RULESET_V,
-    RULESET_VI,
     TAPE_WORKER,
-    Improvement,
     WorldState,
     yields,
 )
@@ -34,9 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class DecodedConfig:
     """A decoded machine configuration plus the raw observation behind it."""
 
-    config: TMConfig | None
+    config: TMConfig | None  # None when the world is not at an instruction boundary
     state_evidence: dict
-    boundary: bool
 
 
 def symbol_map(spec: TMSpec, ruleset: str) -> dict[str, str]:
@@ -72,14 +69,6 @@ def encode_tape(tm_tape: dict[int, str], program: "ControllerProgram") -> dict[i
     return content
 
 
-def read_cell(world: WorldState, cell: int) -> str:
-    """The game symbol currently on a tape cell."""
-    hx = world.hex_at(cell)
-    if world.params.ruleset == RULESET_VI:
-        return "worked" if hx.worked else "unworked"
-    return hx.improvement.value
-
-
 def state_index(world: WorldState) -> tuple[int, dict]:
     """Machine state index read from the region, cross-checked via yields."""
     region_count = world.region.count
@@ -108,17 +97,15 @@ def state_index(world: WorldState) -> tuple[int, dict]:
 def decode(world: WorldState, program: "ControllerProgram") -> DecodedConfig:
     """Decode an instruction-boundary world into (state, tape, head)."""
     index, evidence = state_index(world)
-    boundary = not world.any_busy() and not world.any_training()
-    if not boundary:
-        return DecodedConfig(config=None, state_evidence=evidence, boundary=False)
+    if world.any_busy() or world.any_training():
+        return DecodedConfig(config=None, state_evidence=evidence)
     if index >= len(program.index_to_state):
         raise DecodeError(f"state index {index} out of range for {len(program.index_to_state)} states")
     state = program.index_to_state[index]
 
     tape: dict[int, str] = {}
     blank_game = GAME_BLANK[world.params.ruleset]
-    for cell in sorted(world.tape):
-        game_sym = read_cell(world, cell)
+    for cell, game_sym in sorted(world.tape.items()):
         if game_sym == blank_game:
             continue
         sym = program.symbol_from_game.get(game_sym)
@@ -127,4 +114,4 @@ def decode(world: WorldState, program: "ControllerProgram") -> DecodedConfig:
         tape[cell] = sym
 
     head = world.units[TAPE_WORKER].position
-    return DecodedConfig(config=TMConfig(state=state, tape=tape, head=head), state_evidence=evidence, boundary=True)
+    return DecodedConfig(config=TMConfig(state=state, tape=tape, head=head), state_evidence=evidence)

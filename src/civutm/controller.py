@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .codec import read_cell, state_index, symbol_map
+from .codec import state_index, symbol_map
 from .errors import CivUtmError, CompileError, DecodeError, IllegalCommand, MachineStuck
 from .tm import HaltAction, TMSpec, validate_spec
 from .world import (
@@ -32,7 +32,6 @@ from .world import (
     STATE_WORKER,
     TAPE_WORKER,
     Command,
-    Improvement,
     RulesetParams,
     WorldState,
     advance_turn,
@@ -305,29 +304,21 @@ def _drive(world: WorldState, queues: dict[str, list[Command]], gates: dict[str,
 def _tape_plan(world: WorldState, macro: CommandMacro, cell: int) -> tuple[list[Command], list[Command]]:
     """(worker commands, rover commands) realizing the macro's tape action."""
     action = macro.tape_action
-    current = world.hex_at(cell).improvement
     worker: list[Command] = []
     rover: list[Command] = []
-    if action is TapeAction.LEAVE:
-        pass
-    elif action is TapeAction.BUILD_ROAD:
-        if current is not Improvement.NONE:  # V: the railroad must be removed first
+    # The tape actions that issue one world op carry that op's name as value.
+    if action in (TapeAction.BUILD_ROAD, TapeAction.BUILD_RAILROAD):
+        if world.symbol_at(cell) != "none":  # V: the standing improvement must be removed first
             worker.append(Command(op="remove_improvement", cell=cell))
-        worker.append(Command(op="build_road", cell=cell))
-    elif action is TapeAction.BUILD_RAILROAD:
-        if current is not Improvement.NONE:
-            worker.append(Command(op="remove_improvement", cell=cell))
-        worker.append(Command(op="build_railroad", cell=cell))
-    elif action is TapeAction.REMOVE_IMPROVEMENT:
-        worker.append(Command(op="remove_improvement", cell=cell))
+        worker.append(Command(op=action.value, cell=cell))
+    elif action in (TapeAction.REMOVE_IMPROVEMENT, TapeAction.REPAIR_ROAD):
+        worker.append(Command(op=action.value, cell=cell))
     elif action is TapeAction.PILLAGE_ROAD:
         rover.append(Command(op="pillage_road", cell=cell))
-    elif action is TapeAction.REPAIR_ROAD:
-        worker.append(Command(op="repair_road", cell=cell))
     elif action is TapeAction.BUILD_ROAD_THEN_PILLAGE:
         worker.append(Command(op="build_road", cell=cell))
         rover.append(Command(op="pillage_road", cell=cell))
-    else:
+    elif action is not TapeAction.LEAVE:
         raise IllegalCommand(f"tape action {action} is not a BE/V action")
     return worker, rover
 
@@ -346,7 +337,7 @@ def execute_instruction(world: WorldState, program: ControllerProgram, index: in
     idx, _ = state_index(world)
     state = program.index_to_state[idx]
     head = world.units[TAPE_WORKER].position
-    game_read = read_cell(world, head)
+    game_read = world.symbol_at(head)
 
     if state in program.spec.halting:
         world.log("controller", "instruction_halt", {"index": index, "state_index": idx})
@@ -396,7 +387,7 @@ def _execute_be_v(world: WorldState, macro: CommandMacro, head: int, record: Ins
     gates = {}
     if rover_cmds:
         cell = rover_cmds[0].cell
-        gates[ROVER] = lambda w: w.hex_at(cell).improvement is Improvement.ROAD
+        gates[ROVER] = lambda w: w.symbol_at(cell) == "road"
     _drive(world, {TAPE_WORKER: worker_cmds, ROVER: rover_cmds, STATE_WORKER: state_cmds}, gates)
 
 

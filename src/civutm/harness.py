@@ -151,7 +151,7 @@ def lockstep_verify(
             break
         report.records.append(record)
 
-        if not decoded.boundary or decoded.config != oracle:
+        if decoded.config != oracle:
             diverged(index, _config_json(oracle), _config_json(decoded.config) if decoded.config else "mid-instruction")
             break
         if oracle_halted != record.halted:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .controller import ControllerProgram, TapeAction, vi_state_delta
+from .controller import PAPER_SYMBOL_NAMES, ControllerProgram, TapeAction, vi_state_delta
 from .tm import HaltAction, Transition
 
 FIXTURE_NAMES = ("civ_be_rogozhin_10_3", "civ_v_rogozhin_10_3", "civ_vi_rogozhin_24_2")
@@ -28,13 +28,6 @@ FIXTURE_FOR = {
     ("V", "rogozhin_10_3"): "civ_v_rogozhin_10_3",
     ("VI", "rogozhin_24_2"): "civ_vi_rogozhin_24_2",
 }
-
-_READ_TO_GAME = {
-    "BE": {"No Improvement": "none", "Road": "road", "Pillaged Road": "pillaged_road"},
-    "V": {"No Improvement": "none", "Road": "road", "Railroad": "railroad"},
-    "VI": {"Is Not Being Worked": "unworked", "Is Being Worked": "worked"},
-}
-
 
 def load_fixture(name: str) -> dict:
     if name not in FIXTURE_NAMES:
@@ -74,7 +67,7 @@ def table_fidelity(program: ControllerProgram, fixture: dict) -> list[dict]:
     diffs: list[dict] = []
     if program.ruleset != ruleset:
         return [{"row": None, "field": "ruleset", "expected": ruleset, "actual": program.ruleset}]
-    read_map = _READ_TO_GAME[ruleset]
+    read_map = {paper: game for game, paper in PAPER_SYMBOL_NAMES[ruleset].items()}
     seen: set[tuple[int, str]] = set()
 
     for row in fixture["rows"]:

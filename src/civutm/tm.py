@@ -67,14 +67,6 @@ class TMSpec:
     halting: tuple[str, ...]
     transitions: dict[tuple[str, str], Rule] = field(default_factory=dict)
 
-    @property
-    def num_states(self) -> int:
-        return len(self.states)
-
-    @property
-    def num_symbols(self) -> int:
-        return len(self.alphabet)
-
 
 @dataclass(frozen=True)
 class TMConfig:
@@ -420,6 +412,14 @@ def spec_from_json(data: dict) -> TMSpec:
     missing = _SPEC_FIELDS - set(data)
     if missing:
         raise SpecError(f"missing fields in machine description: {sorted(missing)}")
+    for name in ("states", "alphabet", "input_alphabet", "halting"):
+        if not isinstance(data[name], list) or not all(isinstance(item, str) for item in data[name]):
+            raise SpecError(f"{name} must be a list of strings")
+    for name in ("blank", "initial"):
+        if not isinstance(data[name], str):
+            raise SpecError(f"{name} must be a string")
+    if not isinstance(data["transitions"], list):
+        raise SpecError("transitions must be a list of records")
     transitions: dict[tuple[str, str], Rule] = {}
     for rec in data["transitions"]:
         if not isinstance(rec, dict):
@@ -427,13 +427,20 @@ def spec_from_json(data: dict) -> TMSpec:
         extra = set(rec) - {"state", "read", "write", "move", "next", "halt"}
         if extra:
             raise SpecError(f"unknown fields in transition record: {sorted(extra)}")
-        required = {"state", "read"} if rec.get("halt") else {"state", "read", "write", "move", "next"}
+        halt = rec.get("halt", False)
+        if not isinstance(halt, bool):
+            raise SpecError("halt in a transition record must be true or false")
+        for name, value in rec.items():
+            # A halt record's null write leaves the cell as read.
+            if name != "halt" and not isinstance(value, str) and not (halt and name == "write" and value is None):
+                raise SpecError(f"{name} in a transition record must be a string")
+        required = {"state", "read"} if halt else {"state", "read", "write", "move", "next"}
         if required - set(rec):
             raise SpecError(f"missing fields in transition record: {sorted(required - set(rec))}")
         key = (rec["state"], rec["read"])
         if key in transitions:
             raise SpecError(f"duplicate transition record for {key}")
-        if rec.get("halt"):
+        if halt:
             if "move" in rec or "next" in rec:
                 raise SpecError(f"halt record for {key} must not carry move/next")
             transitions[key] = HaltAction(write=rec.get("write"))

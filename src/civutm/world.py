@@ -11,8 +11,10 @@ Three rulesets share one model:
   absorb every state-region Citizen not on a Monastery.
 
 Geometry is reduced to a 1-D integer line for the tape plus an abstract
-finite state region: the 2-D hex map adds nothing to the computation. Turn
-counters and cell indices are unbounded.
+finite state region: the 2-D hex map adds nothing to the computation. A tape
+cell holds its game symbol (one of ``GAME_SYMBOLS``) and the region holds its
+count, so the world stores each fact once. Turn counters and cell indices
+are unbounded.
 
 All operations mutate the passed ``WorldState`` in place and also return it;
 they are deterministic functions of the state, and the append-only event log
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import IllegalCommand, Starvation
@@ -42,19 +43,13 @@ ROVER = "rover"
 SETTLER = "settler"
 PLAYER = "player"  # pseudo-unit for instant, player-level micromanagement
 
-
-class Improvement(str, Enum):
-    NONE = "none"
-    ROAD = "road"
-    PILLAGED_ROAD = "pillaged_road"
-    RAILROAD = "railroad"
-
-
-# Which improvements a hex may ever hold, per ruleset.
-LEGAL_IMPROVEMENTS = {
-    RULESET_BE: (Improvement.NONE, Improvement.ROAD, Improvement.PILLAGED_ROAD),
-    RULESET_V: (Improvement.NONE, Improvement.ROAD, Improvement.RAILROAD),
-    RULESET_VI: (Improvement.NONE,),
+# The game symbols a tape cell may hold, per ruleset; the blank is what an
+# unwritten cell holds.
+GAME_BLANK = {RULESET_BE: "none", RULESET_V: "none", RULESET_VI: "unworked"}
+GAME_SYMBOLS = {
+    RULESET_BE: ("none", "road", "pillaged_road"),
+    RULESET_V: ("none", "road", "railroad"),
+    RULESET_VI: ("unworked", "worked"),
 }
 
 
@@ -141,36 +136,49 @@ class RulesetParams:
         ):
             if getattr(self, name) < 0:
                 raise IllegalCommand(f"{name} must be >= 0")
-        if self.ruleset == RULESET_VI and (self.city_spacing < 2 or self.city_spacing % 2):
-            raise IllegalCommand("city_spacing must be an even distance >= 2")
+        # The codec reads BE's and VI's state back from the yield delta,
+        # divided by the yield of one state tile.
+        if self.ruleset == RULESET_BE and self.terrascape_culture < 1:
+            raise IllegalCommand("terrascape_culture must be >= 1: BE decodes its state from Culture")
+        if self.ruleset == RULESET_VI:
+            if self.monastery_faith < 1:
+                raise IllegalCommand("monastery_faith must be >= 1: VI decodes its state from Faith")
+            if self.city_spacing < 2 or self.city_spacing % 2:
+                raise IllegalCommand("city_spacing must be an even distance >= 2")
+            # Cities hold 2 to 4 Citizens: one on the center, up to two on
+            # the tape cells, the rest on floodplains. Every such city must
+            # feed itself, or the construction starves.
+            for citizens in (2, 3, 4):
+                upkeep = self.citizen_food_upkeep * citizens
+                for on_tape in range(min(2, citizens - 1) + 1):
+                    income = (
+                        self.city_base_food
+                        + self.grassland_food * on_tape
+                        + self.floodplains_food * (citizens - 1 - on_tape)
+                    )
+                    if income < upkeep:
+                        raise IllegalCommand(
+                            f"a city of {citizens} Citizens with {on_tape} on the tape starves: "
+                            f"food {income} < upkeep {upkeep}"
+                        )
         return self
-
-
-@dataclass
-class Hex:
-    improvement: Improvement = Improvement.NONE
-    worked: bool = False
 
 
 @dataclass
 class StateRegion:
     """The reserved tiles encoding the machine state.
 
-    ``tiles`` holds the improvement/worked flags (Terrascapes for BE,
-    Railroads for V, worked Monasteries for VI). Standing or worked tiles
-    always form a prefix of ``tiles``: builds take the lowest free tile and
-    removals the highest. VI's worked Farms are not stored; the region's
-    Citizens all work something, so they follow from the Monastery count
-    (see ``world_snapshot``).
+    ``count`` is how many of the region's ``params.state_region_tiles`` tiles
+    stand or are worked (Terrascapes for BE, Railroads for V, Monasteries for
+    VI). Builds take the lowest free tile and removals the highest, so those
+    tiles are always a prefix and the count is the whole state. VI's worked
+    Farms follow from it too: the region's Citizens all work something (see
+    ``world_snapshot``).
     """
 
     kind: str  # "terrascape" | "railroad" | "monastery"
-    tiles: list[bool]
     base_yield: int
-
-    @property
-    def count(self) -> int:
-        return sum(self.tiles)
+    count: int = 0
 
 
 @dataclass
@@ -236,7 +244,7 @@ class City:
 @dataclass
 class WorldState:
     params: RulesetParams
-    tape: dict[int, Hex]
+    tape: dict[int, str]  # cell -> game symbol; unwritten cells hold the blank
     region: StateRegion
     units: dict[str, Unit]
     cities: dict[int, City]
@@ -244,13 +252,8 @@ class WorldState:
     event_log: list[dict] = field(default_factory=list)
     min_food_observed: int | None = None
 
-    def hex_at(self, cell: int) -> Hex:
-        return self.tape.get(cell, Hex())
-
-    def _ensure_hex(self, cell: int) -> Hex:
-        if cell not in self.tape:
-            self.tape[cell] = Hex()
-        return self.tape[cell]
+    def symbol_at(self, cell: int) -> str:
+        return self.tape.get(cell, GAME_BLANK[self.params.ruleset])
 
     def city_of_cell(self, cell: int) -> City | None:
         return self.cities.get(cell // 2)
@@ -269,15 +272,6 @@ class WorldState:
 # World construction
 # ---------------------------------------------------------------------------
 
-# Game-symbol names accepted by init_world / produced by the codec.
-GAME_BLANK = {RULESET_BE: "none", RULESET_V: "none", RULESET_VI: "unworked"}
-GAME_SYMBOLS = {
-    RULESET_BE: ("none", "road", "pillaged_road"),
-    RULESET_V: ("none", "road", "railroad"),
-    RULESET_VI: ("unworked", "worked"),
-}
-
-
 def init_world(ruleset: str, initial_content: dict[int, str] | None = None, params: RulesetParams | None = None) -> WorldState:
     """Build a world whose tape encodes ``initial_content`` and whose state
     region encodes state index 0.
@@ -295,32 +289,23 @@ def init_world(ruleset: str, initial_content: dict[int, str] | None = None, para
         if symbol not in GAME_SYMBOLS[ruleset] or symbol == GAME_BLANK[ruleset]:
             raise IllegalCommand(f"symbol {symbol!r} at cell {cell} is illegal for ruleset {ruleset}")
 
-    tape: dict[int, Hex] = {}
     cities: dict[int, City] = {}
     units = {TAPE_WORKER: Unit(uid=TAPE_WORKER, kind="TapeWorker", position=0)}
 
     if ruleset == RULESET_VI:
-        region = StateRegion(kind="monastery", tiles=[False] * params.state_region_tiles, base_yield=params.base_faith)
+        region = StateRegion(kind="monastery", base_yield=params.base_faith)
         cells = set(content) | {0, 1}
         lo, hi = min(cells) // 2, max(cells) // 2
         for index in range(lo, hi + 1):
             end_city = index in (lo, hi)
             cities[index] = City(index=index, citizens=4 if end_city else 3, growth_cap=4 if end_city else 3)
-        for cell, symbol in content.items():
-            tape[cell] = Hex(worked=(symbol == "worked"))
     else:
-        region = StateRegion(
-            kind="terrascape" if ruleset == RULESET_BE else "railroad",
-            tiles=[False] * params.state_region_tiles,
-            base_yield=params.base_culture,
-        )
+        region = StateRegion(kind="terrascape" if ruleset == RULESET_BE else "railroad", base_yield=params.base_culture)
         units[STATE_WORKER] = Unit(uid=STATE_WORKER, kind="StateWorker", position=0)
         if ruleset == RULESET_BE:
             units[ROVER] = Unit(uid=ROVER, kind="Rover", position=0)
-        for cell, symbol in content.items():
-            tape[cell] = Hex(improvement=Improvement(symbol))
 
-    world = WorldState(params=params, tape=tape, region=region, units=units, cities=cities)
+    world = WorldState(params=params, tape=dict(content), region=region, units=units, cities=cities)
     world.log("world", "init", {"ruleset": ruleset, "cells": {str(k): v for k, v in sorted(content.items())}})
     return world
 
@@ -338,34 +323,26 @@ class _TapeOp(NamedTuple):
     verb: str  # for error messages: "cannot {verb} ..."
     rulesets: tuple[str, ...]
     unit: str | None  # the only unit allowed to issue it; None for any unit
-    requires: tuple[Improvement, ...]  # what the cell must hold beforehand
+    requires: tuple[str, ...]  # what the cell must hold beforehand
     duration: str  # the RulesetParams field giving its turns
-    result: Improvement  # what the cell holds once the job completes
+    result: str  # what the cell holds once the job completes
 
 
 _TAPE_OPS = {
     # Building over a standing improvement is forbidden: a Road may not be
     # rebuilt on a Road, and in V a Railroad must be removed first.
-    "build_road": _TapeOp(
-        "build a road", (RULESET_BE, RULESET_V), None, (Improvement.NONE,), "road_build_turns", Improvement.ROAD
-    ),
-    "build_railroad": _TapeOp(
-        "build a railroad", (RULESET_V,), None, (Improvement.NONE,), "railroad_build_turns", Improvement.RAILROAD
-    ),
+    "build_road": _TapeOp("build a road", (RULESET_BE, RULESET_V), None, ("none",), "road_build_turns", "road"),
+    "build_railroad": _TapeOp("build a railroad", (RULESET_V,), None, ("none",), "railroad_build_turns", "railroad"),
     "remove_improvement": _TapeOp(
         "remove an improvement",
         (RULESET_BE, RULESET_V),
         None,
-        (Improvement.ROAD, Improvement.PILLAGED_ROAD, Improvement.RAILROAD),
+        ("road", "pillaged_road", "railroad"),
         "remove_or_repair_turns",
-        Improvement.NONE,
+        "none",
     ),
-    "pillage_road": _TapeOp(
-        "pillage a road", (RULESET_BE,), ROVER, (Improvement.ROAD,), "remove_or_repair_turns", Improvement.PILLAGED_ROAD
-    ),
-    "repair_road": _TapeOp(
-        "repair a road", (RULESET_BE,), None, (Improvement.PILLAGED_ROAD,), "remove_or_repair_turns", Improvement.ROAD
-    ),
+    "pillage_road": _TapeOp("pillage a road", (RULESET_BE,), ROVER, ("road",), "remove_or_repair_turns", "pillaged_road"),
+    "repair_road": _TapeOp("repair a road", (RULESET_BE,), None, ("pillaged_road",), "remove_or_repair_turns", "road"),
 }
 
 
@@ -397,13 +374,13 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
             raise IllegalCommand(f"cannot {tape_op.verb} in ruleset {ruleset}")
         if tape_op.unit is not None and unit_id != tape_op.unit:
             raise IllegalCommand(f"only the {tape_op.unit} can {tape_op.verb}")
-        improvement = world.hex_at(command.cell).improvement
-        if improvement not in tape_op.requires:
-            raise IllegalCommand(f"cannot {tape_op.verb} on {improvement.value} at cell {command.cell}")
+        symbol = world.symbol_at(command.cell)
+        if symbol not in tape_op.requires:
+            raise IllegalCommand(f"cannot {tape_op.verb} on {symbol} at cell {command.cell}")
     elif op == "build_state":
         if ruleset == RULESET_VI:
             raise IllegalCommand("VI encodes state via citizen reassignment, not builds")
-        if world.region.count >= len(world.region.tiles):
+        if world.region.count >= world.params.state_region_tiles:
             raise IllegalCommand("state region is full")
     elif op == "remove_state":
         if ruleset == RULESET_VI:
@@ -417,15 +394,15 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
         if city is None:
             raise IllegalCommand(f"cell {command.cell} is not owned by any city")
         if command.worked:
-            worked_now = sum(1 for c in city.tape_cells if world.hex_at(c).worked)
-            if not world.hex_at(command.cell).worked and worked_now >= city.citizens - 1:
+            worked_now = sum(1 for c in city.tape_cells if world.tape.get(c) == "worked")
+            if world.tape.get(command.cell) != "worked" and worked_now >= city.citizens - 1:
                 raise IllegalCommand(f"city {city.index} has no free citizen to work cell {command.cell}")
     elif op == "shift_monasteries":
         if ruleset != RULESET_VI:
             raise IllegalCommand("monasteries exist only in ruleset VI")
         new_count = world.region.count + command.count
-        if not 0 <= new_count <= len(world.region.tiles):
-            raise IllegalCommand(f"cannot work {new_count} monasteries in a region of {len(world.region.tiles)}")
+        if not 0 <= new_count <= world.params.state_region_tiles:
+            raise IllegalCommand(f"cannot work {new_count} monasteries in a region of {world.params.state_region_tiles}")
     elif op == "train_settler":
         if ruleset != RULESET_VI:
             raise IllegalCommand("settlers exist only in ruleset VI")
@@ -473,10 +450,12 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
     _check_legality(world, unit_id, command)
 
     if command.op == "set_worked":
-        world._ensure_hex(command.cell).worked = bool(command.worked)
+        # An unworked cell keeps its entry: the snapshot lists every cell
+        # ever written.
+        world.tape[command.cell] = "worked" if command.worked else "unworked"
         world.log(unit_id, command.op, command.describe())
     elif command.op == "shift_monasteries":
-        _shift_monasteries(world, command.count)
+        world.region.count += command.count
         world.log(unit_id, command.op, command.describe())
     elif command.op == "train_settler":
         city = world.cities[command.city]
@@ -489,26 +468,16 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
     return world
 
 
-def _shift_monasteries(world: WorldState, delta: int) -> None:
-    # Work the lowest-index idle monastery first, release the highest first,
-    # so worked monasteries stay a prefix; released citizens flow to farms
-    # and vice versa (only counts decode).
-    count = world.region.count + delta
-    world.region.tiles[:] = [i < count for i in range(len(world.region.tiles))]
-
-
 def _complete_job(world: WorldState, unit: Unit) -> None:
     command = unit.job.command
     op = command.op
     unit.job = None
     if op in _TAPE_OPS:
-        world._ensure_hex(command.cell).improvement = _TAPE_OPS[op].result
+        world.tape[command.cell] = _TAPE_OPS[op].result
     elif op == "build_state":
-        region = world.region
-        region.tiles[region.tiles.index(False)] = True
+        world.region.count += 1
     elif op == "remove_state":
-        region = world.region
-        region.tiles[len(region.tiles) - 1 - region.tiles[::-1].index(True)] = False
+        world.region.count -= 1
     elif op == "move":
         unit.position = command.to
         if unit.uid == TAPE_WORKER and ROVER in world.units:
@@ -528,7 +497,7 @@ def _city_food_delta(world: WorldState, city: City) -> tuple[int, int]:
     (its yield is inside city_base_food); citizens the tape demands work the
     grassland cells; everyone else works a floodplain."""
     p = world.params
-    flags = sum(1 for c in city.tape_cells if world.hex_at(c).worked)
+    flags = sum(1 for c in city.tape_cells if world.tape.get(c) == "worked")
     tape_workers = min(flags, city.citizens - 1)
     idle = city.citizens - 1 - tape_workers
     income = p.city_base_food + p.grassland_food * tape_workers + p.floodplains_food * idle
@@ -597,20 +566,21 @@ def yields(world: WorldState) -> dict[str, int]:
 
 
 def world_snapshot(world: WorldState) -> dict:
-    terrain = "grassland" if world.params.ruleset == RULESET_VI else "flat"
+    vi = world.params.ruleset == RULESET_VI
+    terrain = "grassland" if vi else "flat"
     tape = {
-        str(cell): {"improvement": hx.improvement.value, "worked": hx.worked, "terrain": terrain}
-        for cell, hx in sorted(world.tape.items())
+        str(cell): {"improvement": "none" if vi else symbol, "worked": symbol == "worked", "terrain": terrain}
+        for cell, symbol in sorted(world.tape.items())
     }
+    n, count = world.params.state_region_tiles, world.region.count
     region = {
         "kind": world.region.kind,
-        "tiles": list(world.region.tiles),
+        "tiles": [i < count for i in range(n)],
         "base_yield": world.region.base_yield,
     }
-    if world.params.ruleset == RULESET_VI:
+    if vi:
         # Farms release from the top while Monasteries fill from the bottom,
         # so worked Farms are a prefix, not the complement of ``tiles``.
-        n, count = len(world.region.tiles), world.region.count
         region["farm_tiles"] = [i < n - count for i in range(n)]
     units = {
         uid: {

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from civutm.cli import main
 from civutm.tm import builtin_program, spec_to_json
+from civutm.world import RulesetParams
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +175,80 @@ def test_params_file_rejects_non_integer(tmp_path, capsys, value):
     assert out == ""
     [line] = err.splitlines()
     assert "road_build_turns must be an integer" in json.loads(line)["error"]
+
+
+@pytest.mark.parametrize("ruleset,name", [("BE", "terrascape_culture"), ("VI", "monastery_faith")])
+def test_zero_state_tile_yield_status(tmp_path, capsys, ruleset, name):
+    # The codec divides the yield delta by this yield; 0 used to end in a
+    # ZeroDivisionError traceback.
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({name: 0}))
+    status, out, err = run_cli(capsys, "run", "bb3", "--ruleset", ruleset, "--params", str(params))
+    assert status == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert name in json.loads(line)["error"]
+
+
+@pytest.mark.parametrize(
+    "kind,field,value",
+    [("machine", "states", 5), ("machine", "transitions", 7), ("machine", "blank", ["0"]), ("tape", "0", [1])],
+)
+def test_malformed_json_types_status(tmp_path, capsys, kind, field, value):
+    # Each of these used to end in a TypeError traceback.
+    machine = spec_to_json(builtin_program("bb3"))
+    tape = {"0": "1"}
+    (machine if kind == "machine" else tape)[field] = value
+    (tmp_path / "machine.json").write_text(json.dumps(machine))
+    (tmp_path / "tape.json").write_text(json.dumps(tape))
+    argv = ["run", str(tmp_path / "machine.json"), "--tape", str(tmp_path / "tape.json")]
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert "error" in json.loads(line)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_json_value_in_one_field_never_raises(data):
+    ruleset = data.draw(st.sampled_from(("BE", "V", "VI")))
+    files = {
+        "machine": spec_to_json(builtin_program("bb3")),
+        "tape": {"0": "1", "2": "1"},
+        "params": dataclasses.asdict(RulesetParams.defaults(ruleset)),
+    }
+    kind = data.draw(st.sampled_from(sorted(files)))
+    target = files[kind]
+    if kind == "machine" and data.draw(st.booleans()):
+        target = data.draw(st.sampled_from(target["transitions"]))
+    target[data.draw(st.sampled_from(sorted(target)))] = data.draw(JSON_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.json" for name in files}
+        for name, doc in files.items():
+            paths[name].write_text(json.dumps(doc))
+        # A tape is only read by commands that run the machine; keep that run
+        # short. compile checks the machine and params without running, so a
+        # valid but huge duration cannot make the test slow.
+        if kind == "tape":
+            argv = ["run", str(paths["machine"]), "--tape", str(paths["tape"]), "--max-instructions", "2"]
+        else:
+            argv = ["compile", str(paths["machine"])]
+        argv += ["--ruleset", ruleset, "--params", str(paths["params"])]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+    assert status in (0, 1, 2, 3, 4)
+    if status == 2:
+        [line] = err.getvalue().splitlines()
+        assert "error" in json.loads(line)
 
 
 def test_params_file_rejects_unknown_key(tmp_path, capsys):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from civutm.codec import decode, encode_tape, read_cell, state_index, symbol_map
+from civutm.codec import decode, encode_tape, state_index, symbol_map
 from civutm.controller import compile_program
 from civutm.errors import CompileError, DecodeError
 from civutm.tm import TMConfig, builtin_program
@@ -17,7 +17,6 @@ from civutm.world import (
     STATE_WORKER,
     TAPE_WORKER,
     Command,
-    Improvement,
     advance_turn,
     apply_command,
     init_world,
@@ -55,7 +54,7 @@ def test_roundtrip_random_tapes(ruleset):
         tape = {rng.randint(-6, 6): rng.choice(symbols) for _ in range(rng.randint(0, 6))}
         world = init_world(ruleset, encode_tape(tape, program))
         decoded = decode(world, program)
-        assert decoded.boundary
+        assert decoded.config is not None
         assert decoded.config == TMConfig(state=spec.initial, tape=dict(sorted(tape.items())), head=0)
 
 
@@ -117,15 +116,13 @@ def test_decode_not_at_boundary():
     world = init_world(RULESET_BE, {})
     apply_command(world, TAPE_WORKER, Command(op="build_road", cell=0))
     decoded = decode(world, program)
-    assert not decoded.boundary
     assert decoded.config is None
 
 
 def test_decode_rejects_state_out_of_range():
     program = compile_program(builtin_program("bb3"), RULESET_BE)
     world = init_world(RULESET_BE, {})
-    for i in range(5):
-        world.region.tiles[i] = True
+    world.region.count = 5
     with pytest.raises(DecodeError, match="out of range"):
         decode(world, program)
 
@@ -133,7 +130,7 @@ def test_decode_rejects_state_out_of_range():
 def test_decode_rejects_symbol_outside_alphabet():
     program = compile_program(builtin_program("bb3"), RULESET_BE)
     world = init_world(RULESET_BE, {})
-    world._ensure_hex(0).improvement = Improvement.PILLAGED_ROAD
+    world.tape[0] = "pillaged_road"
     with pytest.raises(DecodeError, match="outside the machine alphabet"):
         decode(world, program)
 
@@ -144,5 +141,5 @@ def test_vi_head_is_global_cell_index():
     world.units[TAPE_WORKER].position = -3
     decoded = decode(world, program)
     assert decoded.config.head == -3
-    assert read_cell(world, -3) == "worked"
+    assert world.symbol_at(-3) == "worked"
     assert decoded.config.tape == {-3: "1"}

@@ -27,7 +27,6 @@ from civutm.world import (
     SETTLER,
     TAPE_WORKER,
     Command,
-    Improvement,
     RulesetParams,
     apply_command,
     init_world,
@@ -143,7 +142,7 @@ def test_execute_one_instruction_be():
     world = init_world(RULESET_BE, {0: "road"})
     record = execute_instruction(world, program, index=1)
     assert record.turns >= 1
-    assert world.hex_at(0).improvement is Improvement.NONE
+    assert world.symbol_at(0) == "none"
     assert world.units[TAPE_WORKER].position == -1
     assert world.region.count == 1
     decoded = decode(world, program)
@@ -156,8 +155,7 @@ def test_execute_halt_leaves_world_unchanged():
     spec = builtin_program("rogozhin_10_3")
     program = compile_program(spec, RULESET_BE)
     world = init_world(RULESET_BE, {0: "road"})
-    for i in range(6):
-        world.region.tiles[i] = True  # state 6 reading a road: the halt row
+    world.region.count = 6  # state 6 reading a road: the halt row
     snapshot_tape = dict(world.tape)
     record = execute_instruction(world, program, index=1)
     assert record.halted and record.turns == 0
@@ -168,7 +166,7 @@ def test_execute_halt_leaves_world_unchanged():
 def test_execute_stuck_raises():
     program = compile_program(builtin_program("bb3"), RULESET_BE)
     world = init_world(RULESET_BE, {})
-    world._ensure_hex(0).improvement = Improvement.PILLAGED_ROAD
+    world.tape[0] = "pillaged_road"
     with pytest.raises(MachineStuck):
         execute_instruction(world, program, index=1)
 
@@ -195,7 +193,7 @@ def test_execute_halt_entry_with_write_applies_then_stops():
     world = init_world(RULESET_BE, {})
     record = execute_instruction(world, program, index=1)
     assert record.halted
-    assert world.hex_at(0).improvement is Improvement.ROAD
+    assert world.symbol_at(0) == "road"
     assert world.units[TAPE_WORKER].position == 0
 
 

@@ -7,6 +7,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from civutm.controller import TapeAction, compile_program
 from civutm.harness import (
@@ -20,6 +22,7 @@ from civutm.harness import (
     paper_instruction_bound,
     random_tm,
 )
+from civutm.errors import IllegalCommand
 from civutm.tm import TMSpec, Transition, builtin_program, count_symbol, validate_spec
 from civutm.world import RULESET_BE, RULESET_V, RULESET_VI, RulesetParams, event_log_lines, world_snapshot
 
@@ -176,6 +179,28 @@ def test_random_machines_never_diverge(seed):
         assert report.outcome in (EQUIVALENT, STEP_LIMIT, ORACLE_STUCK)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    base=st.integers(0, 6),
+    grassland=st.integers(0, 4),
+    floodplains=st.integers(0, 4),
+    upkeep=st.integers(1, 3),
+)
+def test_vi_food_params_that_validate_never_starve(base, grassland, floodplains, upkeep):
+    params = RulesetParams.defaults(RULESET_VI)
+    params.city_base_food, params.grassland_food = base, grassland
+    params.floodplains_food, params.citizen_food_upkeep = floodplains, upkeep
+    try:
+        params.validate()
+    except IllegalCommand:
+        return
+    # 30 instructions found 15 cities, so cities pass through 2, 3 and 4
+    # Citizens; Starvation would propagate out of lockstep_verify.
+    report = lockstep_verify(builtin_program("rogozhin_24_2"), RULESET_VI, {}, 30, params)
+    assert report.first_divergence is None
+    assert report.min_food_stock >= 0
+
+
 def test_report_json_is_deterministic():
     spec = builtin_program("bb3")
     a = lockstep_verify(spec, RULESET_V, {}, 100).to_json()
@@ -191,12 +216,30 @@ GOLDEN_DIGESTS = {
     ("bb3", RULESET_V, 100): "3813ec89f7f5bd945ad49ddf6cb67e154be2d7e05cd597f0377d68f0bbe48b4a",
     ("bb3", RULESET_VI, 100): "d40ab05814aaddbfbe495bb7bf11ac462e043ae7ae04359e0ad3b910dd9a7bf6",
     ("rogozhin_24_2", RULESET_VI, 30): "19c80a7dd97b1f364e41478d7479f9378611c3a885dc5a58c3bdf65ab66f67ad",
+    # random_tm(seed, 3 + seed % 4, 3): between them these four machines build
+    # railroads, pillage, repair and remove-then-build, covering all six BE
+    # and all six V (tape action, read) pairs.
+    ("random:1", RULESET_BE, 100): "f6be55a9c3e8818e4332ce1b7dc26db0156d2dfd188e54ae4c470629ee3f89a8",
+    ("random:6", RULESET_BE, 100): "74cc4a07dd2e6c46a498fbc95cbc2259cbaa8392807e67fc49acdf592cc1f93a",
+    ("random:9", RULESET_BE, 100): "7fa8d679ffea532bf279ba69a647e522428da650690aea19a348911d34c760e0",
+    ("random:11", RULESET_BE, 100): "452b5c1d4821e75b560151677564a52a33cc43604aec9863658ea969de5b6b7a",
+    ("random:1", RULESET_V, 100): "c3e4243340b7f40f228ca843f4cbcdebad98710a3d4a70f7d0e40d2ffd2ed168",
+    ("random:6", RULESET_V, 100): "c304abf974d3ea87bea817bdc8b36766ed587362bea01c3b27a9a43ffa060540",
+    ("random:9", RULESET_V, 100): "c8be70e962d8b5093780e2e4fe51c37916822eb44caed4f81cfbd85b2fa682d1",
+    ("random:11", RULESET_V, 100): "e34d8eb9d2b19b3a92901d00f71e248c9f750eff454c4d1dcaf592bc5e27f691",
 }
+
+
+def _golden_machine(name: str) -> TMSpec:
+    kind, _, seed = name.partition(":")
+    if kind == "random":
+        return random_tm(int(seed), 3 + int(seed) % 4, 3)
+    return builtin_program(name)
 
 
 @pytest.mark.parametrize("name,ruleset,max_instructions", sorted(GOLDEN_DIGESTS))
 def test_golden_output_digest(name, ruleset, max_instructions):
-    report = lockstep_verify(builtin_program(name), ruleset, {}, max_instructions)
+    report = lockstep_verify(_golden_machine(name), ruleset, {}, max_instructions)
     parts = [
         *event_log_lines(report.world),
         json.dumps(world_snapshot(report.world), sort_keys=True),

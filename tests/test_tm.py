@@ -162,8 +162,8 @@ def test_validate_rejects(overrides, message):
 
 def test_builtin_bb3_shape():
     spec = builtin_program("bb3")
-    assert spec.num_states == 3
-    assert spec.num_symbols == 2
+    assert len(spec.states) == 3
+    assert len(spec.alphabet) == 2
     assert len(spec.transitions) == 6
     halts = [r for r in spec.transitions.values() if isinstance(r, HaltAction)]
     assert len(halts) == 1
@@ -171,14 +171,14 @@ def test_builtin_bb3_shape():
 
 def test_builtin_rogozhin_10_3():
     spec = builtin_program("rogozhin_10_3")
-    assert (spec.num_states, spec.num_symbols) == (10, 3)
+    assert (len(spec.states), len(spec.alphabet)) == (10, 3)
     assert spec.transitions[("q0", "1")] == Transition("0", "L", "q1")
     assert len(spec.transitions) == 30
 
 
 def test_builtin_rogozhin_24_2():
     spec = builtin_program("rogozhin_24_2")
-    assert (spec.num_states, spec.num_symbols) == (24, 2)
+    assert (len(spec.states), len(spec.alphabet)) == (24, 2)
     assert spec.transitions[("q11", "1")] == HaltAction(write=None)
     assert len(spec.transitions) == 48
 

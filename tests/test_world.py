@@ -15,9 +15,8 @@ from civutm.world import (
     SETTLER,
     STATE_WORKER,
     TAPE_WORKER,
+    GAME_SYMBOLS,
     Command,
-    Improvement,
-    LEGAL_IMPROVEMENTS,
     RulesetParams,
     advance_turn,
     apply_command,
@@ -59,6 +58,15 @@ def test_params_vi_spacing_must_be_even():
         params.validate()
 
 
+@pytest.mark.parametrize("name,value", [("floodplains_food", 0), ("city_base_food", 1), ("citizen_food_upkeep", 3)])
+def test_params_vi_food_must_feed_every_city(name, value):
+    # Each setting leaves some city of 2-4 Citizens short of its upkeep.
+    params = RulesetParams.defaults(RULESET_VI)
+    setattr(params, name, value)
+    with pytest.raises(IllegalCommand, match="starves"):
+        params.validate()
+
+
 def test_init_rejects_symbols_outside_ruleset():
     with pytest.raises(IllegalCommand):
         init_world(RULESET_BE, {0: "railroad"})
@@ -78,8 +86,8 @@ def test_init_be_empty_tape():
 
 def test_init_v_encodes_tape_directly():
     world = init_world(RULESET_V, {0: "road", 1: "railroad"})
-    assert world.hex_at(0).improvement is Improvement.ROAD
-    assert world.hex_at(1).improvement is Improvement.RAILROAD
+    assert world.symbol_at(0) == "road"
+    assert world.symbol_at(1) == "railroad"
     assert world.region.count == 0
 
 
@@ -89,7 +97,7 @@ def test_init_vi_single_city():
     city = world.cities[0]
     assert city.citizens == 4 and city.growth_cap == 4
     assert city.tape_cells == (0, 1)
-    assert not world.hex_at(0).worked and not world.hex_at(1).worked
+    assert world.symbol_at(0) == world.symbol_at(1) == "unworked"
     assert yields(world)["faith"] == world.params.base_faith
 
 
@@ -99,7 +107,7 @@ def test_init_vi_covers_initial_cells():
     assert world.cities[0].growth_cap == 4  # left end
     assert world.cities[2].growth_cap == 4  # right end
     assert world.cities[1].growth_cap == 3  # interior
-    assert world.hex_at(5).worked
+    assert world.symbol_at(5) == "worked"
 
 
 def test_road_job_timing():
@@ -108,10 +116,10 @@ def test_road_job_timing():
     for _ in range(5):
         advance_turn(world)
     apply_command(world, TAPE_WORKER, Command(op="build_road", cell=0))
-    assert world.hex_at(0).improvement is Improvement.NONE
+    assert world.symbol_at(0) == "none"
     advance_turn(world)
     assert world.turn == 6
-    assert world.hex_at(0).improvement is Improvement.ROAD
+    assert world.symbol_at(0) == "road"
 
 
 def test_build_road_on_road_is_illegal():
@@ -128,7 +136,7 @@ def test_v_build_over_railroad_requires_removal():
     advance_turn(world)
     apply_command(world, TAPE_WORKER, Command(op="build_road", cell=0))
     advance_turn(world)
-    assert world.hex_at(0).improvement is Improvement.ROAD
+    assert world.symbol_at(0) == "road"
 
 
 def test_pillage_is_rover_only_and_be_only():
@@ -137,7 +145,7 @@ def test_pillage_is_rover_only_and_be_only():
         apply_command(world, TAPE_WORKER, Command(op="pillage_road", cell=0))
     apply_command(world, ROVER, Command(op="pillage_road", cell=0))
     advance_turn(world)
-    assert world.hex_at(0).improvement is Improvement.PILLAGED_ROAD
+    assert world.symbol_at(0) == "pillaged_road"
     world_v = init_world(RULESET_V, {0: "road"})
     with pytest.raises(IllegalCommand):
         apply_command(world_v, TAPE_WORKER, Command(op="pillage_road", cell=0))
@@ -147,7 +155,7 @@ def test_repair_restores_road():
     world = init_world(RULESET_BE, {0: "pillaged_road"})
     apply_command(world, TAPE_WORKER, Command(op="repair_road", cell=0))
     advance_turn(world)
-    assert world.hex_at(0).improvement is Improvement.ROAD
+    assert world.symbol_at(0) == "road"
 
 
 def test_busy_unit_rejects_second_command():
@@ -187,7 +195,7 @@ def test_vi_citizen_reassignment_is_instant():
     assert yields(world)["faith"] == base + world.params.monastery_faith
     assert world_snapshot(world)["state_region"]["farm_tiles"].count(True) == world.params.state_region_tiles - 1
     apply_command(world, "player", Command(op="set_worked", cell=0, worked=True))
-    assert world.hex_at(0).worked
+    assert world.symbol_at(0) == "worked"
 
 
 def test_vi_monastery_bounds():
@@ -221,10 +229,10 @@ def test_vi_food_never_negative_when_idle():
 
 
 def test_vi_starvation_guard_raises():
-    # Force a deficit (no floodplain fallback) to prove the guard trips.
-    params = RulesetParams.defaults(RULESET_VI)
-    params.floodplains_food = 0
-    world = init_world(RULESET_VI, {}, params)
+    # Force a deficit (no floodplain fallback) to prove the guard trips;
+    # validate() refuses such params, so it is set after construction.
+    world = init_world(RULESET_VI, {})
+    world.params.floodplains_food = 0
     with pytest.raises(Starvation):
         for _ in range(10):
             advance_turn(world)
@@ -325,8 +333,8 @@ def test_yield_linearity_and_legality_closure():
         assert yields(world)["culture"] - world.params.base_culture == (
             world.params.terrascape_culture * world.region.count
         )
-        for hx in world.tape.values():
-            assert hx.improvement in LEGAL_IMPROVEMENTS[RULESET_BE]
+        for symbol in world.tape.values():
+            assert symbol in GAME_SYMBOLS[RULESET_BE]
 
 
 def test_snapshot_and_event_log_are_versioned():

@@ -8,10 +8,12 @@ forbid rebuilding an existing improvement, and writes over a conflicting
 improvement expand to remove-then-build at execution time.
 
 ``execute_instruction`` runs one macro against a world: it issues the tape,
-state, and movement commands to the workers, advances turns until every job
-is done, and returns the world at the next instruction boundary. For VI, a
-head move that leaves the built strip triggers the tape-extension procedure
-(train a Settler, found a city, grow it to its cap).
+state, and movement commands to the workers, moves the clock from event to
+event until every job is done (the quiet turns in between are skipped in
+closed form by ``world.skip_quiet_turns``), and returns the world at the next
+instruction boundary. For VI, a head move that leaves the built strip
+triggers the tape-extension procedure (train a Settler, found a city, grow it
+to its cap).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .world import (
     WorldState,
     advance_turn,
     apply_command,
+    skip_quiet_turns,
 )
 
 PROGRAM_FORMAT_VERSION = 1
@@ -273,11 +276,21 @@ class InstructionRecord:
 
 
 _UNIT_ORDER = (TAPE_WORKER, ROVER, STATE_WORKER, SETTLER)
+# Bounds the turns ``_drive`` takes with ``advance_turn``, not the turns that
+# pass: each is an event turn, or one plain turn when nothing is pending.
 _DRIVE_GUARD = 1_000_000
 
 
+def _next_event(world: WorldState) -> None:
+    """Skip the quiet turns ahead, then take the turn of the next event."""
+    skip_quiet_turns(world)
+    advance_turn(world)
+
+
 def _drive(world: WorldState, queues: dict[str, list[Command]], gates: dict[str, object] | None = None) -> None:
-    """Issue queued commands as units free up; advance turns until all done."""
+    """Issue queued commands as units free up; move from event to event until
+    all are done. Units and gates change only on event turns, so no command
+    waits through a skipped turn."""
     gates = gates or {}
     for _ in range(_DRIVE_GUARD):
         issued = True
@@ -297,7 +310,7 @@ def _drive(world: WorldState, queues: dict[str, list[Command]], gates: dict[str,
                 issued = True
         if not any(queues.values()) and not world.any_busy():
             return
-        advance_turn(world)
+        _next_event(world)
     raise CivUtmError("command schedule failed to converge")
 
 
@@ -421,8 +434,10 @@ def extend_tape(world: WorldState, direction: str, record: InstructionRecord) ->
     Settler once its population matches its cap, the Settler travels one
     spacing and founds the new city, and the worker waits on the new near
     cell until the city grows to its cap of 4 — at which point the
-    four-citizen population again marks the end of tape. The extension's
-    costs are filled into ``record``.
+    four-citizen population again marks the end of tape. Each wait jumps
+    from event to event (a birth, the finished Settler, a job), so its cost
+    is the events it spans, not its turns. The extension's costs are filled
+    into ``record``.
     """
     if world.params.ruleset != RULESET_VI:
         raise IllegalCommand("tape extension applies to ruleset VI only")
@@ -440,16 +455,16 @@ def extend_tape(world: WorldState, direction: str, record: InstructionRecord) ->
     if src is None or src_index not in (min(world.cities), max(world.cities)):
         raise IllegalCommand(f"cell {head} is not on the end city of the strip")
 
-    pre_train_wait = 0
+    wait_start = world.turn
     while src.citizens < src.growth_cap:
-        advance_turn(world)
-        pre_train_wait += 1
+        _next_event(world)
+    pre_train_wait = world.turn - wait_start
 
     tape_length = 2 * len(world.cities)
     cost = params.settler_cost(tape_length)
     apply_command(world, PLAYER, Command(op="train_settler", city=src.index))
     while SETTLER not in world.units:
-        advance_turn(world)
+        _next_event(world)
 
     queues = {
         SETTLER: [
@@ -462,7 +477,7 @@ def extend_tape(world: WorldState, direction: str, record: InstructionRecord) ->
 
     new_city = world.cities[new_index]
     while new_city.citizens < new_city.growth_cap:
-        advance_turn(world)
+        _next_event(world)
 
     record.extension = True
     record.movement_turns = params.city_spacing * params.worker_move_turns_per_hex

@@ -166,7 +166,8 @@ def lockstep_verify(
     report.final_config = oracle
     if ruleset == RULESET_VI:
         # advance_turn raises Starvation the moment any stock would dip below
-        # zero; min_food_observed is the running minimum it saw each turn.
+        # zero; min_food_observed is the lowest stock of any city on any
+        # turn, skipped quiet turns included.
         report.min_food_stock = world.min_food_observed
     return report
 

@@ -18,7 +18,9 @@ are unbounded.
 
 All operations mutate the passed ``WorldState`` in place and also return it;
 they are deterministic functions of the state, and the append-only event log
-records every accepted command and completion.
+records every accepted command and completion. ``advance_turn`` plays one
+turn; ``skip_quiet_turns`` jumps over the turns before the next event in
+closed form, leaving the same state those turns would.
 """
 
 from __future__ import annotations
@@ -543,6 +545,49 @@ def advance_turn(world: WorldState) -> WorldState:
                 world.log("world", "citizen_born", {"city": city.index, "citizens": city.citizens})
         else:
             city.growth_progress = 0
+    return world
+
+
+def skip_quiet_turns(world: WorldState) -> WorldState:
+    """Move the clock to the turn just before the next event, applying the
+    skipped turns in closed form.
+
+    An event is a job completing, a city finishing its Settler, a Citizen
+    born or a food stock falling below zero. Between events every city's
+    food, training and growth change by the same amount each turn, so the
+    skipped span leaves the world exactly as that many ``advance_turn`` calls
+    would; those quiet turns log nothing. With no event pending, or the next
+    one on the coming turn, the world is left as it is. The event turn itself
+    is ``advance_turn``'s, Starvation included.
+    """
+    p = world.params
+    turn = world.turn
+    events = [unit.job.completes_at for unit in world.units.values() if unit.busy]
+    deltas = []
+    if p.ruleset == RULESET_VI:
+        for city in world.cities.values():
+            income, upkeep = _city_food_delta(world, city)
+            delta = income - upkeep
+            deltas.append((city, delta))
+            if city.training_cost is not None:
+                events.append(turn - (city.production_stock - city.training_cost) // p.production_per_turn)
+            if city.citizens < city.growth_cap:
+                events.append(turn + p.city_growth_turns - city.growth_progress)
+            if delta < 0:
+                events.append(turn + city.food_stock // -delta + 1)
+    quiet = min(events, default=turn) - turn - 1
+    if quiet < 1:
+        return world
+    world.turn += quiet
+    for city, delta in deltas:
+        # Food is linear over the span: its lowest stock is at one end.
+        lowest = city.food_stock + delta * (1 if delta >= 0 else quiet)
+        if world.min_food_observed is None or lowest < world.min_food_observed:
+            world.min_food_observed = lowest
+        city.food_stock += delta * quiet
+        if city.training_cost is not None:
+            city.production_stock += p.production_per_turn * quiet
+        city.growth_progress = city.growth_progress + quiet if city.citizens < city.growth_cap else 0
     return world
 
 

@@ -177,6 +177,25 @@ def test_params_file_rejects_non_integer(tmp_path, capsys, value):
     assert "road_build_turns must be an integer" in json.loads(line)["error"]
 
 
+@pytest.mark.parametrize(
+    "ruleset,params,max_instructions,total_turns",
+    [
+        # Each wait is one skip and one event turn, however long: the growth
+        # run used to play 10^12 turns one by one, and the road run used to
+        # exit 2 when its 10^7-turn job outlasted the 10^6-turn schedule guard.
+        ("VI", {"city_growth_turns": 10**12}, "20", 6_000_000_000_102),
+        ("BE", {"road_build_turns": 10**7}, "100", 60_000_022),
+    ],
+)
+def test_long_valid_durations_run(tmp_path, capsys, ruleset, params, max_instructions, total_turns):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    argv = ["run", "bb3", "--ruleset", ruleset, "--params", str(path), "--max-instructions", max_instructions]
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == 0
+    assert json.loads(out)["total_turns"] == total_turns
+
+
 @pytest.mark.parametrize("ruleset,name", [("BE", "terrascape_culture"), ("VI", "monastery_faith")])
 def test_zero_state_tile_yield_status(tmp_path, capsys, ruleset, name):
     # The codec divides the yield delta by this yield; 0 used to end in a

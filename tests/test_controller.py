@@ -18,6 +18,7 @@ from civutm.controller import (
     vi_work_command,
 )
 from civutm.errors import CivUtmError, CompileError, DecodeError, IllegalCommand, MachineStuck
+from civutm.harness import lockstep_verify
 from civutm.tables import FIXTURE_FOR, load_fixture, table_fidelity
 from civutm.tm import HaltAction, TMSpec, Transition, builtin_program
 from civutm.world import (
@@ -214,6 +215,33 @@ def test_drive_guard_raises_package_error(monkeypatch):
     with pytest.raises(CivUtmError, match="converge"):
         controller._drive(world, queues, {TAPE_WORKER: lambda w: False})
     assert world.turn == 5
+
+
+@pytest.mark.parametrize(
+    "name,ruleset,max_instructions,turns",
+    [
+        ("rogozhin_24_2", RULESET_VI, 80, 6440),
+        ("bb3", RULESET_BE, 100, 30),
+        ("bb3", RULESET_V, 100, 24),
+        ("bb3", RULESET_VI, 100, 162),
+    ],
+)
+def test_turns_taken_grow_with_events(monkeypatch, name, ruleset, max_instructions, turns):
+    # Quiet turns are skipped in closed form, so advance_turn runs only on
+    # event turns: never more often than the log has entries. Playing every
+    # turn took 6,440 calls against 761 entries for rogozhin_24_2.
+    calls = 0
+    advance_turn = controller.advance_turn
+
+    def counted(world):
+        nonlocal calls
+        calls += 1
+        return advance_turn(world)
+
+    monkeypatch.setattr(controller, "advance_turn", counted)
+    world = lockstep_verify(builtin_program(name), ruleset, {}, max_instructions).world
+    assert world.turn == turns
+    assert calls <= len(world.event_log)
 
 
 def _blank_record() -> InstructionRecord:

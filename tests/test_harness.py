@@ -7,9 +7,10 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from civutm import controller
 from civutm.controller import TapeAction, compile_program
 from civutm.harness import (
     DIVERGED,
@@ -21,10 +22,19 @@ from civutm.harness import (
     paper_extension_bound,
     paper_instruction_bound,
     random_tm,
+    run_instructions,
 )
-from civutm.errors import IllegalCommand
+from civutm.errors import CivUtmError, IllegalCommand, Starvation
 from civutm.tm import TMSpec, Transition, builtin_program, count_symbol, validate_spec
-from civutm.world import RULESET_BE, RULESET_V, RULESET_VI, RulesetParams, event_log_lines, world_snapshot
+from civutm.world import (
+    RULESET_BE,
+    RULESET_V,
+    RULESET_VI,
+    RulesetParams,
+    event_log_lines,
+    init_world,
+    world_snapshot,
+)
 
 
 def test_bb3_be_equivalent_through_halt():
@@ -230,6 +240,28 @@ GOLDEN_DIGESTS = {
 }
 
 
+# Non-default params under which events share turns or sit far apart: growth
+# and training finishing together, zero-turn founding on a two-hex spacing,
+# and long BE/V jobs. The skip over quiet turns rewrites exactly these paths.
+GOLDEN_PARAM_DIGESTS = {
+    ("rogozhin_24_2", RULESET_VI, 40, (("city_growth_turns", 1), ("production_per_turn", 40))): (
+        "728e156efb7ed1c472d16313eda0c525dee78ec6ecf2cd62cdc6b54624fcce8c"
+    ),
+    (
+        "rogozhin_24_2",
+        RULESET_VI,
+        40,
+        (("city_growth_turns", 7), ("production_per_turn", 3), ("settler_found_turns", 0), ("city_spacing", 2)),
+    ): "e5c0bac596d00483ac413c154b44320532624959888817de7d1a4c9137b94cd3",
+    ("random:6", RULESET_BE, 100, (("road_build_turns", 5), ("terrascape_build_turns", 4))): (
+        "956afb4929476d6c3471a8868efb26bfaa2a2ebb216567f64170c915bf73562c"
+    ),
+    ("random:6", RULESET_V, 100, (("road_build_turns", 5), ("railroad_build_turns", 7))): (
+        "ce83688d8dc37549a5fa22457e9149c5d6393d6306e0242ff191c1eda9e1fecb"
+    ),
+}
+
+
 def _golden_machine(name: str) -> TMSpec:
     kind, _, seed = name.partition(":")
     if kind == "random":
@@ -237,17 +269,109 @@ def _golden_machine(name: str) -> TMSpec:
     return builtin_program(name)
 
 
-@pytest.mark.parametrize("name,ruleset,max_instructions", sorted(GOLDEN_DIGESTS))
-def test_golden_output_digest(name, ruleset, max_instructions):
-    report = lockstep_verify(_golden_machine(name), ruleset, {}, max_instructions)
-    parts = [
+def _output_lines(report) -> list[str]:
+    """The event log, snapshot, report JSON and records, one per line."""
+    return [
         *event_log_lines(report.world),
         json.dumps(world_snapshot(report.world), sort_keys=True),
         json.dumps(report.to_json(), sort_keys=True),
         *(json.dumps(record, default=vars, sort_keys=True) for record in report.records),
     ]
-    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
-    assert digest == GOLDEN_DIGESTS[(name, ruleset, max_instructions)]
+
+
+def _output_digest(report) -> str:
+    return hashlib.sha256("\n".join(_output_lines(report)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,ruleset,max_instructions", sorted(GOLDEN_DIGESTS))
+def test_golden_output_digest(name, ruleset, max_instructions):
+    report = lockstep_verify(_golden_machine(name), ruleset, {}, max_instructions)
+    assert _output_digest(report) == GOLDEN_DIGESTS[(name, ruleset, max_instructions)]
+
+
+@pytest.mark.parametrize("name,ruleset,max_instructions,overrides", sorted(GOLDEN_PARAM_DIGESTS))
+def test_golden_output_digest_with_params(name, ruleset, max_instructions, overrides):
+    params = dataclasses.replace(RulesetParams.defaults(ruleset), **dict(overrides))
+    report = lockstep_verify(_golden_machine(name), ruleset, {}, max_instructions, params)
+    assert _output_digest(report) == GOLDEN_PARAM_DIGESTS[(name, ruleset, max_instructions, overrides)]
+
+
+# ---------------------------------------------------------------------------
+# Fast path against plain path: the controller skips quiet turns with
+# world.skip_quiet_turns; with that replaced by the identity, every turn is
+# played by its own advance_turn call.
+# ---------------------------------------------------------------------------
+
+
+def _fast_and_plain(run):
+    """``run()`` with quiet turns skipped, then with every turn played."""
+    fast = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller, "skip_quiet_turns", lambda world: world)
+        plain = run()
+    return fast, plain
+
+
+def _outcome(spec, ruleset, max_instructions, params):
+    try:
+        return _output_lines(lockstep_verify(spec, ruleset, {}, max_instructions, params))
+    except CivUtmError as error:
+        return repr(error)
+
+
+_VI_FIELDS = {
+    "city_growth_turns": st.integers(1, 12),
+    "production_per_turn": st.integers(1, 60),
+    "settler_found_turns": st.integers(0, 5),
+    "city_spacing": st.sampled_from((2, 4, 6)),
+    "worker_move_turns_per_hex": st.integers(1, 3),
+    "city_base_food": st.integers(0, 6),
+    "grassland_food": st.integers(0, 4),
+    "floodplains_food": st.integers(0, 4),
+    "citizen_food_upkeep": st.integers(1, 3),
+}
+_BE_V_FIELDS = {
+    "road_build_turns": st.integers(1, 60),
+    "terrascape_build_turns": st.integers(1, 60),
+    "railroad_build_turns": st.integers(2, 60),
+    "worker_move_turns_per_hex": st.integers(1, 60),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10**6), num_states=st.integers(2, 5))
+def test_skipping_quiet_turns_changes_no_output(data, seed, num_states):
+    ruleset = data.draw(st.sampled_from((RULESET_BE, RULESET_V, RULESET_VI)))
+    fields = _VI_FIELDS if ruleset == RULESET_VI else _BE_V_FIELDS
+    params = dataclasses.replace(RulesetParams.defaults(ruleset), **data.draw(st.fixed_dictionaries(fields)))
+    try:
+        params.validate()
+    except IllegalCommand:
+        reject()
+    spec = random_tm(seed, num_states, 2)
+    max_instructions = 30 if ruleset == RULESET_VI else 100
+    fast, plain = _fast_and_plain(lambda: _outcome(spec, ruleset, max_instructions, params))
+    assert fast == plain
+
+
+def test_skipping_quiet_turns_keeps_the_starvation_turn():
+    # Cutting floodplain food after 20 instructions makes city 10 starve at
+    # the same turn, with the same partly advanced world, on both paths.
+    def run():
+        program = compile_program(builtin_program("rogozhin_24_2"), RULESET_VI)
+        world = init_world(RULESET_VI, {})
+        game = run_instructions(world, program, 100)
+        for _ in range(20):
+            next(game)
+        world.params.floodplains_food = 0
+        with pytest.raises(Starvation) as raised:
+            for _ in game:
+                pass
+        return str(raised.value), event_log_lines(world), world_snapshot(world), world.min_food_observed
+
+    fast, plain = _fast_and_plain(run)
+    assert fast[0] == "city 10 food stock fell to -2 on turn 744"
+    assert fast == plain
 
 
 # ---------------------------------------------------------------------------

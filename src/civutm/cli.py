@@ -117,9 +117,9 @@ def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructio
     boundaries = [boundary(codec.decode(world, program))]
     outcome = "step-limit"
     try:
-        for record, decoded in harness.run_instructions(world, program, max_instructions):
+        for record in harness.run_instructions(world, program, max_instructions):
             records.append(record)
-            boundaries.append(boundary(decoded))
+            boundaries.append(boundary(codec.decode(world, program)))
             if record.halted:
                 outcome = "halted"
     except MachineStuck:

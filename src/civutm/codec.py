@@ -4,7 +4,9 @@ Decoding reads improvement / worked-flag counts directly and cross-checks
 them against the yield arithmetic (Culture or Faith deltas over the player's
 baseline); a mismatch between the two routes signals world corruption. It is
 read-only and only meaningful at instruction boundaries, i.e. when no unit
-has a pending job and no city is training.
+has a pending job and no city is training. ``boundary_matches`` makes the
+same check against an expected configuration on a given set of cells only,
+with the same symbol rule and the same errors.
 """
 
 from __future__ import annotations
@@ -103,15 +105,41 @@ def decode(world: WorldState, program: "ControllerProgram") -> DecodedConfig:
         raise DecodeError(f"state index {index} out of range for {len(program.index_to_state)} states")
     state = program.index_to_state[index]
 
+    tape = _machine_cells(world, program, sorted(world.tape.items()))
+    head = world.units[TAPE_WORKER].position
+    return DecodedConfig(config=TMConfig(state=state, tape=tape, head=head), state_evidence=evidence)
+
+
+def _machine_cells(world: WorldState, program: "ControllerProgram", cells) -> dict[int, str]:
+    """Machine symbols of ``(cell, game symbol)`` pairs, in their order; the
+    blank is left out, as in a canonical tape."""
     tape: dict[int, str] = {}
     blank_game = GAME_BLANK[world.params.ruleset]
-    for cell, game_sym in sorted(world.tape.items()):
+    for cell, game_sym in cells:
         if game_sym == blank_game:
             continue
         sym = program.symbol_from_game.get(game_sym)
         if sym is None:
             raise DecodeError(f"cell {cell} holds {game_sym!r}, outside the machine alphabet")
         tape[cell] = sym
+    return tape
 
-    head = world.units[TAPE_WORKER].position
-    return DecodedConfig(config=TMConfig(state=state, tape=tape, head=head), state_evidence=evidence)
+
+def boundary_matches(world: WorldState, program: "ControllerProgram", config: TMConfig, cells: set[int]) -> bool:
+    """True when ``decode`` would give ``config`` as far as ``cells`` show.
+
+    The world must be at an instruction boundary with ``config``'s state
+    (read from the region, cross-checked via yields) and head, and every one
+    of ``cells`` must decode to what ``config`` holds there. Cells outside
+    ``cells`` are not read: the caller vouches that they decode and agree
+    with ``config``. Given that, it raises what ``decode`` would raise, and
+    False means ``decode`` raises or returns another configuration.
+    """
+    index, _ = state_index(world)
+    if world.any_busy() or world.any_training() or index >= len(program.index_to_state):
+        return False
+    if program.index_to_state[index] != config.state or world.units[TAPE_WORKER].position != config.head:
+        return False
+    ordered = sorted(cells)
+    tape = _machine_cells(world, program, [(cell, world.symbol_at(cell)) for cell in ordered])
+    return all(tape.get(cell) == config.tape.get(cell) for cell in ordered)

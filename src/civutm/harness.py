@@ -3,10 +3,18 @@
 ``run_instructions`` is the game side's one instruction loop; every caller
 that executes a compiled machine (the verifier and the CLI) consumes it.
 ``lockstep_verify`` runs the reference interpreter and the game construction
-side by side. After every game instruction it decodes the world back into a
-configuration and compares state identifier, head index, and canonical
-sparse tape against the oracle — exact equality, halting included. A
-divergence is a report outcome, not an exception.
+side by side and checks at every instruction boundary that the world decodes
+to the oracle's configuration: state identifier, head index and canonical
+sparse tape, exact equality, halting included. The world is decoded in full
+at the start; after each instruction only state, head and the cells that can
+have changed are checked (those the world's tape recorded as written, and
+the one the oracle wrote). Equal at the start and equal on every changed
+cell is equal on the whole tape, so this is the full comparison at the cost
+of the cells written. A failed check is settled by a full decode, which
+builds the divergence report. A run that did not diverge is decoded in full
+once more at the end, and :class:`CivUtmError` is raised if that disagrees:
+a cell changed without being recorded. A divergence is a report outcome,
+not an exception.
 
 ``overhead_report`` turns the instruction-boundary events of a completed run
 into per-instruction turn counts and compares them against the published
@@ -31,7 +39,7 @@ from .controller import (
     compile_program,
     execute_instruction,
 )
-from .errors import MachineStuck
+from .errors import CivUtmError, MachineStuck
 from .tm import Halted, TMConfig, TMSpec, Transition, initial_config, step, validate_spec
 from .world import RULESET_BE, RULESET_V, RULESET_VI, RulesetParams, WorldState, init_world
 
@@ -75,18 +83,16 @@ def _config_json(config: TMConfig) -> dict:
     return {"state": config.state, "head": config.head, "tape": {str(k): v for k, v in sorted(config.tape.items())}}
 
 
-def run_instructions(
-    world: WorldState, program: ControllerProgram, max_instructions: int
-) -> Iterator[tuple[InstructionRecord, codec.DecodedConfig]]:
+def run_instructions(world: WorldState, program: ControllerProgram, max_instructions: int) -> Iterator[InstructionRecord]:
     """Execute up to ``max_instructions`` instructions on ``world``.
 
-    After each one, yields its record and the world decoded at the boundary
-    that follows. Stops after a halting record; :class:`MachineStuck`
-    propagates to the caller.
+    Yields each instruction's record with ``world`` at the boundary that
+    follows; the caller reads or decodes the world there. Stops after a
+    halting record; :class:`MachineStuck` propagates to the caller.
     """
     for index in range(1, max_instructions + 1):
         record = execute_instruction(world, program, index=index)
-        yield record, codec.decode(world, program)
+        yield record
         if record.halted:
             return
 
@@ -123,6 +129,7 @@ def lockstep_verify(
     for index in range(1, max_instructions + 1):
         oracle_stuck = game_stuck = False
         oracle_halted = False
+        oracle_cell = oracle.head  # the only cell the oracle's step can change
         if oracle.state in spec.halting:
             oracle_halted = True  # absorbed; no application counted
         else:
@@ -139,9 +146,13 @@ def lockstep_verify(
                     oracle = next_oracle
 
         try:
-            record, decoded = next(game)
+            record = next(game)
         except MachineStuck:
             game_stuck = True
+        else:
+            cells = world.tape.take_written()
+            cells.add(oracle_cell)
+            decoded = None if codec.boundary_matches(world, program, oracle, cells) else codec.decode(world, program)
 
         if oracle_stuck and game_stuck:
             report.outcome = ORACLE_STUCK
@@ -151,7 +162,7 @@ def lockstep_verify(
             break
         report.records.append(record)
 
-        if decoded.config != oracle:
+        if decoded is not None and decoded.config != oracle:
             diverged(index, _config_json(oracle), _config_json(decoded.config) if decoded.config else "mid-instruction")
             break
         if oracle_halted != record.halted:
@@ -163,6 +174,11 @@ def lockstep_verify(
             report.halted = True
             break
 
+    if report.outcome != DIVERGED and codec.decode(world, program).config != oracle:
+        raise CivUtmError(
+            f"the world no longer decodes to the configuration verified at instruction "
+            f"{report.instructions_verified}: a tape cell changed without being recorded"
+        )
     report.final_config = oracle
     if ruleset == RULESET_VI:
         # advance_turn raises Starvation the moment any stock would dip below

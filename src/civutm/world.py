@@ -13,8 +13,9 @@ Three rulesets share one model:
 Geometry is reduced to a 1-D integer line for the tape plus an abstract
 finite state region: the 2-D hex map adds nothing to the computation. A tape
 cell holds its game symbol (one of ``GAME_SYMBOLS``) and the region holds its
-count, so the world stores each fact once. Turn counters and cell indices
-are unbounded.
+count, so the world stores each fact once. The tape (a ``Tape``) records
+which cells were written since the verifier last looked. Turn counters and
+cell indices are unbounded.
 
 All operations mutate the passed ``WorldState`` in place and also return it;
 they are deterministic functions of the state, and the append-only event log
@@ -53,6 +54,10 @@ GAME_SYMBOLS = {
     RULESET_V: ("none", "road", "railroad"),
     RULESET_VI: ("unworked", "worked"),
 }
+
+# The most cities an initial VI tape may span: ``init_world`` founds one city
+# per index between the outermost cells, about 0.7 KB each.
+MAX_INITIAL_CITIES = 10_000
 
 
 @dataclass
@@ -243,10 +248,61 @@ class City:
         return spacing * self.index
 
 
+class Tape(dict):
+    """Tape cells: cell -> game symbol; unwritten cells hold the blank.
+
+    Every mutator records the cell it touches in ``written``, so a verifier
+    can compare only those cells; ``take_written`` hands the set over and
+    starts a new one. Reads are plain ``dict`` reads. Cells given to the
+    constructor are not recorded.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.written: set[int] = set()
+
+    def take_written(self) -> set[int]:
+        written, self.written = self.written, set()
+        return written
+
+    def __setitem__(self, cell, symbol):
+        self.written.add(cell)
+        super().__setitem__(cell, symbol)
+
+    def __delitem__(self, cell):
+        self.written.add(cell)
+        super().__delitem__(cell)
+
+    def pop(self, cell, *default):
+        self.written.add(cell)
+        return super().pop(cell, *default)
+
+    def popitem(self):
+        cell, symbol = super().popitem()
+        self.written.add(cell)
+        return cell, symbol
+
+    def setdefault(self, cell, default=None):
+        self.written.add(cell)
+        return super().setdefault(cell, default)
+
+    def update(self, *args, **kwargs):
+        for cell, symbol in dict(*args, **kwargs).items():
+            self[cell] = symbol
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+    def clear(self):
+        self.written.update(self)
+        super().clear()
+
+
 @dataclass
 class WorldState:
     params: RulesetParams
-    tape: dict[int, str]  # cell -> game symbol; unwritten cells hold the blank
+    tape: Tape
     region: StateRegion
     units: dict[str, Unit]
     cities: dict[int, City]
@@ -280,8 +336,9 @@ def init_world(ruleset: str, initial_content: dict[int, str] | None = None, para
 
     ``initial_content`` maps cell index to a non-blank game symbol (see
     ``GAME_SYMBOLS``); blank cells are simply absent. Units start at cell 0.
-    For VI, enough cities are founded to cover cell 0 and every initial cell;
-    the end cities start at 4 Citizens (growth cap 4), interior ones at 3.
+    For VI, enough cities are founded to cover cell 0 and every initial cell,
+    at most ``MAX_INITIAL_CITIES``; the end cities start at 4 Citizens
+    (growth cap 4), interior ones at 3.
     """
     params = (params or RulesetParams.defaults(ruleset)).validate()
     if params.ruleset != ruleset:
@@ -298,6 +355,11 @@ def init_world(ruleset: str, initial_content: dict[int, str] | None = None, para
         region = StateRegion(kind="monastery", base_yield=params.base_faith)
         cells = set(content) | {0, 1}
         lo, hi = min(cells) // 2, max(cells) // 2
+        if hi - lo + 1 > MAX_INITIAL_CITIES:
+            raise IllegalCommand(
+                f"an initial VI tape from cell {min(cells)} to {max(cells)} needs {hi - lo + 1} cities, "
+                f"more than {MAX_INITIAL_CITIES}"
+            )
         for index in range(lo, hi + 1):
             end_city = index in (lo, hi)
             cities[index] = City(index=index, citizens=4 if end_city else 3, growth_cap=4 if end_city else 3)
@@ -307,7 +369,7 @@ def init_world(ruleset: str, initial_content: dict[int, str] | None = None, para
         if ruleset == RULESET_BE:
             units[ROVER] = Unit(uid=ROVER, kind="Rover", position=0)
 
-    world = WorldState(params=params, tape=dict(content), region=region, units=units, cities=cities)
+    world = WorldState(params=params, tape=Tape(content), region=region, units=units, cities=cities)
     world.log("world", "init", {"ruleset": ruleset, "cells": {str(k): v for k, v in sorted(content.items())}})
     return world
 

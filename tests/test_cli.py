@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,20 @@ def test_malformed_json_types_status(tmp_path, capsys, kind, field, value):
     assert out == ""
     [line] = err.splitlines()
     assert "error" in json.loads(line)
+
+
+def test_far_vi_tape_cell_status(tmp_path, capsys):
+    # The span of an initial VI tape is bounded, so a far cell is refused
+    # before any city is founded instead of exhausting memory.
+    tape = tmp_path / "tape.json"
+    tape.write_text(json.dumps({"100000000": "1"}))
+    started = time.monotonic()
+    status, out, err = run_cli(capsys, "run", "bb3", "--ruleset", "VI", "--tape", str(tape))
+    assert time.monotonic() - started < 1
+    assert status == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert "50000001 cities" in json.loads(line)["error"]
 
 
 JSON_VALUES = st.recursive(

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from civutm.codec import decode, encode_tape, state_index, symbol_map
+from civutm.codec import boundary_matches, decode, encode_tape, state_index, symbol_map
 from civutm.controller import compile_program
 from civutm.errors import CompileError, DecodeError
 from civutm.tm import TMConfig, builtin_program
@@ -133,6 +133,30 @@ def test_decode_rejects_symbol_outside_alphabet():
     world.tape[0] = "pillaged_road"
     with pytest.raises(DecodeError, match="outside the machine alphabet"):
         decode(world, program)
+
+
+def test_boundary_matches_what_decode_gives_on_the_cells():
+    # False wherever decode raises or returns another configuration; the
+    # same DecodeError wherever decode raises it on a checked cell.
+    program = compile_program(builtin_program("bb3"), RULESET_BE)
+    world = init_world(RULESET_BE, {2: "road"})
+    config = decode(world, program).config
+    assert boundary_matches(world, program, config, {0, 2})
+    assert not boundary_matches(world, program, TMConfig(state=config.state, tape={}, head=0), {2})
+    assert not boundary_matches(world, program, TMConfig(state=config.state, tape=config.tape, head=1), set())
+    assert not boundary_matches(world, program, TMConfig(state=program.index_to_state[1], tape=config.tape, head=0), set())
+    world.tape[5] = "road"
+    assert boundary_matches(world, program, config, {0, 2})  # cell 5 is not read
+    assert not boundary_matches(world, program, config, {5})
+    world.tape[4] = "pillaged_road"
+    with pytest.raises(DecodeError, match="cell 4 holds 'pillaged_road'"):
+        boundary_matches(world, program, config, {4, 5})
+    world.tape.clear()
+    world.region.count = 5
+    assert not boundary_matches(world, program, config, set())  # decode: state index out of range
+    world.region.count = 0
+    apply_command(world, TAPE_WORKER, Command(op="build_road", cell=0))
+    assert not boundary_matches(world, program, config, set())  # decode: no configuration
 
 
 def test_vi_head_is_global_cell_index():

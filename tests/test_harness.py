@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from civutm import controller
+from civutm import codec, controller, harness
 from civutm.controller import TapeAction, compile_program
 from civutm.harness import (
     DIVERGED,
     EQUIVALENT,
     ORACLE_STUCK,
     STEP_LIMIT,
+    LockstepReport,
+    _config_json,
     lockstep_verify,
     overhead_report,
     paper_extension_bound,
@@ -24,8 +26,17 @@ from civutm.harness import (
     random_tm,
     run_instructions,
 )
-from civutm.errors import CivUtmError, IllegalCommand, Starvation
-from civutm.tm import TMSpec, Transition, builtin_program, count_symbol, validate_spec
+from civutm.errors import CivUtmError, IllegalCommand, MachineStuck, Starvation
+from civutm.tm import (
+    Halted,
+    TMSpec,
+    Transition,
+    builtin_program,
+    count_symbol,
+    initial_config,
+    step,
+    validate_spec,
+)
 from civutm.world import (
     RULESET_BE,
     RULESET_V,
@@ -453,3 +464,184 @@ def test_vi_halt_reached_through_an_extension():
     assert report.outcome == EQUIVALENT
     assert report.final_config.head == 2
     assert report.final_config.state == "h"
+
+
+# ---------------------------------------------------------------------------
+# Written-cell checks against the plain path: lockstep_verify decodes the
+# world in full only at the start and the end and checks the written cells
+# in between; the reference below decodes it in full after every instruction.
+# ---------------------------------------------------------------------------
+
+
+def _reference_verify(spec, ruleset, initial_tape, max_instructions, program):
+    """Lockstep verification with a full decode after every instruction."""
+    world = init_world(ruleset, codec.encode_tape(initial_tape, program))
+    report = LockstepReport(ruleset=ruleset, outcome=STEP_LIMIT, instructions_verified=0, world=world)
+
+    def diverged(index, oracle_side, game_side):
+        report.outcome = DIVERGED
+        report.first_divergence = {"instruction": index, "oracle": oracle_side, "decoded": game_side}
+        return report
+
+    oracle = initial_config(spec, initial_tape)
+    decoded = codec.decode(world, program)
+    if decoded.config != oracle:
+        return diverged(0, _config_json(oracle), _config_json(decoded.config) if decoded.config else None)
+
+    game = run_instructions(world, program, max_instructions)
+    for index in range(1, max_instructions + 1):
+        oracle_stuck = game_stuck = oracle_halted = False
+        if oracle.state in spec.halting:
+            oracle_halted = True
+        else:
+            try:
+                next_oracle = step(spec, oracle)
+            except MachineStuck:
+                oracle_stuck = True
+            else:
+                report.oracle_steps += 1
+                oracle_halted = isinstance(next_oracle, Halted)
+                oracle = next_oracle.config if oracle_halted else next_oracle
+        try:
+            record = next(game)
+            decoded = codec.decode(world, program)
+        except MachineStuck:
+            game_stuck = True
+        if oracle_stuck and game_stuck:
+            report.outcome = ORACLE_STUCK
+            break
+        if oracle_stuck or game_stuck:
+            diverged(index, "stuck" if oracle_stuck else _config_json(oracle), "stuck" if game_stuck else "ran")
+            break
+        report.records.append(record)
+        if decoded.config != oracle:
+            diverged(index, _config_json(oracle), _config_json(decoded.config) if decoded.config else "mid-instruction")
+            break
+        if oracle_halted != record.halted:
+            diverged(index, "halted" if oracle_halted else "running", "halted" if record.halted else "running")
+            break
+        report.instructions_verified = index
+        if oracle_halted:
+            report.outcome = EQUIVALENT
+            report.halted = True
+            break
+    report.final_config = oracle
+    if ruleset == RULESET_VI:
+        report.min_food_stock = world.min_food_observed
+    return report
+
+
+def _verdict(verify, spec, ruleset, tape, max_instructions, program):
+    """Every output of one verification, or the exception it raised."""
+    try:
+        return _output_lines(verify(spec, ruleset, tape, max_instructions, program=program))
+    except Exception as error:  # noqa: BLE001 - the type and message are compared
+        return type(error).__name__, str(error)
+
+
+def _corrupt(data, program):
+    """Change one field of one drawn macro."""
+    key = data.draw(st.sampled_from(sorted(program.macros)))
+    macro = program.macros[key]
+    name = data.draw(st.sampled_from(("state_delta", "head_move", "tape_action", "halt")))
+    if name == "state_delta":
+        value = macro.state_delta + data.draw(st.sampled_from((-1, 1)))
+    elif name == "head_move":
+        value = {"L": "R", "R": "L", None: "R"}[macro.head_move]
+    elif name == "tape_action":
+        value = data.draw(st.sampled_from(list(TapeAction)))
+    else:
+        value = not macro.halt
+    program.macros[key] = dataclasses.replace(macro, **{name: value})
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10**6), num_states=st.integers(2, 6))
+def test_written_cell_checks_agree_with_full_decodes(data, seed, num_states):
+    ruleset = data.draw(st.sampled_from((RULESET_BE, RULESET_V, RULESET_VI)))
+    spec = random_tm(seed, num_states, 2 if ruleset == RULESET_VI else 3)
+    tape = data.draw(st.dictionaries(st.integers(-6, 6), st.sampled_from(spec.alphabet), max_size=5))
+    program = compile_program(spec, ruleset)
+    if data.draw(st.booleans()):
+        _corrupt(data, program)
+    max_instructions = 30 if ruleset == RULESET_VI else 100
+    fast = _verdict(lockstep_verify, spec, ruleset, tape, max_instructions, program)
+    assert fast == _verdict(_reference_verify, spec, ruleset, tape, max_instructions, program)
+
+
+def _blank_walker(steps: int) -> TMSpec:
+    """Walks right over blanks for ``steps`` instructions, writing nothing
+    (identity writes compile to ``leave``), then halts."""
+    states = tuple(f"q{i}" for i in range(steps)) + ("h",)
+    rows = [(states[i], sym, sym, "R", states[i + 1]) for i in range(steps) for sym in ("0", "1")]
+    return _walker(rows, states=states, halting=("h",))
+
+
+# Each changes cell -60 (unwritten) or -50 (holds "1"); the walker's head
+# visits cells 0 to 6 only, and the walker never writes, so popitem takes -50.
+TAPE_MUTATIONS = {
+    "setitem": lambda tape, sym: tape.__setitem__(-60, sym),
+    "delitem": lambda tape, sym: tape.__delitem__(-50),
+    "pop": lambda tape, sym: tape.pop(-50),
+    "popitem": lambda tape, sym: tape.popitem(),
+    "setdefault": lambda tape, sym: tape.setdefault(-60, sym),
+    "update": lambda tape, sym: tape.update({-60: sym}),
+    "ior": lambda tape, sym: tape.__ior__({-60: sym}),
+    "clear": lambda tape, sym: tape.clear(),
+}
+
+
+def _corrupted_after(monkeypatch, instruction, mutate):
+    """Apply ``mutate(tape, game symbol of "1")`` right after ``instruction``."""
+    execute = harness.execute_instruction
+
+    def execute_then_corrupt(world, program, index=0):
+        record = execute(world, program, index=index)
+        if index == instruction:
+            mutate(world.tape, program.symbol_of["1"])
+        return record
+
+    monkeypatch.setattr(harness, "execute_instruction", execute_then_corrupt)
+
+
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V, RULESET_VI])
+@pytest.mark.parametrize("mutation", sorted(TAPE_MUTATIONS))
+def test_a_corrupted_unvisited_cell_diverges_at_once(monkeypatch, ruleset, mutation):
+    spec, tape = _blank_walker(6), {-50: "1"}
+    program = compile_program(spec, ruleset)
+    _corrupted_after(monkeypatch, 3, TAPE_MUTATIONS[mutation])
+    report = lockstep_verify(spec, ruleset, tape, 10, program=program)
+    assert report.outcome == DIVERGED
+    assert report.first_divergence["instruction"] == 3
+    assert report.to_json() == _reference_verify(spec, ruleset, tape, 10, program).to_json()
+
+
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V, RULESET_VI])
+def test_an_unrecorded_write_fails_the_final_decode(monkeypatch, ruleset):
+    # dict.__setitem__ bypasses Tape's record; the walker would otherwise end
+    # equivalent, so the last full decode must refuse the verdict.
+    spec = _blank_walker(6)
+    program = compile_program(spec, ruleset)
+    _corrupted_after(monkeypatch, 3, lambda tape, sym: dict.__setitem__(tape, -60, sym))
+    assert _reference_verify(spec, ruleset, {}, 10, program).first_divergence["instruction"] == 3
+    with pytest.raises(CivUtmError, match="verified at instruction 7: a tape cell changed without being recorded"):
+        lockstep_verify(spec, ruleset, {}, 10, program=program)
+
+
+def test_decodes_do_not_grow_with_instructions(monkeypatch):
+    # The right-runner writes a new cell every instruction; the world is
+    # decoded in full at the start and the end only (the per-instruction
+    # decodes used to sort and rebuild the whole tape 1,001 times).
+    calls = 0
+    decode = codec.decode
+
+    def counted(world, program):
+        nonlocal calls
+        calls += 1
+        return decode(world, program)
+
+    monkeypatch.setattr(codec, "decode", counted)
+    runner = _walker([("a", "0", "1", "R", "a"), ("a", "1", "1", "R", "a")], states=("a",))
+    report = lockstep_verify(runner, RULESET_BE, {}, 1000)
+    assert report.outcome == STEP_LIMIT and report.instructions_verified == 1000
+    assert calls == 2

@@ -16,6 +16,7 @@ from civutm.world import (
     STATE_WORKER,
     TAPE_WORKER,
     GAME_SYMBOLS,
+    MAX_INITIAL_CITIES,
     Command,
     RulesetParams,
     advance_turn,
@@ -108,6 +109,16 @@ def test_init_vi_covers_initial_cells():
     assert world.cities[2].growth_cap == 4  # right end
     assert world.cities[1].growth_cap == 3  # interior
     assert world.symbol_at(5) == "worked"
+
+
+def test_init_vi_limits_the_cities_a_tape_spans():
+    # One City per index between the outermost cells: cell 10^8 would need
+    # tens of GB before the first instruction.
+    last = 2 * MAX_INITIAL_CITIES - 1  # the right cell of city MAX - 1
+    assert len(init_world(RULESET_VI, {last: "worked"}).cities) == MAX_INITIAL_CITIES
+    for cell in (last + 1, -2 * MAX_INITIAL_CITIES + 1):
+        with pytest.raises(IllegalCommand, match=f"needs {MAX_INITIAL_CITIES + 1} cities"):
+            init_world(RULESET_VI, {cell: "worked"})
 
 
 def test_road_job_timing():

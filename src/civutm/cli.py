@@ -29,7 +29,7 @@ from pathlib import Path
 from . import codec, harness, tables
 from .controller import compile_program, macro_paper_command, program_to_json
 from .errors import CivUtmError, MachineStuck
-from .tm import BUILTIN_NAMES, TMSpec, builtin_program, count_symbol, load_spec
+from .tm import BUILTIN_NAMES, TMConfig, TMSpec, builtin_program, count_symbol, load_spec
 from .world import RULESET_VI, RULESETS, RulesetParams, init_world, yields
 
 TRACE_FORMAT_VERSION = 1
@@ -95,17 +95,22 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 
 def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructions: int, params: RulesetParams | None):
-    """Run the game side alone; returns (world, records, boundaries, outcome).
+    """Run the game side alone; returns (world, records, boundaries, final, outcome).
 
     ``boundaries`` holds one entry per instruction boundary (the initial one
-    included): the decoded configuration, the world turn, the yields, and
-    the city census for VI.
+    included): state, head and state evidence as ``codec.boundary_matches``
+    reads them, the cells whose machine symbol changed since the previous
+    boundary (None for the blank), the world turn, the yields, and the city
+    census for VI. The world is decoded in full at the start and at the end
+    (``final``, checked as ``lockstep_verify`` checks it); in between only the
+    cells its tape recorded as written are read.
     """
     program = compile_program(spec, ruleset, params)
     world = init_world(ruleset, codec.encode_tape(tape, program), params)
 
-    def boundary(decoded):
-        entry = {"decoded": decoded, "turn": world.turn, "yields": yields(world)}
+    def boundary(state, head, evidence, changed):
+        entry = {"state": state, "head": head, "evidence": evidence, "changed": changed}
+        entry.update(turn=world.turn, yields=yields(world))
         if ruleset == RULESET_VI:
             entry["cities"] = [
                 {"index": c.index, "citizens": c.citizens, "growth_cap": c.growth_cap, "food_stock": c.food_stock}
@@ -113,46 +118,58 @@ def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructio
             ]
         return entry
 
+    decoded = codec.decode(world, program)
+    running = dict(decoded.config.tape)
+    world.tape.take_written()
     records = []
-    boundaries = [boundary(codec.decode(world, program))]
+    boundaries = [boundary(decoded.config.state, decoded.config.head, decoded.state_evidence, dict(running))]
     outcome = "step-limit"
     try:
         for record in harness.run_instructions(world, program, max_instructions):
             records.append(record)
-            boundaries.append(boundary(codec.decode(world, program)))
+            read = codec.read_boundary(world, program)
+            if read is None:
+                raise CivUtmError(f"instruction {record.index} did not end at an instruction boundary")
+            written = world.tape.take_written()
+            symbols = codec.cell_symbols(world, program, written)
+            changed = {}
+            for cell in sorted(written):
+                symbol = symbols.get(cell)
+                if symbol != running.get(cell):
+                    changed[cell] = symbol
+                    if symbol is None:
+                        del running[cell]
+                    else:
+                        running[cell] = symbol
+            boundaries.append(boundary(*read, changed))
             if record.halted:
                 outcome = "halted"
     except MachineStuck:
         outcome = "stuck"
-    return world, records, boundaries, outcome
+    last = boundaries[-1]
+    final = TMConfig(state=last["state"], tape=running, head=last["head"])
+    harness.check_full_decode(world, program, final, len(records))
+    return world, records, boundaries, final, outcome
 
 
 def _trace_lines(boundaries) -> list[str]:
     lines = [_dump({"format_version": TRACE_FORMAT_VERSION, "kind": "trace"})]
-    prev_tape: dict[int, str] = {}
     for i, entry in enumerate(boundaries):
-        cfg = entry["decoded"].config
-        changed = {}
-        for cell in sorted(set(prev_tape) | set(cfg.tape)):
-            if prev_tape.get(cell) != cfg.tape.get(cell):
-                changed[str(cell)] = cfg.tape.get(cell)
         rec = {
             "instruction": i,
             "turn": entry["turn"],
-            "state": cfg.state,
-            "head": cfg.head,
-            "changed_cells": changed,
+            "state": entry["state"],
+            "head": entry["head"],
+            "changed_cells": {str(cell): symbol for cell, symbol in entry["changed"].items()},
             "yields": entry["yields"],
         }
         if "cities" in entry:
             rec["cities"] = entry["cities"]
-        prev_tape = dict(cfg.tape)
         lines.append(_dump(rec))
     return lines
 
 
-def _summary(world, records, boundaries, outcome) -> dict:
-    final = boundaries[-1]["decoded"].config
+def _summary(world, records, final, outcome) -> dict:
     return {
         "outcome": outcome,
         "instructions": len(records),
@@ -173,10 +190,10 @@ def cmd_run(args) -> int:
     spec = _load_machine(args)
     tape = _load_tape(args)
     params = _load_params(args)
-    world, records, boundaries, outcome = _drive_game(spec, args.ruleset, tape, args.max_instructions, params)
+    world, records, boundaries, final, outcome = _drive_game(spec, args.ruleset, tape, args.max_instructions, params)
     if args.out:
         _write_lines(args.out, _trace_lines(boundaries))
-    print(_dump(_summary(world, records, boundaries, outcome)))
+    print(_dump(_summary(world, records, final, outcome)))
     if outcome == "halted":
         return EXIT_OK
     return EXIT_STUCK if outcome == "stuck" else EXIT_STEP_LIMIT
@@ -187,6 +204,10 @@ def cmd_verify(args) -> int:
     tape = _load_tape(args)
     params = _load_params(args)
     program = compile_program(spec, args.ruleset, params)
+    # The sweep's machines are drawn first, so a malformed sweep argument
+    # fails before anything is printed.
+    symbols = 2 if args.ruleset == RULESET_VI else args.random_symbols
+    machines = [(seed, harness.random_tm(seed, args.random_states, symbols)) for seed in _parse_seeds(args.seeds)]
     report = harness.lockstep_verify(spec, args.ruleset, tape, args.max_instructions, params, program=program)
     print(_dump({"lockstep": report.to_json()}))
     ok = report.first_divergence is None
@@ -194,8 +215,7 @@ def cmd_verify(args) -> int:
     print(_dump({"overhead": over.to_json()}))
     ok = ok and over.paper_bound_satisfied and over.derived_bound_satisfied
 
-    for seed in _parse_seeds(args.seeds):
-        rnd = harness.random_tm(seed, args.random_states, 2 if args.ruleset == RULESET_VI else args.random_symbols)
+    for seed, rnd in machines:
         sweep = harness.lockstep_verify(rnd, args.ruleset, {}, args.max_instructions, params)
         print(_dump({"seed": seed, "lockstep": sweep.to_json()}))
         ok = ok and sweep.first_divergence is None
@@ -205,7 +225,10 @@ def cmd_verify(args) -> int:
 def _parse_seeds(seeds: str | None) -> list[int]:
     if not seeds:
         return []
-    return [int(s) for s in seeds.split(",") if s]
+    try:
+        return [int(s) for s in seeds.split(",") if s]
+    except ValueError:
+        raise CivUtmError(f"--seeds must be comma-separated integers, not {seeds!r}") from None
 
 
 def cmd_compile(args) -> int:
@@ -231,35 +254,38 @@ def cmd_compile(args) -> int:
 def cmd_demo_bb3(args) -> int:
     spec = builtin_program("bb3")
     params = _load_params(args)
-    world, records, boundaries, outcome = _drive_game(spec, args.ruleset, {}, args.max_instructions, params)
+    world, records, boundaries, final, outcome = _drive_game(spec, args.ruleset, {}, args.max_instructions, params)
 
+    # Every cell that is ever non-blank first appears among the changed ones.
     cells = set()
     for entry in boundaries:
-        cells.update(entry["decoded"].config.tape)
-        cells.add(entry["decoded"].config.head)
+        cells.update(entry["changed"])
+        cells.add(entry["head"])
     lo, hi = (min(cells), max(cells)) if cells else (0, 0)
+    tape: dict[int, str | None] = {}
 
-    def render(cfg) -> str:
+    def render(entry) -> str:
+        """The row of ``entry``; called once per boundary, in order."""
+        tape.update(entry["changed"])
         out = []
         for cell in range(lo, hi + 1):
-            sym = cfg.tape.get(cell, spec.blank)
-            out.append(f"[{sym}]" if cell == cfg.head else f" {sym} ")
+            sym = tape.get(cell) or spec.blank
+            out.append(f"[{sym}]" if cell == entry["head"] else f" {sym} ")
         return "".join(out)
 
     evidence_key = "faith_delta" if args.ruleset == RULESET_VI else ("culture_delta" if args.ruleset == "BE" else "railroads")
     print(f"tape cells {lo}..{hi}, head bracketed; state evidence: {evidence_key}")
-    first = boundaries[0]["decoded"].config
-    print(f"t00  state {first.state:>3}  {render(first)}")
+    first = boundaries[0]
+    print(f"t00  state {first['state']:>3}  {render(first)}")
     for record, entry in zip(records, boundaries[1:]):
-        cfg = entry["decoded"].config
         macro = record.macro
         did = "HALT" if macro is None or macro.halt else macro_paper_command(macro, args.ruleset)
-        evidence = entry["decoded"].state_evidence.get(evidence_key)
+        evidence = entry["evidence"].get(evidence_key)
         print(
-            f"t{record.index:02d}  state {cfg.state:>3}  {render(cfg)}  "
+            f"t{record.index:02d}  state {entry['state']:>3}  {render(entry)}  "
             f"turns {record.turns:3d}  evidence {evidence}  | {did}"
         )
-    ones = count_symbol(boundaries[-1]["decoded"].config, "1")
+    ones = count_symbol(final, "1")
     print(f"outcome: {outcome} after {len(records)} instructions, {world.turn} turns; tape holds {ones} ones")
     if args.out:
         _write_lines(args.out, _trace_lines(boundaries))

@@ -6,7 +6,9 @@ baseline); a mismatch between the two routes signals world corruption. It is
 read-only and only meaningful at instruction boundaries, i.e. when no unit
 has a pending job and no city is training. ``boundary_matches`` makes the
 same check against an expected configuration on a given set of cells only,
-with the same symbol rule and the same errors.
+with the same symbol rule and the same errors; ``read_boundary`` and
+``cell_symbols`` are its two halves, for a reader that follows the world
+without an expected configuration.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import CompileError, DecodeError
-from .tm import TMConfig, TMSpec
+from .tm import Machine, TMConfig, TMSpec
 from .world import (
     GAME_BLANK,
     GAME_SYMBOLS,
@@ -125,7 +127,26 @@ def _machine_cells(world: WorldState, program: "ControllerProgram", cells) -> di
     return tape
 
 
-def boundary_matches(world: WorldState, program: "ControllerProgram", config: TMConfig, cells: set[int]) -> bool:
+def read_boundary(world: WorldState, program: "ControllerProgram") -> tuple[str, int, dict] | None:
+    """(state, head, state evidence) of a world at an instruction boundary.
+
+    The state is read from the region and cross-checked via yields, as
+    ``decode`` reads it. None when the world is not at a boundary or the
+    state index is out of range, where ``decode`` gives no configuration
+    or raises.
+    """
+    index, evidence = state_index(world)
+    if world.any_busy() or world.any_training() or index >= len(program.index_to_state):
+        return None
+    return program.index_to_state[index], world.units[TAPE_WORKER].position, evidence
+
+
+def cell_symbols(world: WorldState, program: "ControllerProgram", cells) -> dict[int, str]:
+    """Machine symbols on ``cells`` as ``decode`` reads them, blanks left out."""
+    return _machine_cells(world, program, [(cell, world.symbol_at(cell)) for cell in sorted(cells)])
+
+
+def boundary_matches(world: WorldState, program: "ControllerProgram", config: TMConfig | Machine, cells: set[int]) -> bool:
     """True when ``decode`` would give ``config`` as far as ``cells`` show.
 
     The world must be at an instruction boundary with ``config``'s state
@@ -135,11 +156,8 @@ def boundary_matches(world: WorldState, program: "ControllerProgram", config: TM
     with ``config``. Given that, it raises what ``decode`` would raise, and
     False means ``decode`` raises or returns another configuration.
     """
-    index, _ = state_index(world)
-    if world.any_busy() or world.any_training() or index >= len(program.index_to_state):
+    read = read_boundary(world, program)
+    if read is None or read[0] != config.state or read[1] != config.head:
         return False
-    if program.index_to_state[index] != config.state or world.units[TAPE_WORKER].position != config.head:
-        return False
-    ordered = sorted(cells)
-    tape = _machine_cells(world, program, [(cell, world.symbol_at(cell)) for cell in ordered])
-    return all(tape.get(cell) == config.tape.get(cell) for cell in ordered)
+    tape = cell_symbols(world, program, cells)
+    return all(tape.get(cell) == config.tape.get(cell) for cell in cells)

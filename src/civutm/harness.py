@@ -5,10 +5,12 @@ that executes a compiled machine (the verifier and the CLI) consumes it.
 ``lockstep_verify`` runs the reference interpreter and the game construction
 side by side and checks at every instruction boundary that the world decodes
 to the oracle's configuration: state identifier, head index and canonical
-sparse tape, exact equality, halting included. The world is decoded in full
-at the start; after each instruction only state, head and the cells that can
-have changed are checked (those the world's tape recorded as written, and
-the one the oracle wrote). Equal at the start and equal on every changed
+sparse tape, exact equality, halting included. The oracle is one
+:class:`~civutm.tm.Machine` stepped in place, so a step costs the cell it
+writes, not the tape. The world is decoded in full at the start; after each
+instruction only state, head and the cells that can have changed are
+checked (those the world's tape recorded as written, and the one the oracle
+wrote). Equal at the start and equal on every changed
 cell is equal on the whole tape, so this is the full comparison at the cost
 of the cells written. A failed check is settled by a full decode, which
 builds the divergence report. A run that did not diverge is decoded in full
@@ -40,7 +42,8 @@ from .controller import (
     execute_instruction,
 )
 from .errors import CivUtmError, MachineStuck
-from .tm import Halted, TMConfig, TMSpec, Transition, initial_config, step, validate_spec
+from .tm import Machine, TMConfig, TMSpec, Transition, initial_config, validate_spec
+from .tm import step_in_place as step  # looked up here at call time, so a tracer can wrap it
 from .world import RULESET_BE, RULESET_V, RULESET_VI, RulesetParams, WorldState, init_world
 
 EQUIVALENT = "equivalent"
@@ -79,7 +82,7 @@ class LockstepReport:
         return out
 
 
-def _config_json(config: TMConfig) -> dict:
+def _config_json(config: TMConfig | Machine) -> dict:
     return {"state": config.state, "head": config.head, "tape": {str(k): v for k, v in sorted(config.tape.items())}}
 
 
@@ -88,13 +91,31 @@ def run_instructions(world: WorldState, program: ControllerProgram, max_instruct
 
     Yields each instruction's record with ``world`` at the boundary that
     follows; the caller reads or decodes the world there. Stops after a
-    halting record; :class:`MachineStuck` propagates to the caller.
+    halting record; :class:`MachineStuck` propagates to the caller. A
+    negative budget raises ValueError at the call, before any instruction.
     """
+    if max_instructions < 0:
+        raise ValueError("max_instructions must be >= 0")
+    return _instructions(world, program, max_instructions)
+
+
+def _instructions(world: WorldState, program: ControllerProgram, max_instructions: int) -> Iterator[InstructionRecord]:
     for index in range(1, max_instructions + 1):
         record = execute_instruction(world, program, index=index)
         yield record
         if record.halted:
             return
+
+
+def check_full_decode(world: WorldState, program: ControllerProgram, config: TMConfig, instruction: int) -> None:
+    """Decode ``world`` in full and raise :class:`CivUtmError` unless it gives
+    ``config``, the configuration its boundary checks found at
+    ``instruction`` (fail closed on a cell changed without being recorded)."""
+    if codec.decode(world, program).config != config:
+        raise CivUtmError(
+            f"the world no longer decodes to the configuration verified at instruction "
+            f"{instruction}: a tape cell changed without being recorded"
+        )
 
 
 def lockstep_verify(
@@ -113,6 +134,7 @@ def lockstep_verify(
     program = program or compile_program(spec, ruleset, params)
     content = codec.encode_tape(initial_tape or {}, program)
     world = init_world(ruleset, content, params)
+    game = run_instructions(world, program, max_instructions)
     report = LockstepReport(ruleset=ruleset, outcome=STEP_LIMIT, instructions_verified=0, world=world)
 
     def diverged(index: int, oracle_side, game_side) -> LockstepReport:
@@ -120,12 +142,12 @@ def lockstep_verify(
         report.first_divergence = {"instruction": index, "oracle": oracle_side, "decoded": game_side}
         return report
 
-    oracle = initial_config(spec, initial_tape or {})
+    start = initial_config(spec, initial_tape or {})
     decoded = codec.decode(world, program)
-    if decoded.config != oracle:
-        return diverged(0, _config_json(oracle), _config_json(decoded.config) if decoded.config else None)
+    if decoded.config != start:
+        return diverged(0, _config_json(start), _config_json(decoded.config) if decoded.config else None)
 
-    game = run_instructions(world, program, max_instructions)
+    oracle = Machine.of(start)
     for index in range(1, max_instructions + 1):
         oracle_stuck = game_stuck = False
         oracle_halted = False
@@ -134,16 +156,11 @@ def lockstep_verify(
             oracle_halted = True  # absorbed; no application counted
         else:
             try:
-                next_oracle = step(spec, oracle)
+                oracle_halted = step(spec, oracle)
             except MachineStuck:
                 oracle_stuck = True
             else:
                 report.oracle_steps += 1
-                if isinstance(next_oracle, Halted):
-                    oracle_halted = True
-                    oracle = next_oracle.config
-                else:
-                    oracle = next_oracle
 
         try:
             record = next(game)
@@ -162,7 +179,7 @@ def lockstep_verify(
             break
         report.records.append(record)
 
-        if decoded is not None and decoded.config != oracle:
+        if decoded is not None and decoded.config != oracle.config():
             diverged(index, _config_json(oracle), _config_json(decoded.config) if decoded.config else "mid-instruction")
             break
         if oracle_halted != record.halted:
@@ -174,12 +191,9 @@ def lockstep_verify(
             report.halted = True
             break
 
-    if report.outcome != DIVERGED and codec.decode(world, program).config != oracle:
-        raise CivUtmError(
-            f"the world no longer decodes to the configuration verified at instruction "
-            f"{report.instructions_verified}: a tape cell changed without being recorded"
-        )
-    report.final_config = oracle
+    report.final_config = oracle.config()
+    if report.outcome != DIVERGED:
+        check_full_decode(world, program, report.final_config, report.instructions_verified)
     if ruleset == RULESET_VI:
         # advance_turn raises Starvation the moment any stock would dip below
         # zero; min_food_observed is the lowest stock of any city on any

@@ -1,9 +1,12 @@
 """Reference Turing machine core: specs, validation, stepping, built-in programs.
 
 This interpreter is the ground-truth oracle for every game-side equivalence
-check, so it stays deliberately small and side-effect free: specs and
-configurations are values, and ``step`` builds a fresh configuration instead
-of mutating the tape in place.
+check, so it stays deliberately small and has one transition rule:
+``step_in_place`` applies a transition to a :class:`Machine` (state, tape,
+head) by writing one cell, moving the head and setting the state. Specs and
+configurations are values; ``step`` is the same rule applied to a copy, and
+``run`` steps one machine and keeps its trace as per-step deltas, so neither
+costs more than the cells a step touches.
 
 Tapes are sparse maps from signed cell index to symbol; the blank symbol is
 never stored explicitly (canonical form). State and alphabet declaration
@@ -13,7 +16,9 @@ order is meaningful: the compiler assigns state/symbol indices from it.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from .errors import MachineStuck, SpecError
@@ -84,11 +89,79 @@ class Halted:
     config: TMConfig
 
 
+@dataclass(slots=True)
+class Machine:
+    """A configuration that ``step_in_place`` updates in place.
+
+    Its tape is canonical, as a :class:`TMConfig`'s: the blank is never stored.
+    """
+
+    state: str
+    tape: dict[int, str]
+    head: int = 0
+
+    @classmethod
+    def of(cls, config: TMConfig) -> Machine:
+        return cls(config.state, dict(config.tape), config.head)
+
+    def config(self) -> TMConfig:
+        return TMConfig(state=self.state, tape=dict(self.tape), head=self.head)
+
+
+class Trace(Sequence):
+    """The configurations of a run, as :class:`TMConfig` values.
+
+    Stored as the first configuration, one delta per item after it (state,
+    head, cell written, symbol written or None for the blank) and the last
+    configuration, so ``trace[-1]`` is read in O(1). Iterating rebuilds the
+    items in turn; ``trace[i]`` replays the first ``i`` deltas.
+    """
+
+    __slots__ = ("_first", "_deltas", "_last")
+
+    def __init__(self, first: TMConfig, deltas: list[tuple[str, int, int, str | None]], last: TMConfig):
+        self._first, self._deltas, self._last = first, deltas, last
+
+    def __len__(self) -> int:
+        return len(self._deltas) + 1
+
+    def __getitem__(self, index: int) -> TMConfig:
+        size = len(self._deltas) + 1
+        position = index + size if index < 0 else index
+        if not 0 <= position < size:
+            raise IndexError("trace index out of range")
+        if position == size - 1:
+            return self._last
+        if position == 0:
+            return self._first
+        tape = dict(self._first.tape)
+        for state, head, cell, symbol in islice(self._deltas, position):
+            _write(tape, cell, symbol)
+        return TMConfig(state=state, tape=tape, head=head)
+
+    def __iter__(self) -> Iterator[TMConfig]:
+        yield self._first
+        tape = dict(self._first.tape)
+        for state, head, cell, symbol in self._deltas:
+            _write(tape, cell, symbol)
+            yield TMConfig(state=state, tape=dict(tape), head=head)
+
+
 @dataclass(frozen=True)
 class RunResult:
-    trace: tuple[TMConfig, ...]
+    """Outcome of ``run``: its trace, how it ended and how many steps it took."""
+
+    trace: Trace  # the initial configuration, then one per application
     outcome: str  # HALTED | STUCK | STEP_LIMIT
     steps: int  # transition applications, the halting application included
+
+
+def _write(tape: dict[int, str], cell: int, symbol: str | None) -> None:
+    """Write ``symbol`` to ``cell``; None, the blank, leaves the cell unstored."""
+    if symbol is None:
+        tape.pop(cell, None)
+    else:
+        tape[cell] = symbol
 
 
 def canonical_tape(tape: dict[int, str], blank: str) -> dict[int, str]:
@@ -152,67 +225,78 @@ def validate_config(spec: TMSpec, config: TMConfig) -> TMConfig:
     return config
 
 
-def step(spec: TMSpec, config: TMConfig) -> TMConfig | Halted:
-    """Apply one transition, or report halting.
+def step_in_place(spec: TMSpec, machine: Machine) -> bool:
+    """Apply one transition to ``machine``; True when it halted.
 
-    A configuration whose state is halting absorbs: it is returned unchanged
-    inside :class:`Halted`. An explicit halt entry applies its write first.
-    Raises :class:`MachineStuck` on an undefined (state, symbol) pair.
+    A machine whose state is halting absorbs: nothing changes. An explicit
+    halt entry applies its write and stops without moving the head. Raises
+    :class:`MachineStuck` on an undefined (state, symbol) pair, leaving the
+    machine as it was.
     """
-    if config.state in spec.halting:
-        return Halted(config)
-    read = config.tape.get(config.head, spec.blank)
-    rule = spec.transitions.get((config.state, read))
+    if machine.state in spec.halting:
+        return True
+    head = machine.head
+    read = machine.tape.get(head, spec.blank)
+    rule = spec.transitions.get((machine.state, read))
     if rule is None:
-        raise MachineStuck(config.state, read)
+        raise MachineStuck(machine.state, read)
+    if rule.write is not None:
+        _write(machine.tape, head, None if rule.write == spec.blank else rule.write)
     if isinstance(rule, HaltAction):
-        tape = config.tape
-        if rule.write is not None and rule.write != read:
-            tape = _written(tape, config.head, rule.write, spec.blank)
-        return Halted(TMConfig(state=config.state, tape=tape, head=config.head))
-    tape = _written(config.tape, config.head, rule.write, spec.blank)
-    head = config.head + (1 if rule.move == "R" else -1)
-    return TMConfig(state=rule.next_state, tape=tape, head=head)
+        return True
+    machine.head = head + (1 if rule.move == "R" else -1)
+    machine.state = rule.next_state
+    return False
 
 
-def _written(tape: dict[int, str], cell: int, symbol: str, blank: str) -> dict[int, str]:
-    new = dict(tape)
-    if symbol == blank:
-        new.pop(cell, None)
-    else:
-        new[cell] = symbol
-    return new
+def step(spec: TMSpec, config: TMConfig) -> TMConfig | Halted:
+    """Apply one transition to a copy of ``config``, or report halting.
+
+    ``step_in_place`` on a fresh :class:`Machine`; a halt (absorbed or an
+    explicit entry) returns the configuration inside :class:`Halted`.
+    """
+    machine = Machine.of(config)
+    halted = step_in_place(spec, machine)
+    after = TMConfig(state=machine.state, tape=machine.tape, head=machine.head)
+    return Halted(after) if halted else after
 
 
 def run(spec: TMSpec, config: TMConfig, max_steps: int) -> RunResult:
-    """Run up to ``max_steps`` transition applications, collecting the trace.
+    """Run up to ``max_steps`` transition applications on one machine.
 
     A halt entry counts as one application (it may write); reaching a halting
     state costs none. The returned step count is the oracle's instruction
-    count for lockstep comparisons.
+    count for lockstep comparisons. The trace holds ``config`` and one item
+    per application after it, except a halt entry that changes nothing;
+    each application is kept as the delta it made.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     validate_config(spec, config)
-    trace = [config]
+    machine = Machine.of(config)
+    deltas: list[tuple[str, int, int, str | None]] = []
+    outcome = STEP_LIMIT
     steps = 0
     for _ in range(max_steps):
-        cur = trace[-1]
-        if cur.state in spec.halting:
-            return RunResult(tuple(trace), HALTED, steps)
+        if machine.state in spec.halting:
+            break
+        cell = machine.head
+        read = machine.tape.get(cell)
         try:
-            nxt = step(spec, cur)
+            halted = step_in_place(spec, machine)
         except MachineStuck:
-            return RunResult(tuple(trace), STUCK, steps)
+            outcome = STUCK
+            break
         steps += 1
-        if isinstance(nxt, Halted):
-            if nxt.config != cur:
-                trace.append(nxt.config)
-            return RunResult(tuple(trace), HALTED, steps)
-        trace.append(nxt)
-    if trace[-1].state in spec.halting:
-        return RunResult(tuple(trace), HALTED, steps)
-    return RunResult(tuple(trace), STEP_LIMIT, steps)
+        written = machine.tape.get(cell)
+        if not halted or written != read:
+            deltas.append((machine.state, machine.head, cell, written))
+        if halted:
+            outcome = HALTED
+            break
+    if machine.state in spec.halting:
+        outcome = HALTED
+    return RunResult(Trace(config, deltas, machine.config() if deltas else config), outcome, steps)
 
 
 def count_symbol(config: TMConfig, symbol: str) -> int:

@@ -4,19 +4,24 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from civutm import cli, codec, harness
 from civutm.cli import main
-from civutm.tm import builtin_program, spec_to_json
-from civutm.world import RulesetParams
+from civutm.controller import compile_program
+from civutm.errors import MachineStuck
+from civutm.tm import TMSpec, Transition, builtin_program, spec_to_json, validate_spec
+from civutm.world import RULESET_BE, RULESET_V, RULESET_VI, RulesetParams, init_world, yields
 
 
 def run_cli(capsys, *argv):
@@ -315,3 +320,163 @@ def test_cost_reports_bounds(capsys):
     report = json.loads(out)["overhead"]
     assert report["paper_bound"] == 9
     assert report["paper_bound_satisfied"] and report["derived_bound_satisfied"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "bb3", "--max-instructions", "-1"),
+        ("cost", "bb3", "--max-instructions", "-3"),
+        ("run", "bb3", "--max-instructions", "-1"),
+        ("verify", "bb3", "--seeds", "1,x"),
+        ("verify", "bb3", "--random-states", "0", "--seeds", "1"),
+    ],
+)
+def test_malformed_budget_or_sweep_fails_before_any_output(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+
+
+# Demo output (stdout, then the --out trace), pinned on the commit before the
+# CLI followed written cells instead of decoding every boundary.
+DEMO_DIGESTS = {
+    "BE": "3cd279e729c9844e9c82b1e83785bd854ee6c5e87d782633a32f14869680a498",
+    "V": "2aa78ab784344d7696f3cc50036bd7bc981bd09cc9c033b3d4dec1847da9b396",
+    "VI": "ae7758b2f46f62e354f8ec170e3ba0a699b726ba97ab86f770e3f7d533216306",
+}
+
+
+@pytest.mark.parametrize("ruleset", sorted(DEMO_DIGESTS))
+def test_demo_bb3_output_digest(tmp_path, capsys, ruleset):
+    trace = tmp_path / "trace.jsonl"
+    status, out, _ = run_cli(capsys, "demo-bb3", "--ruleset", ruleset, "--out", str(trace))
+    assert status == 0
+    assert hashlib.sha256((out + trace.read_text()).encode()).hexdigest() == DEMO_DIGESTS[ruleset]
+
+
+# ---------------------------------------------------------------------------
+# `_drive_game` against the loop it replaced, which decoded every boundary
+# in full and diffed whole tapes between them.
+# ---------------------------------------------------------------------------
+
+
+def _reference_drive_game(spec, ruleset, tape, max_instructions):
+    """(trace lines, summary) of a run with a full decode at every boundary."""
+    program = compile_program(spec, ruleset)
+    world = init_world(ruleset, codec.encode_tape(tape, program))
+
+    def boundary(decoded):
+        entry = {"decoded": decoded, "turn": world.turn, "yields": yields(world)}
+        if ruleset == RULESET_VI:
+            entry["cities"] = [
+                {"index": c.index, "citizens": c.citizens, "growth_cap": c.growth_cap, "food_stock": c.food_stock}
+                for _, c in sorted(world.cities.items())
+            ]
+        return entry
+
+    records = []
+    boundaries = [boundary(codec.decode(world, program))]
+    outcome = "step-limit"
+    try:
+        for record in harness.run_instructions(world, program, max_instructions):
+            records.append(record)
+            boundaries.append(boundary(codec.decode(world, program)))
+            if record.halted:
+                outcome = "halted"
+    except MachineStuck:
+        outcome = "stuck"
+
+    lines = [cli._dump({"format_version": cli.TRACE_FORMAT_VERSION, "kind": "trace"})]
+    prev_tape = {}
+    for i, entry in enumerate(boundaries):
+        cfg = entry["decoded"].config
+        changed = {}
+        for cell in sorted(set(prev_tape) | set(cfg.tape)):
+            if prev_tape.get(cell) != cfg.tape.get(cell):
+                changed[str(cell)] = cfg.tape.get(cell)
+        rec = {"instruction": i, "turn": entry["turn"], "state": cfg.state, "head": cfg.head}
+        rec.update({"changed_cells": changed, "yields": entry["yields"]})
+        if "cities" in entry:
+            rec["cities"] = entry["cities"]
+        prev_tape = dict(cfg.tape)
+        lines.append(cli._dump(rec))
+    final = boundaries[-1]["decoded"].config
+    summary = {
+        "outcome": outcome,
+        "instructions": len(records),
+        "total_turns": world.turn,
+        "final_state": final.state,
+        "final_head": final.head,
+        "final_tape": {str(k): v for k, v in sorted(final.tape.items())},
+        "extension_events": sum(1 for r in records if r.extension),
+    }
+    return lines, summary
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10**6), num_states=st.integers(1, 6))
+def test_drive_game_follows_written_cells_as_full_decodes_do(data, seed, num_states):
+    ruleset = data.draw(st.sampled_from((RULESET_BE, RULESET_V, RULESET_VI)))
+    spec = harness.random_tm(seed, num_states, 2 if ruleset == RULESET_VI else 3)
+    if data.draw(st.booleans()):  # some pairs undefined, so the run can end stuck
+        keys = data.draw(st.sets(st.sampled_from(sorted(spec.transitions)))) if spec.transitions else set()
+        transitions = {key: rule for key, rule in spec.transitions.items() if key not in keys}
+        spec = validate_spec(dataclasses.replace(spec, transitions=transitions))
+    tape = data.draw(st.dictionaries(st.integers(-6, 6), st.sampled_from(spec.alphabet), max_size=5))
+    max_instructions = data.draw(st.integers(0, 30 if ruleset == RULESET_VI else 80))
+    rewritten = data.draw(st.none() | st.integers(-8, 8))
+    execute = harness.execute_instruction
+
+    def execute_then_rewrite(world, program, index=0):
+        # A recorded write of the symbol a cell already holds changes nothing.
+        record = execute(world, program, index=index)
+        world.tape[rewritten] = world.symbol_at(rewritten)
+        return record
+
+    with mock.patch.object(harness, "execute_instruction", execute if rewritten is None else execute_then_rewrite):
+        world, records, boundaries, final, outcome = cli._drive_game(spec, ruleset, tape, max_instructions, None)
+        lines, summary = _reference_drive_game(spec, ruleset, tape, max_instructions)
+    assert cli._trace_lines(boundaries) == lines
+    assert cli._summary(world, records, final, outcome) == summary
+
+
+def test_run_decodes_the_world_twice(tmp_path, capsys, monkeypatch):
+    # The right-runner writes a new cell every instruction; `run` used to
+    # decode the whole world at every boundary (1,001 times here).
+    calls = 0
+    decode = codec.decode
+
+    def counted(world, program):
+        nonlocal calls
+        calls += 1
+        return decode(world, program)
+
+    monkeypatch.setattr(codec, "decode", counted)
+    rule = Transition("1", "R", "a")
+    runner = TMSpec(("a",), ("0", "1"), "0", ("1",), "a", (), {("a", "0"): rule, ("a", "1"): rule})
+    machine = tmp_path / "runner.json"
+    machine.write_text(json.dumps(spec_to_json(runner)))
+    trace = tmp_path / "trace.jsonl"
+    status, out, _ = run_cli(capsys, "run", str(machine), "--max-instructions", "1000", "--out", str(trace))
+    assert status == 4 and json.loads(out)["instructions"] == 1000
+    assert len(trace.read_text().splitlines()) == 1002
+    assert calls == 2
+
+
+def test_run_fails_closed_on_an_unrecorded_write(capsys, monkeypatch):
+    # dict.__setitem__ bypasses the tape's record of written cells, so only
+    # the final full decode can see the cell; the run must not report it.
+    execute = harness.execute_instruction
+
+    def execute_then_corrupt(world, program, index=0):
+        record = execute(world, program, index=index)
+        if index == 3:
+            dict.__setitem__(world.tape, -60, program.symbol_of["1"])
+        return record
+
+    monkeypatch.setattr(harness, "execute_instruction", execute_then_corrupt)
+    status, out, err = run_cli(capsys, "run", "bb3", "--ruleset", "BE")
+    assert (status, out) == (2, "")
+    assert "verified at instruction 13: a tape cell changed without being recorded" in json.loads(err)["error"]

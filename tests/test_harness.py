@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from civutm import codec, controller, harness
+from civutm import codec, controller, harness, tm
 from civutm.controller import TapeAction, compile_program
 from civutm.harness import (
     DIVERGED,
@@ -645,3 +645,41 @@ def test_decodes_do_not_grow_with_instructions(monkeypatch):
     report = lockstep_verify(runner, RULESET_BE, {}, 1000)
     assert report.outcome == STEP_LIMIT and report.instructions_verified == 1000
     assert calls == 2
+
+
+def test_the_oracle_steps_one_tape_in_place(monkeypatch):
+    # The oracle's step used to copy its whole tape into a new configuration
+    # (1,000 copies here, each as long as the tape); now one tape is updated
+    # throughout, and configurations are built only at the start and the end.
+    tapes, built = [], 0
+    oracle_step, config_init = harness.step, tm.TMConfig.__init__
+
+    def recorded(spec, machine):
+        tapes.append(machine.tape)
+        return oracle_step(spec, machine)
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        config_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "step", recorded)
+    monkeypatch.setattr(tm.TMConfig, "__init__", counted)
+    runner = _walker([("a", "0", "1", "R", "a"), ("a", "1", "1", "R", "a")], states=("a",))
+    counts = []
+    for max_instructions in (10, 1000):
+        tapes.clear()
+        built = 0
+        report = lockstep_verify(runner, RULESET_BE, {}, max_instructions)
+        assert report.instructions_verified == max_instructions and len(tapes) == max_instructions
+        assert all(tape is tapes[0] for tape in tapes)
+        counts.append(built)
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_VI])
+def test_a_negative_budget_is_refused(ruleset):
+    with pytest.raises(ValueError, match="max_instructions must be >= 0"):
+        lockstep_verify(builtin_program("bb3"), ruleset, {}, -1)
+    with pytest.raises(ValueError, match="max_instructions must be >= 0"):
+        run_instructions(init_world(ruleset, {}), compile_program(builtin_program("bb3"), ruleset), -1)

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from civutm.errors import MachineStuck, SpecError
+from civutm.harness import random_tm
 from civutm.tm import (
     HaltAction,
     Halted,
+    Machine,
     TMConfig,
     TMSpec,
     Transition,
@@ -21,6 +26,7 @@ from civutm.tm import (
     spec_from_json,
     spec_to_json,
     step,
+    step_in_place,
     validate_spec,
 )
 
@@ -244,6 +250,146 @@ def test_step_locality_and_canonicity(sc):
 def test_step_determinism(sc):
     spec, config = sc
     assert step(spec, config) == step(spec, config)
+
+
+# ---------------------------------------------------------------------------
+# The in-place rule against the copying one: ``step_in_place`` updates one
+# machine and ``run`` keeps deltas; the references below build a fresh
+# configuration per step and keep every one.
+# ---------------------------------------------------------------------------
+
+
+def _reference_step(spec, config):
+    """One transition on a fresh copy of the tape, as ``step`` once did."""
+    if config.state in spec.halting:
+        return Halted(config)
+    read = config.tape.get(config.head, spec.blank)
+    rule = spec.transitions.get((config.state, read))
+    if rule is None:
+        raise MachineStuck(config.state, read)
+    if isinstance(rule, HaltAction):
+        tape = config.tape
+        if rule.write is not None and rule.write != read:
+            tape = _reference_written(tape, config.head, rule.write, spec.blank)
+        return Halted(TMConfig(state=config.state, tape=tape, head=config.head))
+    tape = _reference_written(config.tape, config.head, rule.write, spec.blank)
+    head = config.head + (1 if rule.move == "R" else -1)
+    return TMConfig(state=rule.next_state, tape=tape, head=head)
+
+
+def _reference_written(tape, cell, symbol, blank):
+    new = dict(tape)
+    if symbol == blank:
+        new.pop(cell, None)
+    else:
+        new[cell] = symbol
+    return new
+
+
+def _reference_run(spec, config, max_steps):
+    """(trace, outcome, steps) with one full configuration per step."""
+    trace = [config]
+    steps = 0
+    for _ in range(max_steps):
+        cur = trace[-1]
+        if cur.state in spec.halting:
+            return tuple(trace), "halted", steps
+        try:
+            nxt = _reference_step(spec, cur)
+        except MachineStuck:
+            return tuple(trace), "stuck", steps
+        steps += 1
+        if isinstance(nxt, Halted):
+            if nxt.config != cur:
+                trace.append(nxt.config)
+            return tuple(trace), "halted", steps
+        trace.append(nxt)
+    if trace[-1].state in spec.halting:
+        return tuple(trace), "halted", steps
+    return tuple(trace), "step-limit", steps
+
+
+@st.composite
+def machines_with_gaps(draw):
+    """A ``random_tm`` machine with some transitions dropped (stuck) and some
+    turned into halt entries whose write is None, the blank, the read symbol
+    or another symbol, plus a canonical tape around the head."""
+    num_states = draw(st.integers(1, 6))
+    spec = random_tm(draw(st.integers(0, 10**6)), num_states, draw(st.integers(1, 3)))
+    transitions = {}
+    for (state, read), rule in spec.transitions.items():
+        kind = draw(st.sampled_from(("keep", "keep", "keep", "drop", "halt")))
+        if kind == "keep":
+            transitions[(state, read)] = rule
+        elif kind == "halt":
+            write = draw(st.sampled_from((None, spec.blank, read, *spec.alphabet)))
+            transitions[(state, read)] = HaltAction(write=write)
+    spec = validate_spec(dataclasses.replace(spec, transitions=transitions))
+    cells = draw(st.dictionaries(st.integers(-6, 6), st.sampled_from(spec.alphabet), max_size=6))
+    return spec, canonical_tape(cells, spec.blank)
+
+
+def _applied(rule, *args):
+    try:
+        return rule(*args)
+    except MachineStuck as stuck:
+        return "stuck", stuck.args
+
+
+@settings(max_examples=200, deadline=None)
+@given(machines_with_gaps(), st.data())
+def test_in_place_rule_agrees_with_the_copying_one(spec_and_tape, data):
+    spec, tape = spec_and_tape
+    config = TMConfig(state=data.draw(st.sampled_from(spec.states)), tape=tape, head=data.draw(st.integers(-7, 7)))
+    before = dict(config.tape)
+    expected = _applied(_reference_step, spec, config)
+    assert _applied(step, spec, config) == expected
+    assert config.tape == before  # step leaves its argument alone
+    machine = Machine.of(config)
+    try:
+        halted = step_in_place(spec, machine)
+    except MachineStuck as stuck:
+        assert expected == ("stuck", stuck.args)
+        assert machine.config() == config  # a stuck machine is left as it was
+    else:
+        assert (halted, machine.config()) == ((True, expected.config) if halted else (False, expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(machines_with_gaps(), st.integers(0, 60), st.data())
+def test_run_keeps_the_trace_of_the_copying_run(spec_and_tape, max_steps, data):
+    spec, tape = spec_and_tape
+    config = initial_config(spec, tape, head=data.draw(st.integers(-3, 3)))
+    result = run(spec, config, max_steps)
+    trace, outcome, steps = _reference_run(spec, config, max_steps)
+    assert (result.outcome, result.steps, len(result.trace)) == (outcome, steps, len(trace))
+    assert list(result.trace) == list(trace)
+    assert result.trace[0] == trace[0] and result.trace[-1] == trace[-1]
+    for index in data.draw(st.lists(st.integers(-len(trace), len(trace) - 1), max_size=5)):
+        assert result.trace[index] == trace[index]
+    for index in (len(trace), -len(trace) - 1):
+        with pytest.raises(IndexError):
+            result.trace[index]
+
+
+def _right_runner() -> TMSpec:
+    rule = Transition("1", "R", "a")
+    return validate_spec(_valid_spec(states=("a",), halting=(), transitions={("a", "0"): rule, ("a", "1"): rule}))
+
+
+def test_run_memory_grows_with_steps_not_with_steps_times_tape():
+    # The right-runner writes a new cell every step; keeping one full
+    # configuration per step took over 1 GB at 8,000 steps.
+    spec = _right_runner()
+    tracemalloc.start()
+    try:
+        result = run(spec, initial_config(spec), 8000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.outcome, result.steps, len(result.trace)) == ("step-limit", 8000, 8001)
+    assert result.trace[-1] == TMConfig(state="a", tape={cell: "1" for cell in range(8000)}, head=8000)
+    assert peak < 10 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,214 @@
+"""Mutation gate: each named source mutant must make the tier-1 tests fail.
+
+A mutant is one text replacement in one file under ``src/civutm``. Each is
+applied to a fresh temporary copy of ``src/``, ``tests/`` and
+``pyproject.toml``, and the test files that cover the mutated code run with
+``pytest -x``. Hypothesis tests are deselected, so a kill does not depend
+on a random draw. The unmutated copy runs first; if it fails, nothing is
+judged. Prints the kill matrix as JSON lines and exits 1 unless every
+mutant is killed.
+
+Usage (from the repository root; stdlib plus the test dependencies)::
+
+    python3 mutcheck/run.py            # every mutant
+    python3 mutcheck/run.py NAME ...   # the named ones
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]
+
+
+HARNESS = "src/civutm/harness.py"
+CODEC = "src/civutm/codec.py"
+WORLD = "src/civutm/world.py"
+CLI = "src/civutm/cli.py"
+
+MUTANTS = (
+    # The lockstep compare in harness.lockstep_verify.
+    Mutant(
+        "oracle-cell-left-out",
+        HARNESS,
+        "for cell in (*changed, oracle_cell))",
+        "for cell in changed)",
+        ("tests/test_harness.py",),
+    ),
+    Mutant("state-compare-dropped", HARNESS, "and followed.state == oracle.state\n", "\n", ("tests/test_harness.py",)),
+    Mutant("head-compare-dropped", HARNESS, "and followed.head == oracle.head\n", "\n", ("tests/test_harness.py",)),
+    Mutant(
+        "cell-compare-dropped",
+        HARNESS,
+        "and all(followed.tape.get(cell) == oracle.tape.get(cell) for cell in (*changed, oracle_cell))\n",
+        "\n",
+        ("tests/test_harness.py",),
+    ),
+    Mutant(
+        "final-decode-dropped",
+        HARNESS,
+        "reader.close(report.instructions_verified)",
+        "pass",
+        ("tests/test_harness.py",),
+    ),
+    # The reader in codec.
+    Mutant(
+        "boundary-check-dropped",
+        CODEC,
+        "if world.any_busy() or world.any_training():\n            return None",
+        "if False:\n            return None",
+        ("tests/test_codec.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "changed-cell-not-applied",
+        CODEC,
+        "_write(machine.tape, cell, symbol)",
+        "pass",
+        ("tests/test_codec.py", "tests/test_harness.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "yield-cross-check-dropped",
+        CODEC,
+        "if via_yield != region_count:",
+        "if False:",
+        ("tests/test_codec.py",),
+    ),
+    Mutant("cli-final-decode-dropped", CLI, "reader.close(len(records))", "pass", ("tests/test_cli.py",)),
+    # The tape's one write path.
+    Mutant(
+        "tape-write-not-recorded",
+        WORLD,
+        "self._written.add(cell)\n",
+        "\n",
+        ("tests/test_codec.py", "tests/test_harness.py", "tests/test_cli.py"),
+    ),
+    # RulesetParams.validate().
+    Mutant(
+        "validate-published-bound-dropped",
+        WORLD,
+        "if self.remove_or_repair_turns != 1:",
+        "if False:",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    Mutant("validate-food-dropped", WORLD, "if income < upkeep:", "if False:", ("tests/test_world.py",)),
+    Mutant(
+        "validate-zero-culture-dropped",
+        WORLD,
+        "if self.ruleset == RULESET_BE and self.terrascape_culture < 1:",
+        "if False:",
+        ("tests/test_world.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "validate-zero-faith-dropped",
+        WORLD,
+        "if self.monastery_faith < 1:",
+        "if False:",
+        ("tests/test_world.py", "tests/test_cli.py"),
+    ),
+    # world.skip_quiet_turns, one closed-form term each.
+    Mutant(
+        "skip-growth-event-late",
+        WORLD,
+        "events.append(turn + p.city_growth_turns - city.growth_progress)",
+        "events.append(turn + p.city_growth_turns - city.growth_progress + 1)",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "skip-starvation-event-late",
+        WORLD,
+        "events.append(turn + city.food_stock // -delta + 1)",
+        "events.append(turn + city.food_stock // -delta + 2)",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "skip-production-short",
+        WORLD,
+        "city.production_stock += p.production_per_turn * quiet",
+        "city.production_stock += p.production_per_turn * (quiet - 1)",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _apply(dest: Path, mutant: Mutant) -> None:
+    path = dest / mutant.path
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise SystemExit(f"mutant {mutant.name}: the text to replace occurs {count} times in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def _pytest(dest: Path, tests: tuple[str, ...]) -> tuple[int, str, float]:
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-m", "not hypothesis", *tests]
+    start = time.perf_counter()
+    done = subprocess.run(command, cwd=dest, env=env, capture_output=True, text=True)
+    return done.returncode, done.stdout, time.perf_counter() - start
+
+
+def _first_failure(output: str) -> str | None:
+    match = re.search(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE)
+    return match.group(1) if match else None
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(json.dumps({"error": f"unknown mutants: {sorted(unknown)}"}), file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory(prefix="mutcheck-") as tmp:
+        baseline = Path(tmp) / "baseline"
+        _copy(baseline)
+        files = tuple(sorted({test for m in chosen for test in m.tests}))
+        status, output, seconds = _pytest(baseline, files)
+        if status != 0:
+            print(output)
+            print(json.dumps({"error": "the unmutated tests fail", "status": status}), file=sys.stderr)
+            return 2
+        print(json.dumps({"baseline": "passed", "tests": list(files), "s": round(seconds, 1)}))
+        survivors = 0
+        for mutant in chosen:
+            dest = Path(tmp) / mutant.name
+            _copy(dest)
+            _apply(dest, mutant)
+            status, output, seconds = _pytest(dest, mutant.tests)
+            # pytest exits 1 when a test failed; any other status means the
+            # mutant did not run (an import error, say), which proves nothing.
+            verdict = {0: "survived", 1: "killed"}.get(status, f"error (pytest status {status})")
+            survivors += verdict != "killed"
+            row = {"mutant": mutant.name, "file": mutant.path, "verdict": verdict, "killed_by": _first_failure(output)}
+            print(json.dumps({**row, "s": round(seconds, 1)}))
+            shutil.rmtree(dest)
+    print(json.dumps({"mutants": len(chosen), "killed": len(chosen) - survivors}))
+    return 0 if survivors == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

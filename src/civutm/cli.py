@@ -29,7 +29,7 @@ from pathlib import Path
 from . import codec, harness, tables
 from .controller import compile_program, macro_paper_command, program_to_json
 from .errors import CivUtmError, MachineStuck
-from .tm import BUILTIN_NAMES, TMConfig, TMSpec, builtin_program, count_symbol, load_spec
+from .tm import BUILTIN_NAMES, TMSpec, builtin_program, count_symbol, load_spec
 from .world import RULESET_VI, RULESETS, RulesetParams, init_world, yields
 
 TRACE_FORMAT_VERSION = 1
@@ -56,13 +56,20 @@ def _load_machine(args) -> TMSpec:
 def _load_tape(args) -> dict[int, str]:
     if not getattr(args, "tape", None):
         return {}
-    data = json.loads(Path(args.tape).read_text())
-    if not isinstance(data, dict):
+    # An object parses to its (key, value) pairs, so a cell named twice stays visible.
+    pairs = json.loads(Path(args.tape).read_text(), object_pairs_hook=tuple)
+    if not isinstance(pairs, tuple):
         raise CivUtmError("tape file must be a JSON object mapping cell index to symbol")
-    for cell, sym in data.items():
+    for cell, sym in pairs:
         if not isinstance(sym, str):
             raise CivUtmError(f"tape cell {cell} must hold a symbol string")
-    return {int(cell): sym for cell, sym in data.items()}
+    tape: dict[int, str] = {}
+    for cell, sym in pairs:
+        index = int(cell)
+        if index in tape:
+            raise CivUtmError(f"tape file names cell {index} twice")
+        tape[index] = sym
+    return tape
 
 
 def _load_params(args) -> RulesetParams | None:
@@ -97,19 +104,20 @@ def _write_lines(path: str, lines: list[str]) -> None:
 def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructions: int, params: RulesetParams | None):
     """Run the game side alone; returns (world, records, boundaries, final, outcome).
 
-    ``boundaries`` holds one entry per instruction boundary (the initial one
-    included): state, head and state evidence as ``codec.boundary_matches``
-    reads them, the cells whose machine symbol changed since the previous
-    boundary (None for the blank), the world turn, the yields, and the city
-    census for VI. The world is decoded in full at the start and at the end
-    (``final``, checked as ``lockstep_verify`` checks it); in between only the
-    cells its tape recorded as written are read.
+    The world is followed by a ``codec.Reader``, as ``lockstep_verify``
+    follows it, and ``final`` is the reader's machine. ``boundaries`` holds
+    one entry per instruction boundary (the initial one included): state,
+    head and state evidence, the cells whose machine symbol changed since
+    the previous boundary (None for the blank), the world turn, the yields,
+    and the city census for VI.
     """
     program = compile_program(spec, ruleset, params)
     world = init_world(ruleset, codec.encode_tape(tape, program), params)
+    reader = codec.Reader(world, program)
+    final = reader.machine
 
-    def boundary(state, head, evidence, changed):
-        entry = {"state": state, "head": head, "evidence": evidence, "changed": changed}
+    def boundary(changed):
+        entry = {"state": final.state, "head": final.head, "evidence": reader.evidence, "changed": changed}
         entry.update(turn=world.turn, yields=yields(world))
         if ruleset == RULESET_VI:
             entry["cities"] = [
@@ -118,37 +126,21 @@ def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructio
             ]
         return entry
 
-    decoded = codec.decode(world, program)
-    running = dict(decoded.config.tape)
-    world.tape.take_written()
     records = []
-    boundaries = [boundary(decoded.config.state, decoded.config.head, decoded.state_evidence, dict(running))]
+    boundaries = [boundary(dict(final.tape))]
     outcome = "step-limit"
     try:
         for record in harness.run_instructions(world, program, max_instructions):
             records.append(record)
-            read = codec.read_boundary(world, program)
-            if read is None:
+            changed = reader.advance()
+            if changed is None:
                 raise CivUtmError(f"instruction {record.index} did not end at an instruction boundary")
-            written = world.tape.take_written()
-            symbols = codec.cell_symbols(world, program, written)
-            changed = {}
-            for cell in sorted(written):
-                symbol = symbols.get(cell)
-                if symbol != running.get(cell):
-                    changed[cell] = symbol
-                    if symbol is None:
-                        del running[cell]
-                    else:
-                        running[cell] = symbol
-            boundaries.append(boundary(*read, changed))
+            boundaries.append(boundary(changed))
             if record.halted:
                 outcome = "halted"
     except MachineStuck:
         outcome = "stuck"
-    last = boundaries[-1]
-    final = TMConfig(state=last["state"], tape=running, head=last["head"])
-    harness.check_full_decode(world, program, final, len(records))
+    reader.close(len(records))
     return world, records, boundaries, final, outcome
 
 
@@ -205,8 +197,10 @@ def cmd_verify(args) -> int:
     params = _load_params(args)
     program = compile_program(spec, args.ruleset, params)
     # The sweep's machines are drawn first, so a malformed sweep argument
-    # fails before anything is printed.
-    symbols = 2 if args.ruleset == RULESET_VI else args.random_symbols
+    # fails before anything is printed. VI encodes two symbols.
+    if not 1 <= args.random_symbols <= 3:
+        raise CivUtmError("--random-symbols must be between 1 and 3")
+    symbols = min(args.random_symbols, 2) if args.ruleset == RULESET_VI else args.random_symbols
     machines = [(seed, harness.random_tm(seed, args.random_states, symbols)) for seed in _parse_seeds(args.seeds)]
     report = harness.lockstep_verify(spec, args.ruleset, tape, args.max_instructions, params, program=program)
     print(_dump({"lockstep": report.to_json()}))
@@ -235,16 +229,15 @@ def cmd_compile(args) -> int:
     spec = _load_machine(args)
     params = _load_params(args)
     program = compile_program(spec, args.ruleset, params)
-    export = program_to_json(program)
-    if args.out:
-        Path(args.out).write_text(json.dumps(export, indent=1, sort_keys=True) + "\n")
-    print(_dump({"ruleset": args.ruleset, "macros": len(program.macros)}))
     if args.diff_fixture:
         name = getattr(args, "builtin", None) or args.machine
         fixture_name = tables.FIXTURE_FOR.get((args.ruleset, name))
         if fixture_name is None:
-            print(_dump({"error": f"no shipped fixture for {name!r} on ruleset {args.ruleset}"}))
-            return EXIT_PARSE
+            raise CivUtmError(f"no shipped fixture for {name!r} on ruleset {args.ruleset}")
+    if args.out:
+        Path(args.out).write_text(json.dumps(program_to_json(program), indent=1, sort_keys=True) + "\n")
+    print(_dump({"ruleset": args.ruleset, "macros": len(program.macros)}))
+    if args.diff_fixture:
         diffs = tables.table_fidelity(program, tables.load_fixture(fixture_name))
         print(_dump({"fixture": fixture_name, "differences": diffs}))
         return EXIT_OK if not diffs else EXIT_FAIL
@@ -317,10 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ruleset", choices=RULESETS, default="BE")
         p.add_argument("--params", help="JSON file overriding ruleset parameters")
         p.add_argument("--max-instructions", type=int, default=1000)
-        p.add_argument("--out", help="output file")
 
     p_run = sub.add_parser("run", help="run a machine on the world engine")
     common(p_run)
+    p_run.add_argument("--out", help="write the trace (JSON lines) to this file")
     p_run.add_argument("--tape", help="JSON file mapping cell index to symbol")
     p_run.set_defaults(func=cmd_run)
 
@@ -334,11 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compile = sub.add_parser("compile", help="compile a machine into a command program")
     common(p_compile)
+    p_compile.add_argument("--out", help="write the compiled program (JSON) to this file")
     p_compile.add_argument("--diff-fixture", action="store_true", help="diff against the shipped table fixture")
     p_compile.set_defaults(func=cmd_compile)
 
     p_demo = sub.add_parser("demo-bb3", help="run the three-state Busy Beaver with a text rendering")
     common(p_demo, machine_arg=False)
+    p_demo.add_argument("--out", help="write the trace (JSON lines) to this file")
     p_demo.set_defaults(func=cmd_demo_bb3, max_instructions=100)
 
     p_cost = sub.add_parser("cost", help="overhead report for a verified run")

@@ -4,11 +4,11 @@ Decoding reads improvement / worked-flag counts directly and cross-checks
 them against the yield arithmetic (Culture or Faith deltas over the player's
 baseline); a mismatch between the two routes signals world corruption. It is
 read-only and only meaningful at instruction boundaries, i.e. when no unit
-has a pending job and no city is training. ``boundary_matches`` makes the
-same check against an expected configuration on a given set of cells only,
-with the same symbol rule and the same errors; ``read_boundary`` and
-``cell_symbols`` are its two halves, for a reader that follows the world
-without an expected configuration.
+has a pending job and no city is training. A ``Reader`` follows a world
+from boundary to boundary: one full ``decode`` at the start, then only the
+state, the head and the cells the world's tape recorded as written, with
+the same symbol rule and the same errors, and a full ``decode`` at the end
+that fails closed on a cell changed without being recorded.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import CompileError, DecodeError
-from .tm import Machine, TMConfig, TMSpec
+from .errors import CivUtmError, CompileError, DecodeError
+from .tm import Machine, TMConfig, TMSpec, _write
 from .world import (
     GAME_BLANK,
     GAME_SYMBOLS,
@@ -103,13 +103,16 @@ def decode(world: WorldState, program: "ControllerProgram") -> DecodedConfig:
     index, evidence = state_index(world)
     if world.any_busy() or world.any_training():
         return DecodedConfig(config=None, state_evidence=evidence)
-    if index >= len(program.index_to_state):
-        raise DecodeError(f"state index {index} out of range for {len(program.index_to_state)} states")
-    state = program.index_to_state[index]
-
+    state = _state(program, index)
     tape = _machine_cells(world, program, sorted(world.tape.items()))
     head = world.units[TAPE_WORKER].position
     return DecodedConfig(config=TMConfig(state=state, tape=tape, head=head), state_evidence=evidence)
+
+
+def _state(program: "ControllerProgram", index: int) -> str:
+    if index >= len(program.index_to_state):
+        raise DecodeError(f"state index {index} out of range for {len(program.index_to_state)} states")
+    return program.index_to_state[index]
 
 
 def _machine_cells(world: WorldState, program: "ControllerProgram", cells) -> dict[int, str]:
@@ -127,37 +130,57 @@ def _machine_cells(world: WorldState, program: "ControllerProgram", cells) -> di
     return tape
 
 
-def read_boundary(world: WorldState, program: "ControllerProgram") -> tuple[str, int, dict] | None:
-    """(state, head, state evidence) of a world at an instruction boundary.
+class Reader:
+    """Follows a world from one instruction boundary to the next.
 
-    The state is read from the region and cross-checked via yields, as
-    ``decode`` reads it. None when the world is not at a boundary or the
-    state index is out of range, where ``decode`` gives no configuration
-    or raises.
+    Made with one full ``decode`` of the world; ``machine`` holds the
+    configuration read and ``evidence`` the state evidence of the last read.
+    ``advance`` reads the next boundary as ``decode`` would, but only the
+    state, the head and the cells the world's tape recorded as written since
+    the last read: equal at the start and read on every written cell is the
+    whole tape. ``close`` decodes in full once more to check that no cell
+    changed without being recorded.
     """
-    index, evidence = state_index(world)
-    if world.any_busy() or world.any_training() or index >= len(program.index_to_state):
-        return None
-    return program.index_to_state[index], world.units[TAPE_WORKER].position, evidence
 
+    def __init__(self, world: WorldState, program: "ControllerProgram"):
+        decoded = decode(world, program)
+        if decoded.config is None:
+            raise DecodeError("the world is not at an instruction boundary")
+        self.world, self.program = world, program
+        self.machine = Machine.of(decoded.config)
+        self.evidence = decoded.state_evidence
+        world.tape.take_written()
 
-def cell_symbols(world: WorldState, program: "ControllerProgram", cells) -> dict[int, str]:
-    """Machine symbols on ``cells`` as ``decode`` reads them, blanks left out."""
-    return _machine_cells(world, program, [(cell, world.symbol_at(cell)) for cell in sorted(cells)])
+    def advance(self) -> dict[int, str | None] | None:
+        """Read the boundary after an instruction into ``machine``.
 
+        Returns the cells whose machine symbol changed (None for the blank),
+        or None when the world is not at a boundary. Raises what ``decode``
+        would raise on the state and on the cells read; cells not written
+        since the last read are not read.
+        """
+        world, program, machine = self.world, self.program, self.machine
+        index, evidence = state_index(world)
+        if world.any_busy() or world.any_training():
+            return None
+        machine.state = _state(program, index)
+        machine.head = world.units[TAPE_WORKER].position
+        self.evidence = evidence
+        written = sorted(world.tape.take_written())
+        symbols = _machine_cells(world, program, [(cell, world.symbol_at(cell)) for cell in written])
+        changed = {}
+        for cell in written:
+            symbol = symbols.get(cell)
+            if symbol != machine.tape.get(cell):
+                changed[cell] = symbol
+                _write(machine.tape, cell, symbol)
+        return changed
 
-def boundary_matches(world: WorldState, program: "ControllerProgram", config: TMConfig | Machine, cells: set[int]) -> bool:
-    """True when ``decode`` would give ``config`` as far as ``cells`` show.
-
-    The world must be at an instruction boundary with ``config``'s state
-    (read from the region, cross-checked via yields) and head, and every one
-    of ``cells`` must decode to what ``config`` holds there. Cells outside
-    ``cells`` are not read: the caller vouches that they decode and agree
-    with ``config``. Given that, it raises what ``decode`` would raise, and
-    False means ``decode`` raises or returns another configuration.
-    """
-    read = read_boundary(world, program)
-    if read is None or read[0] != config.state or read[1] != config.head:
-        return False
-    tape = cell_symbols(world, program, cells)
-    return all(tape.get(cell) == config.tape.get(cell) for cell in cells)
+    def close(self, instruction: int) -> None:
+        """Decode the world in full and raise :class:`CivUtmError` unless it
+        gives ``machine``, the configuration read at ``instruction``."""
+        if decode(self.world, self.program).config != self.machine.config():
+            raise CivUtmError(
+                f"the world no longer decodes to the configuration verified at instruction "
+                f"{instruction}: a tape cell changed without being recorded"
+            )

@@ -7,16 +7,18 @@ side by side and checks at every instruction boundary that the world decodes
 to the oracle's configuration: state identifier, head index and canonical
 sparse tape, exact equality, halting included. The oracle is one
 :class:`~civutm.tm.Machine` stepped in place, so a step costs the cell it
-writes, not the tape. The world is decoded in full at the start; after each
-instruction only state, head and the cells that can have changed are
-checked (those the world's tape recorded as written, and the one the oracle
-wrote). Equal at the start and equal on every changed
-cell is equal on the whole tape, so this is the full comparison at the cost
-of the cells written. A failed check is settled by a full decode, which
-builds the divergence report. A run that did not diverge is decoded in full
-once more at the end, and :class:`CivUtmError` is raised if that disagrees:
-a cell changed without being recorded. A divergence is a report outcome,
-not an exception.
+writes, not the tape. The world is followed by a :class:`~civutm.codec.Reader`:
+decoded in full at the start, then read on state, head and the cells its
+tape recorded as written. After each instruction the reader's machine and
+the oracle are compared on state, head and the cells that can have changed
+(those the reader saw change, and the one the oracle wrote). Equal at the
+start and equal on every changed cell is equal on the whole tape, so this
+is the full comparison at the cost of the cells written. A failed compare
+is settled by a full decode, which builds the divergence report. A run that
+did not diverge is decoded in full once more at the end (``Reader.close``),
+and :class:`~civutm.errors.CivUtmError` is raised if that disagrees: a cell
+changed without being recorded. A divergence is a report outcome, not an
+exception.
 
 ``overhead_report`` turns the instruction-boundary events of a completed run
 into per-instruction turn counts and compares them against the published
@@ -41,7 +43,7 @@ from .controller import (
     compile_program,
     execute_instruction,
 )
-from .errors import CivUtmError, MachineStuck
+from .errors import MachineStuck
 from .tm import Machine, TMConfig, TMSpec, Transition, initial_config, validate_spec
 from .tm import step_in_place as step  # looked up here at call time, so a tracer can wrap it
 from .world import RULESET_BE, RULESET_V, RULESET_VI, RulesetParams, WorldState, init_world
@@ -107,17 +109,6 @@ def _instructions(world: WorldState, program: ControllerProgram, max_instruction
             return
 
 
-def check_full_decode(world: WorldState, program: ControllerProgram, config: TMConfig, instruction: int) -> None:
-    """Decode ``world`` in full and raise :class:`CivUtmError` unless it gives
-    ``config``, the configuration its boundary checks found at
-    ``instruction`` (fail closed on a cell changed without being recorded)."""
-    if codec.decode(world, program).config != config:
-        raise CivUtmError(
-            f"the world no longer decodes to the configuration verified at instruction "
-            f"{instruction}: a tape cell changed without being recorded"
-        )
-
-
 def lockstep_verify(
     spec: TMSpec,
     ruleset: str,
@@ -143,9 +134,10 @@ def lockstep_verify(
         return report
 
     start = initial_config(spec, initial_tape or {})
-    decoded = codec.decode(world, program)
-    if decoded.config != start:
-        return diverged(0, _config_json(start), _config_json(decoded.config) if decoded.config else None)
+    reader = codec.Reader(world, program)
+    followed = reader.machine
+    if followed.config() != start:
+        return diverged(0, _config_json(start), _config_json(followed))
 
     oracle = Machine.of(start)
     for index in range(1, max_instructions + 1):
@@ -167,9 +159,14 @@ def lockstep_verify(
         except MachineStuck:
             game_stuck = True
         else:
-            cells = world.tape.take_written()
-            cells.add(oracle_cell)
-            decoded = None if codec.boundary_matches(world, program, oracle, cells) else codec.decode(world, program)
+            changed = reader.advance()
+            agrees = (
+                changed is not None
+                and followed.state == oracle.state
+                and followed.head == oracle.head
+                and all(followed.tape.get(cell) == oracle.tape.get(cell) for cell in (*changed, oracle_cell))
+            )
+            decoded = None if agrees else codec.decode(world, program)
 
         if oracle_stuck and game_stuck:
             report.outcome = ORACLE_STUCK
@@ -193,7 +190,7 @@ def lockstep_verify(
 
     report.final_config = oracle.config()
     if report.outcome != DIVERGED:
-        check_full_decode(world, program, report.final_config, report.instructions_verified)
+        reader.close(report.instructions_verified)
     if ruleset == RULESET_VI:
         # advance_turn raises Starvation the moment any stock would dip below
         # zero; min_food_observed is the lowest stock of any city on any

@@ -13,9 +13,10 @@ Three rulesets share one model:
 Geometry is reduced to a 1-D integer line for the tape plus an abstract
 finite state region: the 2-D hex map adds nothing to the computation. A tape
 cell holds its game symbol (one of ``GAME_SYMBOLS``) and the region holds its
-count, so the world stores each fact once. The tape (a ``Tape``) records
-which cells were written since the verifier last looked. Turn counters and
-cell indices are unbounded.
+count, so the world stores each fact once. The tape (a ``Tape``) has one
+write path, which records the cell, so a reader can follow the world by the
+cells written since it last looked. Turn counters and cell indices are
+unbounded.
 
 All operations mutate the passed ``WorldState`` in place and also return it;
 they are deterministic functions of the state, and the append-only event log
@@ -248,55 +249,34 @@ class City:
         return spacing * self.index
 
 
-class Tape(dict):
+class Tape:
     """Tape cells: cell -> game symbol; unwritten cells hold the blank.
 
-    Every mutator records the cell it touches in ``written``, so a verifier
-    can compare only those cells; ``take_written`` hands the set over and
-    starts a new one. Reads are plain ``dict`` reads. Cells given to the
-    constructor are not recorded.
+    ``tape[cell] = symbol`` is the one write path, and it records the cell,
+    so ``codec.Reader`` reads only the cells written since it last looked
+    (``take_written`` hands the set over and starts a new one). ``get`` and
+    ``items`` are the cells dict's own methods, so reads cost what a plain
+    ``dict`` read costs. Cells given to the constructor are not recorded.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.written: set[int] = set()
+    __slots__ = ("_cells", "_written", "get", "items")
+
+    def __init__(self, cells: dict[int, str]):
+        self._cells = dict(cells)
+        self._written: set[int] = set()
+        self.get = self._cells.get
+        self.items = self._cells.items
+
+    def __setitem__(self, cell: int, symbol: str) -> None:
+        self._written.add(cell)
+        self._cells[cell] = symbol
+
+    def __len__(self) -> int:
+        return len(self._cells)
 
     def take_written(self) -> set[int]:
-        written, self.written = self.written, set()
+        written, self._written = self._written, set()
         return written
-
-    def __setitem__(self, cell, symbol):
-        self.written.add(cell)
-        super().__setitem__(cell, symbol)
-
-    def __delitem__(self, cell):
-        self.written.add(cell)
-        super().__delitem__(cell)
-
-    def pop(self, cell, *default):
-        self.written.add(cell)
-        return super().pop(cell, *default)
-
-    def popitem(self):
-        cell, symbol = super().popitem()
-        self.written.add(cell)
-        return cell, symbol
-
-    def setdefault(self, cell, default=None):
-        self.written.add(cell)
-        return super().setdefault(cell, default)
-
-    def update(self, *args, **kwargs):
-        for cell, symbol in dict(*args, **kwargs).items():
-            self[cell] = symbol
-
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-    def clear(self):
-        self.written.update(self)
-        super().clear()
 
 
 @dataclass

@@ -330,6 +330,7 @@ def test_cost_reports_bounds(capsys):
         ("run", "bb3", "--max-instructions", "-1"),
         ("verify", "bb3", "--seeds", "1,x"),
         ("verify", "bb3", "--random-states", "0", "--seeds", "1"),
+        ("verify", "bb3", "--ruleset", "VI", "--random-symbols", "7", "--seeds", "1"),
     ],
 )
 def test_malformed_budget_or_sweep_fails_before_any_output(capsys, argv):
@@ -337,6 +338,33 @@ def test_malformed_budget_or_sweep_fails_before_any_output(capsys, argv):
     assert status == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+
+
+def test_compile_without_a_shipped_fixture_fails_before_any_output(tmp_path, capsys):
+    program = tmp_path / "p.json"
+    status, out, err = run_cli(capsys, "compile", "bb3", "--diff-fixture", "--out", str(program))
+    assert (status, out) == (2, "")
+    assert not program.exists()
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "no shipped fixture for 'bb3' on ruleset BE"
+
+
+@pytest.mark.parametrize("text", ['{"3": "1", "03": "0"}', '{"3": "1", "3": "0"}'])
+def test_a_tape_file_naming_a_cell_twice_status(tmp_path, capsys, text):
+    tape = tmp_path / "tape.json"
+    tape.write_text(text)
+    status, out, err = run_cli(capsys, "run", "bb3", "--tape", str(tape))
+    assert (status, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "tape file names cell 3 twice"
+
+
+@pytest.mark.parametrize("command", ["verify", "cost"])
+def test_verify_and_cost_write_no_file(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "bb3", "--out", "trace.jsonl"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
 # Demo output (stdout, then the --out trace), pinned on the commit before the
@@ -466,14 +494,15 @@ def test_run_decodes_the_world_twice(tmp_path, capsys, monkeypatch):
 
 
 def test_run_fails_closed_on_an_unrecorded_write(capsys, monkeypatch):
-    # dict.__setitem__ bypasses the tape's record of written cells, so only
-    # the final full decode can see the cell; the run must not report it.
+    # A write to the private cells dict bypasses the tape's record of written
+    # cells, so only the final full decode can see the cell; the run must not
+    # report it.
     execute = harness.execute_instruction
 
     def execute_then_corrupt(world, program, index=0):
         record = execute(world, program, index=index)
         if index == 3:
-            dict.__setitem__(world.tape, -60, program.symbol_of["1"])
+            world.tape._cells[-60] = program.symbol_of["1"]
         return record
 
     monkeypatch.setattr(harness, "execute_instruction", execute_then_corrupt)

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from civutm.codec import boundary_matches, decode, encode_tape, state_index, symbol_map
+from civutm import codec
+from civutm.codec import Reader, decode, encode_tape, state_index, symbol_map
 from civutm.controller import compile_program
 from civutm.errors import CompileError, DecodeError
 from civutm.tm import TMConfig, builtin_program
@@ -111,6 +112,31 @@ def test_vi_state_from_worked_monasteries():
     assert evidence == {"worked_monasteries": 23, "faith_delta": 46}
 
 
+@pytest.mark.parametrize(
+    ("ruleset", "resource", "per_state"),
+    [(RULESET_BE, "culture", "terrascape_culture"), (RULESET_VI, "faith", "monastery_faith")],
+)
+def test_state_index_refuses_a_yield_that_disagrees_with_the_count(monkeypatch, ruleset, resource, per_state):
+    # yields() derives the yield from the region count, so only a fault in it
+    # can make the two routes disagree; this fakes one.
+    world = init_world(ruleset, {})
+    extra = 0
+    true_yields = codec.yields
+
+    def faulty_yields(world):
+        income = true_yields(world)
+        income[resource] += extra
+        return income
+
+    monkeypatch.setattr(codec, "yields", faulty_yields)
+    extra = 1
+    with pytest.raises(DecodeError, match="delta 1 is not a multiple of"):
+        state_index(world)
+    extra = getattr(world.params, per_state)
+    with pytest.raises(DecodeError, match="yield-decoded state 1 disagrees with region count 0"):
+        state_index(world)
+
+
 def test_decode_not_at_boundary():
     program = compile_program(builtin_program("bb3"), RULESET_BE)
     world = init_world(RULESET_BE, {})
@@ -135,28 +161,35 @@ def test_decode_rejects_symbol_outside_alphabet():
         decode(world, program)
 
 
-def test_boundary_matches_what_decode_gives_on_the_cells():
-    # False wherever decode raises or returns another configuration; the
-    # same DecodeError wherever decode raises it on a checked cell.
+def test_reader_reads_what_decode_gives_on_the_written_cells():
+    # State, head and written cells are read as decode reads them, with the
+    # same DecodeError; a cell not written since the last read is not read.
     program = compile_program(builtin_program("bb3"), RULESET_BE)
     world = init_world(RULESET_BE, {2: "road"})
-    config = decode(world, program).config
-    assert boundary_matches(world, program, config, {0, 2})
-    assert not boundary_matches(world, program, TMConfig(state=config.state, tape={}, head=0), {2})
-    assert not boundary_matches(world, program, TMConfig(state=config.state, tape=config.tape, head=1), set())
-    assert not boundary_matches(world, program, TMConfig(state=program.index_to_state[1], tape=config.tape, head=0), set())
+    reader = Reader(world, program)
+    assert reader.machine.config() == decode(world, program).config
+    world.tape[2] = "none"
     world.tape[5] = "road"
-    assert boundary_matches(world, program, config, {0, 2})  # cell 5 is not read
-    assert not boundary_matches(world, program, config, {5})
+    world.tape[6] = "none"  # the blank over the blank changes nothing
+    world.region.count = 1
+    world.units[TAPE_WORKER].position = 3
+    assert reader.advance() == {2: None, 5: "1"}
+    assert reader.machine.config() == decode(world, program).config
+    assert reader.evidence == decode(world, program).state_evidence
+    assert reader.advance() == {}
+    world.tape._cells[4] = "pillaged_road"  # not recorded, so not read
+    assert reader.advance() == {}
     world.tape[4] = "pillaged_road"
     with pytest.raises(DecodeError, match="cell 4 holds 'pillaged_road'"):
-        boundary_matches(world, program, config, {4, 5})
-    world.tape.clear()
+        reader.advance()
     world.region.count = 5
-    assert not boundary_matches(world, program, config, set())  # decode: state index out of range
+    with pytest.raises(DecodeError, match="state index 5 out of range"):
+        reader.advance()
     world.region.count = 0
     apply_command(world, TAPE_WORKER, Command(op="build_road", cell=0))
-    assert not boundary_matches(world, program, config, set())  # decode: no configuration
+    assert reader.advance() is None  # decode: no configuration
+    with pytest.raises(DecodeError, match="not at an instruction boundary"):
+        Reader(world, program)
 
 
 def test_vi_head_is_global_cell_index():

@@ -157,11 +157,11 @@ def test_execute_halt_leaves_world_unchanged():
     program = compile_program(spec, RULESET_BE)
     world = init_world(RULESET_BE, {0: "road"})
     world.region.count = 6  # state 6 reading a road: the halt row
-    snapshot_tape = dict(world.tape)
+    snapshot_tape = dict(world.tape.items())
     record = execute_instruction(world, program, index=1)
     assert record.halted and record.turns == 0
     assert world.units[TAPE_WORKER].position == 0
-    assert dict(world.tape) == snapshot_tape
+    assert dict(world.tape.items()) == snapshot_tape
 
 
 def test_execute_stuck_raises():

@@ -68,6 +68,26 @@ def test_corrupted_macro_diverges_at_instruction_one():
     assert report.first_divergence["instruction"] == 1
 
 
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V, RULESET_VI])
+@pytest.mark.parametrize("corruption", ["write_left_out", "head_move_flipped"])
+def test_a_corrupted_macro_diverges_at_its_first_use(ruleset, corruption):
+    # bb3's first instruction writes a 1 on cell 0 and moves right. With the
+    # write left out the world writes nothing, so only the oracle's cell
+    # shows the difference; with the move flipped only the head differs.
+    spec = builtin_program("bb3")
+    program = compile_program(spec, ruleset)
+    key = (0, program.symbol_of[spec.blank])
+    change = {"tape_action": TapeAction.LEAVE} if corruption == "write_left_out" else {"head_move": "L"}
+    program.macros[key] = dataclasses.replace(program.macros[key], **change)
+    report = lockstep_verify(spec, ruleset, {}, 100, program=program)
+    assert report.outcome == DIVERGED
+    divergence = report.first_divergence
+    assert divergence["instruction"] == 1
+    assert (divergence["oracle"]["tape"], divergence["oracle"]["head"]) == ({"0": "1"}, 1)
+    decoded = divergence["decoded"]
+    assert (decoded["tape"], decoded["head"]) == (({}, 1) if corruption == "write_left_out" else ({"0": "1"}, -1))
+
+
 def test_lockstep_vi_extends_and_keeps_food_safe():
     report = lockstep_verify(builtin_program("bb3"), RULESET_VI, {}, 100)
     assert report.outcome == EQUIVALENT
@@ -577,28 +597,22 @@ def _blank_walker(steps: int) -> TMSpec:
     return _walker(rows, states=states, halting=("h",))
 
 
-# Each changes cell -60 (unwritten) or -50 (holds "1"); the walker's head
-# visits cells 0 to 6 only, and the walker never writes, so popitem takes -50.
+# Each changes cell -60 (unwritten) or -50 (holds "1") through the tape's one
+# write path; the walker's head visits cells 0 to 6 only, and it never writes.
 TAPE_MUTATIONS = {
-    "setitem": lambda tape, sym: tape.__setitem__(-60, sym),
-    "delitem": lambda tape, sym: tape.__delitem__(-50),
-    "pop": lambda tape, sym: tape.pop(-50),
-    "popitem": lambda tape, sym: tape.popitem(),
-    "setdefault": lambda tape, sym: tape.setdefault(-60, sym),
-    "update": lambda tape, sym: tape.update({-60: sym}),
-    "ior": lambda tape, sym: tape.__ior__({-60: sym}),
-    "clear": lambda tape, sym: tape.clear(),
+    "setitem": lambda tape, sym, blank: tape.__setitem__(-60, sym),
+    "blank": lambda tape, sym, blank: tape.__setitem__(-50, blank),
 }
 
 
 def _corrupted_after(monkeypatch, instruction, mutate):
-    """Apply ``mutate(tape, game symbol of "1")`` right after ``instruction``."""
+    """Apply ``mutate(tape, game symbol of "1", game blank)`` right after ``instruction``."""
     execute = harness.execute_instruction
 
     def execute_then_corrupt(world, program, index=0):
         record = execute(world, program, index=index)
         if index == instruction:
-            mutate(world.tape, program.symbol_of["1"])
+            mutate(world.tape, program.symbol_of["1"], program.symbol_of["0"])
         return record
 
     monkeypatch.setattr(harness, "execute_instruction", execute_then_corrupt)
@@ -618,11 +632,12 @@ def test_a_corrupted_unvisited_cell_diverges_at_once(monkeypatch, ruleset, mutat
 
 @pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V, RULESET_VI])
 def test_an_unrecorded_write_fails_the_final_decode(monkeypatch, ruleset):
-    # dict.__setitem__ bypasses Tape's record; the walker would otherwise end
-    # equivalent, so the last full decode must refuse the verdict.
+    # A write to the private cells dict bypasses Tape's record; the walker
+    # would otherwise end equivalent, so the last full decode must refuse the
+    # verdict.
     spec = _blank_walker(6)
     program = compile_program(spec, ruleset)
-    _corrupted_after(monkeypatch, 3, lambda tape, sym: dict.__setitem__(tape, -60, sym))
+    _corrupted_after(monkeypatch, 3, lambda tape, sym, blank: tape._cells.__setitem__(-60, sym))
     assert _reference_verify(spec, ruleset, {}, 10, program).first_divergence["instruction"] == 3
     with pytest.raises(CivUtmError, match="verified at instruction 7: a tape cell changed without being recorded"):
         lockstep_verify(spec, ruleset, {}, 10, program=program)

@@ -344,7 +344,7 @@ def test_yield_linearity_and_legality_closure():
         assert yields(world)["culture"] - world.params.base_culture == (
             world.params.terrascape_culture * world.region.count
         )
-        for symbol in world.tape.values():
+        for _, symbol in world.tape.items():
             assert symbol in GAME_SYMBOLS[RULESET_BE]
 
 

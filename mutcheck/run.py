@@ -134,8 +134,8 @@ MUTANTS = (
     Mutant(
         "skip-starvation-event-late",
         WORLD,
-        "events.append(turn + city.food_stock // -delta + 1)",
-        "events.append(turn + city.food_stock // -delta + 2)",
+        "events.append(turn + city.food_stock // -city._delta + 1)",
+        "events.append(turn + city.food_stock // -city._delta + 2)",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     Mutant(
@@ -143,6 +143,56 @@ MUTANTS = (
         WORLD,
         "city.production_stock += p.production_per_turn * quiet",
         "city.production_stock += p.production_per_turn * (quiet - 1)",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    # The VI food cache: cached deltas, live set, lazy stocks.
+    Mutant(
+        "set-worked-delta-not-rederived",
+        WORLD,
+        "_rederive(world, world.city_of_cell(command.cell))",
+        "pass",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "birth-delta-not-rederived",
+        WORLD,
+        "city.citizens += 1\n                _rederive(world, city)\n",
+        "city.citizens += 1\n",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "food-params-key-check-dropped",
+        WORLD,
+        "if key != world._food_key:",
+        "if world._food_key is None:",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "negative-delta-city-not-live",
+        WORLD,
+        "or city.citizens < city.growth_cap or delta < 0:",
+        "or city.citizens < city.growth_cap:",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "founding-turn-food-skipped",
+        WORLD,
+        "city._since -= 1",
+        "pass",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "first-turn-visit-dropped",
+        WORLD,
+        "return world.cities if world.min_food_observed is None else world._live",
+        "return world._live",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "starving-turn-feeds-later-cities",
+        WORLD,
+        "later._since += 1",
+        "pass",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
 )

@@ -299,8 +299,18 @@ def cmd_cost(args) -> int:
     return EXIT_OK if over.paper_bound_satisfied and over.derived_bound_satisfied else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed arguments as one JSON error line, as ``main``
+    reports every other error, instead of a usage text, and exits with
+    status 2; its subparsers are of this class too."""
+
+    def error(self, message):
+        print(_dump({"error": f"{self.prog}: {message}"}), file=sys.stderr)
+        self.exit(EXIT_PARSE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="civutm", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="civutm", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, machine_arg=True):

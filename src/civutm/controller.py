@@ -452,7 +452,8 @@ def extend_tape(world: WorldState, direction: str, record: InstructionRecord) ->
         raise IllegalCommand(f"city {new_index} already exists: the head move does not cross the strip boundary")
 
     src = world.cities.get(src_index)
-    if src is None or src_index not in (min(world.cities), max(world.cities)):
+    # The strip is contiguous: an end city lacks a neighbour on one side.
+    if src is None or (src_index - 1 in world.cities and src_index + 1 in world.cities):
         raise IllegalCommand(f"cell {head} is not on the end city of the strip")
 
     wait_start = world.turn

@@ -23,11 +23,23 @@ they are deterministic functions of the state, and the append-only event log
 records every accepted command and completion. ``advance_turn`` plays one
 turn; ``skip_quiet_turns`` jumps over the turns before the next event in
 closed form, leaving the same state those turns would.
+
+A VI city's food changes by the same delta every turn until an event touches
+the city (a cell of it set worked or not, a birth, a trained Settler, its
+founding, the start of training), so each ``City`` caches its delta and holds
+its stock as of the turn the delta last changed; ``food_stock`` reads it
+through from the clock. The world keeps the sum of the deltas (the food
+``yields`` reports) and the set of **live** cities: those training, below
+their growth cap or losing food. Only a live city can raise an event, so a
+turn or a skip visits the live cities alone and costs per event, not per
+city. Food params changed after ``validate()`` re-derive every delta at the
+next turn or read.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -231,15 +243,30 @@ class Unit:
 class City:
     """A tape city (VI). ``index`` is signed; the city owns global tape cells
     ``2*index`` and ``2*index + 1`` and its center sits at
-    ``city_spacing * index`` physical hexes."""
+    ``city_spacing * index`` physical hexes.
+
+    ``_delta`` caches ``_city_food_delta`` (income minus upkeep) and is
+    re-derived only by ``_rederive``; ``_food`` is the stock at the end of
+    turn ``_since``, and the delta is added for every turn after it. The
+    clock is read through ``_world``, a weak proxy, so a world and its
+    cities are freed as soon as the world is dropped, not by the cycle
+    collector.
+    """
 
     index: int
     citizens: int
     growth_cap: int
-    food_stock: int = 0
     production_stock: int = 0
     growth_progress: int = 0
     training_cost: int | None = None
+    _world: WorldState | None = field(default=None, repr=False, compare=False)
+    _food: int = 0
+    _since: int = 0
+    _delta: int = 0
+
+    @property
+    def food_stock(self) -> int:
+        return self._food + self._delta * (self._world.turn - self._since)
 
     @property
     def tape_cells(self) -> tuple[int, int]:
@@ -289,6 +316,11 @@ class WorldState:
     turn: int = 0
     event_log: list[dict] = field(default_factory=list)
     min_food_observed: int | None = None
+    # VI food cache: the live cities' indices, the sum of every city's cached
+    # delta, and the food params the deltas were derived under.
+    _live: set[int] = field(default_factory=set, repr=False)
+    _food_total: int = 0
+    _food_key: tuple[int, int, int, int] | None = field(default=None, repr=False)
 
     def symbol_at(self, cell: int) -> str:
         return self.tape.get(cell, GAME_BLANK[self.params.ruleset])
@@ -300,7 +332,7 @@ class WorldState:
         return any(unit.busy for unit in self.units.values())
 
     def any_training(self) -> bool:
-        return any(city.training_cost is not None for city in self.cities.values())
+        return any(self.cities[index].training_cost is not None for index in self._live)
 
     def log(self, unit: str, command: str, detail: dict | None = None) -> None:
         self.event_log.append({"turn": self.turn, "unit": unit, "command": command, "detail": detail or {}})
@@ -328,7 +360,6 @@ def init_world(ruleset: str, initial_content: dict[int, str] | None = None, para
         if symbol not in GAME_SYMBOLS[ruleset] or symbol == GAME_BLANK[ruleset]:
             raise IllegalCommand(f"symbol {symbol!r} at cell {cell} is illegal for ruleset {ruleset}")
 
-    cities: dict[int, City] = {}
     units = {TAPE_WORKER: Unit(uid=TAPE_WORKER, kind="TapeWorker", position=0)}
 
     if ruleset == RULESET_VI:
@@ -340,16 +371,23 @@ def init_world(ruleset: str, initial_content: dict[int, str] | None = None, para
                 f"an initial VI tape from cell {min(cells)} to {max(cells)} needs {hi - lo + 1} cities, "
                 f"more than {MAX_INITIAL_CITIES}"
             )
-        for index in range(lo, hi + 1):
-            end_city = index in (lo, hi)
-            cities[index] = City(index=index, citizens=4 if end_city else 3, growth_cap=4 if end_city else 3)
     else:
         region = StateRegion(kind="terrascape" if ruleset == RULESET_BE else "railroad", base_yield=params.base_culture)
         units[STATE_WORKER] = Unit(uid=STATE_WORKER, kind="StateWorker", position=0)
         if ruleset == RULESET_BE:
             units[ROVER] = Unit(uid=ROVER, kind="Rover", position=0)
 
-    world = WorldState(params=params, tape=Tape(content), region=region, units=units, cities=cities)
+    world = WorldState(params=params, tape=Tape(content), region=region, units=units, cities={})
+    if ruleset == RULESET_VI:
+        for index in range(lo, hi + 1):
+            end_city = index in (lo, hi)
+            world.cities[index] = City(
+                index=index,
+                citizens=4 if end_city else 3,
+                growth_cap=4 if end_city else 3,
+                _world=weakref.proxy(world),
+            )
+        _check_food_params(world)  # derives every city's delta
     world.log("world", "init", {"ruleset": ruleset, "cells": {str(k): v for k, v in sorted(content.items())}})
     return world
 
@@ -465,10 +503,11 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
         index = command.city
         if index in world.cities:
             raise IllegalCommand(f"city {index} already exists")
-        if world.cities and index not in (min(world.cities) - 1, max(world.cities) + 1):
+        # The strip is contiguous, so a new city next to one of its cities
+        # extends it at an end. Centers are spacing*index, so contiguous
+        # extension keeps every pair of adjacent centers city_spacing apart.
+        if world.cities and index - 1 not in world.cities and index + 1 not in world.cities:
             raise IllegalCommand(f"city {index} would not extend the strip contiguously")
-        # Centers are spacing*index, so contiguous extension keeps every pair
-        # of adjacent centers exactly city_spacing apart.
     elif op == "move":
         pass
     else:
@@ -497,6 +536,7 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
         # An unworked cell keeps its entry: the snapshot lists every cell
         # ever written.
         world.tape[command.cell] = "worked" if command.worked else "unworked"
+        _rederive(world, world.city_of_cell(command.cell))
         world.log(unit_id, command.op, command.describe())
     elif command.op == "shift_monasteries":
         world.region.count += command.count
@@ -504,6 +544,7 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
     elif command.op == "train_settler":
         city = world.cities[command.city]
         city.training_cost = world.params.settler_cost(2 * len(world.cities))
+        _rederive(world, city)
         world.log(unit_id, command.op, {"city": city.index, "cost": city.training_cost})
     else:
         duration = _command_duration(world, world.units[unit_id], command)
@@ -529,7 +570,9 @@ def _complete_job(world: WorldState, unit: Unit) -> None:
             world.units[ROVER].position = command.to
     elif op == "found_city":
         index = command.city
-        world.cities[index] = City(index=index, citizens=2, growth_cap=4)
+        city = world.cities[index] = City(index=index, citizens=2, growth_cap=4, _world=weakref.proxy(world))
+        _rederive(world, city)
+        city._since -= 1  # founded before this turn's harvest, it collects this turn's food
         del world.units[SETTLER]
         world.log("world", "city_founded", {"city": index, "citizens": 2})
         return
@@ -549,27 +592,72 @@ def _city_food_delta(world: WorldState, city: City) -> tuple[int, int]:
     return income, upkeep
 
 
+def _rederive(world: WorldState, city: City) -> None:
+    """Re-derive ``city``'s cached food delta after an event touched it.
+
+    The stock so far is held as of this turn, so the new delta counts from
+    the next one; the world's food total and live set follow.
+    """
+    city._food, city._since = city.food_stock, world.turn
+    income, upkeep = _city_food_delta(world, city)
+    delta = income - upkeep
+    world._food_total += delta - city._delta
+    city._delta = delta
+    if city.training_cost is not None or city.citizens < city.growth_cap or delta < 0:
+        world._live.add(city.index)
+    else:
+        world._live.discard(city.index)
+
+
+def _check_food_params(world: WorldState) -> None:
+    """Re-derive every city's delta unless the food params are those the
+    deltas were derived under (only params mutated after ``validate()``
+    differ; a new world has none)."""
+    p = world.params
+    key = (p.citizen_food_upkeep, p.city_base_food, p.grassland_food, p.floodplains_food)
+    if key != world._food_key:
+        world._food_key = key
+        for city in world.cities.values():
+            _rederive(world, city)
+
+
+def _visited(world: WorldState):
+    """The cities a turn visits: the live ones, or every city while no turn
+    has passed. A city outside the live set only gains food, so once a turn
+    has observed its stock, every later stock is at least one already seen
+    and ``min_food_observed`` needs no visit to it."""
+    return world.cities if world.min_food_observed is None else world._live
+
+
 def advance_turn(world: WorldState) -> WorldState:
-    """Advance one turn: jobs whose time has come take effect, then cities
-    collect food, make training progress, and grow toward their caps."""
+    """Advance one turn: jobs whose time has come take effect, then the live
+    cities, in index order, collect food (a stock below zero raises
+    ``Starvation``), make training progress and grow toward their caps.
+    Every other city is at its cap, not training and gaining food, so its
+    stock reads through from the clock and the turn does not visit it."""
+    vi = world.params.ruleset == RULESET_VI
+    if vi:
+        _check_food_params(world)  # before the clock moves: stocks are held as of now
     world.turn += 1
     for uid in sorted(world.units):
         unit = world.units[uid]
         if unit.busy and unit.job.completes_at <= world.turn:
             _complete_job(world, unit)
 
-    if world.params.ruleset != RULESET_VI:
+    if not vi:
         return world
 
     p = world.params
-    for index in sorted(world.cities):
+    for index in sorted(_visited(world)):
         city = world.cities[index]
-        income, upkeep = _city_food_delta(world, city)
-        city.food_stock += income - upkeep
-        if world.min_food_observed is None or city.food_stock < world.min_food_observed:
-            world.min_food_observed = city.food_stock
-        if city.food_stock < 0:
-            raise Starvation(f"city {city.index} food stock fell to {city.food_stock} on turn {world.turn}")
+        stock = city.food_stock
+        if world.min_food_observed is None or stock < world.min_food_observed:
+            world.min_food_observed = stock
+        if stock < 0:
+            for later in world.cities.values():
+                if later.index > index:
+                    later._since += 1  # not fed this turn
+            raise Starvation(f"city {city.index} food stock fell to {stock} on turn {world.turn}")
         if city.training_cost is not None:
             city.production_stock += p.production_per_turn
             if city.production_stock >= city.training_cost:
@@ -577,6 +665,7 @@ def advance_turn(world: WorldState) -> WorldState:
                 city.training_cost = None
                 city.citizens -= 1
                 city.growth_cap = 3
+                _rederive(world, city)
                 world.units[SETTLER] = Unit(uid=SETTLER, kind="Settler", position=city.center(p.city_spacing))
                 world.log("world", "settler_trained", {"city": city.index, "citizens": city.citizens})
         if city.citizens < city.growth_cap:
@@ -584,6 +673,7 @@ def advance_turn(world: WorldState) -> WorldState:
             if city.growth_progress >= p.city_growth_turns:
                 city.growth_progress = 0
                 city.citizens += 1
+                _rederive(world, city)
                 world.log("world", "citizen_born", {"city": city.index, "citizens": city.citizens})
         else:
             city.growth_progress = 0
@@ -595,54 +685,53 @@ def skip_quiet_turns(world: WorldState) -> WorldState:
     skipped turns in closed form.
 
     An event is a job completing, a city finishing its Settler, a Citizen
-    born or a food stock falling below zero. Between events every city's
-    food, training and growth change by the same amount each turn, so the
-    skipped span leaves the world exactly as that many ``advance_turn`` calls
-    would; those quiet turns log nothing. With no event pending, or the next
-    one on the coming turn, the world is left as it is. The event turn itself
-    is ``advance_turn``'s, Starvation included.
+    born or a food stock falling below zero; only a live city can raise one
+    of the last three, so only the live cities are visited. Between events
+    every city's food, training and growth change by the same amount each
+    turn, so the skipped span leaves the world exactly as that many
+    ``advance_turn`` calls would; those quiet turns log nothing. With no
+    event pending, or the next one on the coming turn, the world is left as
+    it is. The event turn itself is ``advance_turn``'s, Starvation included.
     """
     p = world.params
     turn = world.turn
     events = [unit.job.completes_at for unit in world.units.values() if unit.busy]
-    deltas = []
-    if p.ruleset == RULESET_VI:
-        for city in world.cities.values():
-            income, upkeep = _city_food_delta(world, city)
-            delta = income - upkeep
-            deltas.append((city, delta))
+    vi = p.ruleset == RULESET_VI
+    if vi:
+        _check_food_params(world)
+        for index in world._live:
+            city = world.cities[index]
             if city.training_cost is not None:
                 events.append(turn - (city.production_stock - city.training_cost) // p.production_per_turn)
             if city.citizens < city.growth_cap:
                 events.append(turn + p.city_growth_turns - city.growth_progress)
-            if delta < 0:
-                events.append(turn + city.food_stock // -delta + 1)
+            if city._delta < 0:
+                events.append(turn + city.food_stock // -city._delta + 1)
     quiet = min(events, default=turn) - turn - 1
     if quiet < 1:
         return world
+    if vi:
+        for index in _visited(world):
+            city = world.cities[index]
+            # Food is linear over the span: its lowest stock is at one end.
+            lowest = city.food_stock + city._delta * (1 if city._delta >= 0 else quiet)
+            if world.min_food_observed is None or lowest < world.min_food_observed:
+                world.min_food_observed = lowest
+            if city.training_cost is not None:
+                city.production_stock += p.production_per_turn * quiet
+            city.growth_progress = city.growth_progress + quiet if city.citizens < city.growth_cap else 0
     world.turn += quiet
-    for city, delta in deltas:
-        # Food is linear over the span: its lowest stock is at one end.
-        lowest = city.food_stock + delta * (1 if delta >= 0 else quiet)
-        if world.min_food_observed is None or lowest < world.min_food_observed:
-            world.min_food_observed = lowest
-        city.food_stock += delta * quiet
-        if city.training_cost is not None:
-            city.production_stock += p.production_per_turn * quiet
-        city.growth_progress = city.growth_progress + quiet if city.citizens < city.growth_cap else 0
     return world
 
 
 def yields(world: WorldState) -> dict[str, int]:
-    """Per-turn resource income as a pure function of the state."""
+    """Per-turn resource income as a pure function of the state (VI food is
+    the cached total of the cities' deltas)."""
     p = world.params
     if p.ruleset == RULESET_VI:
+        _check_food_params(world)
         faith = world.region.base_yield + p.monastery_faith * world.region.count
-        food = 0
-        for city in world.cities.values():
-            income, upkeep = _city_food_delta(world, city)
-            food += income - upkeep
-        return {"faith": faith, "food": food}
+        return {"faith": faith, "food": world._food_total}
     culture = world.region.base_yield + (p.terrascape_culture * world.region.count if p.ruleset == RULESET_BE else 0)
     return {"culture": culture}
 

@@ -340,6 +340,30 @@ def test_malformed_budget_or_sweep_fails_before_any_output(capsys, argv):
     assert len(err.splitlines()) == 1 and "error" in json.loads(err)
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "bb3", "--max-instructions", "abc"), "civutm verify: argument --max-instructions: invalid int"),
+        (("run", "bb3", "--ruleset", "XX"), "civutm run: argument --ruleset: invalid choice: 'XX'"),
+        (("verify", "bb3", "--out", "x"), "civutm: unrecognized arguments: --out x"),
+    ],
+)
+def test_malformed_arguments_give_one_json_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exited.value.code, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"].startswith(message)
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["verify", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: civutm verify")
+
+
 def test_compile_without_a_shipped_fixture_fails_before_any_output(tmp_path, capsys):
     program = tmp_path / "p.json"
     status, out, err = run_cli(capsys, "compile", "bb3", "--diff-fixture", "--out", str(program))

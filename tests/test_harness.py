@@ -11,6 +11,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from civutm import codec, controller, harness, tm
+from civutm import world as world_module
 from civutm.controller import TapeAction, compile_program
 from civutm.harness import (
     DIVERGED,
@@ -45,6 +46,7 @@ from civutm.world import (
     event_log_lines,
     init_world,
     world_snapshot,
+    yields,
 )
 
 
@@ -257,6 +259,8 @@ GOLDEN_DIGESTS = {
     ("bb3", RULESET_V, 100): "3813ec89f7f5bd945ad49ddf6cb67e154be2d7e05cd597f0377d68f0bbe48b4a",
     ("bb3", RULESET_VI, 100): "d40ab05814aaddbfbe495bb7bf11ac462e043ae7ae04359e0ad3b910dd9a7bf6",
     ("rogozhin_24_2", RULESET_VI, 30): "19c80a7dd97b1f364e41478d7479f9378611c3a885dc5a58c3bdf65ab66f67ad",
+    # 101 cities, all but the two newest at their cap with fixed food.
+    ("rogozhin_24_2", RULESET_VI, 200): "cc854fa71379aafc9bd6210e8a144181f235651df6b062fdd5a88c0456839462",
     # random_tm(seed, 3 + seed % 4, 3): between them these four machines build
     # railroads, pillage, repair and remove-then-build, covering all six BE
     # and all six V (tape action, read) pairs.
@@ -293,6 +297,35 @@ GOLDEN_PARAM_DIGESTS = {
 }
 
 
+# VI runs of random_tm(seed, states, 2) from a tape of ones, where most
+# cities are interior, at their cap and hold worked cells: (seed, states,
+# instructions, cells holding "1", params overrides). The first tape spans
+# 25 cities; the params of the second were drawn once from those
+# ``validate()`` accepts.
+GOLDEN_VI_CITY_DIGESTS = {
+    (6, 4, 80, (-9, -4, -3, 0, 5, 6, 11, 17, 22, 23, 30, 38), ()): (
+        "ed879cc71146a21a55a351ab3e811f0b82d028ea898c878a11c55ac18c200f9e"
+    ),
+    (
+        8,
+        5,
+        60,
+        (-6, -1, 2, 9, 14),
+        (
+            ("city_growth_turns", 3),
+            ("production_per_turn", 7),
+            ("settler_found_turns", 1),
+            ("city_spacing", 6),
+            ("worker_move_turns_per_hex", 2),
+            ("city_base_food", 5),
+            ("grassland_food", 3),
+            ("floodplains_food", 2),
+            ("citizen_food_upkeep", 2),
+        ),
+    ): "a9fd4d2911b779e7261512b759ce70a84689d53d802ed3b48e591a563b5fb574",
+}
+
+
 def _golden_machine(name: str) -> TMSpec:
     kind, _, seed = name.partition(":")
     if kind == "random":
@@ -325,6 +358,14 @@ def test_golden_output_digest_with_params(name, ruleset, max_instructions, overr
     params = dataclasses.replace(RulesetParams.defaults(ruleset), **dict(overrides))
     report = lockstep_verify(_golden_machine(name), ruleset, {}, max_instructions, params)
     assert _output_digest(report) == GOLDEN_PARAM_DIGESTS[(name, ruleset, max_instructions, overrides)]
+
+
+@pytest.mark.parametrize("seed,states,max_instructions,ones,overrides", sorted(GOLDEN_VI_CITY_DIGESTS))
+def test_golden_output_digest_with_many_cities(seed, states, max_instructions, ones, overrides):
+    params = dataclasses.replace(RulesetParams.defaults(RULESET_VI), **dict(overrides))
+    tape = {cell: "1" for cell in ones}
+    report = lockstep_verify(random_tm(seed, states, 2), RULESET_VI, tape, max_instructions, params)
+    assert _output_digest(report) == GOLDEN_VI_CITY_DIGESTS[(seed, states, max_instructions, ones, overrides)]
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +444,110 @@ def test_skipping_quiet_turns_keeps_the_starvation_turn():
     fast, plain = _fast_and_plain(run)
     assert fast[0] == "city 10 food stock fell to -2 on turn 744"
     assert fast == plain
+
+
+# ---------------------------------------------------------------------------
+# The VI food cache against the plain computation: each city's cached delta,
+# the world's food total and its live set, every stock read through from the
+# clock, and the lowest stock observed.
+# ---------------------------------------------------------------------------
+
+
+def _check_food_cache(world) -> dict[int, int]:
+    """Check the cache against fresh deltas, and return those."""
+    deltas = {}
+    for index, city in world.cities.items():
+        income, upkeep = world_module._city_food_delta(world, city)
+        deltas[index] = income - upkeep
+    assert {index: city._delta for index, city in world.cities.items()} == deltas
+    assert min(deltas.values()) >= 0  # validated params feed every city
+    assert world._food_total == sum(deltas.values()) == yields(world)["food"]
+    assert world._live == {
+        index
+        for index, city in world.cities.items()
+        if city.training_cost is not None or city.citizens < city.growth_cap or deltas[index] < 0
+    }
+    return deltas
+
+
+def _checked(play):
+    """``play`` (a turn or a skip), checking the cache before and after, and
+    that each city's stock grew by its delta on every turn played."""
+
+    def checked(world):
+        deltas = _check_food_cache(world)
+        stocks = {index: city.food_stock for index, city in world.cities.items()}
+        turn = world.turn
+        play(world)
+        for index, stock in stocks.items():
+            assert world.cities[index].food_stock == stock + deltas[index] * (world.turn - turn)
+        _check_food_cache(world)
+        return world
+
+    return checked
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10**6), num_states=st.integers(2, 6), skip=st.booleans())
+def test_the_food_cache_matches_a_fresh_computation(data, seed, num_states, skip):
+    params = dataclasses.replace(RulesetParams.defaults(RULESET_VI), **data.draw(st.fixed_dictionaries(_VI_FIELDS)))
+    try:
+        params.validate()
+    except IllegalCommand:
+        reject()
+    spec = random_tm(seed, num_states, 2)
+    tape = data.draw(st.dictionaries(st.integers(-40, 40), st.sampled_from(spec.alphabet), max_size=6))
+    program = compile_program(spec, RULESET_VI, params)
+    world = init_world(RULESET_VI, codec.encode_tape(tape, program), params)
+    advance = _checked(controller.advance_turn)
+    lowest = None
+
+    def advance_observed(world):
+        # With every turn played, the lowest stock observed is the least of
+        # the stocks read after each turn.
+        nonlocal lowest
+        advance(world)
+        stocks = [city.food_stock for city in world.cities.values()]
+        lowest = min(stocks) if lowest is None else min(lowest, *stocks)
+        assert world.min_food_observed == lowest
+        return world
+
+    with pytest.MonkeyPatch.context() as patch:
+        if skip:
+            patch.setattr(controller, "advance_turn", advance)
+            patch.setattr(controller, "skip_quiet_turns", _checked(controller.skip_quiet_turns))
+        else:
+            patch.setattr(controller, "advance_turn", advance_observed)
+            patch.setattr(controller, "skip_quiet_turns", lambda world: world)
+        try:
+            for _ in run_instructions(world, program, 30):
+                _check_food_cache(world)
+        except MachineStuck:
+            pass
+
+
+def test_city_visits_grow_with_events_not_with_cities(monkeypatch):
+    # rogozhin_24_2 from a blank tape founds a city every second instruction,
+    # and each event re-derives the food delta of the cities it touches:
+    # 1,201 derivations at 400 instructions and 4,801 at 1,600. A walk over
+    # every city per event made 363,202 and 5,772,802.
+    calls = 0
+    derive = world_module._city_food_delta
+
+    def counted(world, city):
+        nonlocal calls
+        calls += 1
+        return derive(world, city)
+
+    monkeypatch.setattr(world_module, "_city_food_delta", counted)
+    counts = []
+    for max_instructions in (400, 1600):
+        calls = 0
+        report = lockstep_verify(builtin_program("rogozhin_24_2"), RULESET_VI, {}, max_instructions)
+        assert report.instructions_verified == max_instructions
+        assert len(report.world.cities) == max_instructions // 2 + 1
+        counts.append(calls)
+    assert counts[1] <= 4.5 * counts[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from civutm.world import (
     apply_command,
     event_log_lines,
     init_world,
+    skip_quiet_turns,
     world_snapshot,
     yields,
 )
@@ -249,17 +250,80 @@ def test_vi_starvation_guard_raises():
             advance_turn(world)
 
 
-def test_vi_growth_clock_and_cap():
+def test_vi_a_city_at_its_cap_starves_on_time():
+    # Cities 0..4 sit at their caps, gaining food, until floodplains yield
+    # nothing after turn 1: then city 0 loses 4 food a turn and the others 2.
+    # City 0 starves on turn 3, before cities 1..4 collect that turn's food.
+    world = init_world(RULESET_VI, {9: "worked"})
+
+    def stocks():
+        return [city.food_stock for _, city in sorted(world.cities.items())]
+
+    advance_turn(world)
+    assert stocks() == [5, 4, 4, 4, 4]
+    world.params.floodplains_food = 0
+    skip_quiet_turns(world)
+    assert (world.turn, stocks()) == (2, [1, 2, 2, 2, 2])
+    with pytest.raises(Starvation, match="city 0 food stock fell to -3 on turn 3"):
+        advance_turn(world)
+    assert stocks() == [-3, 2, 2, 2, 2]
+    assert world.min_food_observed == -3
+
+
+def test_vi_food_follows_the_events_that_touch_a_city():
+    # A 4-Citizen city yields 5 food a turn with both cells unworked (three
+    # floodplains), 4 with one worked and 3 with both; a city founded on a
+    # turn collects that turn's food.
     world = init_world(RULESET_VI, {})
     city = world.cities[0]
-    city.citizens = 2  # below cap
+    advance_turn(world)
+    assert (city.food_stock, yields(world)["food"]) == (5, 5)
+    apply_command(world, "player", Command(op="set_worked", cell=0, worked=True))
+    assert yields(world)["food"] == 4
+    advance_turn(world)
+    apply_command(world, "player", Command(op="set_worked", cell=1, worked=True))
+    advance_turn(world)
+    assert (city.food_stock, yields(world)["food"], world.min_food_observed) == (12, 3, 5)
+    apply_command(world, "player", Command(op="train_settler", city=0))
+    while SETTLER not in world.units:
+        advance_turn(world)
+    # Down to 3 Citizens, both on the tape: 4 + 2 * 2 - 3 * 2 = 2 a turn.
+    assert (city.citizens, yields(world)["food"]) == (3, 2)
+    apply_command(world, SETTLER, Command(op="found_city", city=1))
+    for _ in range(world.params.settler_found_turns):
+        advance_turn(world)
+    new = world.cities[1]
+    assert (new.citizens, new.food_stock) == (2, 3)  # 4 + 3 - 2 * 2 on its founding turn
+    assert world.min_food_observed == 3
     for _ in range(world.params.city_growth_turns):
+        advance_turn(world)
+    # The third Citizen is born on the city's tenth turn, at 30 food (3 a
+    # turn); from then on the city gains 4 a turn.
+    assert (new.citizens, new.food_stock, yields(world)["food"]) == (3, 34, 2 + 4)
+
+
+def test_vi_growth_clock_and_cap():
+    # A founded city starts at 2 Citizens, below its cap of 4; its founding
+    # turn is the first tick of its growth clock.
+    world = init_world(RULESET_VI, {})
+    p = world.params
+    apply_command(world, "player", Command(op="train_settler", city=0))
+    while SETTLER not in world.units:
+        advance_turn(world)
+    apply_command(world, SETTLER, Command(op="found_city", city=1))
+    for _ in range(p.settler_found_turns - 1):
+        advance_turn(world)
+    assert 1 not in world.cities
+    for _ in range(p.city_growth_turns):
+        advance_turn(world)
+    city = world.cities[1]
+    assert city.citizens == 3
+    for _ in range(p.city_growth_turns - 1):
         advance_turn(world)
     assert city.citizens == 3
-    for _ in range(world.params.city_growth_turns):
-        advance_turn(world)
+    advance_turn(world)
     assert city.citizens == 4
-    for _ in range(2 * world.params.city_growth_turns):
+    for _ in range(2 * p.city_growth_turns):
         advance_turn(world)
     assert city.citizens == 4  # holds at cap
 

@@ -43,6 +43,7 @@ HARNESS = "src/civutm/harness.py"
 CODEC = "src/civutm/codec.py"
 WORLD = "src/civutm/world.py"
 CLI = "src/civutm/cli.py"
+CONTROLLER = "src/civutm/controller.py"
 
 MUTANTS = (
     # The lockstep compare in harness.lockstep_verify.
@@ -194,6 +195,51 @@ MUTANTS = (
         "later._since += 1",
         "pass",
         ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    # The jobs table and the BE/V scheduler.
+    Mutant(
+        "drive-busy-check-misread",
+        CONTROLLER,
+        "uid not in world.jobs",
+        "True",
+        ("tests/test_controller.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "apply-busy-check-dropped",
+        WORLD,
+        "if job is not None:\n            raise IllegalCommand(f\"unit {unit_id} is busy",
+        "if False:\n            raise IllegalCommand(f\"unit {unit_id} is busy",
+        ("tests/test_world.py",),
+    ),
+    Mutant(
+        "jobs-complete-in-issue-order",
+        WORLD,
+        "for uid in sorted(world.jobs):",
+        "for uid in list(world.jobs):",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "rover-gate-dropped",
+        CONTROLLER,
+        'gates[ROVER] = lambda w: w.symbol_at(cell) == "road"',
+        "pass",
+        ("tests/test_acceptance.py", "tests/test_harness.py"),
+    ),
+    # Commands fail closed on a missing or mistyped target.
+    Mutant(
+        "tape-cell-type-unchecked",
+        WORLD,
+        'if type(command.cell) is not int:\n            raise _mistyped(command, "cell", int)\n        symbol',
+        "symbol",
+        ("tests/test_world.py",),
+    ),
+    Mutant("move-target-type-unchecked", WORLD, "if type(command.to) is not int:", "if False:", ("tests/test_world.py",)),
+    Mutant(
+        "state-region-any-unit",
+        WORLD,
+        "if unit_id != STATE_WORKER:\n            raise IllegalCommand(f\"only the {STATE_WORKER} can build",
+        "if False:\n            raise IllegalCommand(f\"only the {STATE_WORKER} can build",
+        ("tests/test_world.py",),
     ),
 )
 

@@ -289,26 +289,20 @@ def _next_event(world: WorldState) -> None:
 
 def _drive(world: WorldState, queues: dict[str, list[Command]], gates: dict[str, object] | None = None) -> None:
     """Issue queued commands as units free up; move from event to event until
-    all are done. Units and gates change only on event turns, so no command
-    waits through a skipped turn."""
+    all are done.
+
+    Each event turn takes one pass over the units in ``_UNIT_ORDER``: a unit
+    with commands left, no job in ``world.jobs`` and an open gate gets its
+    next command. Issuing only makes that unit busy, and units and gates
+    change only on event turns, so a second pass would issue nothing and no
+    command waits through a skipped turn."""
     gates = gates or {}
+    lanes = [(uid, queues[uid], gates.get(uid)) for uid in _UNIT_ORDER if queues.get(uid)]
     for _ in range(_DRIVE_GUARD):
-        issued = True
-        while issued:
-            issued = False
-            for uid in _UNIT_ORDER:
-                queue = queues.get(uid)
-                if not queue:
-                    continue
-                unit = world.units.get(uid)
-                if unit is None or unit.busy:
-                    continue
-                gate = gates.get(uid)
-                if gate is not None and not gate(world):
-                    continue
+        for uid, queue, gate in lanes:
+            if queue and uid not in world.jobs and (gate is None or gate(world)):
                 apply_command(world, uid, queue.pop(0))
-                issued = True
-        if not any(queues.values()) and not world.any_busy():
+        if not world.any_busy() and not any(queue for _, queue, _ in lanes):
             return
         _next_event(world)
     raise CivUtmError("command schedule failed to converge")

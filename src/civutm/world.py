@@ -18,6 +18,11 @@ write path, which records the cell, so a reader can follow the world by the
 cells written since it last looked. Turn counters and cell indices are
 unbounded.
 
+A unit's pending job lives in one table on the world, ``WorldState.jobs``
+(unit id -> ``Job``), so a busy check is a key lookup and a turn visits the
+pending jobs, not every unit. Each command is described once, when it is
+issued; its job keeps that description for the completion entry.
+
 All operations mutate the passed ``WorldState`` in place and also return it;
 they are deterministic functions of the state, and the append-only event log
 records every accepted command and completion. ``advance_turn`` plays one
@@ -213,30 +218,39 @@ class Command:
     city: int | None = None
 
     def describe(self) -> dict:
+        """The op and every field that is neither None nor 0 (nor False),
+        plus ``count`` for ``shift_monasteries``."""
         out = {"op": self.op}
-        for key in ("cell", "to", "count", "worked", "city"):
-            val = getattr(self, key)
-            if val not in (None, 0) or (key == "count" and self.op == "shift_monasteries"):
-                out[key] = val
+        if self.cell not in (None, 0):
+            out["cell"] = self.cell
+        if self.to not in (None, 0):
+            out["to"] = self.to
+        if self.count not in (None, 0) or self.op == "shift_monasteries":
+            out["count"] = self.count
+        if self.worked not in (None, 0):
+            out["worked"] = self.worked
+        if self.city not in (None, 0):
+            out["city"] = self.city
         return out
 
 
 @dataclass
 class Job:
+    """A unit's pending command, held in ``WorldState.jobs``. ``detail`` is
+    ``command.describe()`` taken at issue time; the completion entry logs it."""
+
     command: Command
     completes_at: int
+    detail: dict
 
 
 @dataclass
 class Unit:
+    """A unit on the map. Whether it is busy is ``uid in world.jobs``."""
+
     uid: str
     kind: str
     position: int
-    job: Job | None = None
-
-    @property
-    def busy(self) -> bool:
-        return self.job is not None
 
 
 @dataclass
@@ -308,6 +322,9 @@ class Tape:
 
 @dataclass
 class WorldState:
+    """The whole world. ``jobs`` maps a unit id to its pending job: the one
+    place a job is held, so a unit is busy exactly when its id is a key."""
+
     params: RulesetParams
     tape: Tape
     region: StateRegion
@@ -315,6 +332,7 @@ class WorldState:
     cities: dict[int, City]
     turn: int = 0
     event_log: list[dict] = field(default_factory=list)
+    jobs: dict[str, Job] = field(default_factory=dict)
     min_food_observed: int | None = None
     # VI food cache: the live cities' indices, the sum of every city's cached
     # delta, and the food params the deltas were derived under.
@@ -329,7 +347,7 @@ class WorldState:
         return self.cities.get(cell // 2)
 
     def any_busy(self) -> bool:
-        return any(unit.busy for unit in self.units.values())
+        return bool(self.jobs)
 
     def any_training(self) -> bool:
         return any(self.cities[index].training_cost is not None for index in self._live)
@@ -446,6 +464,13 @@ def _command_duration(world: WorldState, unit: Unit, command: Command) -> int:
     raise IllegalCommand(f"unknown command {op!r}")
 
 
+def _mistyped(command: Command, name: str, kind: type) -> IllegalCommand:
+    """The refusal of a command whose field ``name`` is not exactly a
+    ``kind``. Fields are tested with ``type(...) is``, so an ``int`` field
+    takes no ``bool``."""
+    return IllegalCommand(f"{command.op} needs {name} to be {kind.__name__}, not {getattr(command, name)!r}")
+
+
 def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
     op = command.op
     ruleset = world.params.ruleset
@@ -456,22 +481,32 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
             raise IllegalCommand(f"cannot {tape_op.verb} in ruleset {ruleset}")
         if tape_op.unit is not None and unit_id != tape_op.unit:
             raise IllegalCommand(f"only the {tape_op.unit} can {tape_op.verb}")
+        if type(command.cell) is not int:
+            raise _mistyped(command, "cell", int)
         symbol = world.symbol_at(command.cell)
         if symbol not in tape_op.requires:
             raise IllegalCommand(f"cannot {tape_op.verb} on {symbol} at cell {command.cell}")
     elif op == "build_state":
         if ruleset == RULESET_VI:
             raise IllegalCommand("VI encodes state via citizen reassignment, not builds")
+        if unit_id != STATE_WORKER:
+            raise IllegalCommand(f"only the {STATE_WORKER} can build in the state region")
         if world.region.count >= world.params.state_region_tiles:
             raise IllegalCommand("state region is full")
     elif op == "remove_state":
         if ruleset == RULESET_VI:
             raise IllegalCommand("VI encodes state via citizen reassignment, not builds")
+        if unit_id != STATE_WORKER:
+            raise IllegalCommand(f"only the {STATE_WORKER} can remove from the state region")
         if world.region.count <= 0:
             raise IllegalCommand("state region is empty")
     elif op == "set_worked":
         if ruleset != RULESET_VI:
             raise IllegalCommand("citizen assignment exists only in ruleset VI")
+        if type(command.cell) is not int:
+            raise _mistyped(command, "cell", int)
+        if type(command.worked) is not bool:
+            raise _mistyped(command, "worked", bool)
         city = world.city_of_cell(command.cell)
         if city is None:
             raise IllegalCommand(f"cell {command.cell} is not owned by any city")
@@ -482,12 +517,16 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
     elif op == "shift_monasteries":
         if ruleset != RULESET_VI:
             raise IllegalCommand("monasteries exist only in ruleset VI")
+        if type(command.count) is not int:
+            raise _mistyped(command, "count", int)
         new_count = world.region.count + command.count
         if not 0 <= new_count <= world.params.state_region_tiles:
             raise IllegalCommand(f"cannot work {new_count} monasteries in a region of {world.params.state_region_tiles}")
     elif op == "train_settler":
         if ruleset != RULESET_VI:
             raise IllegalCommand("settlers exist only in ruleset VI")
+        if type(command.city) is not int:
+            raise _mistyped(command, "city", int)
         city = world.cities.get(command.city)
         if city is None:
             raise IllegalCommand(f"no city at index {command.city}")
@@ -500,6 +539,8 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
     elif op == "found_city":
         if unit_id != SETTLER:
             raise IllegalCommand("only a settler can found a city")
+        if type(command.city) is not int:
+            raise _mistyped(command, "city", int)
         index = command.city
         if index in world.cities:
             raise IllegalCommand(f"city {index} already exists")
@@ -509,7 +550,8 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
         if world.cities and index - 1 not in world.cities and index + 1 not in world.cities:
             raise IllegalCommand(f"city {index} would not extend the strip contiguously")
     elif op == "move":
-        pass
+        if type(command.to) is not int:
+            raise _mistyped(command, "to", int)
     else:
         raise IllegalCommand(f"unknown command {op!r}")
 
@@ -519,14 +561,16 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
 
     Instant commands (citizen reassignment, starting settler training) take
     effect in the same turn. Everything else becomes the unit's single
-    pending job, completing in ``advance_turn`` after its duration.
+    pending job in ``world.jobs``, completing in ``advance_turn`` after its
+    duration.
     """
     if unit_id != PLAYER:
         unit = world.units.get(unit_id)
         if unit is None:
             raise IllegalCommand(f"no unit {unit_id!r}")
-        if unit.busy:
-            raise IllegalCommand(f"unit {unit_id} is busy until turn {unit.job.completes_at}")
+        job = world.jobs.get(unit_id)
+        if job is not None:
+            raise IllegalCommand(f"unit {unit_id} is busy until turn {job.completes_at}")
     elif command.op not in _INSTANT_OPS:
         raise IllegalCommand(f"{command.op} must be issued to a unit")
 
@@ -547,16 +591,17 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
         _rederive(world, city)
         world.log(unit_id, command.op, {"city": city.index, "cost": city.training_cost})
     else:
-        duration = _command_duration(world, world.units[unit_id], command)
-        world.units[unit_id].job = Job(command=command, completes_at=world.turn + duration)
-        world.log(unit_id, command.op, {**command.describe(), "completes_at": world.turn + duration})
+        completes_at = world.turn + _command_duration(world, world.units[unit_id], command)
+        detail = command.describe()
+        world.jobs[unit_id] = Job(command, completes_at, detail)
+        world.log(unit_id, command.op, {**detail, "completes_at": completes_at})
     return world
 
 
-def _complete_job(world: WorldState, unit: Unit) -> None:
-    command = unit.job.command
+def _complete_job(world: WorldState, uid: str) -> None:
+    job = world.jobs.pop(uid)
+    command = job.command
     op = command.op
-    unit.job = None
     if op in _TAPE_OPS:
         world.tape[command.cell] = _TAPE_OPS[op].result
     elif op == "build_state":
@@ -564,8 +609,8 @@ def _complete_job(world: WorldState, unit: Unit) -> None:
     elif op == "remove_state":
         world.region.count -= 1
     elif op == "move":
-        unit.position = command.to
-        if unit.uid == TAPE_WORKER and ROVER in world.units:
+        world.units[uid].position = command.to
+        if uid == TAPE_WORKER and ROVER in world.units:
             # The rover shadows the tape worker: both arrive together.
             world.units[ROVER].position = command.to
     elif op == "found_city":
@@ -576,7 +621,7 @@ def _complete_job(world: WorldState, unit: Unit) -> None:
         del world.units[SETTLER]
         world.log("world", "city_founded", {"city": index, "citizens": 2})
         return
-    world.log(unit.uid, f"{op}_done", command.describe())
+    world.log(uid, f"{op}_done", job.detail)
 
 
 def _city_food_delta(world: WorldState, city: City) -> tuple[int, int]:
@@ -630,19 +675,18 @@ def _visited(world: WorldState):
 
 
 def advance_turn(world: WorldState) -> WorldState:
-    """Advance one turn: jobs whose time has come take effect, then the live
-    cities, in index order, collect food (a stock below zero raises
-    ``Starvation``), make training progress and grow toward their caps.
-    Every other city is at its cap, not training and gaining food, so its
-    stock reads through from the clock and the turn does not visit it."""
+    """Advance one turn: jobs whose time has come take effect in unit-id
+    order, then the live cities, in index order, collect food (a stock below
+    zero raises ``Starvation``), make training progress and grow toward their
+    caps. Every other city is at its cap, not training and gaining food, so
+    its stock reads through from the clock and the turn does not visit it."""
     vi = world.params.ruleset == RULESET_VI
     if vi:
         _check_food_params(world)  # before the clock moves: stocks are held as of now
     world.turn += 1
-    for uid in sorted(world.units):
-        unit = world.units[uid]
-        if unit.busy and unit.job.completes_at <= world.turn:
-            _complete_job(world, unit)
+    for uid in sorted(world.jobs):
+        if world.jobs[uid].completes_at <= world.turn:
+            _complete_job(world, uid)
 
     if not vi:
         return world
@@ -695,7 +739,7 @@ def skip_quiet_turns(world: WorldState) -> WorldState:
     """
     p = world.params
     turn = world.turn
-    events = [unit.job.completes_at for unit in world.units.values() if unit.busy]
+    events = [job.completes_at for job in world.jobs.values()]
     vi = p.ruleset == RULESET_VI
     if vi:
         _check_food_params(world)
@@ -758,15 +802,15 @@ def world_snapshot(world: WorldState) -> dict:
         # Farms release from the top while Monasteries fill from the bottom,
         # so worked Farms are a prefix, not the complement of ``tiles``.
         region["farm_tiles"] = [i < n - count for i in range(n)]
-    units = {
-        uid: {
+    units = {}
+    for uid, u in sorted(world.units.items()):
+        job = world.jobs.get(uid)
+        units[uid] = {
             "kind": u.kind,
             "position": u.position,
-            "busy_until": u.job.completes_at if u.busy else None,
-            "job": u.job.command.describe() if u.busy else None,
+            "busy_until": job.completes_at if job else None,
+            "job": dict(job.detail) if job else None,
         }
-        for uid, u in sorted(world.units.items())
-    }
     cities = [
         {
             "index": c.index,

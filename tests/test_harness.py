@@ -297,6 +297,30 @@ GOLDEN_PARAM_DIGESTS = {
 }
 
 
+# BE/V runs where units wait on each other, pinned on the scheduler that
+# re-scanned every unit until nothing more issued: under these params the BE
+# rover waits at its gate through several event turns of one-turn
+# Terrascapes while a five-turn Road goes up, and the V tape worker queues a
+# removal, a nine-turn Railroad and a move. Each key also names the tape
+# action and read symbol the run must execute for the digest to mean that.
+GOLDEN_WAIT_DIGESTS = {
+    (
+        "random:26",
+        RULESET_BE,
+        100,
+        (("road_build_turns", 5), ("terrascape_build_turns", 1)),
+        "build_road_then_pillage",
+        "none",
+    ): "e6d907c5a89c7db1b825ab814b4327ccc63db885a540d1232bfdf17e861efe8f",
+    ("random:295", RULESET_V, 100, (("railroad_build_turns", 9),), "build_railroad", "road"): (
+        "f44e56e7bad1944a224c4d5ee25a7b3b22a31aab9e437f79d81cfb40bb86945e"
+    ),
+    ("random:331", RULESET_V, 100, (("railroad_build_turns", 9),), "build_railroad", "road"): (
+        "a2b6ffac2e2ad2db90b6f9e88b240002e1054d56c8c47b53727f5e4475bb8d01"
+    ),
+}
+
+
 # VI runs of random_tm(seed, states, 2) from a tape of ones, where most
 # cities are interior, at their cap and hold worked cells: (seed, states,
 # instructions, cells holding "1", params overrides). The first tape spans
@@ -358,6 +382,18 @@ def test_golden_output_digest_with_params(name, ruleset, max_instructions, overr
     params = dataclasses.replace(RulesetParams.defaults(ruleset), **dict(overrides))
     report = lockstep_verify(_golden_machine(name), ruleset, {}, max_instructions, params)
     assert _output_digest(report) == GOLDEN_PARAM_DIGESTS[(name, ruleset, max_instructions, overrides)]
+
+
+@pytest.mark.parametrize("name,ruleset,max_instructions,overrides,action,read", sorted(GOLDEN_WAIT_DIGESTS))
+def test_golden_output_digest_with_waiting_units(name, ruleset, max_instructions, overrides, action, read):
+    params = dataclasses.replace(RulesetParams.defaults(ruleset), **dict(overrides))
+    spec = _golden_machine(name)
+    program = compile_program(spec, ruleset, params)
+    assert any(m.tape_action.value == action and m.read_symbol == read and m.head_move for m in program.macros.values())
+    report = lockstep_verify(spec, ruleset, {}, max_instructions, params, program=program)
+    executed = [r.macro for r in report.records if r.macro and r.macro.tape_action.value == action and r.read == read]
+    assert any(m.head_move and m.state_delta for m in executed)
+    assert _output_digest(report) == GOLDEN_WAIT_DIGESTS[(name, ruleset, max_instructions, overrides, action, read)]
 
 
 @pytest.mark.parametrize("seed,states,max_instructions,ones,overrides", sorted(GOLDEN_VI_CITY_DIGESTS))

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from civutm.errors import IllegalCommand, Starvation
 from civutm.world import (
+    PLAYER,
     ROVER,
     RULESET_BE,
     RULESET_V,
@@ -17,6 +22,7 @@ from civutm.world import (
     TAPE_WORKER,
     GAME_SYMBOLS,
     MAX_INITIAL_CITIES,
+    RULESETS,
     Command,
     RulesetParams,
     advance_turn,
@@ -419,3 +425,192 @@ def test_snapshot_and_event_log_are_versioned():
     assert snap["tape"]["0"]["improvement"] == "road"
     lines = event_log_lines(world)
     assert '"format_version": 1' in lines[0]
+
+
+def test_state_region_is_built_by_the_state_worker_only():
+    # Two units building the last free tile at once would overfill the region.
+    for ruleset in (RULESET_BE, RULESET_V):
+        world = init_world(ruleset, {})
+        for op in ("build_state", "remove_state"):
+            with pytest.raises(IllegalCommand, match="only the state_worker"):
+                apply_command(world, TAPE_WORKER, Command(op=op))
+
+
+def test_busy_unit_is_a_key_of_the_jobs_table():
+    world = init_world(RULESET_BE, {})
+    apply_command(world, TAPE_WORKER, Command(op="build_road", cell=3))
+    assert list(world.jobs) == [TAPE_WORKER] and world.any_busy()
+    assert world.jobs[TAPE_WORKER].detail == {"op": "build_road", "cell": 3}
+    advance_turn(world)
+    assert world.jobs == {} and not world.any_busy()
+    done = world.event_log[-1]
+    assert (done["command"], done["detail"]) == ("build_road_done", {"op": "build_road", "cell": 3})
+
+
+def test_jobs_complete_in_unit_id_order():
+    # Issued tape worker first, both done on turn 1: the rover completes first.
+    world = init_world(RULESET_BE, {1: "road"})
+    apply_command(world, TAPE_WORKER, Command(op="build_road", cell=2))
+    apply_command(world, ROVER, Command(op="pillage_road", cell=1))
+    advance_turn(world)
+    assert [(event["unit"], event["command"]) for event in world.event_log[-2:]] == [
+        (ROVER, "pillage_road_done"),
+        (TAPE_WORKER, "build_road_done"),
+    ]
+
+
+def _settler_world():
+    world = init_world(RULESET_VI, {})
+    apply_command(world, PLAYER, Command(op="train_settler", city=0))
+    while SETTLER not in world.units:
+        advance_turn(world)
+    return world
+
+
+def _malformed(ruleset, unit, op, **fields):
+    field, value = list(fields.items())[-1]  # the malformed one comes last
+    return pytest.param(ruleset, unit, Command(op=op, **fields), id=f"{ruleset}-{unit}-{op}-{field}={value!r}")
+
+
+# Commands whose target field is missing or not an integer (a bool is not
+# one), or whose ``worked`` flag is not a bool, on each ruleset with the op.
+_NOT_INTS = (None, 2.5, True)
+_MALFORMED = [
+    *(
+        _malformed(ruleset, ROVER if op == "pillage_road" else TAPE_WORKER, op, cell=cell)
+        for ruleset, ops in (
+            (RULESET_BE, ("build_road", "remove_improvement", "pillage_road", "repair_road")),
+            (RULESET_V, ("build_road", "build_railroad", "remove_improvement")),
+        )
+        for op in ops
+        for cell in _NOT_INTS
+    ),
+    *(_malformed(ruleset, TAPE_WORKER, "move", to=to) for ruleset in RULESETS for to in _NOT_INTS),
+    *(_malformed(RULESET_VI, SETTLER, "move", to=to) for to in _NOT_INTS),
+    *(_malformed(RULESET_VI, PLAYER, "set_worked", worked=True, cell=cell) for cell in _NOT_INTS),
+    *(_malformed(RULESET_VI, PLAYER, "set_worked", cell=1, worked=worked) for worked in (None, 1, "yes")),
+    *(_malformed(RULESET_VI, PLAYER, "shift_monasteries", count=count) for count in _NOT_INTS),
+    *(_malformed(RULESET_VI, PLAYER, "train_settler", city=city) for city in (*_NOT_INTS, 0.0)),
+    *(_malformed(RULESET_VI, SETTLER, "found_city", city=city) for city in (*_NOT_INTS, 1.0)),
+]
+
+
+@pytest.mark.parametrize("ruleset,unit,command", _MALFORMED)
+def test_command_without_a_target_fails_closed(ruleset, unit, command):
+    world = _settler_world() if unit == SETTLER else init_world(ruleset, {})
+    log, snapshot = list(world.event_log), world_snapshot(world)
+    with pytest.raises(IllegalCommand):
+        apply_command(world, unit, command)
+    assert world.event_log == log
+    assert world_snapshot(world) == snapshot
+
+
+# ---------------------------------------------------------------------------
+# Legality closure as a stateful property
+# ---------------------------------------------------------------------------
+
+# The BE/V work ops; ``foreign`` issues the rest.
+_WORK = (
+    "build_road",
+    "build_railroad",
+    "remove_improvement",
+    "pillage_road",
+    "repair_road",
+    "build_state",
+    "remove_state",
+    "move",
+)
+_TARGETS = st.one_of(st.integers(-3, 3), st.sampled_from((None, 2.5, True)))
+
+
+class LegalityClosure(RuleBasedStateMachine):
+    """Random commands, turns and quiet-turn skips on BE and V.
+
+    The world stays legal after every step, a refused command changes
+    nothing, and a twin world that gets the same commands but plays every
+    skipped turn with ``advance_turn`` stays equal to it.
+    """
+
+    @initialize(
+        ruleset=st.sampled_from((RULESET_BE, RULESET_V)),
+        durations=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(2, 6), st.integers(1, 3)),
+        tiles=st.integers(0, 3),
+        tape=st.dictionaries(st.integers(-3, 3), st.integers(1, 2), max_size=4),
+    )
+    def start(self, ruleset, durations, tiles, tape):
+        road, terrascape, railroad, move = durations
+        tape = {cell: GAME_SYMBOLS[ruleset][symbol] for cell, symbol in tape.items()}
+        params = dataclasses.replace(
+            RulesetParams.defaults(ruleset),
+            road_build_turns=road,
+            terrascape_build_turns=terrascape,
+            railroad_build_turns=railroad,
+            worker_move_turns_per_hex=move,
+            state_region_tiles=tiles,
+        )
+        self.world = init_world(ruleset, tape, params)
+        self.twin = init_world(ruleset, tape, dataclasses.replace(params))
+
+    @rule(
+        unit=st.sampled_from((TAPE_WORKER, STATE_WORKER, ROVER)),
+        op=st.sampled_from(_WORK),
+        cell=_TARGETS,
+        to=_TARGETS,
+    )
+    def work(self, unit, op, cell, to):
+        self._issue(unit, Command(op=op, cell=cell, to=to))
+
+    @rule(
+        unit=st.sampled_from((TAPE_WORKER, STATE_WORKER, ROVER, SETTLER, PLAYER, "scout")),
+        op=st.sampled_from(("set_worked", "shift_monasteries", "train_settler", "found_city", "dig")),
+        cell=_TARGETS,
+        count=st.integers(-2, 2),
+        worked=st.sampled_from((None, False, True)),
+    )
+    def foreign(self, unit, op, cell, count, worked):
+        """Ops of another ruleset, or none, and issuers without units."""
+        self._issue(unit, Command(op=op, cell=cell, city=cell, count=count, worked=worked))
+
+    def _issue(self, unit, command):
+        refusals = []
+        for world in (self.world, self.twin):
+            log, snapshot = list(world.event_log), world_snapshot(world)
+            try:
+                apply_command(world, unit, command)
+                refusals.append(None)
+            except IllegalCommand as exc:
+                assert world.event_log == log
+                assert world_snapshot(world) == snapshot
+                refusals.append(str(exc))
+        assert refusals[0] == refusals[1]
+
+    @rule()
+    def turn(self):
+        advance_turn(self.world)
+        advance_turn(self.twin)
+
+    @rule()
+    def skip(self):
+        before = self.world.turn
+        skip_quiet_turns(self.world)
+        for _ in range(self.world.turn - before):
+            advance_turn(self.twin)
+
+    @invariant()
+    def legal(self):
+        world = self.world
+        assert set(world.jobs) <= set(world.units)
+        assert all(job.completes_at >= world.turn for job in world.jobs.values())
+        assert all(symbol in GAME_SYMBOLS[world.params.ruleset] for _, symbol in world.tape.items())
+        assert all(type(cell) is int for cell, _ in world.tape.items())
+        assert all(type(unit.position) is int for unit in world.units.values())
+        assert 0 <= world.region.count <= world.params.state_region_tiles
+
+    @invariant()
+    def skipping_equals_playing(self):
+        assert self.twin.event_log == self.world.event_log
+        assert world_snapshot(self.twin) == world_snapshot(self.world)
+
+
+TestLegalityClosure = pytest.mark.hypothesis(LegalityClosure.TestCase)
+TestLegalityClosure.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)

@@ -196,12 +196,16 @@ def cmd_verify(args) -> int:
     tape = _load_tape(args)
     params = _load_params(args)
     program = compile_program(spec, args.ruleset, params)
-    # The sweep's machines are drawn first, so a malformed sweep argument
-    # fails before anything is printed. VI encodes two symbols.
+    # The sweep's machines are drawn and compiled with the run's params
+    # first, so a malformed sweep argument, or a machine the params cannot
+    # hold, fails before anything is printed. VI encodes two symbols.
     if not 1 <= args.random_symbols <= 3:
         raise CivUtmError("--random-symbols must be between 1 and 3")
     symbols = min(args.random_symbols, 2) if args.ruleset == RULESET_VI else args.random_symbols
-    machines = [(seed, harness.random_tm(seed, args.random_states, symbols)) for seed in _parse_seeds(args.seeds)]
+    machines = []
+    for seed in _parse_seeds(args.seeds):
+        rnd = harness.random_tm(seed, args.random_states, symbols)
+        machines.append((seed, rnd, compile_program(rnd, args.ruleset, params)))
     report = harness.lockstep_verify(spec, args.ruleset, tape, args.max_instructions, params, program=program)
     print(_dump({"lockstep": report.to_json()}))
     ok = report.first_divergence is None
@@ -209,8 +213,8 @@ def cmd_verify(args) -> int:
     print(_dump({"overhead": over.to_json()}))
     ok = ok and over.paper_bound_satisfied and over.derived_bound_satisfied
 
-    for seed, rnd in machines:
-        sweep = harness.lockstep_verify(rnd, args.ruleset, {}, args.max_instructions, params)
+    for seed, rnd, rnd_program in machines:
+        sweep = harness.lockstep_verify(rnd, args.ruleset, {}, args.max_instructions, params, program=rnd_program)
         print(_dump({"seed": seed, "lockstep": sweep.to_json()}))
         ok = ok and sweep.first_divergence is None
     return EXIT_OK if ok else EXIT_FAIL

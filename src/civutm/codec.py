@@ -74,19 +74,19 @@ def encode_tape(tm_tape: dict[int, str], program: "ControllerProgram") -> dict[i
 
 
 def state_index(world: WorldState) -> tuple[int, dict]:
-    """Machine state index read from the region, cross-checked via yields."""
+    """Machine state index read from the region, cross-checked via yields
+    on BE and VI. V's Railroads carry no yield, so its count is the state."""
     region_count = world.region.count
-    income = yields(world)
     p = world.params
+    if p.ruleset == RULESET_V:
+        return region_count, {"railroads": region_count}
+    income = yields(world)
     if p.ruleset == RULESET_BE:
         delta = income["culture"] - world.region.base_yield
         if delta % p.terrascape_culture:
             raise DecodeError(f"culture delta {delta} is not a multiple of {p.terrascape_culture}")
         via_yield = delta // p.terrascape_culture
         evidence = {"terrascapes": region_count, "culture_delta": delta}
-    elif p.ruleset == RULESET_V:
-        via_yield = region_count  # railroads carry no yield; the count is the state
-        evidence = {"railroads": region_count}
     else:
         delta = income["faith"] - world.region.base_yield
         if delta % p.monastery_faith:
@@ -101,7 +101,7 @@ def state_index(world: WorldState) -> tuple[int, dict]:
 def decode(world: WorldState, program: "ControllerProgram") -> DecodedConfig:
     """Decode an instruction-boundary world into (state, tape, head)."""
     index, evidence = state_index(world)
-    if world.any_busy() or world.any_training():
+    if not world.at_boundary():
         return DecodedConfig(config=None, state_evidence=evidence)
     state = _state(program, index)
     tape = _machine_cells(world, program, sorted(world.tape.items()))
@@ -161,15 +161,18 @@ class Reader:
         """
         world, program, machine = self.world, self.program, self.machine
         index, evidence = state_index(world)
-        if world.any_busy() or world.any_training():
+        if not world.at_boundary():
             return None
         machine.state = _state(program, index)
         machine.head = world.units[TAPE_WORKER].position
         self.evidence = evidence
-        written = sorted(world.tape.take_written())
-        symbols = _machine_cells(world, program, [(cell, world.symbol_at(cell)) for cell in written])
+        written = world.tape.take_written()
+        if not written:
+            return {}
+        cells = sorted(written)
+        symbols = _machine_cells(world, program, [(cell, world.symbol_at(cell)) for cell in cells])
         changed = {}
-        for cell in written:
+        for cell in cells:
             symbol = symbols.get(cell)
             if symbol != machine.tape.get(cell):
                 changed[cell] = symbol

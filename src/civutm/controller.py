@@ -275,10 +275,23 @@ class InstructionRecord:
     halted: bool = False
 
 
-_UNIT_ORDER = (TAPE_WORKER, ROVER, STATE_WORKER, SETTLER)
 # Bounds the turns ``_drive`` takes with ``advance_turn``, not the turns that
 # pass: each is an event turn, or one plain turn when nothing is pending.
 _DRIVE_GUARD = 1_000_000
+
+# What each BE/V tape action asks of the workers: (tape-worker ops, rover
+# ops), every op issued on the head's cell. A build over a standing
+# improvement (V only) removes it first; see ``_execute_be_v``.
+_TAPE_PLANS = {
+    TapeAction.LEAVE: ((), ()),
+    TapeAction.BUILD_ROAD: (("build_road",), ()),
+    TapeAction.BUILD_RAILROAD: (("build_railroad",), ()),
+    TapeAction.REMOVE_IMPROVEMENT: (("remove_improvement",), ()),
+    TapeAction.REPAIR_ROAD: (("repair_road",), ()),
+    TapeAction.PILLAGE_ROAD: ((), ("pillage_road",)),
+    TapeAction.BUILD_ROAD_THEN_PILLAGE: (("build_road",), ("pillage_road",)),
+}
+_BUILDS = (TapeAction.BUILD_ROAD, TapeAction.BUILD_RAILROAD)
 
 
 def _next_event(world: WorldState) -> None:
@@ -287,47 +300,29 @@ def _next_event(world: WorldState) -> None:
     advance_turn(world)
 
 
-def _drive(world: WorldState, queues: dict[str, list[Command]], gates: dict[str, object] | None = None) -> None:
-    """Issue queued commands as units free up; move from event to event until
-    all are done.
+def _drive(world: WorldState, lanes: list[tuple]) -> None:
+    """Issue each lane's commands as its unit frees up; move from event to
+    event until all are done.
 
-    Each event turn takes one pass over the units in ``_UNIT_ORDER``: a unit
-    with commands left, no job in ``world.jobs`` and an open gate gets its
-    next command. Issuing only makes that unit busy, and units and gates
+    A lane is (unit id, its queued commands, a gate or None), and the lanes
+    are given in issue order. Each event turn takes one pass over them: a
+    unit with commands left, no job in ``world.jobs`` and an open gate gets
+    its next command. Issuing only makes that unit busy, and units and gates
     change only on event turns, so a second pass would issue nothing and no
     command waits through a skipped turn."""
-    gates = gates or {}
-    lanes = [(uid, queues[uid], gates.get(uid)) for uid in _UNIT_ORDER if queues.get(uid)]
+    jobs = world.jobs
+    queued = 0
+    for _, queue, _ in lanes:
+        queued += len(queue)
     for _ in range(_DRIVE_GUARD):
         for uid, queue, gate in lanes:
-            if queue and uid not in world.jobs and (gate is None or gate(world)):
+            if queue and uid not in jobs and (gate is None or gate(world)):
                 apply_command(world, uid, queue.pop(0))
-        if not world.any_busy() and not any(queue for _, queue, _ in lanes):
+                queued -= 1
+        if not queued and not jobs:
             return
         _next_event(world)
     raise CivUtmError("command schedule failed to converge")
-
-
-def _tape_plan(world: WorldState, macro: CommandMacro, cell: int) -> tuple[list[Command], list[Command]]:
-    """(worker commands, rover commands) realizing the macro's tape action."""
-    action = macro.tape_action
-    worker: list[Command] = []
-    rover: list[Command] = []
-    # The tape actions that issue one world op carry that op's name as value.
-    if action in (TapeAction.BUILD_ROAD, TapeAction.BUILD_RAILROAD):
-        if world.symbol_at(cell) != "none":  # V: the standing improvement must be removed first
-            worker.append(Command(op="remove_improvement", cell=cell))
-        worker.append(Command(op=action.value, cell=cell))
-    elif action in (TapeAction.REMOVE_IMPROVEMENT, TapeAction.REPAIR_ROAD):
-        worker.append(Command(op=action.value, cell=cell))
-    elif action is TapeAction.PILLAGE_ROAD:
-        rover.append(Command(op="pillage_road", cell=cell))
-    elif action is TapeAction.BUILD_ROAD_THEN_PILLAGE:
-        worker.append(Command(op="build_road", cell=cell))
-        rover.append(Command(op="pillage_road", cell=cell))
-    elif action is not TapeAction.LEAVE:
-        raise IllegalCommand(f"tape action {action} is not a BE/V action")
-    return worker, rover
 
 
 def execute_instruction(world: WorldState, program: ControllerProgram, index: int = 0) -> InstructionRecord:
@@ -339,7 +334,7 @@ def execute_instruction(world: WorldState, program: ControllerProgram, index: in
     the pair; a world-level :class:`IllegalCommand` escaping from here means
     a compiler bug and is never swallowed.
     """
-    if world.any_busy() or world.any_training():
+    if not world.at_boundary():
         raise DecodeError("execute_instruction requires an instruction boundary")
     idx, _ = state_index(world)
     state = program.index_to_state[idx]
@@ -383,19 +378,28 @@ def execute_instruction(world: WorldState, program: ControllerProgram, index: in
 
 
 def _execute_be_v(world: WorldState, macro: CommandMacro, head: int, record: InstructionRecord) -> None:
-    params = world.params
-    worker_cmds, rover_cmds = _tape_plan(world, macro, head)
+    plan = _TAPE_PLANS.get(macro.tape_action)
+    if plan is None:
+        raise IllegalCommand(f"tape action {macro.tape_action} is not a BE/V action")
+    worker_ops, rover_ops = plan
+    worker = []
+    if macro.tape_action in _BUILDS and world.symbol_at(head) != "none":
+        worker.append(Command(op="remove_improvement", cell=head))
+    for op in worker_ops:
+        worker.append(Command(op=op, cell=head))
     if macro.head_move is not None:
-        target = head + (1 if macro.head_move == "R" else -1)
-        worker_cmds.append(Command(op="move", to=target))
-        record.movement_turns = params.worker_move_turns_per_hex
-    state_op = "build_state" if macro.state_delta > 0 else "remove_state"
-    state_cmds = [Command(op=state_op) for _ in range(abs(macro.state_delta))]
-    gates = {}
-    if rover_cmds:
-        cell = rover_cmds[0].cell
-        gates[ROVER] = lambda w: w.symbol_at(cell) == "road"
-    _drive(world, {TAPE_WORKER: worker_cmds, ROVER: rover_cmds, STATE_WORKER: state_cmds}, gates)
+        worker.append(Command(op="move", to=head + (1 if macro.head_move == "R" else -1)))
+        record.movement_turns = world.params.worker_move_turns_per_hex
+    lanes = [(TAPE_WORKER, worker, None)] if worker else []
+    if rover_ops:
+        # The rover pillages the road the tape worker builds first, if any.
+        rover = [Command(op=op, cell=head) for op in rover_ops]
+        lanes.append((ROVER, rover, lambda w: w.symbol_at(head) == "road"))
+    delta = macro.state_delta
+    if delta:
+        state_op = "build_state" if delta > 0 else "remove_state"
+        lanes.append((STATE_WORKER, [Command(op=state_op) for _ in range(abs(delta))], None))
+    _drive(world, lanes)
 
 
 def _execute_vi(world: WorldState, macro: CommandMacro, head: int, record: InstructionRecord) -> None:
@@ -413,7 +417,7 @@ def _execute_vi(world: WorldState, macro: CommandMacro, head: int, record: Instr
     if target // 2 in world.cities:
         # Within the head's city or into an existing neighbour: a plain move.
         apply_command(world, TAPE_WORKER, Command(op="move", to=target))
-        _drive(world, {})
+        _drive(world, [])
         record.movement_turns = world.params.hexes_per_tape_cell * world.params.worker_move_turns_per_hex
         return
     extend_tape(world, macro.head_move, record)
@@ -461,14 +465,8 @@ def extend_tape(world: WorldState, direction: str, record: InstructionRecord) ->
     while SETTLER not in world.units:
         _next_event(world)
 
-    queues = {
-        SETTLER: [
-            Command(op="move", to=params.city_spacing * new_index),
-            Command(op="found_city", city=new_index),
-        ],
-        TAPE_WORKER: [Command(op="move", to=target)],
-    }
-    _drive(world, queues)
+    settler = [Command(op="move", to=params.city_spacing * new_index), Command(op="found_city", city=new_index)]
+    _drive(world, [(TAPE_WORKER, [Command(op="move", to=target)], None), (SETTLER, settler, None)])
 
     new_city = world.cities[new_index]
     while new_city.citizens < new_city.growth_cap:

@@ -160,12 +160,13 @@ def lockstep_verify(
             game_stuck = True
         else:
             changed = reader.advance()
-            agrees = (
-                changed is not None
-                and followed.state == oracle.state
-                and followed.head == oracle.head
-                and all(followed.tape.get(cell) == oracle.tape.get(cell) for cell in (*changed, oracle_cell))
-            )
+            agrees = changed is not None and followed.state == oracle.state and followed.head == oracle.head
+            if agrees:  # on the cells that can have changed: the oracle's, and those the reader saw change
+                agrees = followed.tape.get(oracle_cell) == oracle.tape.get(oracle_cell)
+                for cell in changed:
+                    if followed.tape.get(cell) != oracle.tape.get(cell):
+                        agrees = False
+                        break
             decoded = None if agrees else codec.decode(world, program)
 
         if oracle_stuck and game_stuck:

@@ -206,7 +206,7 @@ class StateRegion:
     count: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Command:
     """One primitive player command. Unused fields stay at their defaults."""
 
@@ -234,7 +234,7 @@ class Command:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """A unit's pending command, held in ``WorldState.jobs``. ``detail`` is
     ``command.describe()`` taken at issue time; the completion entry logs it."""
@@ -346,11 +346,16 @@ class WorldState:
     def city_of_cell(self, cell: int) -> City | None:
         return self.cities.get(cell // 2)
 
-    def any_busy(self) -> bool:
-        return bool(self.jobs)
-
-    def any_training(self) -> bool:
-        return any(self.cities[index].training_cost is not None for index in self._live)
+    def at_boundary(self) -> bool:
+        """True at an instruction boundary: no unit has a pending job and no
+        city is training (a training city is live, so BE and V, which have
+        no cities, test the jobs table alone)."""
+        if self.jobs:
+            return False
+        for index in self._live:
+            if self.cities[index].training_cost is not None:
+                return False
+        return True
 
     def log(self, unit: str, command: str, detail: dict | None = None) -> None:
         self.event_log.append({"turn": self.turn, "unit": unit, "command": command, "detail": detail or {}})
@@ -591,7 +596,7 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
         _rederive(world, city)
         world.log(unit_id, command.op, {"city": city.index, "cost": city.training_cost})
     else:
-        completes_at = world.turn + _command_duration(world, world.units[unit_id], command)
+        completes_at = world.turn + _command_duration(world, unit, command)
         detail = command.describe()
         world.jobs[unit_id] = Job(command, completes_at, detail)
         world.log(unit_id, command.op, {**detail, "completes_at": completes_at})

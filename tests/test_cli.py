@@ -340,6 +340,16 @@ def test_malformed_budget_or_sweep_fails_before_any_output(capsys, argv):
     assert len(err.splitlines()) == 1 and "error" in json.loads(err)
 
 
+def test_sweep_machine_the_params_cannot_hold_fails_before_any_output(capsys):
+    # 11 states need 10 state-region tiles and BE's default params give 9:
+    # the sweep's machine is compiled before the main machine's lines print.
+    status, out, err = run_cli(capsys, "verify", "bb3", "--random-states", "11", "--seeds", "1")
+    assert status == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "11 states need a state region of at least 10 tiles; params provide 9"}
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

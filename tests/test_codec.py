@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from civutm import codec
 from civutm.codec import Reader, decode, encode_tape, state_index, symbol_map
-from civutm.controller import compile_program
+from civutm.controller import compile_program, execute_instruction
 from civutm.errors import CompileError, DecodeError
 from civutm.tm import TMConfig, builtin_program
 from civutm.world import (
@@ -190,6 +191,23 @@ def test_reader_reads_what_decode_gives_on_the_written_cells():
     assert reader.advance() is None  # decode: no configuration
     with pytest.raises(DecodeError, match="not at an instruction boundary"):
         Reader(world, program)
+
+
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V])
+def test_reader_reads_state_and_head_when_no_cell_was_written(ruleset):
+    # bb3 state q0 reading a blank writes "1"; with the write made an identity
+    # the instruction only moves the head and changes the state.
+    spec = builtin_program("bb3")
+    first = spec.transitions[("q0", "0")]
+    spec = dataclasses.replace(spec, transitions={**spec.transitions, ("q0", "0"): dataclasses.replace(first, write="0")})
+    program = compile_program(spec, ruleset)
+    world = init_world(ruleset, {})
+    reader = Reader(world, program)
+    execute_instruction(world, program, index=1)
+    assert reader.advance() == {}
+    assert reader.machine.config() == decode(world, program).config
+    assert (reader.machine.state, reader.machine.head) == (first.next_state, 1)
+    assert reader.evidence == decode(world, program).state_evidence
 
 
 def test_vi_head_is_global_cell_index():

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import pytest
 
 from civutm import controller
 from civutm.codec import decode
 from civutm.controller import (
+    CommandMacro,
     InstructionRecord,
     TapeAction,
     compile_program,
@@ -22,6 +26,7 @@ from civutm.harness import lockstep_verify
 from civutm.tables import FIXTURE_FOR, load_fixture, table_fidelity
 from civutm.tm import HaltAction, TMSpec, Transition, builtin_program
 from civutm.world import (
+    GAME_SYMBOLS,
     RULESET_BE,
     RULESET_V,
     RULESET_VI,
@@ -211,9 +216,9 @@ def test_drive_guard_raises_package_error(monkeypatch):
     # tree, so the CLI prints one JSON error line instead of a traceback.
     monkeypatch.setattr(controller, "_DRIVE_GUARD", 5)
     world = init_world(RULESET_BE, {})
-    queues = {TAPE_WORKER: [Command(op="move", to=1)]}
+    lanes = [(TAPE_WORKER, [Command(op="move", to=1)], lambda w: False)]
     with pytest.raises(CivUtmError, match="converge"):
-        controller._drive(world, queues, {TAPE_WORKER: lambda w: False})
+        controller._drive(world, lanes)
     assert world.turn == 5
 
 
@@ -301,3 +306,40 @@ def test_extend_tape_requires_crossing():
     world = init_world(RULESET_VI, {})
     with pytest.raises(IllegalCommand, match="boundary"):
         extend_tape(world, "R", _blank_record())  # head 0 -> 1 stays inside city 0
+
+
+# The BE/V tape-plan table: every tape action the compiler emits for BE or V
+# has a plan, and executing it writes the symbol the action names.
+_BE_V_WRITES = [
+    (ruleset, read, write)
+    for ruleset in (RULESET_BE, RULESET_V)
+    for read, write in controller._TAPE_ACTIONS[ruleset]
+] + [(ruleset, symbol, symbol) for ruleset in (RULESET_BE, RULESET_V) for symbol in GAME_SYMBOLS[ruleset]]
+
+
+@pytest.mark.parametrize(("ruleset", "read", "write"), _BE_V_WRITES)
+def test_tape_plan_writes_what_its_action_names(ruleset, read, write):
+    action = TapeAction.LEAVE if read == write else controller._TAPE_ACTIONS[ruleset][(read, write)]
+    assert action in controller._TAPE_PLANS
+    macro = CommandMacro(tape_action=action, head_move=None, state_delta=0, read_symbol=read, write_symbol=write)
+    world = init_world(ruleset, {} if read == "none" else {0: read})
+    record = InstructionRecord(index=1, state_index=0, read=read, macro=macro)
+    controller._execute_be_v(world, macro, 0, record)
+    assert world.symbol_at(0) == write
+    assert world.at_boundary()
+    issued = [entry["command"] for entry in world.event_log if "completes_at" in entry["detail"]]
+    if action is TapeAction.LEAVE:
+        assert issued == []
+    elif ruleset == RULESET_V and "none" not in (read, write):
+        # Road over Railroad or Railroad over Road: the standing one is removed first.
+        assert issued == ["remove_improvement", action.value]
+
+
+@pytest.mark.parametrize("action", [TapeAction.SET_WORKED, TapeAction.SET_UNWORKED])
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V])
+def test_vi_tape_action_on_a_be_v_world_is_refused(ruleset, action):
+    program = compile_program(builtin_program("bb3"), ruleset)
+    program.macros[(0, "none")] = dataclasses.replace(program.macros[(0, "none")], tape_action=action)
+    world = init_world(ruleset, {})
+    with pytest.raises(IllegalCommand, match=re.escape(f"tape action {action} is not a BE/V action")):
+        execute_instruction(world, program, index=1)

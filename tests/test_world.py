@@ -6,10 +6,11 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from civutm import world as world_module
 from civutm.errors import IllegalCommand, Starvation
 from civutm.world import (
     PLAYER,
@@ -73,6 +74,40 @@ def test_params_vi_food_must_feed_every_city(name, value):
     setattr(params, name, value)
     with pytest.raises(IllegalCommand, match="starves"):
         params.validate()
+
+
+@given(
+    base=st.integers(0, 8),
+    grassland=st.integers(0, 5),
+    floodplains=st.integers(0, 5),
+    upkeep=st.integers(0, 3),
+    citizens=st.integers(2, 4),
+    flags=st.tuples(st.booleans(), st.booleans()),
+)
+@settings(max_examples=300, deadline=None)
+def test_validated_food_params_feed_every_city(base, grassland, floodplains, upkeep, citizens, flags):
+    # Under params validate() accepts, a city of 2-4 Citizens feeds itself
+    # whatever its two tape cells' worked flags, so a city at its cap that is
+    # not training is never live: the turn loop's live-city skip relies on it.
+    params = dataclasses.replace(
+        RulesetParams.defaults(RULESET_VI),
+        city_base_food=base,
+        grassland_food=grassland,
+        floodplains_food=floodplains,
+        citizen_food_upkeep=upkeep,
+    )
+    try:
+        params.validate()
+    except IllegalCommand:
+        reject()
+    world = init_world(RULESET_VI, {cell: "worked" for cell, worked in zip((0, 1), flags) if worked}, params)
+    assert world._live == set()
+    city = world.cities[0]
+    city.citizens = city.growth_cap = citizens
+    world_module._rederive(world, city)
+    income, cost = world_module._city_food_delta(world, city)
+    assert income >= cost
+    assert city.training_cost is None and city.index not in world._live
 
 
 def test_init_rejects_symbols_outside_ruleset():
@@ -439,10 +474,10 @@ def test_state_region_is_built_by_the_state_worker_only():
 def test_busy_unit_is_a_key_of_the_jobs_table():
     world = init_world(RULESET_BE, {})
     apply_command(world, TAPE_WORKER, Command(op="build_road", cell=3))
-    assert list(world.jobs) == [TAPE_WORKER] and world.any_busy()
+    assert list(world.jobs) == [TAPE_WORKER] and not world.at_boundary()
     assert world.jobs[TAPE_WORKER].detail == {"op": "build_road", "cell": 3}
     advance_turn(world)
-    assert world.jobs == {} and not world.any_busy()
+    assert world.jobs == {} and world.at_boundary()
     done = world.event_log[-1]
     assert (done["command"], done["detail"]) == ("build_road_done", {"op": "build_road", "cell": 3})
 

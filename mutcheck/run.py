@@ -81,18 +81,16 @@ MUTANTS = (
     Mutant(
         "reader-skips-state-without-writes",
         CODEC,
-        "        machine.state = _state(program, index)\n"
+        "        machine.state = _state(program, state_index(world))\n"
         "        machine.head = world.units[TAPE_WORKER].position\n"
-        "        self.evidence = evidence\n"
         "        written = world.tape.take_written()\n"
         "        if not written:\n"
         "            return {}\n",
         "        written = world.tape.take_written()\n"
         "        if not written:\n"
         "            return {}\n"
-        "        machine.state = _state(program, index)\n"
-        "        machine.head = world.units[TAPE_WORKER].position\n"
-        "        self.evidence = evidence\n",
+        "        machine.state = _state(program, state_index(world))\n"
+        "        machine.head = world.units[TAPE_WORKER].position\n",
         ("tests/test_codec.py", "tests/test_harness.py", "tests/test_cli.py"),
     ),
     Mutant(
@@ -101,13 +99,6 @@ MUTANTS = (
         "_write(machine.tape, cell, symbol)",
         "pass",
         ("tests/test_codec.py", "tests/test_harness.py", "tests/test_cli.py"),
-    ),
-    Mutant(
-        "yield-cross-check-dropped",
-        CODEC,
-        "if via_yield != region_count:",
-        "if False:",
-        ("tests/test_codec.py",),
     ),
     Mutant("cli-final-decode-dropped", CLI, "reader.close(len(records))", "pass", ("tests/test_cli.py",)),
     # The tape's one write path.
@@ -212,6 +203,14 @@ MUTANTS = (
         "later._since += 1",
         "pass",
         ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    # The instruction record and its log entry.
+    Mutant(
+        "instruction-end-logged-early",
+        CONTROLLER,
+        "    record.turns = world.turn - start_turn\n    end = dict(vars(record))\n",
+        "    end = dict(vars(record))\n    record.turns = world.turn - start_turn\n",
+        ("tests/test_harness.py",),
     ),
     # The jobs table and the BE/V scheduler.
     Mutant(

@@ -7,7 +7,7 @@ execute the same computation (`harness`). The `cli` module exposes all of it
 as the `civutm` command.
 """
 
-from .codec import DecodedConfig, decode, encode_tape, symbol_map
+from .codec import decode, encode_tape, symbol_map
 from .controller import (
     CommandMacro,
     ControllerProgram,
@@ -16,7 +16,7 @@ from .controller import (
     extend_tape,
 )
 from .harness import LockstepReport, OverheadReport, lockstep_verify, overhead_report, random_tm
-from .tm import TMConfig, TMSpec, builtin_program, run, step, validate_spec
+from .tm import TMConfig, TMSpec, builtin_program, run, validate_spec
 from .world import RulesetParams, WorldState, advance_turn, apply_command, init_world, yields
 
 __version__ = "0.1.0"
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CommandMacro",
     "ControllerProgram",
-    "DecodedConfig",
     "LockstepReport",
     "OverheadReport",
     "RulesetParams",
@@ -44,7 +43,6 @@ __all__ = [
     "overhead_report",
     "random_tm",
     "run",
-    "step",
     "symbol_map",
     "validate_spec",
     "yields",

@@ -107,9 +107,9 @@ def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructio
     The world is followed by a ``codec.Reader``, as ``lockstep_verify``
     follows it, and ``final`` is the reader's machine. ``boundaries`` holds
     one entry per instruction boundary (the initial one included): state,
-    head and state evidence, the cells whose machine symbol changed since
-    the previous boundary (None for the blank), the world turn, the yields,
-    and the city census for VI.
+    head, the cells whose machine symbol changed since the previous boundary
+    (None for the blank), the world turn, the yields, and the city census
+    for VI.
     """
     program = compile_program(spec, ruleset, params)
     world = init_world(ruleset, codec.encode_tape(tape, program), params)
@@ -117,7 +117,7 @@ def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructio
     final = reader.machine
 
     def boundary(changed):
-        entry = {"state": final.state, "head": final.head, "evidence": reader.evidence, "changed": changed}
+        entry = {"state": final.state, "head": final.head, "changed": changed}
         entry.update(turn=world.turn, yields=yields(world))
         if ruleset == RULESET_VI:
             entry["cities"] = [
@@ -270,14 +270,18 @@ def cmd_demo_bb3(args) -> int:
             out.append(f"[{sym}]" if cell == entry["head"] else f" {sym} ")
         return "".join(out)
 
-    evidence_key = "faith_delta" if args.ruleset == RULESET_VI else ("culture_delta" if args.ruleset == "BE" else "railroads")
+    # The state as the construction holds it: the Culture or Faith the state
+    # region yields over the base or, as V's Railroads yield nothing, their count.
+    resource = {"BE": "culture", "VI": "faith"}.get(args.ruleset)
+    evidence_key = f"{resource}_delta" if resource else "railroads"
+    index_of = compile_program(spec, args.ruleset, params).state_index_of
     print(f"tape cells {lo}..{hi}, head bracketed; state evidence: {evidence_key}")
     first = boundaries[0]
     print(f"t00  state {first['state']:>3}  {render(first)}")
     for record, entry in zip(records, boundaries[1:]):
         macro = record.macro
         did = "HALT" if macro is None or macro.halt else macro_paper_command(macro, args.ruleset)
-        evidence = entry["evidence"].get(evidence_key)
+        evidence = entry["yields"][resource] - world.region.base_yield if resource else index_of[entry["state"]]
         print(
             f"t{record.index:02d}  state {entry['state']:>3}  {render(entry)}  "
             f"turns {record.turns:3d}  evidence {evidence}  | {did}"

@@ -1,10 +1,10 @@
 """Bidirectional mapping between worlds and machine configurations.
 
-Decoding reads improvement / worked-flag counts directly and cross-checks
-them against the yield arithmetic (Culture or Faith deltas over the player's
-baseline); a mismatch between the two routes signals world corruption. It is
-read-only and only meaningful at instruction boundaries, i.e. when no unit
-has a pending job and no city is training. A ``Reader`` follows a world
+Decoding reads the machine state as the state region's count (Terrascapes,
+Railroads or worked Monasteries), the head as the tape worker's cell and the
+tape as the cells' improvements or worked flags; the yields are not read.
+It is read-only and only meaningful at instruction boundaries, i.e. when no
+unit has a pending job and no city is training. A ``Reader`` follows a world
 from boundary to boundary: one full ``decode`` at the start, then only the
 state, the head and the cells the world's tape recorded as written, with
 the same symbol rule and the same errors, and a full ``decode`` at the end
@@ -13,31 +13,14 @@ that fails closed on a cell changed without being recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import CivUtmError, CompileError, DecodeError
 from .tm import Machine, TMConfig, TMSpec, _write
-from .world import (
-    GAME_BLANK,
-    GAME_SYMBOLS,
-    RULESET_BE,
-    RULESET_V,
-    TAPE_WORKER,
-    WorldState,
-    yields,
-)
+from .world import GAME_BLANK, GAME_SYMBOLS, TAPE_WORKER, WorldState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .controller import ControllerProgram
-
-
-@dataclass(frozen=True)
-class DecodedConfig:
-    """A decoded machine configuration plus the raw observation behind it."""
-
-    config: TMConfig | None  # None when the world is not at an instruction boundary
-    state_evidence: dict
 
 
 def symbol_map(spec: TMSpec, ruleset: str) -> dict[str, str]:
@@ -73,40 +56,19 @@ def encode_tape(tm_tape: dict[int, str], program: "ControllerProgram") -> dict[i
     return content
 
 
-def state_index(world: WorldState) -> tuple[int, dict]:
-    """Machine state index read from the region, cross-checked via yields
-    on BE and VI. V's Railroads carry no yield, so its count is the state."""
-    region_count = world.region.count
-    p = world.params
-    if p.ruleset == RULESET_V:
-        return region_count, {"railroads": region_count}
-    income = yields(world)
-    if p.ruleset == RULESET_BE:
-        delta = income["culture"] - world.region.base_yield
-        if delta % p.terrascape_culture:
-            raise DecodeError(f"culture delta {delta} is not a multiple of {p.terrascape_culture}")
-        via_yield = delta // p.terrascape_culture
-        evidence = {"terrascapes": region_count, "culture_delta": delta}
-    else:
-        delta = income["faith"] - world.region.base_yield
-        if delta % p.monastery_faith:
-            raise DecodeError(f"faith delta {delta} is not a multiple of {p.monastery_faith}")
-        via_yield = delta // p.monastery_faith
-        evidence = {"worked_monasteries": region_count, "faith_delta": delta}
-    if via_yield != region_count:
-        raise DecodeError(f"yield-decoded state {via_yield} disagrees with region count {region_count}")
-    return region_count, evidence
+def state_index(world: WorldState) -> int:
+    """Machine state index: the count of the state region."""
+    return world.region.count
 
 
-def decode(world: WorldState, program: "ControllerProgram") -> DecodedConfig:
-    """Decode an instruction-boundary world into (state, tape, head)."""
-    index, evidence = state_index(world)
+def decode(world: WorldState, program: "ControllerProgram") -> TMConfig | None:
+    """Decode an instruction-boundary world into (state, tape, head); None
+    when the world is not at an instruction boundary."""
     if not world.at_boundary():
-        return DecodedConfig(config=None, state_evidence=evidence)
-    state = _state(program, index)
+        return None
+    state = _state(program, state_index(world))
     tape = _machine_cells(world, program, sorted(world.tape.items()))
-    head = world.units[TAPE_WORKER].position
-    return DecodedConfig(config=TMConfig(state=state, tape=tape, head=head), state_evidence=evidence)
+    return TMConfig(state=state, tape=tape, head=world.units[TAPE_WORKER].position)
 
 
 def _state(program: "ControllerProgram", index: int) -> str:
@@ -134,21 +96,19 @@ class Reader:
     """Follows a world from one instruction boundary to the next.
 
     Made with one full ``decode`` of the world; ``machine`` holds the
-    configuration read and ``evidence`` the state evidence of the last read.
-    ``advance`` reads the next boundary as ``decode`` would, but only the
-    state, the head and the cells the world's tape recorded as written since
-    the last read: equal at the start and read on every written cell is the
-    whole tape. ``close`` decodes in full once more to check that no cell
-    changed without being recorded.
+    configuration read. ``advance`` reads the next boundary as ``decode``
+    would, but only the state, the head and the cells the world's tape
+    recorded as written since the last read: equal at the start and read on
+    every written cell is the whole tape. ``close`` decodes in full once
+    more to check that no cell changed without being recorded.
     """
 
     def __init__(self, world: WorldState, program: "ControllerProgram"):
-        decoded = decode(world, program)
-        if decoded.config is None:
+        config = decode(world, program)
+        if config is None:
             raise DecodeError("the world is not at an instruction boundary")
         self.world, self.program = world, program
-        self.machine = Machine.of(decoded.config)
-        self.evidence = decoded.state_evidence
+        self.machine = Machine.of(config)
         world.tape.take_written()
 
     def advance(self) -> dict[int, str | None] | None:
@@ -160,12 +120,10 @@ class Reader:
         since the last read are not read.
         """
         world, program, machine = self.world, self.program, self.machine
-        index, evidence = state_index(world)
         if not world.at_boundary():
             return None
-        machine.state = _state(program, index)
+        machine.state = _state(program, state_index(world))
         machine.head = world.units[TAPE_WORKER].position
-        self.evidence = evidence
         written = world.tape.take_written()
         if not written:
             return {}
@@ -182,7 +140,7 @@ class Reader:
     def close(self, instruction: int) -> None:
         """Decode the world in full and raise :class:`CivUtmError` unless it
         gives ``machine``, the configuration read at ``instruction``."""
-        if decode(self.world, self.program).config != self.machine.config():
+        if decode(self.world, self.program) != self.machine.config():
             raise CivUtmError(
                 f"the world no longer decodes to the configuration verified at instruction "
                 f"{instruction}: a tape cell changed without being recorded"

@@ -336,7 +336,7 @@ def execute_instruction(world: WorldState, program: ControllerProgram, index: in
     """
     if not world.at_boundary():
         raise DecodeError("execute_instruction requires an instruction boundary")
-    idx, _ = state_index(world)
+    idx = state_index(world)
     state = program.index_to_state[idx]
     head = world.units[TAPE_WORKER].position
     game_read = world.symbol_at(head)
@@ -359,21 +359,9 @@ def execute_instruction(world: WorldState, program: ControllerProgram, index: in
         _execute_be_v(world, macro, head, record)
 
     record.turns = world.turn - start_turn
-    world.log(
-        "controller",
-        "instruction_end",
-        {
-            "index": index,
-            "turns": record.turns,
-            "movement_turns": record.movement_turns,
-            "pre_train_wait": record.pre_train_wait,
-            "extension": record.extension,
-            "tape_length_before": record.tape_length_before,
-            "settler_cost_production": record.settler_cost_production,
-            "settler_cost_turns": record.settler_cost_turns,
-            "halted": record.halted,
-        },
-    )
+    end = dict(vars(record))
+    del end["state_index"], end["read"], end["macro"]  # instruction_start logged the first two
+    world.log("controller", "instruction_end", end)
     return record
 
 
@@ -431,11 +419,11 @@ def extend_tape(world: WorldState, direction: str, record: InstructionRecord) ->
     (still at growth cap 4 unless it already extended the other way) trains a
     Settler once its population matches its cap, the Settler travels one
     spacing and founds the new city, and the worker waits on the new near
-    cell until the city grows to its cap of 4 — at which point the
-    four-citizen population again marks the end of tape. Each wait jumps
-    from event to event (a birth, the finished Settler, a job), so its cost
-    is the events it spans, not its turns. The extension's costs are filled
-    into ``record``.
+    cell until the city grows to its cap of 4. The strip's end is found by
+    which cities exist, not by population: an end city that has trained a
+    Settler holds 3 Citizens. Each wait jumps from event to event (a birth,
+    the finished Settler, a job), so its cost is the events it spans, not its
+    turns. The extension's costs are filled into ``record``.
     """
     if world.params.ruleset != RULESET_VI:
         raise IllegalCommand("tape extension applies to ruleset VI only")

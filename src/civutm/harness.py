@@ -177,8 +177,8 @@ def lockstep_verify(
             break
         report.records.append(record)
 
-        if decoded is not None and decoded.config != oracle.config():
-            diverged(index, _config_json(oracle), _config_json(decoded.config) if decoded.config else "mid-instruction")
+        if not agrees and decoded != oracle.config():
+            diverged(index, _config_json(oracle), _config_json(decoded) if decoded else "mid-instruction")
             break
         if oracle_halted != record.halted:
             diverged(index, "halted" if oracle_halted else "running", "halted" if record.halted else "running")

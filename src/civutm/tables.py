@@ -20,8 +20,6 @@ from importlib import resources
 from .controller import PAPER_SYMBOL_NAMES, ControllerProgram, TapeAction, vi_state_delta
 from .tm import HaltAction, Transition
 
-FIXTURE_NAMES = ("civ_be_rogozhin_10_3", "civ_v_rogozhin_10_3", "civ_vi_rogozhin_24_2")
-
 # (ruleset, builtin machine) -> fixture name
 FIXTURE_FOR = {
     ("BE", "rogozhin_10_3"): "civ_be_rogozhin_10_3",
@@ -30,7 +28,7 @@ FIXTURE_FOR = {
 }
 
 def load_fixture(name: str) -> dict:
-    if name not in FIXTURE_NAMES:
+    if name not in FIXTURE_FOR.values():
         raise KeyError(f"unknown fixture {name!r}")
     text = resources.files("civutm").joinpath("fixtures", f"{name}.json").read_text()
     return json.loads(text)

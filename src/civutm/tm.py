@@ -4,9 +4,8 @@ This interpreter is the ground-truth oracle for every game-side equivalence
 check, so it stays deliberately small and has one transition rule:
 ``step_in_place`` applies a transition to a :class:`Machine` (state, tape,
 head) by writing one cell, moving the head and setting the state. Specs and
-configurations are values; ``step`` is the same rule applied to a copy, and
-``run`` steps one machine and keeps its trace as per-step deltas, so neither
-costs more than the cells a step touches.
+configurations are values, and ``run`` steps one machine and keeps its
+trace as per-step deltas, so it costs no more than the cells a step touches.
 
 Tapes are sparse maps from signed cell index to symbol; the blank symbol is
 never stored explicitly (canonical form). State and alphabet declaration
@@ -80,13 +79,6 @@ class TMConfig:
     state: str
     tape: dict[int, str] = field(default_factory=dict)
     head: int = 0
-
-
-@dataclass(frozen=True)
-class Halted:
-    """Terminal outcome of ``step``, carrying the final configuration."""
-
-    config: TMConfig
 
 
 @dataclass(slots=True)
@@ -247,18 +239,6 @@ def step_in_place(spec: TMSpec, machine: Machine) -> bool:
     machine.head = head + (1 if rule.move == "R" else -1)
     machine.state = rule.next_state
     return False
-
-
-def step(spec: TMSpec, config: TMConfig) -> TMConfig | Halted:
-    """Apply one transition to a copy of ``config``, or report halting.
-
-    ``step_in_place`` on a fresh :class:`Machine`; a halt (absorbed or an
-    explicit entry) returns the configuration inside :class:`Halted`.
-    """
-    machine = Machine.of(config)
-    halted = step_in_place(spec, machine)
-    after = TMConfig(state=machine.state, tape=machine.tape, head=machine.head)
-    return Halted(after) if halted else after
 
 
 def run(spec: TMSpec, config: TMConfig, max_steps: int) -> RunResult:

@@ -161,13 +161,14 @@ class RulesetParams:
         ):
             if getattr(self, name) < 0:
                 raise IllegalCommand(f"{name} must be >= 0")
-        # The codec reads BE's and VI's state back from the yield delta,
-        # divided by the yield of one state tile.
+        # In the games' construction each state tile adds to a yield: BE's
+        # state is read from Culture and VI's from Faith, so a state tile
+        # that yields nothing would hold no readable state.
         if self.ruleset == RULESET_BE and self.terrascape_culture < 1:
-            raise IllegalCommand("terrascape_culture must be >= 1: BE decodes its state from Culture")
+            raise IllegalCommand("terrascape_culture must be >= 1: BE's construction reads its state from Culture")
         if self.ruleset == RULESET_VI:
             if self.monastery_faith < 1:
-                raise IllegalCommand("monastery_faith must be >= 1: VI decodes its state from Faith")
+                raise IllegalCommand("monastery_faith must be >= 1: VI's construction reads its state from Faith")
             if self.city_spacing < 2 or self.city_spacing % 2:
                 raise IllegalCommand("city_spacing must be an even distance >= 2")
             # Cities hold 2 to 4 Citizens: one on the center, up to two on

@@ -1,0 +1,52 @@
+"""The copying transition rule, kept as a reference for the tests.
+
+``tm.step_in_place`` updates one machine in place; ``reference_step`` builds
+a fresh configuration per step and never touches its argument, so tests can
+check the in-place rule, ``tm.run`` and ``harness.lockstep_verify`` against
+a rule written without them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from civutm.errors import MachineStuck
+from civutm.tm import HaltAction, TMConfig, TMSpec
+
+
+@dataclass(frozen=True)
+class Halted:
+    """Terminal outcome of ``reference_step``, carrying the final configuration."""
+
+    config: TMConfig
+
+
+def reference_step(spec: TMSpec, config: TMConfig) -> TMConfig | Halted:
+    """One transition on a fresh copy of the tape, or the halt it reaches.
+
+    A halting state absorbs; an explicit halt entry applies its write and
+    keeps the head. Raises :class:`MachineStuck` on an undefined pair.
+    """
+    if config.state in spec.halting:
+        return Halted(config)
+    read = config.tape.get(config.head, spec.blank)
+    rule = spec.transitions.get((config.state, read))
+    if rule is None:
+        raise MachineStuck(config.state, read)
+    if isinstance(rule, HaltAction):
+        tape = config.tape
+        if rule.write is not None and rule.write != read:
+            tape = _written(tape, config.head, rule.write, spec.blank)
+        return Halted(TMConfig(state=config.state, tape=tape, head=config.head))
+    tape = _written(config.tape, config.head, rule.write, spec.blank)
+    head = config.head + (1 if rule.move == "R" else -1)
+    return TMConfig(state=rule.next_state, tape=tape, head=head)
+
+
+def _written(tape: dict[int, str], cell: int, symbol: str, blank: str) -> dict[int, str]:
+    new = dict(tape)
+    if symbol == blank:
+        new.pop(cell, None)
+    else:
+        new[cell] = symbol
+    return new

@@ -226,8 +226,7 @@ def test_criterion_7_roundtrip_and_determinism(tmp_path):
         for _ in range(100):
             tape = {rng.randint(-8, 8): rng.choice(symbols) for _ in range(rng.randint(0, 8))}
             world = init_world(ruleset, encode_tape(tape, program))
-            decoded = decode(world, program)
-            assert decoded.config == TMConfig(state=spec.initial, tape=dict(sorted(tape.items())), head=0)
+            assert decode(world, program) == TMConfig(state=spec.initial, tape=dict(sorted(tape.items())), head=0)
             roundtrips += 1
 
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

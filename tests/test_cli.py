@@ -204,8 +204,8 @@ def test_long_valid_durations_run(tmp_path, capsys, ruleset, params, max_instruc
 
 @pytest.mark.parametrize("ruleset,name", [("BE", "terrascape_culture"), ("VI", "monastery_faith")])
 def test_zero_state_tile_yield_status(tmp_path, capsys, ruleset, name):
-    # The codec divides the yield delta by this yield; 0 used to end in a
-    # ZeroDivisionError traceback.
+    # The games' construction reads the state from this yield, so params
+    # that zero it are refused up front, with one JSON error line.
     params = tmp_path / "params.json"
     params.write_text(json.dumps({name: 0}))
     status, out, err = run_cli(capsys, "run", "bb3", "--ruleset", ruleset, "--params", str(params))
@@ -453,7 +453,7 @@ def _reference_drive_game(spec, ruleset, tape, max_instructions):
     lines = [cli._dump({"format_version": cli.TRACE_FORMAT_VERSION, "kind": "trace"})]
     prev_tape = {}
     for i, entry in enumerate(boundaries):
-        cfg = entry["decoded"].config
+        cfg = entry["decoded"]
         changed = {}
         for cell in sorted(set(prev_tape) | set(cfg.tape)):
             if prev_tape.get(cell) != cfg.tape.get(cell):
@@ -464,7 +464,7 @@ def _reference_drive_game(spec, ruleset, tape, max_instructions):
             rec["cities"] = entry["cities"]
         prev_tape = dict(cfg.tape)
         lines.append(cli._dump(rec))
-    final = boundaries[-1]["decoded"].config
+    final = boundaries[-1]["decoded"]
     summary = {
         "outcome": outcome,
         "instructions": len(records),

@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from civutm import codec
 from civutm.codec import Reader, decode, encode_tape, state_index, symbol_map
 from civutm.controller import compile_program, execute_instruction
 from civutm.errors import CompileError, DecodeError
@@ -23,6 +22,7 @@ from civutm.world import (
     apply_command,
     init_world,
     world_snapshot,
+    yields,
 )
 
 
@@ -55,9 +55,7 @@ def test_roundtrip_random_tapes(ruleset):
     for _ in range(100):
         tape = {rng.randint(-6, 6): rng.choice(symbols) for _ in range(rng.randint(0, 6))}
         world = init_world(ruleset, encode_tape(tape, program))
-        decoded = decode(world, program)
-        assert decoded.config is not None
-        assert decoded.config == TMConfig(state=spec.initial, tape=dict(sorted(tape.items())), head=0)
+        assert decode(world, program) == TMConfig(state=spec.initial, tape=dict(sorted(tape.items())), head=0)
 
 
 def test_encode_drops_blanks():
@@ -86,12 +84,9 @@ def test_be_state_from_culture_delta():
         apply_command(world, STATE_WORKER, Command(op="build_state"))
         for _ in range(world.params.terrascape_build_turns):
             advance_turn(world)
-    from civutm.world import yields
-
     assert yields(world)["culture"] == 7
-    idx, evidence = state_index(world)
-    assert idx == 2
-    assert evidence == {"terrascapes": 2, "culture_delta": 6}
+    assert yields(world)["culture"] - world.region.base_yield == 2 * world.params.terrascape_culture
+    assert state_index(world) == 2
 
 
 def test_v_state_from_railroad_count():
@@ -100,50 +95,22 @@ def test_v_state_from_railroad_count():
         apply_command(world, STATE_WORKER, Command(op="build_state"))
         for _ in range(world.params.railroad_build_turns):
             advance_turn(world)
-    idx, evidence = state_index(world)
-    assert idx == 2
-    assert evidence == {"railroads": 2}
+    assert yields(world)["culture"] == world.region.base_yield  # Railroads yield nothing
+    assert state_index(world) == 2
 
 
 def test_vi_state_from_worked_monasteries():
     world = init_world(RULESET_VI, {})
     apply_command(world, "player", Command(op="shift_monasteries", count=23))
-    idx, evidence = state_index(world)
-    assert idx == 23
-    assert evidence == {"worked_monasteries": 23, "faith_delta": 46}
-
-
-@pytest.mark.parametrize(
-    ("ruleset", "resource", "per_state"),
-    [(RULESET_BE, "culture", "terrascape_culture"), (RULESET_VI, "faith", "monastery_faith")],
-)
-def test_state_index_refuses_a_yield_that_disagrees_with_the_count(monkeypatch, ruleset, resource, per_state):
-    # yields() derives the yield from the region count, so only a fault in it
-    # can make the two routes disagree; this fakes one.
-    world = init_world(ruleset, {})
-    extra = 0
-    true_yields = codec.yields
-
-    def faulty_yields(world):
-        income = true_yields(world)
-        income[resource] += extra
-        return income
-
-    monkeypatch.setattr(codec, "yields", faulty_yields)
-    extra = 1
-    with pytest.raises(DecodeError, match="delta 1 is not a multiple of"):
-        state_index(world)
-    extra = getattr(world.params, per_state)
-    with pytest.raises(DecodeError, match="yield-decoded state 1 disagrees with region count 0"):
-        state_index(world)
+    assert yields(world)["faith"] - world.region.base_yield == 46
+    assert state_index(world) == 23
 
 
 def test_decode_not_at_boundary():
     program = compile_program(builtin_program("bb3"), RULESET_BE)
     world = init_world(RULESET_BE, {})
     apply_command(world, TAPE_WORKER, Command(op="build_road", cell=0))
-    decoded = decode(world, program)
-    assert decoded.config is None
+    assert decode(world, program) is None
 
 
 def test_decode_rejects_state_out_of_range():
@@ -168,15 +135,15 @@ def test_reader_reads_what_decode_gives_on_the_written_cells():
     program = compile_program(builtin_program("bb3"), RULESET_BE)
     world = init_world(RULESET_BE, {2: "road"})
     reader = Reader(world, program)
-    assert reader.machine.config() == decode(world, program).config
+    assert reader.machine.config() == decode(world, program)
     world.tape[2] = "none"
     world.tape[5] = "road"
     world.tape[6] = "none"  # the blank over the blank changes nothing
     world.region.count = 1
     world.units[TAPE_WORKER].position = 3
     assert reader.advance() == {2: None, 5: "1"}
-    assert reader.machine.config() == decode(world, program).config
-    assert reader.evidence == decode(world, program).state_evidence
+    assert reader.machine.config() == decode(world, program)
+    assert reader.machine.state == program.index_to_state[1]
     assert reader.advance() == {}
     world.tape._cells[4] = "pillaged_road"  # not recorded, so not read
     assert reader.advance() == {}
@@ -205,16 +172,16 @@ def test_reader_reads_state_and_head_when_no_cell_was_written(ruleset):
     reader = Reader(world, program)
     execute_instruction(world, program, index=1)
     assert reader.advance() == {}
-    assert reader.machine.config() == decode(world, program).config
+    assert reader.machine.config() == decode(world, program)
     assert (reader.machine.state, reader.machine.head) == (first.next_state, 1)
-    assert reader.evidence == decode(world, program).state_evidence
+    assert program.state_index_of[reader.machine.state] == state_index(world) == 1
 
 
 def test_vi_head_is_global_cell_index():
     program = compile_program(builtin_program("rogozhin_24_2"), RULESET_VI)
     world = init_world(RULESET_VI, {-3: "worked"})
     world.units[TAPE_WORKER].position = -3
-    decoded = decode(world, program)
-    assert decoded.config.head == -3
+    config = decode(world, program)
+    assert config.head == -3
     assert world.symbol_at(-3) == "worked"
-    assert decoded.config.tape == {-3: "1"}
+    assert config.tape == {-3: "1"}

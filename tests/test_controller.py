@@ -24,7 +24,7 @@ from civutm.controller import (
 from civutm.errors import CivUtmError, CompileError, DecodeError, IllegalCommand, MachineStuck
 from civutm.harness import lockstep_verify
 from civutm.tables import FIXTURE_FOR, load_fixture, table_fidelity
-from civutm.tm import HaltAction, TMSpec, Transition, builtin_program
+from civutm.tm import HaltAction, TMConfig, TMSpec, Transition, builtin_program
 from civutm.world import (
     GAME_SYMBOLS,
     RULESET_BE,
@@ -151,10 +151,7 @@ def test_execute_one_instruction_be():
     assert world.symbol_at(0) == "none"
     assert world.units[TAPE_WORKER].position == -1
     assert world.region.count == 1
-    decoded = decode(world, program)
-    assert decoded.config.state == "q1"
-    assert decoded.config.head == -1
-    assert decoded.config.tape == {}
+    assert decode(world, program) == TMConfig(state="q1", tape={}, head=-1)
 
 
 def test_execute_halt_leaves_world_unchanged():

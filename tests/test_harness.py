@@ -29,13 +29,11 @@ from civutm.harness import (
 )
 from civutm.errors import CivUtmError, IllegalCommand, MachineStuck, Starvation
 from civutm.tm import (
-    Halted,
     TMSpec,
     Transition,
     builtin_program,
     count_symbol,
     initial_config,
-    step,
     validate_spec,
 )
 from civutm.world import (
@@ -48,6 +46,8 @@ from civutm.world import (
     world_snapshot,
     yields,
 )
+
+from reference import Halted, reference_step
 
 
 def test_bb3_be_equivalent_through_halt():
@@ -670,7 +670,8 @@ def test_vi_halt_reached_through_an_extension():
 # ---------------------------------------------------------------------------
 # Written-cell checks against the plain path: lockstep_verify decodes the
 # world in full only at the start and the end and checks the written cells
-# in between; the reference below decodes it in full after every instruction.
+# in between; the reference below decodes it in full after every instruction
+# and steps the copying oracle, ``reference_step``.
 # ---------------------------------------------------------------------------
 
 
@@ -686,8 +687,8 @@ def _reference_verify(spec, ruleset, initial_tape, max_instructions, program):
 
     oracle = initial_config(spec, initial_tape)
     decoded = codec.decode(world, program)
-    if decoded.config != oracle:
-        return diverged(0, _config_json(oracle), _config_json(decoded.config) if decoded.config else None)
+    if decoded != oracle:
+        return diverged(0, _config_json(oracle), _config_json(decoded) if decoded else None)
 
     game = run_instructions(world, program, max_instructions)
     for index in range(1, max_instructions + 1):
@@ -696,7 +697,7 @@ def _reference_verify(spec, ruleset, initial_tape, max_instructions, program):
             oracle_halted = True
         else:
             try:
-                next_oracle = step(spec, oracle)
+                next_oracle = reference_step(spec, oracle)
             except MachineStuck:
                 oracle_stuck = True
             else:
@@ -715,8 +716,8 @@ def _reference_verify(spec, ruleset, initial_tape, max_instructions, program):
             diverged(index, "stuck" if oracle_stuck else _config_json(oracle), "stuck" if game_stuck else "ran")
             break
         report.records.append(record)
-        if decoded.config != oracle:
-            diverged(index, _config_json(oracle), _config_json(decoded.config) if decoded.config else "mid-instruction")
+        if decoded != oracle:
+            diverged(index, _config_json(oracle), _config_json(decoded) if decoded else "mid-instruction")
             break
         if oracle_halted != record.halted:
             diverged(index, "halted" if oracle_halted else "running", "halted" if record.halted else "running")

@@ -13,7 +13,6 @@ from civutm.errors import MachineStuck, SpecError
 from civutm.harness import random_tm
 from civutm.tm import (
     HaltAction,
-    Halted,
     Machine,
     TMConfig,
     TMSpec,
@@ -25,10 +24,11 @@ from civutm.tm import (
     run,
     spec_from_json,
     spec_to_json,
-    step,
     step_in_place,
     validate_spec,
 )
+
+from reference import Halted, reference_step
 
 # Golden facts for the three-state Busy Beaver, computed once with an
 # independent brute-force interpreter and frozen here. The published figure
@@ -53,8 +53,9 @@ def test_bb3_oracle_golden():
 
 def test_bb3_first_step():
     spec = builtin_program("bb3")
-    nxt = step(spec, initial_config(spec))
-    assert nxt == TMConfig(state="q1", tape={0: "1"}, head=1)
+    machine = Machine.of(initial_config(spec))
+    assert step_in_place(spec, machine) is False
+    assert machine.config() == TMConfig(state="q1", tape={0: "1"}, head=1)
 
 
 def test_halting_state_absorbs():
@@ -68,18 +69,17 @@ def test_halting_state_absorbs():
         transitions={("a", "0"): Transition("1", "R", "h")},
     )
     config = TMConfig(state="h", tape={0: "1"}, head=5)
-    out = step(spec, config)
-    assert isinstance(out, Halted)
-    assert out.config == config
+    machine = Machine.of(config)
+    assert step_in_place(spec, machine) is True
+    assert machine.config() == config
 
 
 def test_bb3_halt_entry_writes_then_stops():
     spec = builtin_program("bb3")
-    config = TMConfig(state="q2", tape={0: "1"}, head=0)
-    out = step(spec, config)
-    assert isinstance(out, Halted)
-    assert out.config.head == 0  # the halt row's printed move is ignored
-    assert out.config.tape == {0: "1"}
+    machine = Machine("q2", {0: "1"}, 0)
+    assert step_in_place(spec, machine) is True
+    assert machine.head == 0  # the halt row's printed move is ignored
+    assert machine.tape == {0: "1"}
 
 
 def test_halt_entry_with_real_write():
@@ -92,9 +92,9 @@ def test_halt_entry_with_real_write():
         halting=(),
         transitions={("a", "0"): HaltAction(write="1")},
     )
-    out = step(validate_spec(spec), initial_config(spec))
-    assert isinstance(out, Halted)
-    assert out.config.tape == {0: "1"}
+    machine = Machine.of(initial_config(spec))
+    assert step_in_place(validate_spec(spec), machine) is True
+    assert machine.tape == {0: "1"}
 
 
 def test_stuck_is_an_error_not_a_halt():
@@ -109,7 +109,7 @@ def test_stuck_is_an_error_not_a_halt():
     )
     validate_spec(spec)
     with pytest.raises(MachineStuck):
-        step(spec, TMConfig(state="b", tape={}, head=0))
+        step_in_place(spec, Machine("b", {}, 0))
     result = run(spec, initial_config(spec), 10)
     assert result.outcome == "stuck"
     assert result.steps == 1
@@ -234,9 +234,10 @@ def specs_and_configs(draw):
 @given(specs_and_configs())
 def test_step_locality_and_canonicity(sc):
     spec, config = sc
-    nxt = step(spec, config)
-    if isinstance(nxt, Halted):
-        nxt = nxt.config
+    machine = Machine.of(config)
+    halted = step_in_place(spec, machine)
+    nxt = machine.config()
+    if halted:
         assert nxt.head == config.head
     else:
         assert abs(nxt.head - config.head) == 1
@@ -249,41 +250,19 @@ def test_step_locality_and_canonicity(sc):
 @given(specs_and_configs())
 def test_step_determinism(sc):
     spec, config = sc
-    assert step(spec, config) == step(spec, config)
+
+    def stepped():
+        machine = Machine.of(config)
+        return step_in_place(spec, machine), machine.config()
+
+    assert stepped() == stepped()
 
 
 # ---------------------------------------------------------------------------
 # The in-place rule against the copying one: ``step_in_place`` updates one
-# machine and ``run`` keeps deltas; the references below build a fresh
-# configuration per step and keep every one.
+# machine and ``run`` keeps deltas; ``reference_step`` and the reference run
+# below build a fresh configuration per step and keep every one.
 # ---------------------------------------------------------------------------
-
-
-def _reference_step(spec, config):
-    """One transition on a fresh copy of the tape, as ``step`` once did."""
-    if config.state in spec.halting:
-        return Halted(config)
-    read = config.tape.get(config.head, spec.blank)
-    rule = spec.transitions.get((config.state, read))
-    if rule is None:
-        raise MachineStuck(config.state, read)
-    if isinstance(rule, HaltAction):
-        tape = config.tape
-        if rule.write is not None and rule.write != read:
-            tape = _reference_written(tape, config.head, rule.write, spec.blank)
-        return Halted(TMConfig(state=config.state, tape=tape, head=config.head))
-    tape = _reference_written(config.tape, config.head, rule.write, spec.blank)
-    head = config.head + (1 if rule.move == "R" else -1)
-    return TMConfig(state=rule.next_state, tape=tape, head=head)
-
-
-def _reference_written(tape, cell, symbol, blank):
-    new = dict(tape)
-    if symbol == blank:
-        new.pop(cell, None)
-    else:
-        new[cell] = symbol
-    return new
 
 
 def _reference_run(spec, config, max_steps):
@@ -295,7 +274,7 @@ def _reference_run(spec, config, max_steps):
         if cur.state in spec.halting:
             return tuple(trace), "halted", steps
         try:
-            nxt = _reference_step(spec, cur)
+            nxt = reference_step(spec, cur)
         except MachineStuck:
             return tuple(trace), "stuck", steps
         steps += 1
@@ -342,9 +321,8 @@ def test_in_place_rule_agrees_with_the_copying_one(spec_and_tape, data):
     spec, tape = spec_and_tape
     config = TMConfig(state=data.draw(st.sampled_from(spec.states)), tape=tape, head=data.draw(st.integers(-7, 7)))
     before = dict(config.tape)
-    expected = _applied(_reference_step, spec, config)
-    assert _applied(step, spec, config) == expected
-    assert config.tape == before  # step leaves its argument alone
+    expected = _applied(reference_step, spec, config)
+    assert config.tape == before  # the copying rule leaves its argument alone
     machine = Machine.of(config)
     try:
         halted = step_in_place(spec, machine)

@@ -204,13 +204,30 @@ MUTANTS = (
         "pass",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
-    # The instruction record and its log entry.
+    # The event log's references: the instruction record and the issued job.
     Mutant(
-        "instruction-end-logged-early",
+        "instruction-end-logged-before-run",
         CONTROLLER,
-        "    record.turns = world.turn - start_turn\n    end = dict(vars(record))\n",
-        "    end = dict(vars(record))\n    record.turns = world.turn - start_turn\n",
+        "    if program.ruleset == RULESET_VI:\n"
+        "        _execute_vi(world, macro, head, record)\n"
+        "    else:\n"
+        "        _execute_be_v(world, macro, head, record)\n\n"
+        "    record.turns = world.turn - start_turn\n"
+        '    world.log("controller", "instruction_end", record)\n',
+        '    world.log("controller", "instruction_end", record)\n'
+        "    if program.ruleset == RULESET_VI:\n"
+        "        _execute_vi(world, macro, head, record)\n"
+        "    else:\n"
+        "        _execute_be_v(world, macro, head, record)\n\n"
+        "    record.turns = world.turn - start_turn\n",
         ("tests/test_harness.py",),
+    ),
+    Mutant(
+        "issue-entry-logs-command",
+        WORLD,
+        "world.log(unit_id, command.op, job)",
+        "world.log(unit_id, command.op, command)",
+        ("tests/test_controller.py", "tests/test_harness.py"),
     ),
     # The jobs table and the BE/V scheduler.
     Mutant(

@@ -13,9 +13,10 @@ Subcommands:
                   report with its bounds.
 
 Exit status: 0 success, 1 divergence/diff/bound failure, 2 parse or usage
-error, 3 stuck machine, 4 step limit reached. Traces and reports are
-line-delimited JSON with sorted keys, so identical invocations produce
-byte-identical files.
+error, 3 stuck machine, 4 step limit reached. A stdout closed by its
+reader (``civutm ... | head``) ends the command quietly with 0. Traces and
+reports are line-delimited JSON with sorted keys, so identical invocations
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -367,6 +369,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at the null device, so the flush
+        # at exit cannot raise too, and end quietly: this is no usage error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (CivUtmError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(_dump({"error": str(exc)}), file=sys.stderr)
         return EXIT_PARSE

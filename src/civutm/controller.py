@@ -259,7 +259,9 @@ def program_to_json(program: ControllerProgram) -> dict:
 
 @dataclass
 class InstructionRecord:
-    """What one executed instruction did and what it cost."""
+    """What one executed instruction did and what it cost. Its
+    ``instruction_end`` log entry holds the record and renders it on read, so
+    a logged record is not mutated."""
 
     index: int
     state_index: int
@@ -273,6 +275,13 @@ class InstructionRecord:
     settler_cost_production: int | None = None
     settler_cost_turns: int | None = None
     halted: bool = False
+
+    def describe(self) -> dict:
+        """The ``instruction_end`` detail: every field but the three that
+        ``instruction_start`` logs or that the log does not carry."""
+        out = dict(vars(self))
+        del out["state_index"], out["read"], out["macro"]
+        return out
 
 
 # Bounds the turns ``_drive`` takes with ``advance_turn``, not the turns that
@@ -359,9 +368,7 @@ def execute_instruction(world: WorldState, program: ControllerProgram, index: in
         _execute_be_v(world, macro, head, record)
 
     record.turns = world.turn - start_turn
-    end = dict(vars(record))
-    del end["state_index"], end["read"], end["macro"]  # instruction_start logged the first two
-    world.log("controller", "instruction_end", end)
+    world.log("controller", "instruction_end", record)
     return record
 
 

@@ -20,14 +20,18 @@ unbounded.
 
 A unit's pending job lives in one table on the world, ``WorldState.jobs``
 (unit id -> ``Job``), so a busy check is a key lookup and a turn visits the
-pending jobs, not every unit. Each command is described once, when it is
-issued; its job keeps that description for the completion entry.
+pending jobs, not every unit.
 
 All operations mutate the passed ``WorldState`` in place and also return it;
 they are deterministic functions of the state, and the append-only event log
 records every accepted command and completion. ``advance_turn`` plays one
 turn; ``skip_quiet_turns`` jumps over the turns before the next event in
 closed form, leaving the same state those turns would.
+
+The log holds references and renders them on read: an entry for a command,
+a job or an instruction record keeps that object, which is not mutated once
+logged, and ``event_entries`` turns each entry into its dict only when the
+log is read, so a run builds no descriptions it does not export.
 
 A VI city's food changes by the same delta every turn until an event touches
 the city (a cell of it set worked or not, a birth, a trained Settler, its
@@ -46,7 +50,7 @@ from __future__ import annotations
 import json
 import weakref
 from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import IllegalCommand, Starvation
 
@@ -209,7 +213,9 @@ class StateRegion:
 
 @dataclass(slots=True)
 class Command:
-    """One primitive player command. Unused fields stay at their defaults."""
+    """One primitive player command. Unused fields stay at their defaults.
+
+    A logged command is not mutated: the event log renders it on read."""
 
     op: str
     cell: int | None = None
@@ -237,12 +243,15 @@ class Command:
 
 @dataclass(slots=True)
 class Job:
-    """A unit's pending command, held in ``WorldState.jobs``. ``detail`` is
-    ``command.describe()`` taken at issue time; the completion entry logs it."""
+    """A unit's pending command, held in ``WorldState.jobs``. Its issue entry
+    in the event log holds the job and its completion entry the command; both
+    are rendered on read, so a logged job is not mutated."""
 
     command: Command
     completes_at: int
-    detail: dict
+
+    def describe(self) -> dict:
+        return {**self.command.describe(), "completes_at": self.completes_at}
 
 
 @dataclass
@@ -332,7 +341,7 @@ class WorldState:
     units: dict[str, Unit]
     cities: dict[int, City]
     turn: int = 0
-    event_log: list[dict] = field(default_factory=list)
+    event_log: list[tuple] = field(default_factory=list)  # see ``log``
     jobs: dict[str, Job] = field(default_factory=dict)
     min_food_observed: int | None = None
     # VI food cache: the live cities' indices, the sum of every city's cached
@@ -358,8 +367,11 @@ class WorldState:
                 return False
         return True
 
-    def log(self, unit: str, command: str, detail: dict | None = None) -> None:
-        self.event_log.append({"turn": self.turn, "unit": unit, "command": command, "detail": detail or {}})
+    def log(self, unit: str, command: str, detail) -> None:
+        """Append ``(turn, unit, command, detail)``. ``detail`` is a dict or an
+        object whose ``describe()`` renders it on read (see
+        ``event_entries``); that object is not mutated once logged."""
+        self.event_log.append((self.turn, unit, command, detail))
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +462,10 @@ _TAPE_OPS = {
     "pillage_road": _TapeOp("pillage a road", (RULESET_BE,), ROVER, ("road",), "remove_or_repair_turns", "pillaged_road"),
     "repair_road": _TapeOp("repair a road", (RULESET_BE,), None, ("pillaged_road",), "remove_or_repair_turns", "road"),
 }
+
+
+# The log name of each job's completion; found_city logs city_founded instead.
+_DONE = {op: f"{op}_done" for op in (*_TAPE_OPS, "build_state", "remove_state", "move")}
 
 
 def _command_duration(world: WorldState, unit: Unit, command: Command) -> int:
@@ -587,20 +603,18 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
         # ever written.
         world.tape[command.cell] = "worked" if command.worked else "unworked"
         _rederive(world, world.city_of_cell(command.cell))
-        world.log(unit_id, command.op, command.describe())
+        world.log(unit_id, command.op, command)
     elif command.op == "shift_monasteries":
         world.region.count += command.count
-        world.log(unit_id, command.op, command.describe())
+        world.log(unit_id, command.op, command)
     elif command.op == "train_settler":
         city = world.cities[command.city]
         city.training_cost = world.params.settler_cost(2 * len(world.cities))
         _rederive(world, city)
         world.log(unit_id, command.op, {"city": city.index, "cost": city.training_cost})
     else:
-        completes_at = world.turn + _command_duration(world, unit, command)
-        detail = command.describe()
-        world.jobs[unit_id] = Job(command, completes_at, detail)
-        world.log(unit_id, command.op, {**detail, "completes_at": completes_at})
+        job = world.jobs[unit_id] = Job(command, world.turn + _command_duration(world, unit, command))
+        world.log(unit_id, command.op, job)
     return world
 
 
@@ -627,7 +641,7 @@ def _complete_job(world: WorldState, uid: str) -> None:
         del world.units[SETTLER]
         world.log("world", "city_founded", {"city": index, "citizens": 2})
         return
-    world.log(uid, f"{op}_done", job.detail)
+    world.log(uid, _DONE[op], command)
 
 
 def _city_food_delta(world: WorldState, city: City) -> tuple[int, int]:
@@ -815,7 +829,7 @@ def world_snapshot(world: WorldState) -> dict:
             "kind": u.kind,
             "position": u.position,
             "busy_until": job.completes_at if job else None,
-            "job": dict(job.detail) if job else None,
+            "job": job.command.describe() if job else None,
         }
     cities = [
         {
@@ -840,8 +854,17 @@ def world_snapshot(world: WorldState) -> dict:
     }
 
 
+def event_entries(world: WorldState) -> Iterator[dict]:
+    """Yield the event log's entries as dicts (turn, unit, command, detail),
+    rendering each logged object's detail through its ``describe()``."""
+    for turn, unit, command, detail in world.event_log:
+        if type(detail) is not dict:
+            detail = detail.describe()
+        yield {"turn": turn, "unit": unit, "command": command, "detail": detail}
+
+
 def event_log_lines(world: WorldState) -> list[str]:
     header = {"format_version": EVENT_LOG_FORMAT_VERSION, "kind": "event_log"}
     lines = [json.dumps(header, sort_keys=True)]
-    lines += [json.dumps(event, sort_keys=True) for event in world.event_log]
+    lines += [json.dumps(event, sort_keys=True) for event in event_entries(world)]
     return lines

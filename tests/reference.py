@@ -1,17 +1,24 @@
-"""The copying transition rule, kept as a reference for the tests.
+"""Plain references for the tests to check the fast paths against.
 
 ``tm.step_in_place`` updates one machine in place; ``reference_step`` builds
 a fresh configuration per step and never touches its argument, so tests can
 check the in-place rule, ``tm.run`` and ``harness.lockstep_verify`` against
 a rule written without them.
+
+``WorldState.log`` keeps a reference to the command, job or instruction
+record it logs and renders it on read; ``eager_log`` builds each entry's
+detail dict at log time instead, so a test can patch it in and compare the
+exported logs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from civutm.controller import InstructionRecord
 from civutm.errors import MachineStuck
 from civutm.tm import HaltAction, TMConfig, TMSpec
+from civutm.world import Command, Job, WorldState
 
 
 @dataclass(frozen=True)
@@ -50,3 +57,18 @@ def _written(tape: dict[int, str], cell: int, symbol: str, blank: str) -> dict[i
     else:
         new[cell] = symbol
     return new
+
+
+def eager_log(world: WorldState, unit: str, command: str, detail) -> None:
+    """``WorldState.log`` with every detail made a dict when it is logged: a
+    job's command description plus ``completes_at``, a command's
+    description, and an instruction record's fields less ``state_index``,
+    ``read`` and ``macro``."""
+    if isinstance(detail, Job):
+        detail = {**detail.command.describe(), "completes_at": detail.completes_at}
+    elif isinstance(detail, Command):
+        detail = detail.describe()
+    elif isinstance(detail, InstructionRecord):
+        detail = dict(vars(detail))
+        del detail["state_index"], detail["read"], detail["macro"]
+    world.event_log.append((world.turn, unit, command, detail))

@@ -7,6 +7,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -543,3 +546,20 @@ def test_run_fails_closed_on_an_unrecorded_write(capsys, monkeypatch):
     status, out, err = run_cli(capsys, "run", "bb3", "--ruleset", "BE")
     assert (status, out) == (2, "")
     assert "verified at instruction 13: a tape cell changed without being recorded" in json.loads(err)["error"]
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    # Unbuffered, every line is its own write; the sweep's lines come after
+    # the reader has gone, and the first of them meets a broken pipe.
+    src = Path(cli.__file__).resolve().parents[1]
+    child = subprocess.Popen(
+        [sys.executable, "-u", "-m", "civutm.cli", "verify", "bb3", "--seeds", "0,1,2,3,4,5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert json.loads(child.stdout.readline())["lockstep"]["outcome"] == "equivalent"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (0, b"")

@@ -35,6 +35,7 @@ from civutm.world import (
     Command,
     RulesetParams,
     apply_command,
+    event_entries,
     init_world,
 )
 
@@ -324,7 +325,7 @@ def test_tape_plan_writes_what_its_action_names(ruleset, read, write):
     controller._execute_be_v(world, macro, 0, record)
     assert world.symbol_at(0) == write
     assert world.at_boundary()
-    issued = [entry["command"] for entry in world.event_log if "completes_at" in entry["detail"]]
+    issued = [entry["command"] for entry in event_entries(world) if "completes_at" in entry["detail"]]
     if action is TapeAction.LEAVE:
         assert issued == []
     elif ruleset == RULESET_V and "none" not in (read, write):

@@ -47,7 +47,7 @@ from civutm.world import (
     yields,
 )
 
-from reference import Halted, reference_step
+from reference import Halted, eager_log, reference_step
 
 
 def test_bb3_be_equivalent_through_halt():
@@ -460,6 +460,36 @@ def test_skipping_quiet_turns_changes_no_output(data, seed, num_states):
     max_instructions = 30 if ruleset == RULESET_VI else 100
     fast, plain = _fast_and_plain(lambda: _outcome(spec, ruleset, max_instructions, params))
     assert fast == plain
+
+
+# The event log holds the logged commands, jobs and records and renders them
+# on read; with ``eager_log`` patched in, each entry's dict is built when it
+# is logged. The exports must agree, which also catches a logged object that
+# is mutated later. Each built-in runs where it compiles under the default
+# params: rogozhin_10_3 has more symbols than VI encodes, and rogozhin_24_2
+# more states than a BE/V state region holds.
+_EAGER_CASES = [
+    *((name, ruleset) for name in ("bb3", "rogozhin_10_3") for ruleset in (RULESET_BE, RULESET_V)),
+    *((name, RULESET_VI) for name in ("bb3", "rogozhin_24_2")),
+    *((f"random:{seed}", ruleset) for seed in range(10) for ruleset in (RULESET_BE, RULESET_V, RULESET_VI)),
+]
+
+
+@pytest.mark.parametrize("name,ruleset", _EAGER_CASES)
+def test_rendered_event_log_equals_the_eager_one(name, ruleset):
+    _, _, seed = name.partition(":")
+    vi = ruleset == RULESET_VI
+    spec = random_tm(int(seed), 3 + int(seed) % 4, 2 if vi else 3) if seed else builtin_program(name)
+    max_instructions = 40 if vi else 100
+
+    def lines():
+        return event_log_lines(lockstep_verify(spec, ruleset, {}, max_instructions).world)
+
+    rendered = lines()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(world_module.WorldState, "log", eager_log)
+        eager = lines()
+    assert rendered == eager
 
 
 def test_skipping_quiet_turns_keeps_the_starvation_turn():

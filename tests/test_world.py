@@ -28,6 +28,7 @@ from civutm.world import (
     RulesetParams,
     advance_turn,
     apply_command,
+    event_entries,
     event_log_lines,
     init_world,
     skip_quiet_turns,
@@ -475,10 +476,10 @@ def test_busy_unit_is_a_key_of_the_jobs_table():
     world = init_world(RULESET_BE, {})
     apply_command(world, TAPE_WORKER, Command(op="build_road", cell=3))
     assert list(world.jobs) == [TAPE_WORKER] and not world.at_boundary()
-    assert world.jobs[TAPE_WORKER].detail == {"op": "build_road", "cell": 3}
+    assert world_snapshot(world)["units"][TAPE_WORKER]["job"] == {"op": "build_road", "cell": 3}
     advance_turn(world)
     assert world.jobs == {} and world.at_boundary()
-    done = world.event_log[-1]
+    done = list(event_entries(world))[-1]
     assert (done["command"], done["detail"]) == ("build_road_done", {"op": "build_road", "cell": 3})
 
 
@@ -488,7 +489,7 @@ def test_jobs_complete_in_unit_id_order():
     apply_command(world, TAPE_WORKER, Command(op="build_road", cell=2))
     apply_command(world, ROVER, Command(op="pillage_road", cell=1))
     advance_turn(world)
-    assert [(event["unit"], event["command"]) for event in world.event_log[-2:]] == [
+    assert [(event["unit"], event["command"]) for event in list(event_entries(world))[-2:]] == [
         (ROVER, "pillage_road_done"),
         (TAPE_WORKER, "build_road_done"),
     ]

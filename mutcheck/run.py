@@ -81,7 +81,7 @@ MUTANTS = (
     Mutant(
         "reader-skips-state-without-writes",
         CODEC,
-        "        machine.state = _state(program, state_index(world))\n"
+        "        machine.state = _state(program, world.state_count)\n"
         "        machine.head = world.units[TAPE_WORKER].position\n"
         "        written = world.tape.take_written()\n"
         "        if not written:\n"
@@ -89,7 +89,7 @@ MUTANTS = (
         "        written = world.tape.take_written()\n"
         "        if not written:\n"
         "            return {}\n"
-        "        machine.state = _state(program, state_index(world))\n"
+        "        machine.state = _state(program, world.state_count)\n"
         "        machine.head = world.units[TAPE_WORKER].position\n",
         ("tests/test_codec.py", "tests/test_harness.py", "tests/test_cli.py"),
     ),
@@ -170,13 +170,6 @@ MUTANTS = (
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     Mutant(
-        "food-params-key-check-dropped",
-        WORLD,
-        "if key != world._food_key:",
-        "if world._food_key is None:",
-        ("tests/test_world.py", "tests/test_harness.py"),
-    ),
-    Mutant(
         "negative-delta-city-not-live",
         WORLD,
         "or city.citizens < city.growth_cap or delta < 0:",
@@ -227,6 +220,22 @@ MUTANTS = (
         WORLD,
         "world.log(unit_id, command.op, job)",
         "world.log(unit_id, command.op, command)",
+        ("tests/test_controller.py", "tests/test_harness.py"),
+    ),
+    # The snapshot's state region, read from the params.
+    Mutant(
+        "snapshot-base-yield-swapped",
+        WORLD,
+        '"base_yield": p.base_faith if vi else p.base_culture,',
+        '"base_yield": p.base_culture if vi else p.base_faith,',
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    # The one macro constructor in controller.compile_program.
+    Mutant(
+        "halt-macro-keeps-move",
+        CONTROLLER,
+        "head_move=None if halt else rule.move,",
+        'head_move="R" if halt else rule.move,',
         ("tests/test_controller.py", "tests/test_harness.py"),
     ),
     # The jobs table and the BE/V scheduler.

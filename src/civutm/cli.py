@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -67,6 +68,8 @@ def _load_tape(args) -> dict[int, str]:
             raise CivUtmError(f"tape cell {cell} must hold a symbol string")
     tape: dict[int, str] = {}
     for cell, sym in pairs:
+        if not re.fullmatch(r"-?[0-9]+", cell):
+            raise CivUtmError(f"tape cell key {cell!r} is not an integer")
         index = int(cell)
         if index in tape:
             raise CivUtmError(f"tape file names cell {index} twice")
@@ -108,19 +111,20 @@ def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructio
 
     The world is followed by a ``codec.Reader``, as ``lockstep_verify``
     follows it, and ``final`` is the reader's machine. ``boundaries`` holds
-    one entry per instruction boundary (the initial one included): state,
-    head, the cells whose machine symbol changed since the previous boundary
-    (None for the blank), the world turn, the yields, and the city census
-    for VI.
+    one trace record per instruction boundary (the initial one included):
+    the instruction count, the world turn, state, head, the cells whose
+    machine symbol changed since the previous boundary (keyed by the cell's
+    string, None for the blank), the yields, and the city census for VI.
     """
     program = compile_program(spec, ruleset, params)
     world = init_world(ruleset, codec.encode_tape(tape, program), params)
     reader = codec.Reader(world, program)
     final = reader.machine
+    records = []
 
     def boundary(changed):
-        entry = {"state": final.state, "head": final.head, "changed": changed}
-        entry.update(turn=world.turn, yields=yields(world))
+        entry = {"instruction": len(records), "turn": world.turn, "state": final.state, "head": final.head}
+        entry.update(changed_cells={str(cell): symbol for cell, symbol in changed.items()}, yields=yields(world))
         if ruleset == RULESET_VI:
             entry["cities"] = [
                 {"index": c.index, "citizens": c.citizens, "growth_cap": c.growth_cap, "food_stock": c.food_stock}
@@ -128,8 +132,7 @@ def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructio
             ]
         return entry
 
-    records = []
-    boundaries = [boundary(dict(final.tape))]
+    boundaries = [boundary(final.tape)]
     outcome = "step-limit"
     try:
         for record in harness.run_instructions(world, program, max_instructions):
@@ -147,20 +150,7 @@ def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructio
 
 
 def _trace_lines(boundaries) -> list[str]:
-    lines = [_dump({"format_version": TRACE_FORMAT_VERSION, "kind": "trace"})]
-    for i, entry in enumerate(boundaries):
-        rec = {
-            "instruction": i,
-            "turn": entry["turn"],
-            "state": entry["state"],
-            "head": entry["head"],
-            "changed_cells": {str(cell): symbol for cell, symbol in entry["changed"].items()},
-            "yields": entry["yields"],
-        }
-        if "cities" in entry:
-            rec["cities"] = entry["cities"]
-        lines.append(_dump(rec))
-    return lines
+    return [_dump({"format_version": TRACE_FORMAT_VERSION, "kind": "trace"}), *map(_dump, boundaries)]
 
 
 def _summary(world, records, final, outcome) -> dict:
@@ -258,23 +248,24 @@ def cmd_demo_bb3(args) -> int:
     # Every cell that is ever non-blank first appears among the changed ones.
     cells = set()
     for entry in boundaries:
-        cells.update(entry["changed"])
+        cells.update(map(int, entry["changed_cells"]))
         cells.add(entry["head"])
     lo, hi = (min(cells), max(cells)) if cells else (0, 0)
-    tape: dict[int, str | None] = {}
+    tape: dict[str, str | None] = {}
 
     def render(entry) -> str:
         """The row of ``entry``; called once per boundary, in order."""
-        tape.update(entry["changed"])
+        tape.update(entry["changed_cells"])
         out = []
         for cell in range(lo, hi + 1):
-            sym = tape.get(cell) or spec.blank
+            sym = tape.get(str(cell)) or spec.blank
             out.append(f"[{sym}]" if cell == entry["head"] else f" {sym} ")
         return "".join(out)
 
     # The state as the construction holds it: the Culture or Faith the state
     # region yields over the base or, as V's Railroads yield nothing, their count.
     resource = {"BE": "culture", "VI": "faith"}.get(args.ruleset)
+    base = params.base_faith if args.ruleset == RULESET_VI else params.base_culture
     evidence_key = f"{resource}_delta" if resource else "railroads"
     index_of = compile_program(spec, args.ruleset, params).state_index_of
     print(f"tape cells {lo}..{hi}, head bracketed; state evidence: {evidence_key}")
@@ -283,7 +274,7 @@ def cmd_demo_bb3(args) -> int:
     for record, entry in zip(records, boundaries[1:]):
         macro = record.macro
         did = "HALT" if macro is None or macro.halt else macro_paper_command(macro, args.ruleset)
-        evidence = entry["yields"][resource] - world.region.base_yield if resource else index_of[entry["state"]]
+        evidence = entry["yields"][resource] - base if resource else index_of[entry["state"]]
         print(
             f"t{record.index:02d}  state {entry['state']:>3}  {render(entry)}  "
             f"turns {record.turns:3d}  evidence {evidence}  | {did}"

@@ -56,17 +56,12 @@ def encode_tape(tm_tape: dict[int, str], program: "ControllerProgram") -> dict[i
     return content
 
 
-def state_index(world: WorldState) -> int:
-    """Machine state index: the count of the state region."""
-    return world.region.count
-
-
 def decode(world: WorldState, program: "ControllerProgram") -> TMConfig | None:
     """Decode an instruction-boundary world into (state, tape, head); None
     when the world is not at an instruction boundary."""
     if not world.at_boundary():
         return None
-    state = _state(program, state_index(world))
+    state = _state(program, world.state_count)
     tape = _machine_cells(world, program, sorted(world.tape.items()))
     return TMConfig(state=state, tape=tape, head=world.units[TAPE_WORKER].position)
 
@@ -122,7 +117,7 @@ class Reader:
         world, program, machine = self.world, self.program, self.machine
         if not world.at_boundary():
             return None
-        machine.state = _state(program, state_index(world))
+        machine.state = _state(program, world.state_count)
         machine.head = world.units[TAPE_WORKER].position
         written = world.tape.take_written()
         if not written:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .codec import state_index, symbol_map
+from .codec import symbol_map
 from .errors import CivUtmError, CompileError, DecodeError, IllegalCommand, MachineStuck
 from .tm import HaltAction, TMSpec, validate_spec
 from .world import (
@@ -125,30 +125,16 @@ def compile_program(spec: TMSpec, ruleset: str, params: RulesetParams | None = N
     macros: dict[tuple[int, str], CommandMacro] = {}
     for (state, read), rule in spec.transitions.items():
         idx = state_index_of[state]
-        game_read = symbols[read]
-        if isinstance(rule, HaltAction):
-            write = rule.write if rule.write is not None else read
-            game_write = symbols[write]
-            action = TapeAction.LEAVE if game_write == game_read else _TAPE_ACTIONS[ruleset][(game_read, game_write)]
-            macro = CommandMacro(
-                tape_action=action,
-                head_move=None,
-                state_delta=0,
-                halt=True,
-                read_symbol=game_read,
-                write_symbol=game_write,
-            )
-        else:
-            game_write = symbols[rule.write]
-            action = TapeAction.LEAVE if game_write == game_read else _TAPE_ACTIONS[ruleset][(game_read, game_write)]
-            macro = CommandMacro(
-                tape_action=action,
-                head_move=rule.move,
-                state_delta=state_index_of[rule.next_state] - idx,
-                read_symbol=game_read,
-                write_symbol=game_write,
-            )
-        macros[(idx, game_read)] = macro
+        halt = isinstance(rule, HaltAction)  # writes (or leaves the cell), never moves
+        game_read, game_write = symbols[read], symbols[read if rule.write is None else rule.write]
+        macros[(idx, game_read)] = CommandMacro(
+            tape_action=TapeAction.LEAVE if game_write == game_read else _TAPE_ACTIONS[ruleset][(game_read, game_write)],
+            head_move=None if halt else rule.move,
+            state_delta=0 if halt else state_index_of[rule.next_state] - idx,
+            halt=halt,
+            read_symbol=game_read,
+            write_symbol=game_write,
+        )
 
     return ControllerProgram(
         ruleset=ruleset,
@@ -345,7 +331,7 @@ def execute_instruction(world: WorldState, program: ControllerProgram, index: in
     """
     if not world.at_boundary():
         raise DecodeError("execute_instruction requires an instruction boundary")
-    idx = state_index(world)
+    idx = world.state_count
     state = program.index_to_state[idx]
     head = world.units[TAPE_WORKER].position
     game_read = world.symbol_at(head)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import codec
 from .controller import (
@@ -218,17 +218,7 @@ class OverheadReport:
     extensions: list[dict] = field(default_factory=list)  # VI only
 
     def to_json(self) -> dict:
-        return {
-            "ruleset": self.ruleset,
-            "max_observed": self.max_observed,
-            "paper_bound": self.paper_bound,
-            "derived_bound": self.derived_bound,
-            "paper_bound_satisfied": self.paper_bound_satisfied,
-            "derived_bound_satisfied": self.derived_bound_satisfied,
-            "per_instruction": self.per_instruction,
-            "excesses": self.excesses,
-            "extensions": self.extensions,
-        }
+        return asdict(self)
 
 
 def _macro_costs(macro: CommandMacro, params: RulesetParams) -> tuple[int, int]:

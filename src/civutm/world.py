@@ -12,11 +12,11 @@ Three rulesets share one model:
 
 Geometry is reduced to a 1-D integer line for the tape plus an abstract
 finite state region: the 2-D hex map adds nothing to the computation. A tape
-cell holds its game symbol (one of ``GAME_SYMBOLS``) and the region holds its
-count, so the world stores each fact once. The tape (a ``Tape``) has one
-write path, which records the cell, so a reader can follow the world by the
-cells written since it last looked. Turn counters and cell indices are
-unbounded.
+cell holds its game symbol (one of ``GAME_SYMBOLS``) and the region is its
+count, ``WorldState.state_count``, so the world stores each fact once. The
+tape (a ``Tape``) has one write path, which records the cell, so a reader
+can follow the world by the cells written since it last looked. Turn
+counters and cell indices are unbounded.
 
 A unit's pending job lives in one table on the world, ``WorldState.jobs``
 (unit id -> ``Job``), so a busy check is a key lookup and a turn visits the
@@ -41,8 +41,7 @@ through from the clock. The world keeps the sum of the deltas (the food
 ``yields`` reports) and the set of **live** cities: those training, below
 their growth cap or losing food. Only a live city can raise an event, so a
 turn or a skip visits the live cities alone and costs per event, not per
-city. Food params changed after ``validate()`` re-derive every delta at the
-next turn or read.
+city.
 """
 
 from __future__ import annotations
@@ -194,23 +193,6 @@ class RulesetParams:
         return self
 
 
-@dataclass
-class StateRegion:
-    """The reserved tiles encoding the machine state.
-
-    ``count`` is how many of the region's ``params.state_region_tiles`` tiles
-    stand or are worked (Terrascapes for BE, Railroads for V, Monasteries for
-    VI). Builds take the lowest free tile and removals the highest, so those
-    tiles are always a prefix and the count is the whole state. VI's worked
-    Farms follow from it too: the region's Citizens all work something (see
-    ``world_snapshot``).
-    """
-
-    kind: str  # "terrascape" | "railroad" | "monastery"
-    base_yield: int
-    count: int = 0
-
-
 @dataclass(slots=True)
 class Command:
     """One primitive player command. Unused fields stay at their defaults.
@@ -333,22 +315,30 @@ class Tape:
 @dataclass
 class WorldState:
     """The whole world. ``jobs`` maps a unit id to its pending job: the one
-    place a job is held, so a unit is busy exactly when its id is a key."""
+    place a job is held, so a unit is busy exactly when its id is a key.
+
+    ``state_count`` is how many of the state region's
+    ``params.state_region_tiles`` tiles stand or are worked (Terrascapes for
+    BE, Railroads for V, Monasteries for VI). Builds take the lowest free
+    tile and removals the highest, so those tiles are always a prefix and the
+    count is the whole state. VI's worked Farms follow from it too: the
+    region's Citizens all work something (see ``world_snapshot``). The
+    params are fixed once ``validate()`` accepts them.
+    """
 
     params: RulesetParams
     tape: Tape
-    region: StateRegion
     units: dict[str, Unit]
     cities: dict[int, City]
+    state_count: int = 0
     turn: int = 0
     event_log: list[tuple] = field(default_factory=list)  # see ``log``
     jobs: dict[str, Job] = field(default_factory=dict)
     min_food_observed: int | None = None
-    # VI food cache: the live cities' indices, the sum of every city's cached
-    # delta, and the food params the deltas were derived under.
+    # VI food cache: the live cities' indices and the sum of every city's
+    # cached delta.
     _live: set[int] = field(default_factory=set, repr=False)
     _food_total: int = 0
-    _food_key: tuple[int, int, int, int] | None = field(default=None, repr=False)
 
     def symbol_at(self, cell: int) -> str:
         return self.tape.get(cell, GAME_BLANK[self.params.ruleset])
@@ -399,7 +389,6 @@ def init_world(ruleset: str, initial_content: dict[int, str] | None = None, para
     units = {TAPE_WORKER: Unit(uid=TAPE_WORKER, kind="TapeWorker", position=0)}
 
     if ruleset == RULESET_VI:
-        region = StateRegion(kind="monastery", base_yield=params.base_faith)
         cells = set(content) | {0, 1}
         lo, hi = min(cells) // 2, max(cells) // 2
         if hi - lo + 1 > MAX_INITIAL_CITIES:
@@ -408,22 +397,21 @@ def init_world(ruleset: str, initial_content: dict[int, str] | None = None, para
                 f"more than {MAX_INITIAL_CITIES}"
             )
     else:
-        region = StateRegion(kind="terrascape" if ruleset == RULESET_BE else "railroad", base_yield=params.base_culture)
         units[STATE_WORKER] = Unit(uid=STATE_WORKER, kind="StateWorker", position=0)
         if ruleset == RULESET_BE:
             units[ROVER] = Unit(uid=ROVER, kind="Rover", position=0)
 
-    world = WorldState(params=params, tape=Tape(content), region=region, units=units, cities={})
+    world = WorldState(params=params, tape=Tape(content), units=units, cities={})
     if ruleset == RULESET_VI:
         for index in range(lo, hi + 1):
             end_city = index in (lo, hi)
-            world.cities[index] = City(
+            world.cities[index] = city = City(
                 index=index,
                 citizens=4 if end_city else 3,
                 growth_cap=4 if end_city else 3,
                 _world=weakref.proxy(world),
             )
-        _check_food_params(world)  # derives every city's delta
+            _rederive(world, city)
     world.log("world", "init", {"ruleset": ruleset, "cells": {str(k): v for k, v in sorted(content.items())}})
     return world
 
@@ -513,14 +501,14 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
             raise IllegalCommand("VI encodes state via citizen reassignment, not builds")
         if unit_id != STATE_WORKER:
             raise IllegalCommand(f"only the {STATE_WORKER} can build in the state region")
-        if world.region.count >= world.params.state_region_tiles:
+        if world.state_count >= world.params.state_region_tiles:
             raise IllegalCommand("state region is full")
     elif op == "remove_state":
         if ruleset == RULESET_VI:
             raise IllegalCommand("VI encodes state via citizen reassignment, not builds")
         if unit_id != STATE_WORKER:
             raise IllegalCommand(f"only the {STATE_WORKER} can remove from the state region")
-        if world.region.count <= 0:
+        if world.state_count <= 0:
             raise IllegalCommand("state region is empty")
     elif op == "set_worked":
         if ruleset != RULESET_VI:
@@ -541,7 +529,7 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
             raise IllegalCommand("monasteries exist only in ruleset VI")
         if type(command.count) is not int:
             raise _mistyped(command, "count", int)
-        new_count = world.region.count + command.count
+        new_count = world.state_count + command.count
         if not 0 <= new_count <= world.params.state_region_tiles:
             raise IllegalCommand(f"cannot work {new_count} monasteries in a region of {world.params.state_region_tiles}")
     elif op == "train_settler":
@@ -605,7 +593,7 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
         _rederive(world, world.city_of_cell(command.cell))
         world.log(unit_id, command.op, command)
     elif command.op == "shift_monasteries":
-        world.region.count += command.count
+        world.state_count += command.count
         world.log(unit_id, command.op, command)
     elif command.op == "train_settler":
         city = world.cities[command.city]
@@ -625,9 +613,9 @@ def _complete_job(world: WorldState, uid: str) -> None:
     if op in _TAPE_OPS:
         world.tape[command.cell] = _TAPE_OPS[op].result
     elif op == "build_state":
-        world.region.count += 1
+        world.state_count += 1
     elif op == "remove_state":
-        world.region.count -= 1
+        world.state_count -= 1
     elif op == "move":
         world.units[uid].position = command.to
         if uid == TAPE_WORKER and ROVER in world.units:
@@ -674,18 +662,6 @@ def _rederive(world: WorldState, city: City) -> None:
         world._live.discard(city.index)
 
 
-def _check_food_params(world: WorldState) -> None:
-    """Re-derive every city's delta unless the food params are those the
-    deltas were derived under (only params mutated after ``validate()``
-    differ; a new world has none)."""
-    p = world.params
-    key = (p.citizen_food_upkeep, p.city_base_food, p.grassland_food, p.floodplains_food)
-    if key != world._food_key:
-        world._food_key = key
-        for city in world.cities.values():
-            _rederive(world, city)
-
-
 def _visited(world: WorldState):
     """The cities a turn visits: the live ones, or every city while no turn
     has passed. A city outside the live set only gains food, so once a turn
@@ -700,15 +676,12 @@ def advance_turn(world: WorldState) -> WorldState:
     zero raises ``Starvation``), make training progress and grow toward their
     caps. Every other city is at its cap, not training and gaining food, so
     its stock reads through from the clock and the turn does not visit it."""
-    vi = world.params.ruleset == RULESET_VI
-    if vi:
-        _check_food_params(world)  # before the clock moves: stocks are held as of now
     world.turn += 1
     for uid in sorted(world.jobs):
         if world.jobs[uid].completes_at <= world.turn:
             _complete_job(world, uid)
 
-    if not vi:
+    if world.params.ruleset != RULESET_VI:
         return world
 
     p = world.params
@@ -762,7 +735,6 @@ def skip_quiet_turns(world: WorldState) -> WorldState:
     events = [job.completes_at for job in world.jobs.values()]
     vi = p.ruleset == RULESET_VI
     if vi:
-        _check_food_params(world)
         for index in world._live:
             city = world.cities[index]
             if city.training_cost is not None:
@@ -793,10 +765,8 @@ def yields(world: WorldState) -> dict[str, int]:
     the cached total of the cities' deltas)."""
     p = world.params
     if p.ruleset == RULESET_VI:
-        _check_food_params(world)
-        faith = world.region.base_yield + p.monastery_faith * world.region.count
-        return {"faith": faith, "food": world._food_total}
-    culture = world.region.base_yield + (p.terrascape_culture * world.region.count if p.ruleset == RULESET_BE else 0)
+        return {"faith": p.base_faith + p.monastery_faith * world.state_count, "food": world._food_total}
+    culture = p.base_culture + (p.terrascape_culture * world.state_count if p.ruleset == RULESET_BE else 0)
     return {"culture": culture}
 
 
@@ -806,17 +776,18 @@ def yields(world: WorldState) -> dict[str, int]:
 
 
 def world_snapshot(world: WorldState) -> dict:
-    vi = world.params.ruleset == RULESET_VI
+    p = world.params
+    vi = p.ruleset == RULESET_VI
     terrain = "grassland" if vi else "flat"
     tape = {
         str(cell): {"improvement": "none" if vi else symbol, "worked": symbol == "worked", "terrain": terrain}
         for cell, symbol in sorted(world.tape.items())
     }
-    n, count = world.params.state_region_tiles, world.region.count
+    n, count = p.state_region_tiles, world.state_count
     region = {
-        "kind": world.region.kind,
+        "kind": {RULESET_BE: "terrascape", RULESET_V: "railroad", RULESET_VI: "monastery"}[p.ruleset],
         "tiles": [i < count for i in range(n)],
-        "base_yield": world.region.base_yield,
+        "base_yield": p.base_faith if vi else p.base_culture,
     }
     if vi:
         # Farms release from the top while Monasteries fill from the bottom,
@@ -845,7 +816,7 @@ def world_snapshot(world: WorldState) -> dict:
     ]
     return {
         "format_version": SNAPSHOT_FORMAT_VERSION,
-        "params": asdict(world.params),
+        "params": asdict(p),
         "tape": tape,
         "state_region": region,
         "units": units,

@@ -396,6 +396,18 @@ def test_a_tape_file_naming_a_cell_twice_status(tmp_path, capsys, text):
     assert json.loads(line)["error"] == "tape file names cell 3 twice"
 
 
+# `int()` reads each of these as a cell (10, 7 and 1); a cell key is ASCII
+# digits with an optional minus sign.
+@pytest.mark.parametrize("key", ["1_0", " 7 ", "١"])
+def test_a_tape_key_that_is_not_ascii_digits_status(tmp_path, capsys, key):
+    tape = tmp_path / "tape.json"
+    tape.write_text(json.dumps({key: "1"}))
+    status, out, err = run_cli(capsys, "run", "bb3", "--tape", str(tape))
+    assert (status, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == f"tape cell key {key!r} is not an integer"
+
+
 @pytest.mark.parametrize("command", ["verify", "cost"])
 def test_verify_and_cost_write_no_file(capsys, command):
     with pytest.raises(SystemExit) as exit_info:
@@ -419,6 +431,28 @@ def test_demo_bb3_output_digest(tmp_path, capsys, ruleset):
     status, out, _ = run_cli(capsys, "demo-bb3", "--ruleset", ruleset, "--out", str(trace))
     assert status == 0
     assert hashlib.sha256((out + trace.read_text()).encode()).hexdigest() == DEMO_DIGESTS[ruleset]
+
+
+# Stdout of `cost` and `verify` (the lockstep and overhead JSON), pinned on
+# the commit before `OverheadReport.to_json` became `dataclasses.asdict`, so
+# a field added to either report shows here.
+REPORT_DIGESTS = {
+    ("cost", "bb3", "BE"): "248b276d1fb07a8feb7d4610ef6814b6c052ba7e49d5aa0a0a4728bc6d12cc64",
+    ("cost", "bb3", "V"): "9ebd84bf76c14b5a5fa889d145398451786a5501acf6a87e8d7ae3332633a9a9",
+    ("cost", "bb3", "VI"): "0470dcb1315f7cf7b6e354cc6e5af9991367b0486d24ea10bf731bb0312ae1c8",
+    ("cost", "rogozhin_10_3", "BE"): "4ead28e812558bf232b4fc251800f316f05272dc2c567234f9b0421617a89b99",
+    ("verify", "bb3", "BE"): "b81fc31d2bf3eccfe9b1063cdb09ae2f12fd882a2105c7361987ff1f4c2fb0cf",
+    ("verify", "bb3", "V"): "b92778e089b913a6edb1c47c9b372842f83cb92fab88a922f60c340e4b13299e",
+    ("verify", "bb3", "VI"): "6145361dc8dbea3ae54241057d606ee96edb153a57601fe73b462db3c8e2fce6",
+    ("verify", "rogozhin_10_3", "BE"): "b7f301656f1b0c15b467044541f434fb3e44c8dbac91de1444a43c6bc2c6a5fd",
+}
+
+
+@pytest.mark.parametrize("command,machine,ruleset", sorted(REPORT_DIGESTS))
+def test_report_output_digest(capsys, command, machine, ruleset):
+    status, out, _ = run_cli(capsys, command, machine, "--ruleset", ruleset)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[(command, machine, ruleset)]
 
 
 # ---------------------------------------------------------------------------

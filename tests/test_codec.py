@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from civutm.codec import Reader, decode, encode_tape, state_index, symbol_map
+from civutm.codec import Reader, decode, encode_tape, symbol_map
 from civutm.controller import compile_program, execute_instruction
 from civutm.errors import CompileError, DecodeError
 from civutm.tm import TMConfig, builtin_program
@@ -85,8 +85,8 @@ def test_be_state_from_culture_delta():
         for _ in range(world.params.terrascape_build_turns):
             advance_turn(world)
     assert yields(world)["culture"] == 7
-    assert yields(world)["culture"] - world.region.base_yield == 2 * world.params.terrascape_culture
-    assert state_index(world) == 2
+    assert yields(world)["culture"] - world.params.base_culture == 2 * world.params.terrascape_culture
+    assert world.state_count == 2
 
 
 def test_v_state_from_railroad_count():
@@ -95,15 +95,15 @@ def test_v_state_from_railroad_count():
         apply_command(world, STATE_WORKER, Command(op="build_state"))
         for _ in range(world.params.railroad_build_turns):
             advance_turn(world)
-    assert yields(world)["culture"] == world.region.base_yield  # Railroads yield nothing
-    assert state_index(world) == 2
+    assert yields(world)["culture"] == world.params.base_culture  # Railroads yield nothing
+    assert world.state_count == 2
 
 
 def test_vi_state_from_worked_monasteries():
     world = init_world(RULESET_VI, {})
     apply_command(world, "player", Command(op="shift_monasteries", count=23))
-    assert yields(world)["faith"] - world.region.base_yield == 46
-    assert state_index(world) == 23
+    assert yields(world)["faith"] - world.params.base_faith == 46
+    assert world.state_count == 23
 
 
 def test_decode_not_at_boundary():
@@ -116,7 +116,7 @@ def test_decode_not_at_boundary():
 def test_decode_rejects_state_out_of_range():
     program = compile_program(builtin_program("bb3"), RULESET_BE)
     world = init_world(RULESET_BE, {})
-    world.region.count = 5
+    world.state_count = 5
     with pytest.raises(DecodeError, match="out of range"):
         decode(world, program)
 
@@ -139,7 +139,7 @@ def test_reader_reads_what_decode_gives_on_the_written_cells():
     world.tape[2] = "none"
     world.tape[5] = "road"
     world.tape[6] = "none"  # the blank over the blank changes nothing
-    world.region.count = 1
+    world.state_count = 1
     world.units[TAPE_WORKER].position = 3
     assert reader.advance() == {2: None, 5: "1"}
     assert reader.machine.config() == decode(world, program)
@@ -150,10 +150,10 @@ def test_reader_reads_what_decode_gives_on_the_written_cells():
     world.tape[4] = "pillaged_road"
     with pytest.raises(DecodeError, match="cell 4 holds 'pillaged_road'"):
         reader.advance()
-    world.region.count = 5
+    world.state_count = 5
     with pytest.raises(DecodeError, match="state index 5 out of range"):
         reader.advance()
-    world.region.count = 0
+    world.state_count = 0
     apply_command(world, TAPE_WORKER, Command(op="build_road", cell=0))
     assert reader.advance() is None  # decode: no configuration
     with pytest.raises(DecodeError, match="not at an instruction boundary"):
@@ -174,7 +174,7 @@ def test_reader_reads_state_and_head_when_no_cell_was_written(ruleset):
     assert reader.advance() == {}
     assert reader.machine.config() == decode(world, program)
     assert (reader.machine.state, reader.machine.head) == (first.next_state, 1)
-    assert program.state_index_of[reader.machine.state] == state_index(world) == 1
+    assert program.state_index_of[reader.machine.state] == world.state_count == 1
 
 
 def test_vi_head_is_global_cell_index():

@@ -151,7 +151,7 @@ def test_execute_one_instruction_be():
     assert record.turns >= 1
     assert world.symbol_at(0) == "none"
     assert world.units[TAPE_WORKER].position == -1
-    assert world.region.count == 1
+    assert world.state_count == 1
     assert decode(world, program) == TMConfig(state="q1", tape={}, head=-1)
 
 
@@ -159,7 +159,7 @@ def test_execute_halt_leaves_world_unchanged():
     spec = builtin_program("rogozhin_10_3")
     program = compile_program(spec, RULESET_BE)
     world = init_world(RULESET_BE, {0: "road"})
-    world.region.count = 6  # state 6 reading a road: the halt row
+    world.state_count = 6  # state 6 reading a road: the halt row
     snapshot_tape = dict(world.tape.items())
     record = execute_instruction(world, program, index=1)
     assert record.halted and record.turns == 0

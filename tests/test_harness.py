@@ -502,6 +502,8 @@ def test_skipping_quiet_turns_keeps_the_starvation_turn():
         for _ in range(20):
             next(game)
         world.params.floodplains_food = 0
+        for city in world.cities.values():
+            world_module._rederive(world, city)
         with pytest.raises(Starvation) as raised:
             for _ in game:
                 pass

@@ -122,7 +122,7 @@ def test_init_rejects_symbols_outside_ruleset():
 
 def test_init_be_empty_tape():
     world = init_world(RULESET_BE, {})
-    assert world.region.count == 0
+    assert world.state_count == 0
     assert yields(world)["culture"] == world.params.base_culture
     assert world.units[TAPE_WORKER].position == 0
     assert ROVER in world.units and STATE_WORKER in world.units
@@ -132,7 +132,7 @@ def test_init_v_encodes_tape_directly():
     world = init_world(RULESET_V, {0: "road", 1: "railroad"})
     assert world.symbol_at(0) == "road"
     assert world.symbol_at(1) == "railroad"
-    assert world.region.count == 0
+    assert world.state_count == 0
 
 
 def test_init_vi_single_city():
@@ -224,11 +224,11 @@ def test_state_region_build_and_remove():
     apply_command(world, STATE_WORKER, Command(op="build_state"))
     for _ in range(world.params.terrascape_build_turns):
         advance_turn(world)
-    assert world.region.count == 1
+    assert world.state_count == 1
     assert yields(world)["culture"] == world.params.base_culture + world.params.terrascape_culture
     apply_command(world, STATE_WORKER, Command(op="remove_state"))
     advance_turn(world)
-    assert world.region.count == 0
+    assert world.state_count == 0
 
 
 def test_state_region_capacity():
@@ -282,11 +282,20 @@ def test_vi_food_never_negative_when_idle():
     assert world.min_food_observed >= 0
 
 
+def _rederive_all(world):
+    """Re-derive every city's food delta after a test changed food params
+    that ``validate()`` would refuse."""
+    for city in world.cities.values():
+        world_module._rederive(world, city)
+
+
 def test_vi_starvation_guard_raises():
     # Force a deficit (no floodplain fallback) to prove the guard trips;
-    # validate() refuses such params, so it is set after construction.
+    # validate() refuses such params, so it is set after construction and
+    # every city's food delta re-derived by hand.
     world = init_world(RULESET_VI, {})
     world.params.floodplains_food = 0
+    _rederive_all(world)
     with pytest.raises(Starvation):
         for _ in range(10):
             advance_turn(world)
@@ -304,6 +313,7 @@ def test_vi_a_city_at_its_cap_starves_on_time():
     advance_turn(world)
     assert stocks() == [5, 4, 4, 4, 4]
     world.params.floodplains_food = 0
+    _rederive_all(world)
     skip_quiet_turns(world)
     assert (world.turn, stocks()) == (2, [1, 2, 2, 2, 2])
     with pytest.raises(Starvation, match="city 0 food stock fell to -3 on turn 3"):
@@ -448,7 +458,7 @@ def test_yield_linearity_and_legality_closure():
     for seed in range(5):
         world = _scripted_run(seed)
         assert yields(world)["culture"] - world.params.base_culture == (
-            world.params.terrascape_culture * world.region.count
+            world.params.terrascape_culture * world.state_count
         )
         for _, symbol in world.tape.items():
             assert symbol in GAME_SYMBOLS[RULESET_BE]
@@ -640,7 +650,7 @@ class LegalityClosure(RuleBasedStateMachine):
         assert all(symbol in GAME_SYMBOLS[world.params.ruleset] for _, symbol in world.tape.items())
         assert all(type(cell) is int for cell, _ in world.tape.items())
         assert all(type(unit.position) is int for unit in world.units.values())
-        assert 0 <= world.region.count <= world.params.state_region_tiles
+        assert 0 <= world.state_count <= world.params.state_region_tiles
 
     @invariant()
     def skipping_equals_playing(self):

@@ -4,7 +4,9 @@ A mutant is one text replacement in one file under ``src/civutm``. Each is
 applied to a fresh temporary copy of ``src/``, ``tests/`` and
 ``pyproject.toml``, and the test files that cover the mutated code run with
 ``pytest -x``. Hypothesis tests are deselected, so a kill does not depend
-on a random draw. The unmutated copy runs first; if it fails, nothing is
+on a random draw. Every chosen mutant's text must occur exactly once in its
+file, or the run names all that do not in one JSON error line and exits 2
+before any test runs. The unmutated copy runs first; if it fails, nothing is
 judged. Prints the kill matrix as JSON lines and exits 1 unless every
 mutant is killed.
 
@@ -82,7 +84,7 @@ MUTANTS = (
         "reader-skips-state-without-writes",
         CODEC,
         "        machine.state = _state(program, world.state_count)\n"
-        "        machine.head = world.units[TAPE_WORKER].position\n"
+        "        machine.head = world.units[TAPE_WORKER]\n"
         "        written = world.tape.take_written()\n"
         "        if not written:\n"
         "            return {}\n",
@@ -90,7 +92,7 @@ MUTANTS = (
         "        if not written:\n"
         "            return {}\n"
         "        machine.state = _state(program, world.state_count)\n"
-        "        machine.head = world.units[TAPE_WORKER].position\n",
+        "        machine.head = world.units[TAPE_WORKER]\n",
         ("tests/test_codec.py", "tests/test_harness.py", "tests/test_cli.py"),
     ),
     Mutant(
@@ -109,7 +111,14 @@ MUTANTS = (
         "\n",
         ("tests/test_codec.py", "tests/test_harness.py", "tests/test_cli.py"),
     ),
-    # RulesetParams.validate().
+    # RulesetParams checks itself when made.
+    Mutant(
+        "params-check-skipped",
+        WORLD,
+        "def __post_init__(self) -> None:",
+        "def _unused_check(self) -> None:",
+        ("tests/test_world.py",),
+    ),
     Mutant(
         "validate-published-bound-dropped",
         WORLD,
@@ -301,9 +310,17 @@ MUTANTS = (
     Mutant(
         "state-region-any-unit",
         WORLD,
-        "if unit_id != STATE_WORKER:\n            raise IllegalCommand(f\"only the {STATE_WORKER} can build",
-        "if False:\n            raise IllegalCommand(f\"only the {STATE_WORKER} can build",
+        "if unit_id != STATE_WORKER:",
+        "if False:",
         ("tests/test_world.py",),
+    ),
+    # The units each ruleset starts with.
+    Mutant(
+        "start-units-rover-dropped",
+        WORLD,
+        "RULESET_BE: (TAPE_WORKER, STATE_WORKER, ROVER),",
+        "RULESET_BE: (TAPE_WORKER, STATE_WORKER),",
+        ("tests/test_world.py", "tests/test_acceptance.py"),
     ),
 )
 
@@ -315,13 +332,16 @@ def _copy(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
+def _stale(mutants: list[Mutant]) -> dict[str, int]:
+    """Each mutant whose text to replace does not occur exactly once in its
+    file, with the number of times it does occur."""
+    counts = {m.name: (ROOT / m.path).read_text().count(m.old) for m in mutants}
+    return {name: count for name, count in counts.items() if count != 1}
+
+
 def _apply(dest: Path, mutant: Mutant) -> None:
     path = dest / mutant.path
-    text = path.read_text()
-    count = text.count(mutant.old)
-    if count != 1:
-        raise SystemExit(f"mutant {mutant.name}: the text to replace occurs {count} times in {mutant.path}")
-    path.write_text(text.replace(mutant.old, mutant.new))
+    path.write_text(path.read_text().replace(mutant.old, mutant.new))
 
 
 def _pytest(dest: Path, tests: tuple[str, ...]) -> tuple[int, str, float]:
@@ -343,6 +363,11 @@ def main(names: list[str]) -> int:
         print(json.dumps({"error": f"unknown mutants: {sorted(unknown)}"}), file=sys.stderr)
         return 2
     chosen = [m for m in MUTANTS if not names or m.name in names]
+    stale = _stale(chosen)
+    if stale:
+        error = {"error": "the text to replace must occur exactly once", "occurrences": stale}
+        print(json.dumps(error), file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory(prefix="mutcheck-") as tmp:
         baseline = Path(tmp) / "baseline"
         _copy(baseline)

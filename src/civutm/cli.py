@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 
 from . import codec, harness, tables
-from .controller import compile_program, macro_paper_command, program_to_json
+from .controller import ControllerProgram, compile_program, macro_paper_command, program_to_json
 from .errors import CivUtmError, MachineStuck
 from .tm import BUILTIN_NAMES, TMSpec, builtin_program, count_symbol, load_spec
 from .world import RULESET_VI, RULESETS, RulesetParams, init_world, yields
@@ -77,8 +77,8 @@ def _load_tape(args) -> dict[int, str]:
     return tape
 
 
-def _load_params(args) -> RulesetParams | None:
-    params = RulesetParams.defaults(args.ruleset)
+def _load_params(args) -> RulesetParams:
+    overrides = {}
     if getattr(args, "params", None):
         overrides = json.loads(Path(args.params).read_text())
         if not isinstance(overrides, dict):
@@ -89,8 +89,13 @@ def _load_params(args) -> RulesetParams | None:
                 raise CivUtmError(f"unknown parameter {key!r}")
             if key == "ruleset" and value != args.ruleset:
                 raise CivUtmError(f"params file is for ruleset {value!r}, not {args.ruleset!r}")
-            setattr(params, key, value)
-    return params.validate()
+    return dataclasses.replace(RulesetParams.defaults(args.ruleset), **overrides)
+
+
+def _compiled(args) -> tuple[TMSpec, dict[int, str], RulesetParams, ControllerProgram]:
+    """The machine, tape and params that ``args`` name, and the machine compiled with them."""
+    spec, tape, params = _load_machine(args), _load_tape(args), _load_params(args)
+    return spec, tape, params, compile_program(spec, args.ruleset, params)
 
 
 def _dump(obj) -> str:
@@ -106,7 +111,7 @@ def _write_lines(path: str, lines: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructions: int, params: RulesetParams | None):
+def _drive_game(program: ControllerProgram, tape: dict[int, str], max_instructions: int, params: RulesetParams | None):
     """Run the game side alone; returns (world, records, boundaries, final, outcome).
 
     The world is followed by a ``codec.Reader``, as ``lockstep_verify``
@@ -116,8 +121,7 @@ def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructio
     machine symbol changed since the previous boundary (keyed by the cell's
     string, None for the blank), the yields, and the city census for VI.
     """
-    program = compile_program(spec, ruleset, params)
-    world = init_world(ruleset, codec.encode_tape(tape, program), params)
+    world = init_world(program.ruleset, codec.encode_tape(tape, program), params)
     reader = codec.Reader(world, program)
     final = reader.machine
     records = []
@@ -125,7 +129,7 @@ def _drive_game(spec: TMSpec, ruleset: str, tape: dict[int, str], max_instructio
     def boundary(changed):
         entry = {"instruction": len(records), "turn": world.turn, "state": final.state, "head": final.head}
         entry.update(changed_cells={str(cell): symbol for cell, symbol in changed.items()}, yields=yields(world))
-        if ruleset == RULESET_VI:
+        if program.ruleset == RULESET_VI:
             entry["cities"] = [
                 {"index": c.index, "citizens": c.citizens, "growth_cap": c.growth_cap, "food_stock": c.food_stock}
                 for _, c in sorted(world.cities.items())
@@ -171,10 +175,8 @@ def _summary(world, records, final, outcome) -> dict:
 
 
 def cmd_run(args) -> int:
-    spec = _load_machine(args)
-    tape = _load_tape(args)
-    params = _load_params(args)
-    world, records, boundaries, final, outcome = _drive_game(spec, args.ruleset, tape, args.max_instructions, params)
+    _, tape, params, program = _compiled(args)
+    world, records, boundaries, final, outcome = _drive_game(program, tape, args.max_instructions, params)
     if args.out:
         _write_lines(args.out, _trace_lines(boundaries))
     print(_dump(_summary(world, records, final, outcome)))
@@ -184,10 +186,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load_machine(args)
-    tape = _load_tape(args)
-    params = _load_params(args)
-    program = compile_program(spec, args.ruleset, params)
+    spec, tape, params, program = _compiled(args)
     # The sweep's machines are drawn and compiled with the run's params
     # first, so a malformed sweep argument, or a machine the params cannot
     # hold, fails before anything is printed. VI encodes two symbols.
@@ -222,9 +221,7 @@ def _parse_seeds(seeds: str | None) -> list[int]:
 
 
 def cmd_compile(args) -> int:
-    spec = _load_machine(args)
-    params = _load_params(args)
-    program = compile_program(spec, args.ruleset, params)
+    *_, program = _compiled(args)
     if args.diff_fixture:
         name = getattr(args, "builtin", None) or args.machine
         fixture_name = tables.FIXTURE_FOR.get((args.ruleset, name))
@@ -241,9 +238,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_demo_bb3(args) -> int:
-    spec = builtin_program("bb3")
-    params = _load_params(args)
-    world, records, boundaries, final, outcome = _drive_game(spec, args.ruleset, {}, args.max_instructions, params)
+    spec, _, params, program = _compiled(args)
+    world, records, boundaries, final, outcome = _drive_game(program, {}, args.max_instructions, params)
 
     # Every cell that is ever non-blank first appears among the changed ones.
     cells = set()
@@ -267,14 +263,13 @@ def cmd_demo_bb3(args) -> int:
     resource = {"BE": "culture", "VI": "faith"}.get(args.ruleset)
     base = params.base_faith if args.ruleset == RULESET_VI else params.base_culture
     evidence_key = f"{resource}_delta" if resource else "railroads"
-    index_of = compile_program(spec, args.ruleset, params).state_index_of
     print(f"tape cells {lo}..{hi}, head bracketed; state evidence: {evidence_key}")
     first = boundaries[0]
     print(f"t00  state {first['state']:>3}  {render(first)}")
     for record, entry in zip(records, boundaries[1:]):
         macro = record.macro
         did = "HALT" if macro is None or macro.halt else macro_paper_command(macro, args.ruleset)
-        evidence = entry["yields"][resource] - base if resource else index_of[entry["state"]]
+        evidence = entry["yields"][resource] - base if resource else program.state_index_of[entry["state"]]
         print(
             f"t{record.index:02d}  state {entry['state']:>3}  {render(entry)}  "
             f"turns {record.turns:3d}  evidence {evidence}  | {did}"
@@ -287,10 +282,7 @@ def cmd_demo_bb3(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    spec = _load_machine(args)
-    tape = _load_tape(args)
-    params = _load_params(args)
-    program = compile_program(spec, args.ruleset, params)
+    spec, tape, params, program = _compiled(args)
     report = harness.lockstep_verify(spec, args.ruleset, tape, args.max_instructions, params, program=program)
     if report.first_divergence is not None:
         print(_dump({"lockstep": report.to_json()}))
@@ -345,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo-bb3", help="run the three-state Busy Beaver with a text rendering")
     common(p_demo, machine_arg=False)
     p_demo.add_argument("--out", help="write the trace (JSON lines) to this file")
-    p_demo.set_defaults(func=cmd_demo_bb3, max_instructions=100)
+    p_demo.set_defaults(func=cmd_demo_bb3, machine="bb3", max_instructions=100)
 
     p_cost = sub.add_parser("cost", help="overhead report for a verified run")
     common(p_cost)

@@ -63,7 +63,7 @@ def decode(world: WorldState, program: "ControllerProgram") -> TMConfig | None:
         return None
     state = _state(program, world.state_count)
     tape = _machine_cells(world, program, sorted(world.tape.items()))
-    return TMConfig(state=state, tape=tape, head=world.units[TAPE_WORKER].position)
+    return TMConfig(state=state, tape=tape, head=world.units[TAPE_WORKER])
 
 
 def _state(program: "ControllerProgram", index: int) -> str:
@@ -118,7 +118,7 @@ class Reader:
         if not world.at_boundary():
             return None
         machine.state = _state(program, world.state_count)
-        machine.head = world.units[TAPE_WORKER].position
+        machine.head = world.units[TAPE_WORKER]
         written = world.tape.take_written()
         if not written:
             return {}

@@ -38,6 +38,7 @@ from .world import (
     WorldState,
     advance_turn,
     apply_command,
+    params_for,
     skip_quiet_turns,
 )
 
@@ -110,7 +111,7 @@ _TAPE_ACTIONS = {
 def compile_program(spec: TMSpec, ruleset: str, params: RulesetParams | None = None) -> ControllerProgram:
     """Compile a machine for a ruleset, or raise :class:`CompileError`."""
     validate_spec(spec)
-    params = (params or RulesetParams.defaults(ruleset)).validate()
+    params = params_for(ruleset, params)
     symbols = symbol_map(spec, ruleset)  # checks the alphabet bound
     max_index = len(spec.states) - 1
     if max_index > params.state_region_tiles:
@@ -333,7 +334,7 @@ def execute_instruction(world: WorldState, program: ControllerProgram, index: in
         raise DecodeError("execute_instruction requires an instruction boundary")
     idx = world.state_count
     state = program.index_to_state[idx]
-    head = world.units[TAPE_WORKER].position
+    head = world.units[TAPE_WORKER]
     game_read = world.symbol_at(head)
 
     if state in program.spec.halting:
@@ -384,10 +385,8 @@ def _execute_be_v(world: WorldState, macro: CommandMacro, head: int, record: Ins
 
 
 def _execute_vi(world: WorldState, macro: CommandMacro, head: int, record: InstructionRecord) -> None:
-    if macro.tape_action is TapeAction.SET_WORKED:
-        apply_command(world, PLAYER, Command(op="set_worked", cell=head, worked=True))
-    elif macro.tape_action is TapeAction.SET_UNWORKED:
-        apply_command(world, PLAYER, Command(op="set_worked", cell=head, worked=False))
+    if macro.tape_action in (TapeAction.SET_WORKED, TapeAction.SET_UNWORKED):
+        apply_command(world, PLAYER, Command(op="set_worked", cell=head, worked=macro.write_symbol == "worked"))
     elif macro.tape_action is not TapeAction.LEAVE:
         raise IllegalCommand(f"tape action {macro.tape_action} is not a VI action")
     if macro.state_delta:
@@ -423,7 +422,7 @@ def extend_tape(world: WorldState, direction: str, record: InstructionRecord) ->
     if direction not in ("L", "R"):
         raise IllegalCommand(f"direction {direction!r} is not L or R")
     params = world.params
-    head = world.units[TAPE_WORKER].position
+    head = world.units[TAPE_WORKER]
     target = head + (1 if direction == "R" else -1)
     src_index = head // 2
     new_index = target // 2
@@ -441,8 +440,8 @@ def extend_tape(world: WorldState, direction: str, record: InstructionRecord) ->
     pre_train_wait = world.turn - wait_start
 
     tape_length = 2 * len(world.cities)
-    cost = params.settler_cost(tape_length)
     apply_command(world, PLAYER, Command(op="train_settler", city=src.index))
+    cost = src.training_cost
     while SETTLER not in world.units:
         _next_event(world)
 

@@ -67,7 +67,6 @@ class LockstepReport:
     final_config: TMConfig | None = None
     records: list[InstructionRecord] = field(default_factory=list)
     world: WorldState | None = None
-    min_food_stock: int | None = None
 
     def to_json(self) -> dict:
         out = {
@@ -79,8 +78,10 @@ class LockstepReport:
         }
         if self.first_divergence is not None:
             out["first_divergence"] = self.first_divergence
-        if self.min_food_stock is not None:
-            out["min_food_stock"] = self.min_food_stock
+        # VI only: the lowest stock of any city on any turn, skipped quiet
+        # turns included (advance_turn raises Starvation below zero).
+        if self.world is not None and self.world.min_food_observed is not None:
+            out["min_food_stock"] = self.world.min_food_observed
         return out
 
 
@@ -192,11 +193,6 @@ def lockstep_verify(
     report.final_config = oracle.config()
     if report.outcome != DIVERGED:
         reader.close(report.instructions_verified)
-    if ruleset == RULESET_VI:
-        # advance_turn raises Starvation the moment any stock would dip below
-        # zero; min_food_observed is the lowest stock of any city on any
-        # turn, skipped quiet turns included.
-        report.min_food_stock = world.min_food_observed
     return report
 
 
@@ -285,9 +281,7 @@ def overhead_report(
     extensions = []
     paper = paper_instruction_bound(program.ruleset, params)
     derived = derived_instruction_bound(program, params)
-    max_observed = 0
-    paper_ok = True
-    derived_ok = True
+    paper_ok = derived_ok = True
 
     for rec in records:
         entry = {
@@ -297,7 +291,6 @@ def overhead_report(
             "extension": rec.extension,
         }
         per_instruction.append(entry)
-        max_observed = max(max_observed, rec.turns)
 
         if program.ruleset == RULESET_VI:
             if rec.extension:
@@ -317,18 +310,15 @@ def overhead_report(
                     },
                 }
                 extensions.append(ext)
-                if counted > bound:
-                    paper_ok = False
-                if rec.turns > bound + rec.movement_turns + rec.pre_train_wait:
-                    derived_ok = False
+                if counted > bound:  # the derived check is the same: bound plus the itemized turns
+                    paper_ok = derived_ok = False
             elif rec.turns > rec.movement_turns:
                 derived_ok = False  # a non-extension VI instruction is pure movement
             continue
 
-        counted = rec.turns - rec.movement_turns
-        if paper is not None and counted > paper:
+        if rec.turns - rec.movement_turns > paper:
             paper_ok = False
-        if paper is not None and rec.turns > paper:
+        if rec.turns > paper:
             excesses.append(
                 {
                     "instruction": rec.index,
@@ -337,13 +327,13 @@ def overhead_report(
                     "itemized_excess": {"movement": rec.movement_turns},
                 }
             )
-        if derived is not None and rec.turns > derived:
+        if rec.turns > derived:
             derived_ok = False
 
     return OverheadReport(
         ruleset=program.ruleset,
         per_instruction=per_instruction,
-        max_observed=max_observed,
+        max_observed=max((rec.turns for rec in records), default=0),
         paper_bound=paper,
         derived_bound=derived,
         paper_bound_satisfied=paper_ok,

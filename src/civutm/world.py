@@ -18,9 +18,10 @@ tape (a ``Tape``) has one write path, which records the cell, so a reader
 can follow the world by the cells written since it last looked. Turn
 counters and cell indices are unbounded.
 
-A unit's pending job lives in one table on the world, ``WorldState.jobs``
-(unit id -> ``Job``), so a busy check is a key lookup and a turn visits the
-pending jobs, not every unit.
+A unit is its id (which gives its kind) and its cell, ``WorldState.units``;
+its pending job lives in one table, ``WorldState.jobs`` (unit id ->
+``Job``), so a busy check is a key lookup and a turn visits the pending
+jobs, not every unit.
 
 All operations mutate the passed ``WorldState`` in place and also return it;
 they are deterministic functions of the state, and the append-only event log
@@ -76,19 +77,25 @@ GAME_SYMBOLS = {
     RULESET_VI: ("unworked", "worked"),
 }
 
+# Each unit's kind, as the snapshot names it, and the units each ruleset
+# starts with; the Settler exists only between training and founding.
+_KINDS = {TAPE_WORKER: "TapeWorker", STATE_WORKER: "StateWorker", ROVER: "Rover", SETTLER: "Settler"}
+_START_UNITS = {RULESET_BE: (TAPE_WORKER, STATE_WORKER, ROVER), RULESET_V: (TAPE_WORKER, STATE_WORKER), RULESET_VI: (TAPE_WORKER,)}
+
 # The most cities an initial VI tape may span: ``init_world`` founds one city
 # per index between the outermost cells, about 0.7 KB each.
 MAX_INITIAL_CITIES = 10_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class RulesetParams:
     """Per-game configuration: build durations, yields, population rules.
 
     Durations are in turns. ``city_growth_turns`` is the clock for one new
     Citizen; a freshly founded city (2 Citizens) therefore needs two clock
     periods to reach its cap of 4. ``settler_cost`` is in Production units,
-    converted to turns through ``production_per_turn``.
+    converted to turns through ``production_per_turn``. Params are frozen and
+    checked when made (``dataclasses.replace`` checks a variant too).
     """
 
     ruleset: str
@@ -113,12 +120,7 @@ class RulesetParams:
 
     @classmethod
     def defaults(cls, ruleset: str) -> "RulesetParams":
-        if ruleset not in RULESETS:
-            raise IllegalCommand(f"unknown ruleset {ruleset!r}")
-        params = cls(ruleset=ruleset)
-        if ruleset == RULESET_VI:
-            params.state_region_tiles = 23
-        return params
+        return cls(ruleset=ruleset, state_region_tiles=23 if ruleset == RULESET_VI else 9)
 
     def settler_cost(self, tape_length: int) -> int:
         """Production cost of a Settler when the tape is ``tape_length`` cells."""
@@ -130,7 +132,7 @@ class RulesetParams:
         center +/- 1 with centers ``city_spacing`` apart)."""
         return self.city_spacing // 2 if self.ruleset == RULESET_VI else 1
 
-    def validate(self) -> "RulesetParams":
+    def __post_init__(self) -> None:
         if self.ruleset not in RULESETS:
             raise IllegalCommand(f"unknown ruleset {self.ruleset!r}")
         for f in fields(self):
@@ -190,7 +192,6 @@ class RulesetParams:
                             f"a city of {citizens} Citizens with {on_tape} on the tape starves: "
                             f"food {income} < upkeep {upkeep}"
                         )
-        return self
 
 
 @dataclass(slots=True)
@@ -237,15 +238,6 @@ class Job:
 
 
 @dataclass
-class Unit:
-    """A unit on the map. Whether it is busy is ``uid in world.jobs``."""
-
-    uid: str
-    kind: str
-    position: int
-
-
-@dataclass
 class City:
     """A tape city (VI). ``index`` is signed; the city owns global tape cells
     ``2*index`` and ``2*index + 1`` and its center sits at
@@ -277,9 +269,6 @@ class City:
     @property
     def tape_cells(self) -> tuple[int, int]:
         return (2 * self.index, 2 * self.index + 1)
-
-    def center(self, spacing: int) -> int:
-        return spacing * self.index
 
 
 class Tape:
@@ -314,7 +303,8 @@ class Tape:
 
 @dataclass
 class WorldState:
-    """The whole world. ``jobs`` maps a unit id to its pending job: the one
+    """The whole world. ``units`` maps a unit id to its cell (a Settler's
+    to its physical hex) and ``jobs`` a unit id to its pending job: the one
     place a job is held, so a unit is busy exactly when its id is a key.
 
     ``state_count`` is how many of the state region's
@@ -322,13 +312,12 @@ class WorldState:
     BE, Railroads for V, Monasteries for VI). Builds take the lowest free
     tile and removals the highest, so those tiles are always a prefix and the
     count is the whole state. VI's worked Farms follow from it too: the
-    region's Citizens all work something (see ``world_snapshot``). The
-    params are fixed once ``validate()`` accepts them.
+    region's Citizens all work something (see ``world_snapshot``).
     """
 
     params: RulesetParams
     tape: Tape
-    units: dict[str, Unit]
+    units: dict[str, int]
     cities: dict[int, City]
     state_count: int = 0
     turn: int = 0
@@ -368,6 +357,14 @@ class WorldState:
 # World construction
 # ---------------------------------------------------------------------------
 
+def params_for(ruleset: str, params: RulesetParams | None) -> RulesetParams:
+    """``params`` (the ruleset's defaults when None), refused if of another ruleset."""
+    params = params or RulesetParams.defaults(ruleset)
+    if params.ruleset != ruleset:
+        raise IllegalCommand(f"params are for ruleset {params.ruleset!r}, not {ruleset!r}")
+    return params
+
+
 def init_world(ruleset: str, initial_content: dict[int, str] | None = None, params: RulesetParams | None = None) -> WorldState:
     """Build a world whose tape encodes ``initial_content`` and whose state
     region encodes state index 0.
@@ -378,16 +375,13 @@ def init_world(ruleset: str, initial_content: dict[int, str] | None = None, para
     at most ``MAX_INITIAL_CITIES``; the end cities start at 4 Citizens
     (growth cap 4), interior ones at 3.
     """
-    params = (params or RulesetParams.defaults(ruleset)).validate()
-    if params.ruleset != ruleset:
-        raise IllegalCommand(f"params are for ruleset {params.ruleset!r}, not {ruleset!r}")
+    params = params_for(ruleset, params)
     content = initial_content or {}
     for cell, symbol in content.items():
         if symbol not in GAME_SYMBOLS[ruleset] or symbol == GAME_BLANK[ruleset]:
             raise IllegalCommand(f"symbol {symbol!r} at cell {cell} is illegal for ruleset {ruleset}")
 
-    units = {TAPE_WORKER: Unit(uid=TAPE_WORKER, kind="TapeWorker", position=0)}
-
+    world = WorldState(params=params, tape=Tape(content), units=dict.fromkeys(_START_UNITS[ruleset], 0), cities={})
     if ruleset == RULESET_VI:
         cells = set(content) | {0, 1}
         lo, hi = min(cells) // 2, max(cells) // 2
@@ -396,13 +390,6 @@ def init_world(ruleset: str, initial_content: dict[int, str] | None = None, para
                 f"an initial VI tape from cell {min(cells)} to {max(cells)} needs {hi - lo + 1} cities, "
                 f"more than {MAX_INITIAL_CITIES}"
             )
-    else:
-        units[STATE_WORKER] = Unit(uid=STATE_WORKER, kind="StateWorker", position=0)
-        if ruleset == RULESET_BE:
-            units[ROVER] = Unit(uid=ROVER, kind="Rover", position=0)
-
-    world = WorldState(params=params, tape=Tape(content), units=units, cities={})
-    if ruleset == RULESET_VI:
         for index in range(lo, hi + 1):
             end_city = index in (lo, hi)
             world.cities[index] = city = City(
@@ -456,7 +443,7 @@ _TAPE_OPS = {
 _DONE = {op: f"{op}_done" for op in (*_TAPE_OPS, "build_state", "remove_state", "move")}
 
 
-def _command_duration(world: WorldState, unit: Unit, command: Command) -> int:
+def _command_duration(world: WorldState, uid: str, command: Command) -> int:
     p = world.params
     op = command.op
     if op in _TAPE_OPS:
@@ -466,8 +453,8 @@ def _command_duration(world: WorldState, unit: Unit, command: Command) -> int:
     if op == "build_state":
         return p.terrascape_build_turns if p.ruleset == RULESET_BE else p.railroad_build_turns
     if op == "move":
-        distance = abs(command.to - unit.position)
-        per_cell = p.hexes_per_tape_cell if unit.uid == TAPE_WORKER else 1
+        distance = abs(command.to - world.units[uid])
+        per_cell = p.hexes_per_tape_cell if uid == TAPE_WORKER else 1
         return distance * per_cell * p.worker_move_turns_per_hex
     if op == "found_city":
         return p.settler_found_turns
@@ -496,20 +483,14 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
         symbol = world.symbol_at(command.cell)
         if symbol not in tape_op.requires:
             raise IllegalCommand(f"cannot {tape_op.verb} on {symbol} at cell {command.cell}")
-    elif op == "build_state":
+    elif op in ("build_state", "remove_state"):
+        build = op == "build_state"
         if ruleset == RULESET_VI:
             raise IllegalCommand("VI encodes state via citizen reassignment, not builds")
         if unit_id != STATE_WORKER:
-            raise IllegalCommand(f"only the {STATE_WORKER} can build in the state region")
-        if world.state_count >= world.params.state_region_tiles:
-            raise IllegalCommand("state region is full")
-    elif op == "remove_state":
-        if ruleset == RULESET_VI:
-            raise IllegalCommand("VI encodes state via citizen reassignment, not builds")
-        if unit_id != STATE_WORKER:
-            raise IllegalCommand(f"only the {STATE_WORKER} can remove from the state region")
-        if world.state_count <= 0:
-            raise IllegalCommand("state region is empty")
+            raise IllegalCommand(f"only the {STATE_WORKER} can {'build in' if build else 'remove from'} the state region")
+        if world.state_count == (world.params.state_region_tiles if build else 0):
+            raise IllegalCommand(f"state region is {'full' if build else 'empty'}")
     elif op == "set_worked":
         if ruleset != RULESET_VI:
             raise IllegalCommand("citizen assignment exists only in ruleset VI")
@@ -575,8 +556,7 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
     duration.
     """
     if unit_id != PLAYER:
-        unit = world.units.get(unit_id)
-        if unit is None:
+        if unit_id not in world.units:
             raise IllegalCommand(f"no unit {unit_id!r}")
         job = world.jobs.get(unit_id)
         if job is not None:
@@ -601,7 +581,7 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
         _rederive(world, city)
         world.log(unit_id, command.op, {"city": city.index, "cost": city.training_cost})
     else:
-        job = world.jobs[unit_id] = Job(command, world.turn + _command_duration(world, unit, command))
+        job = world.jobs[unit_id] = Job(command, world.turn + _command_duration(world, unit_id, command))
         world.log(unit_id, command.op, job)
     return world
 
@@ -617,10 +597,10 @@ def _complete_job(world: WorldState, uid: str) -> None:
     elif op == "remove_state":
         world.state_count -= 1
     elif op == "move":
-        world.units[uid].position = command.to
+        world.units[uid] = command.to
         if uid == TAPE_WORKER and ROVER in world.units:
             # The rover shadows the tape worker: both arrive together.
-            world.units[ROVER].position = command.to
+            world.units[ROVER] = command.to
     elif op == "found_city":
         index = command.city
         city = world.cities[index] = City(index=index, citizens=2, growth_cap=4, _world=weakref.proxy(world))
@@ -703,7 +683,7 @@ def advance_turn(world: WorldState) -> WorldState:
                 city.citizens -= 1
                 city.growth_cap = 3
                 _rederive(world, city)
-                world.units[SETTLER] = Unit(uid=SETTLER, kind="Settler", position=city.center(p.city_spacing))
+                world.units[SETTLER] = p.city_spacing * city.index  # the city's center
                 world.log("world", "settler_trained", {"city": city.index, "citizens": city.citizens})
         if city.citizens < city.growth_cap:
             city.growth_progress += 1
@@ -794,11 +774,11 @@ def world_snapshot(world: WorldState) -> dict:
         # so worked Farms are a prefix, not the complement of ``tiles``.
         region["farm_tiles"] = [i < n - count for i in range(n)]
     units = {}
-    for uid, u in sorted(world.units.items()):
+    for uid, position in sorted(world.units.items()):
         job = world.jobs.get(uid)
         units[uid] = {
-            "kind": u.kind,
-            "position": u.position,
+            "kind": _KINDS[uid],
+            "position": position,
             "busy_until": job.completes_at if job else None,
             "job": job.command.describe() if job else None,
         }

@@ -9,6 +9,10 @@ a rule written without them.
 record it logs and renders it on read; ``eager_log`` builds each entry's
 detail dict at log time instead, so a test can patch it in and compare the
 exported logs.
+
+``RulesetParams`` is frozen and refuses food params that starve a city;
+``cut_floodplains_food`` breaks that on purpose, for the tests of the
+starvation guard.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 from civutm.controller import InstructionRecord
 from civutm.errors import MachineStuck
 from civutm.tm import HaltAction, TMConfig, TMSpec
+from civutm import world as world_module
 from civutm.world import Command, Job, WorldState
 
 
@@ -72,3 +77,12 @@ def eager_log(world: WorldState, unit: str, command: str, detail) -> None:
         detail = dict(vars(detail))
         del detail["state_index"], detail["read"], detail["macro"]
     world.event_log.append((world.turn, unit, command, detail))
+
+
+def cut_floodplains_food(world: WorldState) -> None:
+    """Set the world's ``floodplains_food`` to 0, which the params refuse
+    when made, and re-derive every city's cached food delta, so the cities
+    that work floodplains lose food from the next turn on."""
+    object.__setattr__(world.params, "floodplains_food", 0)
+    for city in world.cities.values():
+        world_module._rederive(world, city)

@@ -7,6 +7,7 @@ formulae) is pinned here, not deferred.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 
@@ -81,12 +82,12 @@ def test_criterion_3_cross_ruleset_bb3():
     assert rep_vi.outcome == EQUIVALENT
     extensions = sum(1 for r in rep_vi.records if r.extension)
     assert extensions >= 1
-    assert rep_vi.min_food_stock is not None and rep_vi.min_food_stock >= 0
+    assert rep_vi.world.min_food_observed is not None and rep_vi.world.min_food_observed >= 0
     _report(
         3,
         elapsed < 5.0,
         f"V and VI equivalent; {extensions} tape extensions on VI; "
-        f"minimum food stock {rep_vi.min_food_stock} >= 0 on every turn; {elapsed:.3f}s",
+        f"minimum food stock {rep_vi.world.min_food_observed} >= 0 on every turn; {elapsed:.3f}s",
     )
 
 
@@ -165,8 +166,7 @@ def test_criterion_6_overhead_bounds():
 
     for t in range(1, 5):
         for m in range(1, 5):
-            params = RulesetParams.defaults(RULESET_BE)
-            params.terrascape_build_turns, params.road_build_turns = t, m
+            params = dataclasses.replace(RulesetParams.defaults(RULESET_BE), terrascape_build_turns=t, road_build_turns=m)
             program = compile_program(r10, RULESET_BE, params)
             records = []
             records += lockstep_verify(bb3, RULESET_BE, {}, 1000, params).records
@@ -178,8 +178,7 @@ def test_criterion_6_overhead_bounds():
             checked.append(("BE", t, m, over.max_observed, over.paper_bound))
 
     for b_rr in range(2, 5):
-        params = RulesetParams.defaults(RULESET_V)
-        params.railroad_build_turns = b_rr
+        params = dataclasses.replace(RulesetParams.defaults(RULESET_V), railroad_build_turns=b_rr)
         program = compile_program(r10, RULESET_V, params)
         records = []
         records += lockstep_verify(bb3, RULESET_V, {}, 1000, params).records

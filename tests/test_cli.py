@@ -535,7 +535,8 @@ def test_drive_game_follows_written_cells_as_full_decodes_do(data, seed, num_sta
         return record
 
     with mock.patch.object(harness, "execute_instruction", execute if rewritten is None else execute_then_rewrite):
-        world, records, boundaries, final, outcome = cli._drive_game(spec, ruleset, tape, max_instructions, None)
+        program = compile_program(spec, ruleset)
+        world, records, boundaries, final, outcome = cli._drive_game(program, tape, max_instructions, None)
         lines, summary = _reference_drive_game(spec, ruleset, tape, max_instructions)
     assert cli._trace_lines(boundaries) == lines
     assert cli._summary(world, records, final, outcome) == summary

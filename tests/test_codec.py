@@ -140,7 +140,7 @@ def test_reader_reads_what_decode_gives_on_the_written_cells():
     world.tape[5] = "road"
     world.tape[6] = "none"  # the blank over the blank changes nothing
     world.state_count = 1
-    world.units[TAPE_WORKER].position = 3
+    world.units[TAPE_WORKER] = 3
     assert reader.advance() == {2: None, 5: "1"}
     assert reader.machine.config() == decode(world, program)
     assert reader.machine.state == program.index_to_state[1]
@@ -180,7 +180,7 @@ def test_reader_reads_state_and_head_when_no_cell_was_written(ruleset):
 def test_vi_head_is_global_cell_index():
     program = compile_program(builtin_program("rogozhin_24_2"), RULESET_VI)
     world = init_world(RULESET_VI, {-3: "worked"})
-    world.units[TAPE_WORKER].position = -3
+    world.units[TAPE_WORKER] = -3
     config = decode(world, program)
     assert config.head == -3
     assert world.symbol_at(-3) == "worked"

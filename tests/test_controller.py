@@ -124,11 +124,23 @@ def test_compile_alphabet_bound():
         compile_program(builtin_program("rogozhin_10_3"), RULESET_VI)
 
 
+def test_compile_refuses_params_of_another_ruleset():
+    # compile_program makes the check init_world makes of the params' ruleset.
+    with pytest.raises(IllegalCommand, match="params are for ruleset 'V', not 'BE'"):
+        compile_program(builtin_program("bb3"), RULESET_BE, RulesetParams.defaults(RULESET_V))
+
+
+def test_compile_names_the_ruleset_not_the_region_of_foreign_params():
+    # BE params hold 9 state tiles, fewer than rogozhin_24_2's 23 states
+    # need; the refusal is that they are BE params, not that the region is short.
+    with pytest.raises(IllegalCommand, match="params are for ruleset 'BE', not 'VI'"):
+        compile_program(builtin_program("rogozhin_24_2"), RULESET_VI, RulesetParams.defaults(RULESET_BE))
+
+
 def test_compile_region_bound():
     with pytest.raises(CompileError, match="state region"):
         compile_program(builtin_program("rogozhin_24_2"), RULESET_V)
-    params = RulesetParams.defaults(RULESET_V)
-    params.state_region_tiles = 23
+    params = dataclasses.replace(RulesetParams.defaults(RULESET_V), state_region_tiles=23)
     program = compile_program(builtin_program("rogozhin_24_2"), RULESET_V, params)
     assert len(program.macros) == 48
 
@@ -150,7 +162,7 @@ def test_execute_one_instruction_be():
     record = execute_instruction(world, program, index=1)
     assert record.turns >= 1
     assert world.symbol_at(0) == "none"
-    assert world.units[TAPE_WORKER].position == -1
+    assert world.units[TAPE_WORKER] == -1
     assert world.state_count == 1
     assert decode(world, program) == TMConfig(state="q1", tape={}, head=-1)
 
@@ -163,7 +175,7 @@ def test_execute_halt_leaves_world_unchanged():
     snapshot_tape = dict(world.tape.items())
     record = execute_instruction(world, program, index=1)
     assert record.halted and record.turns == 0
-    assert world.units[TAPE_WORKER].position == 0
+    assert world.units[TAPE_WORKER] == 0
     assert dict(world.tape.items()) == snapshot_tape
 
 
@@ -198,7 +210,7 @@ def test_execute_halt_entry_with_write_applies_then_stops():
     record = execute_instruction(world, program, index=1)
     assert record.halted
     assert world.symbol_at(0) == "road"
-    assert world.units[TAPE_WORKER].position == 0
+    assert world.units[TAPE_WORKER] == 0
 
 
 def test_rover_shadows_worker():
@@ -206,7 +218,7 @@ def test_rover_shadows_worker():
     program = compile_program(spec, RULESET_BE)
     world = init_world(RULESET_BE, {})
     execute_instruction(world, program, index=1)
-    assert world.units["rover"].position == world.units[TAPE_WORKER].position == 1
+    assert world.units["rover"] == world.units[TAPE_WORKER] == 1
 
 
 def test_drive_guard_raises_package_error(monkeypatch):
@@ -255,7 +267,7 @@ def test_extend_tape_relocates_when_next_city_exists():
     # Crossing into an existing city is the same plain move as a move inside
     # a city: execute_instruction relocates the worker, extend_tape refuses.
     world = init_world(RULESET_VI, {3: "worked"})  # cities 0 and 1
-    world.units[TAPE_WORKER].position = 1
+    world.units[TAPE_WORKER] = 1
     before = len(world.cities)
     with pytest.raises(IllegalCommand, match="already exists"):
         extend_tape(world, "R", _blank_record())
@@ -271,19 +283,19 @@ def test_extend_tape_relocates_when_next_city_exists():
     record = execute_instruction(world, compile_program(runner, RULESET_VI), index=1)
     assert not record.extension
     assert record.turns == record.movement_turns == 2  # two hexes per tape cell
-    assert world.units[TAPE_WORKER].position == 2
+    assert world.units[TAPE_WORKER] == 2
     assert len(world.cities) == before
     assert SETTLER not in world.units
 
 
 def test_extend_tape_settles_at_the_end():
     world = init_world(RULESET_VI, {})
-    world.units[TAPE_WORKER].position = 1
+    world.units[TAPE_WORKER] = 1
     record = _blank_record()
     extend_tape(world, "R", record)
     assert record.extension
     assert sorted(world.cities) == [0, 1]
-    assert world.units[TAPE_WORKER].position == 2
+    assert world.units[TAPE_WORKER] == 2
     assert world.cities[0].growth_cap == 3  # trained a settler, capped down
     assert world.cities[1].citizens == 4 and world.cities[1].growth_cap == 4
     assert record.tape_length_before == 2
@@ -296,7 +308,7 @@ def test_extend_tape_left_is_symmetric():
     extend_tape(world, "L", record)
     assert record.extension
     assert sorted(world.cities) == [-1, 0]
-    assert world.units[TAPE_WORKER].position == -1
+    assert world.units[TAPE_WORKER] == -1
     assert world.cities[-1].citizens == 4
 
 

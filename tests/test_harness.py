@@ -47,7 +47,7 @@ from civutm.world import (
     yields,
 )
 
-from reference import Halted, eager_log, reference_step
+from reference import Halted, cut_floodplains_food, eager_log, reference_step
 
 
 def test_bb3_be_equivalent_through_halt():
@@ -94,7 +94,7 @@ def test_lockstep_vi_extends_and_keeps_food_safe():
     report = lockstep_verify(builtin_program("bb3"), RULESET_VI, {}, 100)
     assert report.outcome == EQUIVALENT
     assert sum(1 for r in report.records if r.extension) >= 1
-    assert report.min_food_stock is not None and report.min_food_stock >= 0
+    assert report.world.min_food_observed is not None and report.world.min_food_observed >= 0
 
 
 def test_lockstep_nonhalting_hits_step_limit():
@@ -142,11 +142,9 @@ def test_halting_state_transition_coincides():
 
 
 def test_paper_bounds_formulae():
-    be = RulesetParams.defaults(RULESET_BE)
-    be.terrascape_build_turns, be.road_build_turns = 3, 1
+    be = dataclasses.replace(RulesetParams.defaults(RULESET_BE), terrascape_build_turns=3, road_build_turns=1)
     assert paper_instruction_bound(RULESET_BE, be) == 16
-    v = RulesetParams.defaults(RULESET_V)
-    v.railroad_build_turns = 2
+    v = dataclasses.replace(RulesetParams.defaults(RULESET_V), railroad_build_turns=2)
     assert paper_instruction_bound(RULESET_V, v) == 9
     vi = RulesetParams.defaults(RULESET_VI)
     assert paper_instruction_bound(RULESET_VI, vi) is None
@@ -230,18 +228,16 @@ def test_random_machines_never_diverge(seed):
     upkeep=st.integers(1, 3),
 )
 def test_vi_food_params_that_validate_never_starve(base, grassland, floodplains, upkeep):
-    params = RulesetParams.defaults(RULESET_VI)
-    params.city_base_food, params.grassland_food = base, grassland
-    params.floodplains_food, params.citizen_food_upkeep = floodplains, upkeep
+    food = dict(city_base_food=base, grassland_food=grassland, floodplains_food=floodplains, citizen_food_upkeep=upkeep)
     try:
-        params.validate()
+        params = dataclasses.replace(RulesetParams.defaults(RULESET_VI), **food)
     except IllegalCommand:
         return
     # 30 instructions found 15 cities, so cities pass through 2, 3 and 4
     # Citizens; Starvation would propagate out of lockstep_verify.
     report = lockstep_verify(builtin_program("rogozhin_24_2"), RULESET_VI, {}, 30, params)
     assert report.first_divergence is None
-    assert report.min_food_stock >= 0
+    assert report.world.min_food_observed >= 0
 
 
 def test_report_json_is_deterministic():
@@ -325,7 +321,7 @@ GOLDEN_WAIT_DIGESTS = {
 # cities are interior, at their cap and hold worked cells: (seed, states,
 # instructions, cells holding "1", params overrides). The first tape spans
 # 25 cities; the params of the second were drawn once from those
-# ``validate()`` accepts.
+# ``RulesetParams`` accepts.
 GOLDEN_VI_CITY_DIGESTS = {
     (6, 4, 80, (-9, -4, -3, 0, 5, 6, 11, 17, 22, 23, 30, 38), ()): (
         "ed879cc71146a21a55a351ab3e811f0b82d028ea898c878a11c55ac18c200f9e"
@@ -451,9 +447,8 @@ _BE_V_FIELDS = {
 def test_skipping_quiet_turns_changes_no_output(data, seed, num_states):
     ruleset = data.draw(st.sampled_from((RULESET_BE, RULESET_V, RULESET_VI)))
     fields = _VI_FIELDS if ruleset == RULESET_VI else _BE_V_FIELDS
-    params = dataclasses.replace(RulesetParams.defaults(ruleset), **data.draw(st.fixed_dictionaries(fields)))
     try:
-        params.validate()
+        params = dataclasses.replace(RulesetParams.defaults(ruleset), **data.draw(st.fixed_dictionaries(fields)))
     except IllegalCommand:
         reject()
     spec = random_tm(seed, num_states, 2)
@@ -501,9 +496,7 @@ def test_skipping_quiet_turns_keeps_the_starvation_turn():
         game = run_instructions(world, program, 100)
         for _ in range(20):
             next(game)
-        world.params.floodplains_food = 0
-        for city in world.cities.values():
-            world_module._rederive(world, city)
+        cut_floodplains_food(world)
         with pytest.raises(Starvation) as raised:
             for _ in game:
                 pass
@@ -558,9 +551,8 @@ def _checked(play):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 10**6), num_states=st.integers(2, 6), skip=st.booleans())
 def test_the_food_cache_matches_a_fresh_computation(data, seed, num_states, skip):
-    params = dataclasses.replace(RulesetParams.defaults(RULESET_VI), **data.draw(st.fixed_dictionaries(_VI_FIELDS)))
     try:
-        params.validate()
+        params = dataclasses.replace(RulesetParams.defaults(RULESET_VI), **data.draw(st.fixed_dictionaries(_VI_FIELDS)))
     except IllegalCommand:
         reject()
     spec = random_tm(seed, num_states, 2)
@@ -647,7 +639,7 @@ def test_vi_boundary_oscillator():
     report = lockstep_verify(osc, RULESET_VI, {0: "1", 1: "1", 2: "1", 3: "1"}, 60)
     assert report.first_divergence is None
     assert report.instructions_verified == 60
-    assert report.min_food_stock >= 0
+    assert report.world.min_food_observed >= 0
 
 
 def test_vi_zigzag_extends_both_directions():
@@ -663,7 +655,7 @@ def test_vi_zigzag_extends_both_directions():
     assert sorted(report.world.cities) == [-2, -1, 0]
     assert report.world.cities[-2].growth_cap == 4  # the left end keeps its marker
     assert report.world.cities[-1].growth_cap == 3
-    assert report.min_food_stock >= 0
+    assert report.world.min_food_observed >= 0
 
 
 def test_vi_deep_left_runner():
@@ -673,7 +665,7 @@ def test_vi_deep_left_runner():
     assert report.first_divergence is None
     assert report.final_config.head == -80
     assert min(report.world.cities) == -40
-    assert report.min_food_stock >= 0
+    assert report.world.min_food_observed >= 0
 
 
 def test_vi_double_training_initial_city():
@@ -760,8 +752,6 @@ def _reference_verify(spec, ruleset, initial_tape, max_instructions, program):
             report.halted = True
             break
     report.final_config = oracle
-    if ruleset == RULESET_VI:
-        report.min_food_stock = world.min_food_observed
     return report
 
 

@@ -36,45 +36,51 @@ from civutm.world import (
     yields,
 )
 
+from reference import cut_floodplains_food
+
 
 def test_params_require_railroad_cost_above_one():
-    params = RulesetParams.defaults(RULESET_V)
-    params.railroad_build_turns = 1
     with pytest.raises(IllegalCommand, match="railroad_build_turns"):
-        params.validate()
+        dataclasses.replace(RulesetParams.defaults(RULESET_V), railroad_build_turns=1)
 
 
 def test_params_require_positive_durations():
-    params = RulesetParams.defaults(RULESET_BE)
-    params.road_build_turns = 0
     with pytest.raises(IllegalCommand):
-        params.validate()
+        dataclasses.replace(RulesetParams.defaults(RULESET_BE), road_build_turns=0)
 
 
 def test_params_fix_remove_or_repair_turns():
     # The published V bound 4*B_rr+1 assumes one-turn removals: with 4,
     # random_tm(28, 6, 3) on V took 16 turns against a bound of 9.
     for ruleset in (RULESET_BE, RULESET_V, RULESET_VI):
-        params = RulesetParams.defaults(ruleset)
-        params.remove_or_repair_turns = 4
         with pytest.raises(IllegalCommand, match="remove_or_repair_turns"):
-            params.validate()
+            dataclasses.replace(RulesetParams.defaults(ruleset), remove_or_repair_turns=4)
 
 
 def test_params_vi_spacing_must_be_even():
-    params = RulesetParams.defaults(RULESET_VI)
-    params.city_spacing = 3
     with pytest.raises(IllegalCommand, match="city_spacing"):
-        params.validate()
+        dataclasses.replace(RulesetParams.defaults(RULESET_VI), city_spacing=3)
 
 
 @pytest.mark.parametrize("name,value", [("floodplains_food", 0), ("city_base_food", 1), ("citizen_food_upkeep", 3)])
 def test_params_vi_food_must_feed_every_city(name, value):
     # Each setting leaves some city of 2-4 Citizens short of its upkeep.
-    params = RulesetParams.defaults(RULESET_VI)
-    setattr(params, name, value)
     with pytest.raises(IllegalCommand, match="starves"):
-        params.validate()
+        dataclasses.replace(RulesetParams.defaults(RULESET_VI), **{name: value})
+
+
+def test_params_are_frozen():
+    # A food param changed after init_world would leave every city's cached
+    # food delta stale, so no field can be assigned.
+    params = init_world(RULESET_VI, {}).params
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.floodplains_food = 0
+    assert params == RulesetParams.defaults(RULESET_VI)
+
+
+def test_params_refuse_an_unknown_ruleset():
+    with pytest.raises(IllegalCommand, match="unknown ruleset 'VII'"):
+        RulesetParams.defaults("VII")
 
 
 @given(
@@ -87,18 +93,17 @@ def test_params_vi_food_must_feed_every_city(name, value):
 )
 @settings(max_examples=300, deadline=None)
 def test_validated_food_params_feed_every_city(base, grassland, floodplains, upkeep, citizens, flags):
-    # Under params validate() accepts, a city of 2-4 Citizens feeds itself
+    # Under params that can be made, a city of 2-4 Citizens feeds itself
     # whatever its two tape cells' worked flags, so a city at its cap that is
     # not training is never live: the turn loop's live-city skip relies on it.
-    params = dataclasses.replace(
-        RulesetParams.defaults(RULESET_VI),
-        city_base_food=base,
-        grassland_food=grassland,
-        floodplains_food=floodplains,
-        citizen_food_upkeep=upkeep,
-    )
     try:
-        params.validate()
+        params = dataclasses.replace(
+            RulesetParams.defaults(RULESET_VI),
+            city_base_food=base,
+            grassland_food=grassland,
+            floodplains_food=floodplains,
+            citizen_food_upkeep=upkeep,
+        )
     except IllegalCommand:
         reject()
     world = init_world(RULESET_VI, {cell: "worked" for cell, worked in zip((0, 1), flags) if worked}, params)
@@ -124,8 +129,7 @@ def test_init_be_empty_tape():
     world = init_world(RULESET_BE, {})
     assert world.state_count == 0
     assert yields(world)["culture"] == world.params.base_culture
-    assert world.units[TAPE_WORKER].position == 0
-    assert ROVER in world.units and STATE_WORKER in world.units
+    assert world.units == {TAPE_WORKER: 0, STATE_WORKER: 0, ROVER: 0}
 
 
 def test_init_v_encodes_tape_directly():
@@ -232,8 +236,7 @@ def test_state_region_build_and_remove():
 
 
 def test_state_region_capacity():
-    params = RulesetParams.defaults(RULESET_BE)
-    params.state_region_tiles = 1
+    params = dataclasses.replace(RulesetParams.defaults(RULESET_BE), state_region_tiles=1)
     world = init_world(RULESET_BE, {}, params)
     apply_command(world, STATE_WORKER, Command(op="build_state"))
     for _ in range(params.terrascape_build_turns):
@@ -282,20 +285,11 @@ def test_vi_food_never_negative_when_idle():
     assert world.min_food_observed >= 0
 
 
-def _rederive_all(world):
-    """Re-derive every city's food delta after a test changed food params
-    that ``validate()`` would refuse."""
-    for city in world.cities.values():
-        world_module._rederive(world, city)
-
-
 def test_vi_starvation_guard_raises():
-    # Force a deficit (no floodplain fallback) to prove the guard trips;
-    # validate() refuses such params, so it is set after construction and
-    # every city's food delta re-derived by hand.
+    # Force a deficit (no floodplain fallback) to prove the guard trips; the
+    # params refuse it when made, so it is forced into a built world.
     world = init_world(RULESET_VI, {})
-    world.params.floodplains_food = 0
-    _rederive_all(world)
+    cut_floodplains_food(world)
     with pytest.raises(Starvation):
         for _ in range(10):
             advance_turn(world)
@@ -312,8 +306,7 @@ def test_vi_a_city_at_its_cap_starves_on_time():
 
     advance_turn(world)
     assert stocks() == [5, 4, 4, 4, 4]
-    world.params.floodplains_food = 0
-    _rederive_all(world)
+    cut_floodplains_food(world)
     skip_quiet_turns(world)
     assert (world.turn, stocks()) == (2, [1, 2, 2, 2, 2])
     with pytest.raises(Starvation, match="city 0 food stock fell to -3 on turn 3"):
@@ -414,7 +407,7 @@ def test_vi_settler_needs_two_citizens():
 
 def test_vi_found_city_must_extend_contiguously():
     world = init_world(RULESET_VI, {})
-    world.units[SETTLER] = type(world.units[TAPE_WORKER])(uid=SETTLER, kind="Settler", position=0)
+    world.units[SETTLER] = 0
     with pytest.raises(IllegalCommand, match="contiguously"):
         apply_command(world, SETTLER, Command(op="found_city", city=5))
 
@@ -649,7 +642,7 @@ class LegalityClosure(RuleBasedStateMachine):
         assert all(job.completes_at >= world.turn for job in world.jobs.values())
         assert all(symbol in GAME_SYMBOLS[world.params.ruleset] for _, symbol in world.tape.items())
         assert all(type(cell) is int for cell, _ in world.tape.items())
-        assert all(type(unit.position) is int for unit in world.units.values())
+        assert all(type(position) is int for position in world.units.values())
         assert 0 <= world.state_count <= world.params.state_region_tiles
 
     @invariant()

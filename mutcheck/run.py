@@ -239,7 +239,15 @@ MUTANTS = (
         '"base_yield": p.base_culture if vi else p.base_faith,',
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
-    # The one macro constructor in controller.compile_program.
+    # The one macro constructor in controller.compile_program, whose macros
+    # every program shares, so a macro must stay frozen.
+    Mutant(
+        "command-macro-not-frozen",
+        CONTROLLER,
+        "@dataclass(frozen=True)\nclass CommandMacro:",
+        "@dataclass\nclass CommandMacro:",
+        ("tests/test_controller.py",),
+    ),
     Mutant(
         "halt-macro-keeps-move",
         CONTROLLER,

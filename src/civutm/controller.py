@@ -18,6 +18,7 @@ to its cap).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +39,7 @@ from .world import (
     WorldState,
     advance_turn,
     apply_command,
+    move_turns,
     params_for,
     skip_quiet_turns,
 )
@@ -59,7 +61,12 @@ class TapeAction(str, Enum):
 
 @dataclass(frozen=True)
 class CommandMacro:
-    """What one machine instruction asks of the workers."""
+    """What one machine instruction asks of the workers.
+
+    A macro is a value: ``compile_program`` makes each distinct one once
+    (``_macro``), so equal macros in different programs are one object.
+    It has no slots: the benchmark digests records with ``json.dumps(...,
+    default=vars)``, which needs a macro's ``__dict__``."""
 
     tape_action: TapeAction
     head_move: str | None  # "L" | "R" | None on halt
@@ -80,6 +87,11 @@ class ControllerProgram:
     symbol_of: dict[str, str]  # machine symbol -> game symbol
     symbol_from_game: dict[str, str]
     macros: dict[tuple[int, str], CommandMacro]  # (state index, game read symbol)
+
+
+# The one constructor of compiled macros: one shared object per distinct
+# (tape action, move, state delta, halt, read, write).
+_macro = functools.cache(CommandMacro)
 
 
 # Tape action for writing `write` over `read`, per ruleset. Identity writes
@@ -128,7 +140,7 @@ def compile_program(spec: TMSpec, ruleset: str, params: RulesetParams | None = N
         idx = state_index_of[state]
         halt = isinstance(rule, HaltAction)  # writes (or leaves the cell), never moves
         game_read, game_write = symbols[read], symbols[read if rule.write is None else rule.write]
-        macros[(idx, game_read)] = CommandMacro(
+        macros[(idx, game_read)] = _macro(
             tape_action=TapeAction.LEAVE if game_write == game_read else _TAPE_ACTIONS[ruleset][(game_read, game_write)],
             head_move=None if halt else rule.move,
             state_delta=0 if halt else state_index_of[rule.next_state] - idx,
@@ -247,8 +259,9 @@ def program_to_json(program: ControllerProgram) -> dict:
 @dataclass
 class InstructionRecord:
     """What one executed instruction did and what it cost. Its
-    ``instruction_end`` log entry holds the record and renders it on read, so
-    a logged record is not mutated."""
+    ``instruction_start`` and ``instruction_end`` log entries both hold the
+    record and render it on read: the start renders only the fields that
+    never change, and the record is not mutated once its end is logged."""
 
     index: int
     state_index: int
@@ -262,6 +275,11 @@ class InstructionRecord:
     settler_cost_production: int | None = None
     settler_cost_turns: int | None = None
     halted: bool = False
+
+    def describe_start(self) -> dict:
+        """The ``instruction_start`` detail, from the three fields that are
+        set when the record is made and never change."""
+        return {"index": self.index, "state_index": self.state_index, "read": self.read}
 
     def describe(self) -> dict:
         """The ``instruction_end`` detail: every field but the three that
@@ -346,8 +364,8 @@ def execute_instruction(world: WorldState, program: ControllerProgram, index: in
         raise MachineStuck(state, program.symbol_from_game.get(game_read, game_read))
 
     start_turn = world.turn
-    world.log("controller", "instruction_start", {"index": index, "state_index": idx, "read": game_read})
     record = InstructionRecord(index=index, state_index=idx, read=game_read, macro=macro, halted=macro.halt)
+    world.log("controller", "instruction_start", record)
 
     if program.ruleset == RULESET_VI:
         _execute_vi(world, macro, head, record)
@@ -371,7 +389,7 @@ def _execute_be_v(world: WorldState, macro: CommandMacro, head: int, record: Ins
         worker.append(Command(op=op, cell=head))
     if macro.head_move is not None:
         worker.append(Command(op="move", to=head + (1 if macro.head_move == "R" else -1)))
-        record.movement_turns = world.params.worker_move_turns_per_hex
+        record.movement_turns = move_turns(world.params, TAPE_WORKER, 1)
     lanes = [(TAPE_WORKER, worker, None)] if worker else []
     if rover_ops:
         # The rover pillages the road the tape worker builds first, if any.
@@ -398,7 +416,7 @@ def _execute_vi(world: WorldState, macro: CommandMacro, head: int, record: Instr
         # Within the head's city or into an existing neighbour: a plain move.
         apply_command(world, TAPE_WORKER, Command(op="move", to=target))
         _drive(world, [])
-        record.movement_turns = world.params.hexes_per_tape_cell * world.params.worker_move_turns_per_hex
+        record.movement_turns = move_turns(world.params, TAPE_WORKER, 1)
         return
     extend_tape(world, macro.head_move, record)
 
@@ -453,7 +471,7 @@ def extend_tape(world: WorldState, direction: str, record: InstructionRecord) ->
         _next_event(world)
 
     record.extension = True
-    record.movement_turns = params.city_spacing * params.worker_move_turns_per_hex
+    record.movement_turns = move_turns(params, SETTLER, params.city_spacing)  # center to center
     record.pre_train_wait = pre_train_wait
     record.tape_length_before = tape_length
     record.settler_cost_production = cost

@@ -30,6 +30,7 @@ growth waits) are itemized, never hidden.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
@@ -46,7 +47,7 @@ from .controller import (
 from .errors import MachineStuck
 from .tm import Machine, TMConfig, TMSpec, Transition, initial_config, validate_spec
 from .tm import step_in_place as step  # looked up here at call time, so a tracer can wrap it
-from .world import RULESET_BE, RULESET_V, RULESET_VI, RulesetParams, WorldState, init_world
+from .world import RULESET_BE, RULESET_V, RULESET_VI, TAPE_WORKER, RulesetParams, WorldState, init_world, move_turns
 
 EQUIVALENT = "equivalent"
 DIVERGED = "diverged"
@@ -261,7 +262,7 @@ def derived_instruction_bound(program: ControllerProgram, params: RulesetParams)
     state worker may still be building, so the two tracks run concurrently."""
     if program.ruleset == RULESET_VI:
         return None
-    move = params.worker_move_turns_per_hex
+    move = move_turns(params, TAPE_WORKER, 1)
     worst = 0
     for macro in program.macros.values():
         tape, state = _macro_costs(macro, params)
@@ -348,6 +349,10 @@ def overhead_report(
 # ---------------------------------------------------------------------------
 
 
+# Rules are values: random machines share one object per distinct rule.
+_rule = functools.cache(Transition)
+
+
 def random_tm(seed: int, num_states: int, num_symbols: int) -> TMSpec:
     """A seeded, reproducible machine with a total transition function.
 
@@ -367,7 +372,7 @@ def random_tm(seed: int, num_states: int, num_symbols: int) -> TMSpec:
     transitions: dict[tuple[str, str], Transition] = {}
     for state in working:
         for sym in alphabet:
-            transitions[(state, sym)] = Transition(
+            transitions[(state, sym)] = _rule(
                 write=rng.choice(alphabet),
                 move=rng.choice(("L", "R")),
                 next_state=rng.choice(states),
@@ -375,7 +380,7 @@ def random_tm(seed: int, num_states: int, num_symbols: int) -> TMSpec:
     if working:
         key = (rng.choice(working), rng.choice(alphabet))
         old = transitions[key]
-        transitions[key] = Transition(write=old.write, move=old.move, next_state=halting[0])
+        transitions[key] = _rule(write=old.write, move=old.move, next_state=halting[0])
     spec = TMSpec(
         states=states,
         alphabet=alphabet,

@@ -29,7 +29,7 @@ STUCK = "stuck"
 STEP_LIMIT = "step-limit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     """One entry of the transition function: write, move the head, set state."""
 
@@ -38,7 +38,7 @@ class Transition:
     next_state: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HaltAction:
     """An explicit halt entry.
 

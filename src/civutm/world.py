@@ -31,8 +31,9 @@ closed form, leaving the same state those turns would.
 
 The log holds references and renders them on read: an entry for a command,
 a job or an instruction record keeps that object, which is not mutated once
-logged, and ``event_entries`` turns each entry into its dict only when the
-log is read, so a run builds no descriptions it does not export.
+logged (an instruction's start entry renders only the record's fields that
+never change), and ``event_entries`` turns each entry into its dict only
+when the log is read, so a run builds no descriptions it does not export.
 
 A VI city's food changes by the same delta every turn until an event touches
 the city (a cell of it set worked or not, a birth, a trained Settler, its
@@ -120,7 +121,14 @@ class RulesetParams:
 
     @classmethod
     def defaults(cls, ruleset: str) -> "RulesetParams":
-        return cls(ruleset=ruleset, state_region_tiles=23 if ruleset == RULESET_VI else 9)
+        """The ruleset's default params: one shared object per ruleset, made
+        and checked once (params are frozen, so sharing is safe). Any other
+        ruleset, unhashable ones included, goes to the constructor, which
+        refuses it."""
+        try:
+            return _DEFAULTS[ruleset]
+        except (KeyError, TypeError):
+            return cls(ruleset=ruleset)
 
     def settler_cost(self, tape_length: int) -> int:
         """Production cost of a Settler when the tape is ``tape_length`` cells."""
@@ -192,6 +200,9 @@ class RulesetParams:
                             f"a city of {citizens} Citizens with {on_tape} on the tape starves: "
                             f"food {income} < upkeep {upkeep}"
                         )
+
+
+_DEFAULTS = {r: RulesetParams(ruleset=r, state_region_tiles=23 if r == RULESET_VI else 9) for r in RULESETS}
 
 
 @dataclass(slots=True)
@@ -349,7 +360,8 @@ class WorldState:
     def log(self, unit: str, command: str, detail) -> None:
         """Append ``(turn, unit, command, detail)``. ``detail`` is a dict or an
         object whose ``describe()`` renders it on read (see
-        ``event_entries``); that object is not mutated once logged."""
+        ``event_entries``); that object is not mutated once logged, except
+        for the fields an ``instruction_start`` entry does not render."""
         self.event_log.append((self.turn, unit, command, detail))
 
 
@@ -443,6 +455,13 @@ _TAPE_OPS = {
 _DONE = {op: f"{op}_done" for op in (*_TAPE_OPS, "build_state", "remove_state", "move")}
 
 
+def move_turns(params: RulesetParams, uid: str, cells: int) -> int:
+    """The turns unit ``uid`` takes to move ``cells`` cells: tape cells for
+    the tape worker, physical hexes for a Settler."""
+    per_cell = params.hexes_per_tape_cell if uid == TAPE_WORKER else 1
+    return cells * per_cell * params.worker_move_turns_per_hex
+
+
 def _command_duration(world: WorldState, uid: str, command: Command) -> int:
     p = world.params
     op = command.op
@@ -453,9 +472,7 @@ def _command_duration(world: WorldState, uid: str, command: Command) -> int:
     if op == "build_state":
         return p.terrascape_build_turns if p.ruleset == RULESET_BE else p.railroad_build_turns
     if op == "move":
-        distance = abs(command.to - world.units[uid])
-        per_cell = p.hexes_per_tape_cell if uid == TAPE_WORKER else 1
-        return distance * per_cell * p.worker_move_turns_per_hex
+        return move_turns(p, uid, abs(command.to - world.units[uid]))
     if op == "found_city":
         return p.settler_found_turns
     raise IllegalCommand(f"unknown command {op!r}")
@@ -502,8 +519,7 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
         if city is None:
             raise IllegalCommand(f"cell {command.cell} is not owned by any city")
         if command.worked:
-            worked_now = sum(1 for c in city.tape_cells if world.tape.get(c) == "worked")
-            if world.tape.get(command.cell) != "worked" and worked_now >= city.citizens - 1:
+            if world.tape.get(command.cell) != "worked" and _worked_tape_cells(world, city) >= city.citizens - 1:
                 raise IllegalCommand(f"city {city.index} has no free citizen to work cell {command.cell}")
     elif op == "shift_monasteries":
         if ruleset != RULESET_VI:
@@ -612,13 +628,17 @@ def _complete_job(world: WorldState, uid: str) -> None:
     world.log(uid, _DONE[op], command)
 
 
+def _worked_tape_cells(world: WorldState, city: City) -> int:
+    """How many of ``city``'s two tape cells are set worked."""
+    return sum(1 for c in city.tape_cells if world.tape.get(c) == "worked")
+
+
 def _city_food_delta(world: WorldState, city: City) -> tuple[int, int]:
     """(income, upkeep) for one turn. One citizen is locked to the center
     (its yield is inside city_base_food); citizens the tape demands work the
     grassland cells; everyone else works a floodplain."""
     p = world.params
-    flags = sum(1 for c in city.tape_cells if world.tape.get(c) == "worked")
-    tape_workers = min(flags, city.citizens - 1)
+    tape_workers = min(_worked_tape_cells(world, city), city.citizens - 1)
     idle = city.citizens - 1 - tape_workers
     income = p.city_base_food + p.grassland_food * tape_workers + p.floodplains_food * idle
     upkeep = p.citizen_food_upkeep * city.citizens
@@ -807,10 +827,11 @@ def world_snapshot(world: WorldState) -> dict:
 
 def event_entries(world: WorldState) -> Iterator[dict]:
     """Yield the event log's entries as dicts (turn, unit, command, detail),
-    rendering each logged object's detail through its ``describe()``."""
+    rendering each logged object's detail through its ``describe()``, or
+    an ``instruction_start`` record's through its ``describe_start()``."""
     for turn, unit, command, detail in world.event_log:
         if type(detail) is not dict:
-            detail = detail.describe()
+            detail = detail.describe_start() if command == "instruction_start" else detail.describe()
         yield {"turn": turn, "unit": unit, "command": command, "detail": detail}
 
 

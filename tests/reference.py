@@ -17,6 +17,7 @@ starvation guard.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from civutm.controller import InstructionRecord
@@ -67,12 +68,15 @@ def _written(tape: dict[int, str], cell: int, symbol: str, blank: str) -> dict[i
 def eager_log(world: WorldState, unit: str, command: str, detail) -> None:
     """``WorldState.log`` with every detail made a dict when it is logged: a
     job's command description plus ``completes_at``, a command's
-    description, and an instruction record's fields less ``state_index``,
+    description, an instruction's start as its ``index``, ``state_index``
+    and ``read``, and an instruction record's fields less ``state_index``,
     ``read`` and ``macro``."""
     if isinstance(detail, Job):
         detail = {**detail.command.describe(), "completes_at": detail.completes_at}
     elif isinstance(detail, Command):
         detail = detail.describe()
+    elif isinstance(detail, InstructionRecord) and command == "instruction_start":
+        detail = {"index": detail.index, "state_index": detail.state_index, "read": detail.read}
     elif isinstance(detail, InstructionRecord):
         detail = dict(vars(detail))
         del detail["state_index"], detail["read"], detail["macro"]
@@ -80,9 +84,12 @@ def eager_log(world: WorldState, unit: str, command: str, detail) -> None:
 
 
 def cut_floodplains_food(world: WorldState) -> None:
-    """Set the world's ``floodplains_food`` to 0, which the params refuse
-    when made, and re-derive every city's cached food delta, so the cities
-    that work floodplains lose food from the next turn on."""
-    object.__setattr__(world.params, "floodplains_food", 0)
+    """Give the world a copy of its params with ``floodplains_food`` 0,
+    which the params refuse when made, and re-derive every city's cached
+    food delta, so the cities that work floodplains lose food from the next
+    turn on. The copy keeps the cut from reaching the shared default params
+    of every other world."""
+    world.params = params = copy.copy(world.params)
+    object.__setattr__(params, "floodplains_food", 0)
     for city in world.cities.values():
         world_module._rederive(world, city)

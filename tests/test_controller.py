@@ -52,6 +52,16 @@ def test_compile_bb3_be_macros():
     assert m.halt and m.head_move is None and m.state_delta == 0
 
 
+def test_compiled_programs_share_equal_macros():
+    programs = [compile_program(builtin_program(name), RULESET_BE) for name in ("bb3", "bb3", "rogozhin_10_3")]
+    macros = [(i, m) for i, p in enumerate(programs) for m in p.macros.values()]
+    shared = [(a, b) for i, a in macros for j, b in macros if i < j and a == b]
+    assert len(shared) > len(programs[0].macros)  # bb3 with itself, and across machines
+    assert all(a is b for a, b in shared)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        programs[0].macros[(0, "none")].state_delta = 5
+
+
 def test_initial_state_gets_index_zero():
     for name, ruleset in (("bb3", RULESET_BE), ("rogozhin_10_3", RULESET_V), ("rogozhin_24_2", RULESET_VI)):
         program = compile_program(builtin_program(name), ruleset)

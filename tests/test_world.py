@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, reject, settings
@@ -81,6 +82,8 @@ def test_params_are_frozen():
 def test_params_refuse_an_unknown_ruleset():
     with pytest.raises(IllegalCommand, match="unknown ruleset 'VII'"):
         RulesetParams.defaults("VII")
+    with pytest.raises(IllegalCommand, match=re.escape("unknown ruleset ['BE']")):
+        RulesetParams.defaults(["BE"])  # unhashable: no key of the shared defaults
 
 
 @given(

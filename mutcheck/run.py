@@ -248,6 +248,15 @@ MUTANTS = (
         "@dataclass\nclass CommandMacro:",
         ("tests/test_controller.py",),
     ),
+    # The symbol map every program of one shape shares, so it must stay
+    # read-only.
+    Mutant(
+        "shared-symbol-map-writable",
+        CODEC,
+        "return MappingProxyType(mapping)",
+        "return mapping",
+        ("tests/test_controller.py",),
+    ),
     Mutant(
         "halt-macro-keeps-move",
         CONTROLLER,

@@ -13,6 +13,9 @@ that fails closed on a cell changed without being recorded.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .errors import CivUtmError, CompileError, DecodeError
@@ -23,24 +26,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .controller import ControllerProgram
 
 
-def symbol_map(spec: TMSpec, ruleset: str) -> dict[str, str]:
+def symbol_map(spec: TMSpec, ruleset: str) -> Mapping[str, str]:
     """Canonical machine-symbol -> game-symbol bijection.
 
     The blank always maps to the game blank (no improvement / not worked);
     the remaining symbols take the ruleset's non-blank encodings in alphabet
-    declaration order.
+    declaration order. The mapping is shared by every machine with the same
+    alphabet and blank on the ruleset, so it is read-only.
     """
-    nonblank = [sym for sym in spec.alphabet if sym != spec.blank]
+    return _symbol_map(tuple(spec.alphabet), spec.blank, ruleset)
+
+
+# One mapping per (alphabet, blank, ruleset) seen so far.
+@functools.cache
+def _symbol_map(alphabet: tuple[str, ...], blank: str, ruleset: str) -> Mapping[str, str]:
+    nonblank = [sym for sym in alphabet if sym != blank]
     slots = [gs for gs in GAME_SYMBOLS[ruleset] if gs != GAME_BLANK[ruleset]]
     if len(nonblank) > len(slots):
         raise CompileError(
-            f"alphabet of {len(spec.alphabet)} symbols does not fit ruleset {ruleset} "
+            f"alphabet of {len(alphabet)} symbols does not fit ruleset {ruleset} "
             f"({len(slots) + 1} encodings available)"
         )
-    mapping = {spec.blank: GAME_BLANK[ruleset]}
+    mapping = {blank: GAME_BLANK[ruleset]}
     for sym, slot in zip(nonblank, slots):
         mapping[sym] = slot
-    return mapping
+    return MappingProxyType(mapping)
 
 
 def encode_tape(tm_tape: dict[int, str], program: "ControllerProgram") -> dict[int, str]:

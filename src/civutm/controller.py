@@ -19,10 +19,12 @@ to its cap).
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
-from .codec import symbol_map
+from .codec import _symbol_map
 from .errors import CivUtmError, CompileError, DecodeError, IllegalCommand, MachineStuck
 from .tm import HaltAction, TMSpec, validate_spec
 from .world import (
@@ -76,22 +78,44 @@ class CommandMacro:
     write_symbol: str = ""  # game symbol the cell holds afterwards
 
 
-@dataclass
+@dataclass(slots=True)
 class ControllerProgram:
-    """A compiled machine: bijections plus one macro per transition."""
+    """A compiled machine: bijections plus one macro per transition.
+
+    The bijections follow from the machine's shape (states, initial state,
+    alphabet, blank, ruleset) alone, so every program of one shape shares
+    them, read-only. ``macros`` is the program's own dict."""
 
     ruleset: str
     spec: TMSpec
-    state_index_of: dict[str, int]
+    state_index_of: Mapping[str, int]
     index_to_state: tuple[str, ...]
-    symbol_of: dict[str, str]  # machine symbol -> game symbol
-    symbol_from_game: dict[str, str]
+    symbol_of: Mapping[str, str]  # machine symbol -> game symbol
+    symbol_from_game: Mapping[str, str]
     macros: dict[tuple[int, str], CommandMacro]  # (state index, game read symbol)
 
 
 # The one constructor of compiled macros: one shared object per distinct
 # (tape action, move, state delta, halt, read, write).
 _macro = functools.cache(CommandMacro)
+
+
+# The one constructor of macro keys: one tuple per (state index, game
+# symbol), at most the largest state count compiled times 6 game symbols.
+@functools.cache
+def _macro_key(idx: int, game_read: str) -> tuple[int, str]:
+    return idx, game_read
+
+
+# The one constructor of a program's bijections: (index_to_state,
+# state_index_of, symbol_of, symbol_from_game), one per (states, initial,
+# alphabet, blank, ruleset) compiled so far. Raises what ``symbol_map`` does.
+@functools.cache
+def _shape(states: tuple[str, ...], initial: str, alphabet: tuple[str, ...], blank: str, ruleset: str) -> tuple:
+    symbol_of = _symbol_map(alphabet, blank, ruleset)
+    ordered = (initial,) + tuple(st for st in states if st != initial)
+    state_index_of = MappingProxyType({state: i for i, state in enumerate(ordered)})
+    return ordered, state_index_of, symbol_of, MappingProxyType({v: k for k, v in symbol_of.items()})
 
 
 # Tape action for writing `write` over `read`, per ruleset. Identity writes
@@ -124,7 +148,10 @@ def compile_program(spec: TMSpec, ruleset: str, params: RulesetParams | None = N
     """Compile a machine for a ruleset, or raise :class:`CompileError`."""
     validate_spec(spec)
     params = params_for(ruleset, params)
-    symbols = symbol_map(spec, ruleset)  # checks the alphabet bound
+    # Raises CompileError when the alphabet does not fit the ruleset.
+    ordered, state_index_of, symbols, from_game = _shape(
+        tuple(spec.states), spec.initial, tuple(spec.alphabet), spec.blank, ruleset
+    )
     max_index = len(spec.states) - 1
     if max_index > params.state_region_tiles:
         raise CompileError(
@@ -132,15 +159,12 @@ def compile_program(spec: TMSpec, ruleset: str, params: RulesetParams | None = N
             f"params provide {params.state_region_tiles}"
         )
 
-    ordered = (spec.initial,) + tuple(st for st in spec.states if st != spec.initial)
-    state_index_of = {state: i for i, state in enumerate(ordered)}
-
     macros: dict[tuple[int, str], CommandMacro] = {}
     for (state, read), rule in spec.transitions.items():
         idx = state_index_of[state]
         halt = isinstance(rule, HaltAction)  # writes (or leaves the cell), never moves
         game_read, game_write = symbols[read], symbols[read if rule.write is None else rule.write]
-        macros[(idx, game_read)] = _macro(
+        macros[_macro_key(idx, game_read)] = _macro(
             tape_action=TapeAction.LEAVE if game_write == game_read else _TAPE_ACTIONS[ruleset][(game_read, game_write)],
             head_move=None if halt else rule.move,
             state_delta=0 if halt else state_index_of[rule.next_state] - idx,
@@ -149,15 +173,7 @@ def compile_program(spec: TMSpec, ruleset: str, params: RulesetParams | None = N
             write_symbol=game_write,
         )
 
-    return ControllerProgram(
-        ruleset=ruleset,
-        spec=spec,
-        state_index_of=state_index_of,
-        index_to_state=ordered,
-        symbol_of=symbols,
-        symbol_from_game={v: k for k, v in symbols.items()},
-        macros=macros,
-    )
+    return ControllerProgram(ruleset, spec, state_index_of, ordered, symbols, from_game, macros)
 
 
 # ---------------------------------------------------------------------------

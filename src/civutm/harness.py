@@ -353,6 +353,20 @@ def overhead_report(
 _rule = functools.cache(Transition)
 
 
+# Random machines share their (states, alphabet, input alphabet, halting)
+# tuples, one set per (state count, symbol count) drawn, and their
+# transition keys, one per (state, symbol) of those states and alphabets.
+@functools.cache
+def _random_shape(num_states: int, num_symbols: int) -> tuple[tuple[str, ...], ...]:
+    states, alphabet = tuple(f"q{i}" for i in range(num_states)), ("0", "1", "b")[:num_symbols]
+    return states, alphabet, alphabet[1:], (states[-1],) if num_states >= 2 else (states[0],)
+
+
+@functools.cache
+def _rule_key(state: str, sym: str) -> tuple[str, str]:
+    return state, sym
+
+
 def random_tm(seed: int, num_states: int, num_symbols: int) -> TMSpec:
     """A seeded, reproducible machine with a total transition function.
 
@@ -365,14 +379,12 @@ def random_tm(seed: int, num_states: int, num_symbols: int) -> TMSpec:
     if num_states < 1:
         raise ValueError("num_states must be >= 1")
     rng = random.Random(seed)
-    states = tuple(f"q{i}" for i in range(num_states))
-    alphabet = ("0", "1", "b")[:num_symbols]
-    halting = (states[-1],) if num_states >= 2 else (states[0],)
+    states, alphabet, input_alphabet, halting = _random_shape(num_states, num_symbols)
     working = [st for st in states if st not in halting]
     transitions: dict[tuple[str, str], Transition] = {}
     for state in working:
         for sym in alphabet:
-            transitions[(state, sym)] = _rule(
+            transitions[_rule_key(state, sym)] = _rule(
                 write=rng.choice(alphabet),
                 move=rng.choice(("L", "R")),
                 next_state=rng.choice(states),
@@ -385,7 +397,7 @@ def random_tm(seed: int, num_states: int, num_symbols: int) -> TMSpec:
         states=states,
         alphabet=alphabet,
         blank="0",
-        input_alphabet=alphabet[1:],
+        input_alphabet=input_alphabet,
         initial=states[0],
         halting=halting,
         transitions=transitions,

@@ -446,27 +446,6 @@ def builtin_program(name: str) -> TMSpec:
 _SPEC_FIELDS = {"states", "alphabet", "blank", "input_alphabet", "initial", "halting", "transitions"}
 
 
-def spec_to_json(spec: TMSpec) -> dict:
-    records = []
-    for (state, read), rule in spec.transitions.items():
-        if isinstance(rule, HaltAction):
-            rec: dict = {"state": state, "read": read, "halt": True}
-            if rule.write is not None:
-                rec["write"] = rule.write
-        else:
-            rec = {"state": state, "read": read, "write": rule.write, "move": rule.move, "next": rule.next_state}
-        records.append(rec)
-    return {
-        "states": list(spec.states),
-        "alphabet": list(spec.alphabet),
-        "blank": spec.blank,
-        "input_alphabet": list(spec.input_alphabet),
-        "initial": spec.initial,
-        "halting": list(spec.halting),
-        "transitions": records,
-    }
-
-
 def spec_from_json(data: dict) -> TMSpec:
     if not isinstance(data, dict):
         raise SpecError("machine description must be a JSON object")

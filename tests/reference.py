@@ -13,6 +13,9 @@ exported logs.
 ``RulesetParams`` is frozen and refuses food params that starve a city;
 ``cut_floodplains_food`` breaks that on purpose, for the tests of the
 starvation guard.
+
+``spec_to_json`` writes a machine in the file format ``tm.spec_from_json``
+reads, for the tests that feed machines to the CLI.
 """
 
 from __future__ import annotations
@@ -93,3 +96,24 @@ def cut_floodplains_food(world: WorldState) -> None:
     object.__setattr__(params, "floodplains_food", 0)
     for city in world.cities.values():
         world_module._rederive(world, city)
+
+
+def spec_to_json(spec: TMSpec) -> dict:
+    records = []
+    for (state, read), rule in spec.transitions.items():
+        if isinstance(rule, HaltAction):
+            rec: dict = {"state": state, "read": read, "halt": True}
+            if rule.write is not None:
+                rec["write"] = rule.write
+        else:
+            rec = {"state": state, "read": read, "write": rule.write, "move": rule.move, "next": rule.next_state}
+        records.append(rec)
+    return {
+        "states": list(spec.states),
+        "alphabet": list(spec.alphabet),
+        "blank": spec.blank,
+        "input_alphabet": list(spec.input_alphabet),
+        "initial": spec.initial,
+        "halting": list(spec.halting),
+        "transitions": records,
+    }

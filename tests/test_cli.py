@@ -23,8 +23,10 @@ from civutm import cli, codec, harness
 from civutm.cli import main
 from civutm.controller import compile_program
 from civutm.errors import MachineStuck
-from civutm.tm import TMSpec, Transition, builtin_program, spec_to_json, validate_spec
+from civutm.tm import TMSpec, Transition, builtin_program, validate_spec
 from civutm.world import RULESET_BE, RULESET_V, RULESET_VI, RulesetParams, init_world, yields
+
+from reference import spec_to_json
 
 
 def run_cli(capsys, *argv):

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import tracemalloc
 
 import pytest
 
 from civutm import controller
-from civutm.codec import decode
+from civutm.codec import decode, symbol_map
 from civutm.controller import (
     CommandMacro,
     InstructionRecord,
@@ -22,10 +23,11 @@ from civutm.controller import (
     vi_work_command,
 )
 from civutm.errors import CivUtmError, CompileError, DecodeError, IllegalCommand, MachineStuck
-from civutm.harness import lockstep_verify
+from civutm.harness import lockstep_verify, random_tm
 from civutm.tables import FIXTURE_FOR, load_fixture, table_fidelity
 from civutm.tm import HaltAction, TMConfig, TMSpec, Transition, builtin_program
 from civutm.world import (
+    GAME_BLANK,
     GAME_SYMBOLS,
     RULESET_BE,
     RULESET_V,
@@ -67,6 +69,84 @@ def test_initial_state_gets_index_zero():
         program = compile_program(builtin_program(name), ruleset)
         assert program.state_index_of[program.spec.initial] == 0
         assert program.index_to_state[0] == program.spec.initial
+
+
+def _shape_cases():
+    """(spec, ruleset) for the built-ins and 50 random machines, on every
+    ruleset each fits with the default params."""
+    cases = [(builtin_program("bb3"), ruleset) for ruleset in (RULESET_BE, RULESET_V, RULESET_VI)]
+    cases += [(builtin_program("rogozhin_10_3"), ruleset) for ruleset in (RULESET_BE, RULESET_V)]
+    cases.append((builtin_program("rogozhin_24_2"), RULESET_VI))
+    for seed in range(50):
+        spec = random_tm(seed, 2 + seed % 7, 2 + seed % 2)
+        cases += [(spec, ruleset) for ruleset in (RULESET_BE, RULESET_V, RULESET_VI)[: 5 - len(spec.alphabet)]]
+    return cases
+
+
+def test_shared_shape_tables_match_the_plain_path():
+    programs = [compile_program(spec, ruleset) for spec, ruleset in _shape_cases()]
+    first_of_shape = {}
+    for program in programs:
+        spec, ruleset = program.spec, program.ruleset
+        assert program.index_to_state == (spec.initial,) + tuple(st for st in spec.states if st != spec.initial)
+        assert program.state_index_of == {state: i for i, state in enumerate(program.index_to_state)}
+        # Blank to game blank, then the rest in declaration order.
+        game = [GAME_BLANK[ruleset]] + [sym for sym in GAME_SYMBOLS[ruleset] if sym != GAME_BLANK[ruleset]]
+        machine = [spec.blank] + [sym for sym in spec.alphabet if sym != spec.blank]
+        assert program.symbol_of == dict(zip(machine, game))
+        assert program.symbol_from_game == dict(zip(game, machine))
+        assert symbol_map(spec, ruleset) is program.symbol_of
+        # Equal shapes share every table; the macros are each program's own.
+        first = first_of_shape.setdefault((spec.states, spec.initial, spec.alphabet, spec.blank, ruleset), program)
+        for name in ("index_to_state", "state_index_of", "symbol_of", "symbol_from_game"):
+            assert getattr(program, name) is getattr(first, name)
+        assert program is first or program.macros is not first.macros
+    assert len(first_of_shape) < len(programs) // 2
+
+
+def test_shared_shape_tables_are_read_only():
+    program = compile_program(builtin_program("bb3"), RULESET_BE)
+    twin = compile_program(builtin_program("bb3"), RULESET_BE)
+    tables = (
+        (program.index_to_state, 0),
+        (program.state_index_of, "q0"),
+        (program.symbol_of, "0"),
+        (program.symbol_from_game, "none"),
+    )
+    for table, key in tables:
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+    with pytest.raises(AttributeError):
+        program.scratch = {}  # a program has slots, no __dict__
+    program.macros[(0, "none")] = program.macros[(0, "road")]
+    assert twin.macros[(0, "none")] is not program.macros[(0, "none")]
+
+
+def test_list_typed_spec_compiles_to_equal_tables():
+    for spec, ruleset in ((builtin_program("bb3"), RULESET_VI), (builtin_program("rogozhin_10_3"), RULESET_V)):
+        listed = dataclasses.replace(spec, states=list(spec.states), alphabet=list(spec.alphabet))
+        plain, from_lists = compile_program(spec, ruleset), compile_program(listed, ruleset)
+        for name in ("index_to_state", "state_index_of", "symbol_of", "symbol_from_game", "macros"):
+            assert getattr(from_lists, name) == getattr(plain, name)
+
+
+def test_compiled_programs_keep_only_their_own_macros():
+    # A memory guard. The bijections, the macros, the rules and the random
+    # machines' names and keys are shared, so a program keeps its macros
+    # dict, its spec's transitions and itself: 889 bytes each on Python
+    # 3.11, against 2,489 when every program built its own tables.
+    def build():
+        specs = [random_tm(seed, 2 + seed % 7, 3) for seed in range(200)]
+        return [compile_program(spec, ruleset) for spec in specs for ruleset in (RULESET_BE, RULESET_V)]
+
+    build()  # fill the shared caches, so only what each program keeps is counted
+    tracemalloc.start()
+    try:
+        programs = build()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept / len(programs) < 1333
 
 
 def test_compile_appendix_spot_checks():

@@ -23,12 +23,11 @@ from civutm.tm import (
     initial_config,
     run,
     spec_from_json,
-    spec_to_json,
     step_in_place,
     validate_spec,
 )
 
-from reference import Halted, reference_step
+from reference import Halted, reference_step, spec_to_json
 
 # Golden facts for the three-state Busy Beaver, computed once with an
 # independent brute-force interpreter and frozen here. The published figure

@@ -102,7 +102,22 @@ MUTANTS = (
         "pass",
         ("tests/test_codec.py", "tests/test_harness.py", "tests/test_cli.py"),
     ),
-    Mutant("cli-final-decode-dropped", CLI, "reader.close(len(records))", "pass", ("tests/test_cli.py",)),
+    # The final decode again, judged by the CLI's tests alone.
+    Mutant(
+        "cli-final-decode-dropped",
+        HARNESS,
+        "reader.close(report.instructions_verified)",
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    # A CLI run that diverged prints its lockstep line and no trace.
+    Mutant(
+        "run-divergence-ignored",
+        CLI,
+        "if report.first_divergence is None:\n        return False",
+        "if True:\n        return False",
+        ("tests/test_cli.py",),
+    ),
     # The tape's one write path.
     Mutant(
         "tape-write-not-recorded",

@@ -12,11 +12,12 @@ Subcommands:
 * ``cost``      — run a machine and print the per-instruction overhead
                   report with its bounds.
 
-Exit status: 0 success, 1 divergence/diff/bound failure, 2 parse or usage
-error, 3 stuck machine, 4 step limit reached. A stdout closed by its
-reader (``civutm ... | head``) ends the command quietly with 0. Traces and
-reports are line-delimited JSON with sorted keys, so identical invocations
-produce byte-identical files.
+``run`` and ``demo-bb3`` print only boundaries that ``harness.lockstep`` has
+verified. Exit status: 0 success, 1 divergence/diff/bound failure, 2 parse
+or usage error, 3 stuck machine, 4 step limit reached. A stdout closed by
+its reader (``civutm ... | head``) ends the command quietly with 0. Traces
+and reports are line-delimited JSON with sorted keys, so identical
+invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ import re
 import sys
 from pathlib import Path
 
-from . import codec, harness, tables
+from . import harness, tables
 from .controller import ControllerProgram, compile_program, macro_paper_command, program_to_json
-from .errors import CivUtmError, MachineStuck
+from .errors import CivUtmError
 from .tm import BUILTIN_NAMES, TMSpec, builtin_program, count_symbol, load_spec
-from .world import RULESET_VI, RULESETS, RulesetParams, init_world, yields
+from .world import RULESET_VI, RULESETS, RulesetParams, yields
 
 TRACE_FORMAT_VERSION = 1
 
@@ -107,28 +108,26 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Game-side driver shared by run / demo-bb3
+# The verified run shared by run / demo-bb3
 # ---------------------------------------------------------------------------
 
 
-def _drive_game(program: ControllerProgram, tape: dict[int, str], max_instructions: int, params: RulesetParams | None):
-    """Run the game side alone; returns (world, records, boundaries, final, outcome).
+def _drive_game(spec: TMSpec, program: ControllerProgram, tape: dict[int, str], budget: int, params: RulesetParams | None):
+    """Run the machine in ``harness.lockstep``; returns (report, boundaries).
 
-    The world is followed by a ``codec.Reader``, as ``lockstep_verify``
-    follows it, and ``final`` is the reader's machine. ``boundaries`` holds
-    one trace record per instruction boundary (the initial one included):
-    the instruction count, the world turn, state, head, the cells whose
-    machine symbol changed since the previous boundary (keyed by the cell's
-    string, None for the blank), the yields, and the city census for VI.
+    ``boundaries`` holds one trace record per verified instruction boundary
+    (the initial one included): the instruction count, the world turn,
+    state, head, the cells whose machine symbol changed since the previous
+    boundary (keyed by the cell's string, None for the blank), the yields,
+    and the city census for VI.
     """
-    world = init_world(program.ruleset, codec.encode_tape(tape, program), params)
-    reader = codec.Reader(world, program)
-    final = reader.machine
-    records = []
+    report, verified = harness.lockstep(spec, program.ruleset, tape, budget, params, program)
+    world = report.world
 
-    def boundary(changed):
-        entry = {"instruction": len(records), "turn": world.turn, "state": final.state, "head": final.head}
-        entry.update(changed_cells={str(cell): symbol for cell, symbol in changed.items()}, yields=yields(world))
+    def boundary(record, machine, changed):
+        entry = {"instruction": record.index if record else 0, "turn": world.turn}
+        entry.update(state=machine.state, head=machine.head, yields=yields(world))
+        entry["changed_cells"] = {str(cell): symbol for cell, symbol in changed.items()}
         if program.ruleset == RULESET_VI:
             entry["cities"] = [
                 {"index": c.index, "citizens": c.citizens, "growth_cap": c.growth_cap, "food_stock": c.food_stock}
@@ -136,36 +135,31 @@ def _drive_game(program: ControllerProgram, tape: dict[int, str], max_instructio
             ]
         return entry
 
-    boundaries = [boundary(final.tape)]
-    outcome = "step-limit"
-    try:
-        for record in harness.run_instructions(world, program, max_instructions):
-            records.append(record)
-            changed = reader.advance()
-            if changed is None:
-                raise CivUtmError(f"instruction {record.index} did not end at an instruction boundary")
-            boundaries.append(boundary(changed))
-            if record.halted:
-                outcome = "halted"
-    except MachineStuck:
-        outcome = "stuck"
-    reader.close(len(records))
-    return world, records, boundaries, final, outcome
+    return report, [boundary(*verified_boundary) for verified_boundary in verified]
+
+
+def _diverged(report: harness.LockstepReport) -> bool:
+    """True, with the report's lockstep line printed, when the run diverged."""
+    if report.first_divergence is None:
+        return False
+    print(_dump({"lockstep": report.to_json()}))
+    return True
 
 
 def _trace_lines(boundaries) -> list[str]:
     return [_dump({"format_version": TRACE_FORMAT_VERSION, "kind": "trace"}), *map(_dump, boundaries)]
 
 
-def _summary(world, records, final, outcome) -> dict:
+def _summary(report: harness.LockstepReport) -> dict:
+    final = report.final_config
     return {
-        "outcome": outcome,
-        "instructions": len(records),
-        "total_turns": world.turn,
+        "outcome": {harness.EQUIVALENT: "halted", harness.ORACLE_STUCK: "stuck"}.get(report.outcome, "step-limit"),
+        "instructions": report.instructions_verified,
+        "total_turns": report.world.turn,
         "final_state": final.state,
         "final_head": final.head,
         "final_tape": {str(k): v for k, v in sorted(final.tape.items())},
-        "extension_events": sum(1 for r in records if r.extension),
+        "extension_events": sum(1 for r in report.records if r.extension),
     }
 
 
@@ -175,14 +169,14 @@ def _summary(world, records, final, outcome) -> dict:
 
 
 def cmd_run(args) -> int:
-    _, tape, params, program = _compiled(args)
-    world, records, boundaries, final, outcome = _drive_game(program, tape, args.max_instructions, params)
+    spec, tape, params, program = _compiled(args)
+    report, boundaries = _drive_game(spec, program, tape, args.max_instructions, params)
+    if _diverged(report):
+        return EXIT_FAIL
     if args.out:
         _write_lines(args.out, _trace_lines(boundaries))
-    print(_dump(_summary(world, records, final, outcome)))
-    if outcome == "halted":
-        return EXIT_OK
-    return EXIT_STUCK if outcome == "stuck" else EXIT_STEP_LIMIT
+    print(_dump(_summary(report)))
+    return {harness.EQUIVALENT: EXIT_OK, harness.ORACLE_STUCK: EXIT_STUCK}.get(report.outcome, EXIT_STEP_LIMIT)
 
 
 def cmd_verify(args) -> int:
@@ -239,7 +233,9 @@ def cmd_compile(args) -> int:
 
 def cmd_demo_bb3(args) -> int:
     spec, _, params, program = _compiled(args)
-    world, records, boundaries, final, outcome = _drive_game(program, {}, args.max_instructions, params)
+    report, boundaries = _drive_game(spec, program, {}, args.max_instructions, params)
+    if _diverged(report):
+        return EXIT_FAIL
 
     # Every cell that is ever non-blank first appears among the changed ones.
     cells = set()
@@ -264,9 +260,8 @@ def cmd_demo_bb3(args) -> int:
     base = params.base_faith if args.ruleset == RULESET_VI else params.base_culture
     evidence_key = f"{resource}_delta" if resource else "railroads"
     print(f"tape cells {lo}..{hi}, head bracketed; state evidence: {evidence_key}")
-    first = boundaries[0]
-    print(f"t00  state {first['state']:>3}  {render(first)}")
-    for record, entry in zip(records, boundaries[1:]):
+    print(f"t00  state {boundaries[0]['state']:>3}  {render(boundaries[0])}")
+    for record, entry in zip(report.records, boundaries[1:]):
         macro = record.macro
         did = "HALT" if macro is None or macro.halt else macro_paper_command(macro, args.ruleset)
         evidence = entry["yields"][resource] - base if resource else program.state_index_of[entry["state"]]
@@ -274,18 +269,20 @@ def cmd_demo_bb3(args) -> int:
             f"t{record.index:02d}  state {entry['state']:>3}  {render(entry)}  "
             f"turns {record.turns:3d}  evidence {evidence}  | {did}"
         )
-    ones = count_symbol(final, "1")
-    print(f"outcome: {outcome} after {len(records)} instructions, {world.turn} turns; tape holds {ones} ones")
+    summary = _summary(report)
+    print(
+        f"outcome: {summary['outcome']} after {summary['instructions']} instructions, "
+        f"{summary['total_turns']} turns; tape holds {count_symbol(report.final_config, '1')} ones"
+    )
     if args.out:
         _write_lines(args.out, _trace_lines(boundaries))
-    return EXIT_OK if outcome == "halted" else EXIT_FAIL
+    return EXIT_OK if report.halted else EXIT_FAIL
 
 
 def cmd_cost(args) -> int:
     spec, tape, params, program = _compiled(args)
     report = harness.lockstep_verify(spec, args.ruleset, tape, args.max_instructions, params, program=program)
-    if report.first_divergence is not None:
-        print(_dump({"lockstep": report.to_json()}))
+    if _diverged(report):
         return EXIT_FAIL
     over = harness.overhead_report(report.records, params, program)
     print(_dump({"overhead": over.to_json()}))

@@ -341,9 +341,7 @@ def _drive(world: WorldState, lanes: list[tuple]) -> None:
     change only on event turns, so a second pass would issue nothing and no
     command waits through a skipped turn."""
     jobs = world.jobs
-    queued = 0
-    for _, queue, _ in lanes:
-        queued += len(queue)
+    queued = sum(len(queue) for _, queue, _ in lanes)
     for _ in range(_DRIVE_GUARD):
         for uid, queue, gate in lanes:
             if queue and uid not in jobs and (gate is None or gate(world)):

@@ -1,13 +1,12 @@
 """Lockstep equivalence verification, overhead accounting, random machines.
 
-``run_instructions`` is the game side's one instruction loop; every caller
-that executes a compiled machine (the verifier and the CLI) consumes it.
-``lockstep_verify`` runs the reference interpreter and the game construction
-side by side and checks at every instruction boundary that the world decodes
-to the oracle's configuration: state identifier, head index and canonical
-sparse tape, exact equality, halting included. The oracle is one
-:class:`~civutm.tm.Machine` stepped in place, so a step costs the cell it
-writes, not the tape. The world is followed by a :class:`~civutm.codec.Reader`:
+``lockstep`` is the one loop that executes a compiled machine; the verifier
+and the CLI consume it. It runs the reference interpreter and the game
+construction side by side and checks at every instruction boundary that the
+world decodes to the oracle's configuration: state identifier, head index
+and canonical sparse tape, exact equality, halting included. The oracle is
+one :class:`~civutm.tm.Machine` stepped in place, so a step costs the cell
+it writes, not the tape. The world is followed by a :class:`~civutm.codec.Reader`:
 decoded in full at the start, then read on state, head and the cells its
 tape recorded as written. After each instruction the reader's machine and
 the oracle are compared on state, head and the cells that can have changed
@@ -63,11 +62,14 @@ class LockstepReport:
     outcome: str
     instructions_verified: int
     first_divergence: dict | None = None
-    halted: bool = False
     oracle_steps: int = 0
     final_config: TMConfig | None = None
     records: list[InstructionRecord] = field(default_factory=list)
     world: WorldState | None = None
+
+    @property
+    def halted(self) -> bool:
+        return self.outcome == EQUIVALENT
 
     def to_json(self) -> dict:
         out = {
@@ -90,61 +92,45 @@ def _config_json(config: TMConfig | Machine) -> dict:
     return {"state": config.state, "head": config.head, "tape": {str(k): v for k, v in sorted(config.tape.items())}}
 
 
-def run_instructions(world: WorldState, program: ControllerProgram, max_instructions: int) -> Iterator[InstructionRecord]:
-    """Execute up to ``max_instructions`` instructions on ``world``.
-
-    Yields each instruction's record with ``world`` at the boundary that
-    follows; the caller reads or decodes the world there. Stops after a
-    halting record; :class:`MachineStuck` propagates to the caller. A
-    negative budget raises ValueError at the call, before any instruction.
-    """
-    if max_instructions < 0:
-        raise ValueError("max_instructions must be >= 0")
-    return _instructions(world, program, max_instructions)
-
-
-def _instructions(world: WorldState, program: ControllerProgram, max_instructions: int) -> Iterator[InstructionRecord]:
-    for index in range(1, max_instructions + 1):
-        record = execute_instruction(world, program, index=index)
-        yield record
-        if record.halted:
-            return
-
-
-def lockstep_verify(
+def lockstep(
     spec: TMSpec,
     ruleset: str,
     initial_tape: dict[int, str] | None = None,
     max_instructions: int = 100,
     params: RulesetParams | None = None,
     program: ControllerProgram | None = None,
-) -> LockstepReport:
-    """Run oracle and game side by side, comparing at every boundary.
+) -> tuple[LockstepReport, Iterator[tuple]]:
+    """Set up a side-by-side run; returns its report and its boundaries.
 
-    ``program`` may be supplied pre-compiled (e.g. deliberately corrupted);
-    by default the machine is compiled fresh for the ruleset.
+    The iterator yields ``(None, machine, tape)`` at the start, then
+    ``(record, machine, changed cells)`` per instruction, each once it has
+    agreed with the oracle; ``machine`` is the reader's. The report is
+    complete when the iterator ends. A negative budget raises ValueError.
     """
+    if max_instructions < 0:
+        raise ValueError("max_instructions must be >= 0")
     program = program or compile_program(spec, ruleset, params)
-    content = codec.encode_tape(initial_tape or {}, program)
-    world = init_world(ruleset, content, params)
-    game = run_instructions(world, program, max_instructions)
+    world = init_world(ruleset, codec.encode_tape(initial_tape or {}, program), params)
     report = LockstepReport(ruleset=ruleset, outcome=STEP_LIMIT, instructions_verified=0, world=world)
+    start = initial_config(spec, initial_tape or {})
+    return report, _boundaries(spec, codec.Reader(world, program), start, max_instructions, report)
 
-    def diverged(index: int, oracle_side, game_side) -> LockstepReport:
+
+def _boundaries(spec: TMSpec, reader: codec.Reader, start: TMConfig, max_instructions: int, report: LockstepReport):
+    world, program, followed = reader.world, reader.program, reader.machine
+
+    def diverged(index: int, oracle_side, game_side) -> None:
         report.outcome = DIVERGED
         report.first_divergence = {"instruction": index, "oracle": oracle_side, "decoded": game_side}
-        return report
 
-    start = initial_config(spec, initial_tape or {})
-    reader = codec.Reader(world, program)
-    followed = reader.machine
     if followed.config() != start:
-        return diverged(0, _config_json(start), _config_json(followed))
+        diverged(0, _config_json(start), _config_json(followed))
+        return
+    yield None, followed, followed.tape
 
     oracle = Machine.of(start)
     for index in range(1, max_instructions + 1):
-        oracle_stuck = game_stuck = False
-        oracle_halted = False
+        oracle_stuck = game_stuck = oracle_halted = False
         oracle_cell = oracle.head  # the only cell the oracle's step can change
         if oracle.state in spec.halting:
             oracle_halted = True  # absorbed; no application counted
@@ -157,7 +143,7 @@ def lockstep_verify(
                 report.oracle_steps += 1
 
         try:
-            record = next(game)
+            record = execute_instruction(world, program, index=index)
         except MachineStuck:
             game_stuck = True
         else:
@@ -186,14 +172,28 @@ def lockstep_verify(
             diverged(index, "halted" if oracle_halted else "running", "halted" if record.halted else "running")
             break
         report.instructions_verified = index
+        yield record, followed, changed
         if oracle_halted:
             report.outcome = EQUIVALENT
-            report.halted = True
             break
 
     report.final_config = oracle.config()
     if report.outcome != DIVERGED:
         reader.close(report.instructions_verified)
+
+
+def lockstep_verify(
+    spec: TMSpec,
+    ruleset: str,
+    initial_tape: dict[int, str] | None = None,
+    max_instructions: int = 100,
+    params: RulesetParams | None = None,
+    program: ControllerProgram | None = None,
+) -> LockstepReport:
+    """Run :func:`lockstep` to its end and return the complete report."""
+    report, boundaries = lockstep(spec, ruleset, initial_tape, max_instructions, params, program)
+    for _ in boundaries:
+        pass
     return report
 
 
@@ -393,13 +393,4 @@ def random_tm(seed: int, num_states: int, num_symbols: int) -> TMSpec:
         key = (rng.choice(working), rng.choice(alphabet))
         old = transitions[key]
         transitions[key] = _rule(write=old.write, move=old.move, next_state=halting[0])
-    spec = TMSpec(
-        states=states,
-        alphabet=alphabet,
-        blank="0",
-        input_alphabet=input_alphabet,
-        initial=states[0],
-        halting=halting,
-        transitions=transitions,
-    )
-    return validate_spec(spec)
+    return validate_spec(TMSpec(states, alphabet, "0", input_alphabet, states[0], halting, transitions))

@@ -395,7 +395,14 @@ def _parse_rows(text: str) -> dict[tuple[str, str], Rule]:
     return transitions
 
 
-BUILTIN_NAMES = ("bb3", "rogozhin_10_3", "rogozhin_24_2")
+# name -> (states, alphabet, initial, rows). The blank is "0" and the rest
+# of the alphabet is the input alphabet.
+_BUILTINS = {
+    "bb3": (("q0", "q1", "q2"), ("0", "1"), "q0", _BB3_ROWS),
+    "rogozhin_10_3": (tuple(f"q{i}" for i in range(10)), ("0", "1", "b"), "q0", _ROGOZHIN_10_3_ROWS),
+    "rogozhin_24_2": (tuple(f"q{i}" for i in range(1, 25)), ("0", "1"), "q1", _ROGOZHIN_24_2_ROWS),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_program(name: str) -> TMSpec:
@@ -404,39 +411,10 @@ def builtin_program(name: str) -> TMSpec:
     ``bb3`` is the three-state Busy Beaver; ``rogozhin_10_3`` the 10-state,
     3-symbol universal machine; ``rogozhin_24_2`` the 24-state, 2-symbol one.
     """
-    if name == "bb3":
-        spec = TMSpec(
-            states=("q0", "q1", "q2"),
-            alphabet=("0", "1"),
-            blank="0",
-            input_alphabet=("1",),
-            initial="q0",
-            halting=(),
-            transitions=_parse_rows(_BB3_ROWS),
-        )
-    elif name == "rogozhin_10_3":
-        spec = TMSpec(
-            states=tuple(f"q{i}" for i in range(10)),
-            alphabet=("0", "1", "b"),
-            blank="0",
-            input_alphabet=("1", "b"),
-            initial="q0",
-            halting=(),
-            transitions=_parse_rows(_ROGOZHIN_10_3_ROWS),
-        )
-    elif name == "rogozhin_24_2":
-        spec = TMSpec(
-            states=tuple(f"q{i}" for i in range(1, 25)),
-            alphabet=("0", "1"),
-            blank="0",
-            input_alphabet=("1",),
-            initial="q1",
-            halting=(),
-            transitions=_parse_rows(_ROGOZHIN_24_2_ROWS),
-        )
-    else:
+    if name not in _BUILTINS:
         raise KeyError(f"unknown built-in program {name!r}")
-    return validate_spec(spec)
+    states, alphabet, initial, rows = _BUILTINS[name]
+    return validate_spec(TMSpec(states, alphabet, "0", alphabet[1:], initial, (), _parse_rows(rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -222,16 +222,10 @@ class Command:
         """The op and every field that is neither None nor 0 (nor False),
         plus ``count`` for ``shift_monasteries``."""
         out = {"op": self.op}
-        if self.cell not in (None, 0):
-            out["cell"] = self.cell
-        if self.to not in (None, 0):
-            out["to"] = self.to
-        if self.count not in (None, 0) or self.op == "shift_monasteries":
-            out["count"] = self.count
-        if self.worked not in (None, 0):
-            out["worked"] = self.worked
-        if self.city not in (None, 0):
-            out["city"] = self.city
+        for name in ("cell", "to", "count", "worked", "city"):
+            value = getattr(self, name)
+            if value not in (None, 0) or (name == "count" and self.op == "shift_monasteries"):
+                out[name] = value
         return out
 
 

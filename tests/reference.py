@@ -16,6 +16,11 @@ starvation guard.
 
 ``spec_to_json`` writes a machine in the file format ``tm.spec_from_json``
 reads, for the tests that feed machines to the CLI.
+
+``run_instructions`` is the game side alone: it executes a compiled machine
+instruction by instruction and checks nothing, so a test can read or decode
+the world at each boundary itself, or drive the world past a point that
+``harness.lockstep`` would refuse.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from civutm.controller import InstructionRecord
+from civutm import harness
+from civutm.controller import ControllerProgram, InstructionRecord
 from civutm.errors import MachineStuck
 from civutm.tm import HaltAction, TMConfig, TMSpec
 from civutm import world as world_module
@@ -117,3 +123,18 @@ def spec_to_json(spec: TMSpec) -> dict:
         "halting": list(spec.halting),
         "transitions": records,
     }
+
+
+def run_instructions(world: WorldState, program: ControllerProgram, max_instructions: int):
+    """Execute up to ``max_instructions`` instructions on ``world``.
+
+    Yields each instruction's record with ``world`` at the boundary that
+    follows, and stops after a halting record; :class:`MachineStuck`
+    propagates. ``harness.execute_instruction`` is looked up at each call,
+    so a test that patches it there patches this loop too.
+    """
+    for index in range(1, max_instructions + 1):
+        record = harness.execute_instruction(world, program, index=index)
+        yield record
+        if record.halted:
+            return

@@ -26,7 +26,7 @@ from civutm.errors import MachineStuck
 from civutm.tm import TMSpec, Transition, builtin_program, validate_spec
 from civutm.world import RULESET_BE, RULESET_V, RULESET_VI, RulesetParams, init_world, yields
 
-from reference import spec_to_json
+from reference import run_instructions, spec_to_json
 
 
 def run_cli(capsys, *argv):
@@ -458,8 +458,8 @@ def test_report_output_digest(capsys, command, machine, ruleset):
 
 
 # ---------------------------------------------------------------------------
-# `_drive_game` against the loop it replaced, which decoded every boundary
-# in full and diffed whole tapes between them.
+# `_drive_game` against a plain loop that runs the game side alone, decodes
+# every boundary in full and diffs whole tapes between them.
 # ---------------------------------------------------------------------------
 
 
@@ -481,7 +481,7 @@ def _reference_drive_game(spec, ruleset, tape, max_instructions):
     boundaries = [boundary(codec.decode(world, program))]
     outcome = "step-limit"
     try:
-        for record in harness.run_instructions(world, program, max_instructions):
+        for record in run_instructions(world, program, max_instructions):
             records.append(record)
             boundaries.append(boundary(codec.decode(world, program)))
             if record.halted:
@@ -538,10 +538,11 @@ def test_drive_game_follows_written_cells_as_full_decodes_do(data, seed, num_sta
 
     with mock.patch.object(harness, "execute_instruction", execute if rewritten is None else execute_then_rewrite):
         program = compile_program(spec, ruleset)
-        world, records, boundaries, final, outcome = cli._drive_game(program, tape, max_instructions, None)
+        report, boundaries = cli._drive_game(spec, program, tape, max_instructions, None)
         lines, summary = _reference_drive_game(spec, ruleset, tape, max_instructions)
+    assert report.first_divergence is None
     assert cli._trace_lines(boundaries) == lines
-    assert cli._summary(world, records, final, outcome) == summary
+    assert cli._summary(report) == summary
 
 
 def test_run_decodes_the_world_twice(tmp_path, capsys, monkeypatch):
@@ -583,6 +584,28 @@ def test_run_fails_closed_on_an_unrecorded_write(capsys, monkeypatch):
     status, out, err = run_cli(capsys, "run", "bb3", "--ruleset", "BE")
     assert (status, out) == (2, "")
     assert "verified at instruction 13: a tape cell changed without being recorded" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V, RULESET_VI])
+@pytest.mark.parametrize("command", ["run", "demo-bb3"])
+def test_a_run_that_diverges_prints_only_the_lockstep_line(tmp_path, capsys, monkeypatch, command, ruleset):
+    # bb3's first macro compiled one state too far: the game runs, but no
+    # boundary after the start agrees with the oracle, so no trace is shown.
+    def corrupted(spec, ruleset, params=None):
+        program = compile_program(spec, ruleset, params)
+        key = (0, program.symbol_of[spec.blank])
+        macro = program.macros[key]
+        program.macros[key] = dataclasses.replace(macro, state_delta=macro.state_delta + 1)
+        return program
+
+    monkeypatch.setattr(cli, "compile_program", corrupted)
+    trace = tmp_path / "trace.jsonl"
+    machine = () if command == "demo-bb3" else ("bb3",)
+    status, out, err = run_cli(capsys, command, *machine, "--ruleset", ruleset, "--out", str(trace))
+    assert (status, err, trace.exists()) == (1, "", False)
+    [line] = out.splitlines()
+    report = json.loads(line)["lockstep"]
+    assert (report["outcome"], report["first_divergence"]["instruction"]) == ("diverged", 1)
 
 
 def test_a_closed_stdout_ends_the_command_quietly():

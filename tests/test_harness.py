@@ -25,7 +25,6 @@ from civutm.harness import (
     paper_extension_bound,
     paper_instruction_bound,
     random_tm,
-    run_instructions,
 )
 from civutm.errors import CivUtmError, IllegalCommand, MachineStuck, Starvation
 from civutm.tm import (
@@ -47,7 +46,7 @@ from civutm.world import (
     yields,
 )
 
-from reference import Halted, cut_floodplains_food, eager_log, reference_step
+from reference import Halted, cut_floodplains_food, eager_log, reference_step, run_instructions
 
 
 def test_bb3_be_equivalent_through_halt():
@@ -749,7 +748,6 @@ def _reference_verify(spec, ruleset, initial_tape, max_instructions, program):
         report.instructions_verified = index
         if oracle_halted:
             report.outcome = EQUIVALENT
-            report.halted = True
             break
     report.final_config = oracle
     return report
@@ -901,4 +899,4 @@ def test_a_negative_budget_is_refused(ruleset):
     with pytest.raises(ValueError, match="max_instructions must be >= 0"):
         lockstep_verify(builtin_program("bb3"), ruleset, {}, -1)
     with pytest.raises(ValueError, match="max_instructions must be >= 0"):
-        run_instructions(init_world(ruleset, {}), compile_program(builtin_program("bb3"), ruleset), -1)
+        harness.lockstep(builtin_program("bb3"), ruleset, {}, -1)

@@ -48,16 +48,11 @@ CLI = "src/civutm/cli.py"
 CONTROLLER = "src/civutm/controller.py"
 
 MUTANTS = (
-    # The lockstep compare in harness.lockstep_verify.
-    Mutant(
-        "oracle-cell-left-out",
-        HARNESS,
-        "agrees = followed.tape.get(oracle_cell) == oracle.tape.get(oracle_cell)",
-        "agrees = True",
-        ("tests/test_harness.py",),
-    ),
-    Mutant("state-compare-dropped", HARNESS, " and followed.state == oracle.state", "", ("tests/test_harness.py",)),
-    Mutant("head-compare-dropped", HARNESS, " and followed.head == oracle.head", "", ("tests/test_harness.py",)),
+    # The lockstep compare in harness.lockstep: the world read on its state,
+    # its head, the cells its tape recorded as written and the oracle's cell.
+    Mutant("oracle-cell-left-out", HARNESS, "cells.add(oracle_cell)", "pass", ("tests/test_harness.py",)),
+    Mutant("state-compare-dropped", HARNESS, " and read[0] == oracle.state", "", ("tests/test_harness.py",)),
+    Mutant("head-compare-dropped", HARNESS, " and read[2] == oracle.head", "", ("tests/test_harness.py",)),
     Mutant(
         "cell-compare-dropped",
         HARNESS,
@@ -68,46 +63,45 @@ MUTANTS = (
     Mutant(
         "final-decode-dropped",
         HARNESS,
-        "reader.close(report.instructions_verified)",
-        "pass",
+        "if report.outcome != DIVERGED and codec.decode(world, program) != report.final_config:",
+        "if False:",
         ("tests/test_harness.py",),
-    ),
-    # The reader in codec.
-    Mutant(
-        "boundary-check-dropped",
-        CODEC,
-        "if not world.at_boundary():\n            return None",
-        "if False:\n            return None",
-        ("tests/test_codec.py", "tests/test_harness.py"),
     ),
     Mutant(
         "reader-skips-state-without-writes",
-        CODEC,
-        "        machine.state = _state(program, world.state_count)\n"
-        "        machine.head = world.units[TAPE_WORKER]\n"
-        "        written = world.tape.take_written()\n"
-        "        if not written:\n"
-        "            return {}\n",
-        "        written = world.tape.take_written()\n"
-        "        if not written:\n"
-        "            return {}\n"
-        "        machine.state = _state(program, world.state_count)\n"
-        "        machine.head = world.units[TAPE_WORKER]\n",
+        HARNESS,
+        "            cells = world.tape.take_written()\n"
+        "            cells.add(oracle_cell)\n"
+        "            read = codec.read_cells(world, program, cells)\n"
+        "            agrees = read is not None and read[0] == oracle.state and read[2] == oracle.head\n",
+        "            cells = world.tape.take_written()\n"
+        "            written = bool(cells)\n"
+        "            cells.add(oracle_cell)\n"
+        "            read = codec.read_cells(world, program, cells)\n"
+        "            agrees = read is not None and (not written or read[0] == oracle.state and read[2] == oracle.head)\n",
         ("tests/test_codec.py", "tests/test_harness.py", "tests/test_cli.py"),
     ),
     Mutant(
         "changed-cell-not-applied",
-        CODEC,
-        "_write(machine.tape, cell, symbol)",
-        "pass",
+        HARNESS,
+        "yield record, oracle, {oracle_cell: after} if after != before else {}",
+        "yield record, oracle, {}",
         ("tests/test_codec.py", "tests/test_harness.py", "tests/test_cli.py"),
+    ),
+    # The one symbol rule in codec.read_cells, which decode shares.
+    Mutant(
+        "boundary-check-dropped",
+        CODEC,
+        "if not world.at_boundary():\n        return None",
+        "if False:\n        return None",
+        ("tests/test_codec.py", "tests/test_harness.py"),
     ),
     # The final decode again, judged by the CLI's tests alone.
     Mutant(
         "cli-final-decode-dropped",
         HARNESS,
-        "reader.close(report.instructions_verified)",
-        "pass",
+        "if report.outcome != DIVERGED and codec.decode(world, program) != report.final_config:",
+        "if False:",
         ("tests/test_cli.py",),
     ),
     # A CLI run that diverged prints its lockstep line and no trace.

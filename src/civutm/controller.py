@@ -109,7 +109,7 @@ def _macro_key(idx: int, game_read: str) -> tuple[int, str]:
 
 # The one constructor of a program's bijections: (index_to_state,
 # state_index_of, symbol_of, symbol_from_game), one per (states, initial,
-# alphabet, blank, ruleset) compiled so far. Raises what ``symbol_map`` does.
+# alphabet, blank, ruleset) compiled so far. Raises what ``_symbol_map`` does.
 @functools.cache
 def _shape(states: tuple[str, ...], initial: str, alphabet: tuple[str, ...], blank: str, ruleset: str) -> tuple:
     symbol_of = _symbol_map(alphabet, blank, ruleset)

@@ -6,18 +6,17 @@ construction side by side and checks at every instruction boundary that the
 world decodes to the oracle's configuration: state identifier, head index
 and canonical sparse tape, exact equality, halting included. The oracle is
 one :class:`~civutm.tm.Machine` stepped in place, so a step costs the cell
-it writes, not the tape. The world is followed by a :class:`~civutm.codec.Reader`:
-decoded in full at the start, then read on state, head and the cells its
-tape recorded as written. After each instruction the reader's machine and
-the oracle are compared on state, head and the cells that can have changed
-(those the reader saw change, and the one the oracle wrote). Equal at the
-start and equal on every changed cell is equal on the whole tape, so this
-is the full comparison at the cost of the cells written. A failed compare
-is settled by a full decode, which builds the divergence report. A run that
-did not diverge is decoded in full once more at the end (``Reader.close``),
-and :class:`~civutm.errors.CivUtmError` is raised if that disagrees: a cell
-changed without being recorded. A divergence is a report outcome, not an
-exception.
+it writes, not the tape, and it is the only machine in the loop. The world
+is decoded in full at the start; after each instruction it is read
+(``codec.read_cells``) on its state, its head and the cells that can have
+changed: those its tape recorded as written, and the one the oracle wrote.
+Equal at the start and equal on every changed cell is equal on the whole
+tape, so this is the full comparison at the cost of the cells written. A
+failed compare is a divergence, and a full decode builds its report. A run
+that did not diverge is decoded in full once more at the end, and
+:class:`~civutm.errors.CivUtmError` is raised if that disagrees with the
+oracle: a cell changed without being recorded. A divergence is a report
+outcome, not an exception.
 
 ``overhead_report`` turns the instruction-boundary events of a completed run
 into per-instruction turn counts and compares them against the published
@@ -43,7 +42,7 @@ from .controller import (
     compile_program,
     execute_instruction,
 )
-from .errors import MachineStuck
+from .errors import CivUtmError, MachineStuck
 from .tm import Machine, TMConfig, TMSpec, Transition, initial_config, validate_spec
 from .tm import step_in_place as step  # looked up here at call time, so a tracer can wrap it
 from .world import RULESET_BE, RULESET_V, RULESET_VI, TAPE_WORKER, RulesetParams, WorldState, init_world, move_turns
@@ -102,9 +101,12 @@ def lockstep(
 ) -> tuple[LockstepReport, Iterator[tuple]]:
     """Set up a side-by-side run; returns its report and its boundaries.
 
-    The iterator yields ``(None, machine, tape)`` at the start, then
-    ``(record, machine, changed cells)`` per instruction, each once it has
-    agreed with the oracle; ``machine`` is the reader's. The report is
+    The iterator yields ``(None, oracle, oracle.tape)`` at the start, then
+    ``(record, oracle, changed)`` per instruction, each once the world has
+    agreed with the oracle. ``oracle`` is the oracle's machine, live until
+    the next step: read it before drawing the next boundary.
+    ``changed`` maps the oracle's cell to its new symbol (None for the
+    blank) when the step changed it, and is ``{}`` otherwise. The report is
     complete when the iterator ends. A negative budget raises ValueError.
     """
     if max_instructions < 0:
@@ -113,25 +115,28 @@ def lockstep(
     world = init_world(ruleset, codec.encode_tape(initial_tape or {}, program), params)
     report = LockstepReport(ruleset=ruleset, outcome=STEP_LIMIT, instructions_verified=0, world=world)
     start = initial_config(spec, initial_tape or {})
-    return report, _boundaries(spec, codec.Reader(world, program), start, max_instructions, report)
+    return report, _boundaries(spec, program, start, max_instructions, report)
 
 
-def _boundaries(spec: TMSpec, reader: codec.Reader, start: TMConfig, max_instructions: int, report: LockstepReport):
-    world, program, followed = reader.world, reader.program, reader.machine
+def _boundaries(spec: TMSpec, program: ControllerProgram, start: TMConfig, max_instructions: int, report: LockstepReport):
+    world = report.world
 
     def diverged(index: int, oracle_side, game_side) -> None:
         report.outcome = DIVERGED
         report.first_divergence = {"instruction": index, "oracle": oracle_side, "decoded": game_side}
 
-    if followed.config() != start:
-        diverged(0, _config_json(start), _config_json(followed))
+    decoded = codec.decode(world, program)
+    if decoded != start:
+        diverged(0, _config_json(start), _config_json(decoded) if decoded else "mid-instruction")
         return
-    yield None, followed, followed.tape
-
+    world.tape.take_written()
     oracle = Machine.of(start)
+    yield None, oracle, oracle.tape
+
     for index in range(1, max_instructions + 1):
         oracle_stuck = game_stuck = oracle_halted = False
         oracle_cell = oracle.head  # the only cell the oracle's step can change
+        before = oracle.tape.get(oracle_cell)
         if oracle.state in spec.halting:
             oracle_halted = True  # absorbed; no application counted
         else:
@@ -147,15 +152,12 @@ def _boundaries(spec: TMSpec, reader: codec.Reader, start: TMConfig, max_instruc
         except MachineStuck:
             game_stuck = True
         else:
-            changed = reader.advance()
-            agrees = changed is not None and followed.state == oracle.state and followed.head == oracle.head
-            if agrees:  # on the cells that can have changed: the oracle's, and those the reader saw change
-                agrees = followed.tape.get(oracle_cell) == oracle.tape.get(oracle_cell)
-                for cell in changed:
-                    if followed.tape.get(cell) != oracle.tape.get(cell):
-                        agrees = False
-                        break
-            decoded = None if agrees else codec.decode(world, program)
+            cells = world.tape.take_written()
+            cells.add(oracle_cell)
+            read = codec.read_cells(world, program, cells)
+            agrees = read is not None and read[0] == oracle.state and read[2] == oracle.head
+            if agrees:  # on the cells that can have changed: the oracle's, and those the world wrote
+                agrees = all(read[1].get(cell) == oracle.tape.get(cell) for cell in cells)
 
         if oracle_stuck and game_stuck:
             report.outcome = ORACLE_STUCK
@@ -165,21 +167,26 @@ def _boundaries(spec: TMSpec, reader: codec.Reader, start: TMConfig, max_instruc
             break
         report.records.append(record)
 
-        if not agrees and decoded != oracle.config():
+        if not agrees:
+            decoded = codec.decode(world, program)
             diverged(index, _config_json(oracle), _config_json(decoded) if decoded else "mid-instruction")
             break
         if oracle_halted != record.halted:
             diverged(index, "halted" if oracle_halted else "running", "halted" if record.halted else "running")
             break
         report.instructions_verified = index
-        yield record, followed, changed
+        after = oracle.tape.get(oracle_cell)
+        yield record, oracle, {oracle_cell: after} if after != before else {}
         if oracle_halted:
             report.outcome = EQUIVALENT
             break
 
     report.final_config = oracle.config()
-    if report.outcome != DIVERGED:
-        reader.close(report.instructions_verified)
+    if report.outcome != DIVERGED and codec.decode(world, program) != report.final_config:
+        raise CivUtmError(
+            f"the world no longer decodes to the configuration verified at instruction "
+            f"{report.instructions_verified}: a tape cell changed without being recorded"
+        )
 
 
 def lockstep_verify(

@@ -280,7 +280,7 @@ class Tape:
     """Tape cells: cell -> game symbol; unwritten cells hold the blank.
 
     ``tape[cell] = symbol`` is the one write path, and it records the cell,
-    so ``codec.Reader`` reads only the cells written since it last looked
+    so ``harness.lockstep`` reads only the cells written since it last looked
     (``take_written`` hands the set over and starts a new one). ``get`` and
     ``items`` are the cells dict's own methods, so reads cost what a plain
     ``dict`` read costs. Cells given to the constructor are not recorded.

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
 
-from civutm.codec import Reader, decode, encode_tape, symbol_map
-from civutm.controller import compile_program, execute_instruction
+from civutm.codec import decode, encode_tape, read_cells
+from civutm.controller import compile_program
 from civutm.errors import CompileError, DecodeError
 from civutm.tm import TMConfig, builtin_program
 from civutm.world import (
@@ -28,15 +27,15 @@ from civutm.world import (
 
 def test_symbol_map_order_and_blank():
     spec = builtin_program("rogozhin_10_3")
-    assert symbol_map(spec, RULESET_BE) == {"0": "none", "1": "road", "b": "pillaged_road"}
-    assert symbol_map(spec, RULESET_V) == {"0": "none", "1": "road", "b": "railroad"}
+    assert compile_program(spec, RULESET_BE).symbol_of == {"0": "none", "1": "road", "b": "pillaged_road"}
+    assert compile_program(spec, RULESET_V).symbol_of == {"0": "none", "1": "road", "b": "railroad"}
     bb3 = builtin_program("bb3")
-    assert symbol_map(bb3, RULESET_VI) == {"0": "unworked", "1": "worked"}
+    assert compile_program(bb3, RULESET_VI).symbol_of == {"0": "unworked", "1": "worked"}
 
 
 def test_symbol_map_rejects_oversized_alphabet():
-    with pytest.raises(CompileError, match="alphabet"):
-        symbol_map(builtin_program("rogozhin_10_3"), RULESET_VI)
+    with pytest.raises(CompileError, match="alphabet of 3 symbols does not fit ruleset VI"):
+        compile_program(builtin_program("rogozhin_10_3"), RULESET_VI)
 
 
 RULESETS_SEEDS = {RULESET_BE: 101, RULESET_V: 102, RULESET_VI: 103}
@@ -129,52 +128,33 @@ def test_decode_rejects_symbol_outside_alphabet():
         decode(world, program)
 
 
-def test_reader_reads_what_decode_gives_on_the_written_cells():
-    # State, head and written cells are read as decode reads them, with the
-    # same DecodeError; a cell not written since the last read is not read.
+def test_read_cells_reads_what_decode_gives_on_the_cells_given():
+    # State, head and the cells asked for are read as decode reads them,
+    # with the same DecodeError; a cell not asked for is not read.
     program = compile_program(builtin_program("bb3"), RULESET_BE)
     world = init_world(RULESET_BE, {2: "road"})
-    reader = Reader(world, program)
-    assert reader.machine.config() == decode(world, program)
+    full = decode(world, program)
+    assert read_cells(world, program, [2]) == (full.state, full.tape, full.head) == ("q0", {2: "1"}, 0)
     world.tape[2] = "none"
     world.tape[5] = "road"
-    world.tape[6] = "none"  # the blank over the blank changes nothing
+    world.tape[6] = "none"  # the blank is left out, as decode leaves it out
     world.state_count = 1
     world.units[TAPE_WORKER] = 3
-    assert reader.advance() == {2: None, 5: "1"}
-    assert reader.machine.config() == decode(world, program)
-    assert reader.machine.state == program.index_to_state[1]
-    assert reader.advance() == {}
-    world.tape._cells[4] = "pillaged_road"  # not recorded, so not read
-    assert reader.advance() == {}
+    full = decode(world, program)
+    assert read_cells(world, program, [2, 5, 6]) == (full.state, full.tape, full.head) == ("q1", {5: "1"}, 3)
+    assert full.state == program.index_to_state[1]
     world.tape[4] = "pillaged_road"
-    with pytest.raises(DecodeError, match="cell 4 holds 'pillaged_road'"):
-        reader.advance()
+    assert read_cells(world, program, [5]) == (full.state, full.tape, full.head)  # cell 4 is not read
+    for read in (lambda: decode(world, program), lambda: read_cells(world, program, [4])):
+        with pytest.raises(DecodeError, match="cell 4 holds 'pillaged_road'"):
+            read()
     world.state_count = 5
-    with pytest.raises(DecodeError, match="state index 5 out of range"):
-        reader.advance()
-    world.state_count = 0
+    for read in (lambda: decode(world, program), lambda: read_cells(world, program, [])):
+        with pytest.raises(DecodeError, match="state index 5 out of range"):
+            read()
     apply_command(world, TAPE_WORKER, Command(op="build_road", cell=0))
-    assert reader.advance() is None  # decode: no configuration
-    with pytest.raises(DecodeError, match="not at an instruction boundary"):
-        Reader(world, program)
-
-
-@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V])
-def test_reader_reads_state_and_head_when_no_cell_was_written(ruleset):
-    # bb3 state q0 reading a blank writes "1"; with the write made an identity
-    # the instruction only moves the head and changes the state.
-    spec = builtin_program("bb3")
-    first = spec.transitions[("q0", "0")]
-    spec = dataclasses.replace(spec, transitions={**spec.transitions, ("q0", "0"): dataclasses.replace(first, write="0")})
-    program = compile_program(spec, ruleset)
-    world = init_world(ruleset, {})
-    reader = Reader(world, program)
-    execute_instruction(world, program, index=1)
-    assert reader.advance() == {}
-    assert reader.machine.config() == decode(world, program)
-    assert (reader.machine.state, reader.machine.head) == (first.next_state, 1)
-    assert program.state_index_of[reader.machine.state] == world.state_count == 1
+    # Off a boundary there is no configuration, and nothing is read.
+    assert read_cells(world, program, [4]) is None and decode(world, program) is None
 
 
 def test_vi_head_is_global_cell_index():

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from civutm import controller
-from civutm.codec import decode, symbol_map
+from civutm.codec import _symbol_map, decode
 from civutm.controller import (
     CommandMacro,
     InstructionRecord,
@@ -95,7 +95,7 @@ def test_shared_shape_tables_match_the_plain_path():
         machine = [spec.blank] + [sym for sym in spec.alphabet if sym != spec.blank]
         assert program.symbol_of == dict(zip(machine, game))
         assert program.symbol_from_game == dict(zip(game, machine))
-        assert symbol_map(spec, ruleset) is program.symbol_of
+        assert _symbol_map(tuple(spec.alphabet), spec.blank, ruleset) is program.symbol_of
         # Equal shapes share every table; the macros are each program's own.
         first = first_of_shape.setdefault((spec.states, spec.initial, spec.alphabet, spec.blank, ruleset), program)
         for name in ("index_to_state", "state_index_of", "symbol_of", "symbol_from_game"):

@@ -845,6 +845,57 @@ def test_an_unrecorded_write_fails_the_final_decode(monkeypatch, ruleset):
         lockstep_verify(spec, ruleset, {}, 10, program=program)
 
 
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V, RULESET_VI])
+@pytest.mark.parametrize("symbol", ["1", "0"])
+def test_an_unrecorded_write_to_the_oracles_cell_is_read_from_the_world(monkeypatch, ruleset, symbol):
+    # bb3's first instruction writes "1" to cell 0, the oracle's cell; then
+    # the tape's record is dropped and cell 0 set to `symbol` without one.
+    # The oracle's cell is read from the world all the same: holding the
+    # oracle's "1", the world equals the oracle everywhere and the run is
+    # equivalent; holding the blank, it diverges at that instruction.
+    spec = builtin_program("bb3")
+    program = compile_program(spec, ruleset)
+
+    def unrecorded(tape, one, blank):
+        tape._cells[0] = program.symbol_of[symbol]
+        tape._written.clear()
+
+    _corrupted_after(monkeypatch, 1, unrecorded)
+    report = lockstep_verify(spec, ruleset, {}, 20, program=program)
+    if symbol == "1":
+        assert (report.outcome, report.instructions_verified) == (EQUIVALENT, 13)
+    else:
+        assert (report.outcome, report.first_divergence["instruction"]) == (DIVERGED, 1)
+        assert report.first_divergence["decoded"]["tape"] == {}
+
+
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V])
+def test_a_move_only_instruction_is_compared_on_state_and_head(ruleset):
+    # bb3 state q0 reading a blank writes "1"; with the write made an identity
+    # the first instruction writes no cell, and only moves the head and
+    # changes the state.
+    spec = builtin_program("bb3")
+    first = spec.transitions[("q0", "0")]
+    spec = dataclasses.replace(spec, transitions={**spec.transitions, ("q0", "0"): dataclasses.replace(first, write="0")})
+    program = compile_program(spec, ruleset)
+    key = (0, program.symbol_of["0"])
+    assert program.macros[key].tape_action is TapeAction.LEAVE
+    report, boundaries = harness.lockstep(spec, ruleset, {}, 1, program=program)
+    next(boundaries)
+    record, oracle, changed = next(boundaries)
+    assert (record.index, changed) == (1, {})
+    assert oracle.config() == codec.decode(report.world, program)
+    assert (oracle.state, oracle.head) == (first.next_state, 1)
+    assert program.state_index_of[oracle.state] == report.world.state_count == 1
+    # Compiled one state too far, or moving the wrong way, the same
+    # instruction diverges at once.
+    for field, value in (("state_delta", program.macros[key].state_delta + 1), ("head_move", "L")):
+        corrupted = compile_program(spec, ruleset)
+        corrupted.macros[key] = dataclasses.replace(corrupted.macros[key], **{field: value})
+        report = lockstep_verify(spec, ruleset, {}, 10, program=corrupted)
+        assert (report.outcome, report.first_divergence["instruction"]) == (DIVERGED, 1)
+
+
 def test_decodes_do_not_grow_with_instructions(monkeypatch):
     # The right-runner writes a new cell every instruction; the world is
     # decoded in full at the start and the end only (the per-instruction

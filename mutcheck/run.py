@@ -88,6 +88,16 @@ MUTANTS = (
         "yield record, oracle, {}",
         ("tests/test_codec.py", "tests/test_harness.py", "tests/test_cli.py"),
     ),
+    # A run is described by its program alone: lockstep refuses a program of
+    # another ruleset or machine.
+    Mutant(
+        "program-refusal-dropped",
+        HARNESS,
+        "if program.ruleset != ruleset or program.spec != spec:",
+        "if False:",
+        ("tests/test_harness.py",),
+    ),
+    Mutant("program-machine-unchecked", HARNESS, " or program.spec != spec:", ":", ("tests/test_harness.py",)),
     # The one symbol rule in codec.read_cells, which decode shares.
     Mutant(
         "boundary-check-dropped",

@@ -93,10 +93,10 @@ def _load_params(args) -> RulesetParams:
     return dataclasses.replace(RulesetParams.defaults(args.ruleset), **overrides)
 
 
-def _compiled(args) -> tuple[TMSpec, dict[int, str], RulesetParams, ControllerProgram]:
-    """The machine, tape and params that ``args`` name, and the machine compiled with them."""
+def _compiled(args) -> tuple[dict[int, str], ControllerProgram]:
+    """The tape that ``args`` name, and their machine compiled with their params."""
     spec, tape, params = _load_machine(args), _load_tape(args), _load_params(args)
-    return spec, tape, params, compile_program(spec, args.ruleset, params)
+    return tape, compile_program(spec, args.ruleset, params)
 
 
 def _dump(obj) -> str:
@@ -112,8 +112,8 @@ def _write_lines(path: str, lines: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _drive_game(spec: TMSpec, program: ControllerProgram, tape: dict[int, str], budget: int, params: RulesetParams | None):
-    """Run the machine in ``harness.lockstep``; returns (report, boundaries).
+def _drive_game(program: ControllerProgram, tape: dict[int, str], budget: int):
+    """Run the program in ``harness.lockstep``; returns (report, boundaries).
 
     ``boundaries`` holds one trace record per verified instruction boundary
     (the initial one included): the instruction count, the world turn,
@@ -121,7 +121,7 @@ def _drive_game(spec: TMSpec, program: ControllerProgram, tape: dict[int, str], 
     boundary (keyed by the cell's string, None for the blank), the yields,
     and the city census for VI.
     """
-    report, verified = harness.lockstep(spec, program.ruleset, tape, budget, params, program)
+    report, verified = harness.lockstep(program.spec, program.ruleset, tape, budget, program)
     world = report.world
 
     def boundary(record, machine, changed):
@@ -169,8 +169,8 @@ def _summary(report: harness.LockstepReport) -> dict:
 
 
 def cmd_run(args) -> int:
-    spec, tape, params, program = _compiled(args)
-    report, boundaries = _drive_game(spec, program, tape, args.max_instructions, params)
+    tape, program = _compiled(args)
+    report, boundaries = _drive_game(program, tape, args.max_instructions)
     if _diverged(report):
         return EXIT_FAIL
     if args.out:
@@ -180,7 +180,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec, tape, params, program = _compiled(args)
+    tape, program = _compiled(args)
     # The sweep's machines are drawn and compiled with the run's params
     # first, so a malformed sweep argument, or a machine the params cannot
     # hold, fails before anything is printed. VI encodes two symbols.
@@ -190,16 +190,16 @@ def cmd_verify(args) -> int:
     machines = []
     for seed in _parse_seeds(args.seeds):
         rnd = harness.random_tm(seed, args.random_states, symbols)
-        machines.append((seed, rnd, compile_program(rnd, args.ruleset, params)))
-    report = harness.lockstep_verify(spec, args.ruleset, tape, args.max_instructions, params, program=program)
+        machines.append((seed, rnd, compile_program(rnd, args.ruleset, program.params)))
+    report = harness.lockstep_verify(program.spec, args.ruleset, tape, args.max_instructions, program=program)
     print(_dump({"lockstep": report.to_json()}))
     ok = report.first_divergence is None
-    over = harness.overhead_report(report.records, params, program)
+    over = harness.overhead_report(report)
     print(_dump({"overhead": over.to_json()}))
     ok = ok and over.paper_bound_satisfied and over.derived_bound_satisfied
 
     for seed, rnd, rnd_program in machines:
-        sweep = harness.lockstep_verify(rnd, args.ruleset, {}, args.max_instructions, params, program=rnd_program)
+        sweep = harness.lockstep_verify(rnd, args.ruleset, {}, args.max_instructions, program=rnd_program)
         print(_dump({"seed": seed, "lockstep": sweep.to_json()}))
         ok = ok and sweep.first_divergence is None
     return EXIT_OK if ok else EXIT_FAIL
@@ -215,7 +215,7 @@ def _parse_seeds(seeds: str | None) -> list[int]:
 
 
 def cmd_compile(args) -> int:
-    *_, program = _compiled(args)
+    _, program = _compiled(args)
     if args.diff_fixture:
         name = getattr(args, "builtin", None) or args.machine
         fixture_name = tables.FIXTURE_FOR.get((args.ruleset, name))
@@ -232,8 +232,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_demo_bb3(args) -> int:
-    spec, _, params, program = _compiled(args)
-    report, boundaries = _drive_game(spec, program, {}, args.max_instructions, params)
+    _, program = _compiled(args)
+    report, boundaries = _drive_game(program, {}, args.max_instructions)
     if _diverged(report):
         return EXIT_FAIL
 
@@ -250,14 +250,14 @@ def cmd_demo_bb3(args) -> int:
         tape.update(entry["changed_cells"])
         out = []
         for cell in range(lo, hi + 1):
-            sym = tape.get(str(cell)) or spec.blank
+            sym = tape.get(str(cell)) or program.spec.blank
             out.append(f"[{sym}]" if cell == entry["head"] else f" {sym} ")
         return "".join(out)
 
     # The state as the construction holds it: the Culture or Faith the state
     # region yields over the base or, as V's Railroads yield nothing, their count.
     resource = {"BE": "culture", "VI": "faith"}.get(args.ruleset)
-    base = params.base_faith if args.ruleset == RULESET_VI else params.base_culture
+    base = program.params.base_faith if args.ruleset == RULESET_VI else program.params.base_culture
     evidence_key = f"{resource}_delta" if resource else "railroads"
     print(f"tape cells {lo}..{hi}, head bracketed; state evidence: {evidence_key}")
     print(f"t00  state {boundaries[0]['state']:>3}  {render(boundaries[0])}")
@@ -280,11 +280,11 @@ def cmd_demo_bb3(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    spec, tape, params, program = _compiled(args)
-    report = harness.lockstep_verify(spec, args.ruleset, tape, args.max_instructions, params, program=program)
+    tape, program = _compiled(args)
+    report = harness.lockstep_verify(program.spec, args.ruleset, tape, args.max_instructions, program=program)
     if _diverged(report):
         return EXIT_FAIL
-    over = harness.overhead_report(report.records, params, program)
+    over = harness.overhead_report(report)
     print(_dump({"overhead": over.to_json()}))
     return EXIT_OK if over.paper_bound_satisfied and over.derived_bound_satisfied else EXIT_FAIL
 

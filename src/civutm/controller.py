@@ -80,19 +80,21 @@ class CommandMacro:
 
 @dataclass(slots=True)
 class ControllerProgram:
-    """A compiled machine: bijections plus one macro per transition.
+    """A compiled machine and all a run needs: the machine, the params (and
+    ruleset) it was checked against, bijections, one macro per transition.
 
     The bijections follow from the machine's shape (states, initial state,
     alphabet, blank, ruleset) alone, so every program of one shape shares
     them, read-only. ``macros`` is the program's own dict."""
 
-    ruleset: str
     spec: TMSpec
+    params: RulesetParams
     state_index_of: Mapping[str, int]
     index_to_state: tuple[str, ...]
     symbol_of: Mapping[str, str]  # machine symbol -> game symbol
     symbol_from_game: Mapping[str, str]
     macros: dict[tuple[int, str], CommandMacro]  # (state index, game read symbol)
+    ruleset = property(lambda self: self.params.ruleset)
 
 
 # The one constructor of compiled macros: one shared object per distinct
@@ -173,7 +175,7 @@ def compile_program(spec: TMSpec, ruleset: str, params: RulesetParams | None = N
             write_symbol=game_write,
         )
 
-    return ControllerProgram(ruleset, spec, state_index_of, ordered, symbols, from_game, macros)
+    return ControllerProgram(spec, params, state_index_of, ordered, symbols, from_game, macros)
 
 
 # ---------------------------------------------------------------------------

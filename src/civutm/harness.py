@@ -18,12 +18,12 @@ that did not diverge is decoded in full once more at the end, and
 oracle: a cell changed without being recorded. A divergence is a report
 outcome, not an exception.
 
-``overhead_report`` turns the instruction-boundary events of a completed run
-into per-instruction turn counts and compares them against the published
+``overhead_report`` turns the records of a completed run's report into
+per-instruction turn counts and compares them against the published
 per-instruction bounds (5T+M for BE, 4·B_rr+1 for V, C+S(L)+3 per tape
-extension for VI) and against a tight bound derived from the parameters.
-Turns the published bounds do not count (movement, the extra pillage turn,
-growth waits) are itemized, never hidden.
+extension for VI) and against a tight bound derived from the params that
+the run's program was compiled with. Turns those bounds do not count
+(movement, the extra pillage turn, growth waits) are itemized, never hidden.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .controller import (
     compile_program,
     execute_instruction,
 )
-from .errors import CivUtmError, MachineStuck
+from .errors import CivUtmError, CompileError, MachineStuck
 from .tm import Machine, TMConfig, TMSpec, Transition, initial_config, validate_spec
 from .tm import step_in_place as step  # looked up here at call time, so a tracer can wrap it
 from .world import RULESET_BE, RULESET_V, RULESET_VI, TAPE_WORKER, RulesetParams, WorldState, init_world, move_turns
@@ -55,9 +55,9 @@ STEP_LIMIT = "step-limit"
 
 @dataclass
 class LockstepReport:
-    """Outcome of one side-by-side run."""
+    """Outcome of one side-by-side run of ``program``."""
 
-    ruleset: str
+    program: ControllerProgram
     outcome: str
     instructions_verified: int
     first_divergence: dict | None = None
@@ -72,7 +72,7 @@ class LockstepReport:
 
     def to_json(self) -> dict:
         out = {
-            "ruleset": self.ruleset,
+            "ruleset": self.program.ruleset,
             "outcome": self.outcome,
             "instructions_verified": self.instructions_verified,
             "halted": self.halted,
@@ -96,10 +96,11 @@ def lockstep(
     ruleset: str,
     initial_tape: dict[int, str] | None = None,
     max_instructions: int = 100,
-    params: RulesetParams | None = None,
     program: ControllerProgram | None = None,
 ) -> tuple[LockstepReport, Iterator[tuple]]:
-    """Set up a side-by-side run; returns its report and its boundaries.
+    """Set up a run of ``program`` (``spec`` compiled for ``ruleset`` when
+    None) in a world built with its params; returns the report and the
+    boundaries. Another machine's or ruleset's program raises CompileError.
 
     The iterator yields ``(None, oracle, oracle.tape)`` at the start, then
     ``(record, oracle, changed)`` per instruction, each once the world has
@@ -111,15 +112,16 @@ def lockstep(
     """
     if max_instructions < 0:
         raise ValueError("max_instructions must be >= 0")
-    program = program or compile_program(spec, ruleset, params)
-    world = init_world(ruleset, codec.encode_tape(initial_tape or {}, program), params)
-    report = LockstepReport(ruleset=ruleset, outcome=STEP_LIMIT, instructions_verified=0, world=world)
-    start = initial_config(spec, initial_tape or {})
-    return report, _boundaries(spec, program, start, max_instructions, report)
+    program = program or compile_program(spec, ruleset)
+    if program.ruleset != ruleset or program.spec != spec:
+        raise CompileError(f"the program was not compiled from this machine for ruleset {ruleset}")
+    world = init_world(ruleset, codec.encode_tape(initial_tape or {}, program), program.params)
+    report = LockstepReport(program=program, outcome=STEP_LIMIT, instructions_verified=0, world=world)
+    return report, _boundaries(program, initial_config(spec, initial_tape or {}), max_instructions, report)
 
 
-def _boundaries(spec: TMSpec, program: ControllerProgram, start: TMConfig, max_instructions: int, report: LockstepReport):
-    world = report.world
+def _boundaries(program: ControllerProgram, start: TMConfig, max_instructions: int, report: LockstepReport):
+    spec, world = program.spec, report.world
 
     def diverged(index: int, oracle_side, game_side) -> None:
         report.outcome = DIVERGED
@@ -194,11 +196,10 @@ def lockstep_verify(
     ruleset: str,
     initial_tape: dict[int, str] | None = None,
     max_instructions: int = 100,
-    params: RulesetParams | None = None,
     program: ControllerProgram | None = None,
 ) -> LockstepReport:
     """Run :func:`lockstep` to its end and return the complete report."""
-    report, boundaries = lockstep(spec, ruleset, initial_tape, max_instructions, params, program)
+    report, boundaries = lockstep(spec, ruleset, initial_tape, max_instructions, program)
     for _ in boundaries:
         pass
     return report
@@ -263,32 +264,29 @@ def paper_extension_bound(params: RulesetParams, settler_cost_turns: int) -> int
     return grow + settler_cost_turns + params.settler_found_turns
 
 
-def derived_instruction_bound(program: ControllerProgram, params: RulesetParams) -> int | None:
-    """Tight per-instruction bound from the compiled macros, movement and the
-    pillage turn included. The tape worker moves after its tape job while the
-    state worker may still be building, so the two tracks run concurrently."""
+def derived_instruction_bound(program: ControllerProgram) -> int | None:
+    """Tight per-instruction bound from the macros and the program's params,
+    movement and the pillage turn included. The tape worker moves after its
+    tape job while the state worker may still build: the tracks overlap."""
     if program.ruleset == RULESET_VI:
         return None
-    move = move_turns(params, TAPE_WORKER, 1)
+    move = move_turns(program.params, TAPE_WORKER, 1)
     worst = 0
     for macro in program.macros.values():
-        tape, state = _macro_costs(macro, params)
+        tape, state = _macro_costs(macro, program.params)
         total = max(tape + (0 if macro.halt else move), state)
         worst = max(worst, total)
     return worst
 
 
-def overhead_report(
-    records: list[InstructionRecord],
-    params: RulesetParams,
-    program: ControllerProgram,
-) -> OverheadReport:
-    """Per-instruction turn accounting for a completed lockstep run."""
+def overhead_report(report: LockstepReport) -> OverheadReport:
+    """Turn accounting for a completed run, under its program's params."""
+    program, records = report.program, report.records
     per_instruction = []
     excesses = []
     extensions = []
-    paper = paper_instruction_bound(program.ruleset, params)
-    derived = derived_instruction_bound(program, params)
+    paper = paper_instruction_bound(program.ruleset, program.params)
+    derived = derived_instruction_bound(program)
     paper_ok = derived_ok = True
 
     for rec in records:
@@ -302,7 +300,7 @@ def overhead_report(
 
         if program.ruleset == RULESET_VI:
             if rec.extension:
-                bound = paper_extension_bound(params, rec.settler_cost_turns)
+                bound = paper_extension_bound(program.params, rec.settler_cost_turns)
                 counted = rec.turns - rec.movement_turns - rec.pre_train_wait
                 ext = {
                     "instruction": rec.index,

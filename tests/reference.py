@@ -21,6 +21,9 @@ reads, for the tests that feed machines to the CLI.
 instruction by instruction and checks nothing, so a test can read or decode
 the world at each boundary itself, or drive the world past a point that
 ``harness.lockstep`` would refuse.
+
+``check_vi_boundary`` asserts the invariant the README states for every VI
+instruction boundary.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from civutm.controller import ControllerProgram, InstructionRecord
 from civutm.errors import MachineStuck
 from civutm.tm import HaltAction, TMConfig, TMSpec
 from civutm import world as world_module
-from civutm.world import Command, Job, WorldState
+from civutm.world import TAPE_WORKER, Command, Job, WorldState
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,18 @@ def spec_to_json(spec: TMSpec) -> dict:
         "halting": list(spec.halting),
         "transitions": records,
     }
+
+
+def check_vi_boundary(world: WorldState) -> None:
+    """Assert the VI boundary invariant: the world is at a boundary, its
+    cities are contiguous, the head's city exists, and each end city is at
+    its growth cap (so a tape extension never waits before it trains)."""
+    assert world.at_boundary()
+    indices = sorted(world.cities)
+    assert indices == list(range(indices[0], indices[-1] + 1)), indices
+    assert world.city_of_cell(world.units[TAPE_WORKER]) is not None, world.units[TAPE_WORKER]
+    for end in (world.cities[indices[0]], world.cities[indices[-1]]):
+        assert end.citizens == end.growth_cap, (end.index, end.citizens, end.growth_cap)
 
 
 def run_instructions(world: WorldState, program: ControllerProgram, max_instructions: int):

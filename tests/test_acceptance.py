@@ -160,38 +160,34 @@ def test_criterion_5_random_tm_property_suite():
 
 def test_criterion_6_overhead_bounds():
     started = time.monotonic()
-    r10 = builtin_program("rogozhin_10_3")
-    bb3 = builtin_program("bb3")
+    # Each run is judged against the bounds of its own program's params.
+    runs = ((builtin_program("bb3"), {}, 1000), (builtin_program("rogozhin_10_3"), {0: "1", 2: "b"}, 40))
     checked = []
 
     for t in range(1, 5):
         for m in range(1, 5):
             params = dataclasses.replace(RulesetParams.defaults(RULESET_BE), terrascape_build_turns=t, road_build_turns=m)
-            program = compile_program(r10, RULESET_BE, params)
-            records = []
-            records += lockstep_verify(bb3, RULESET_BE, {}, 1000, params).records
-            records += lockstep_verify(r10, RULESET_BE, {0: "1", 2: "b"}, 40, params, program=program).records
-            over = overhead_report(records, params, program)
-            assert over.paper_bound == 5 * t + m
-            assert over.paper_bound_satisfied, (t, m)
-            assert over.derived_bound_satisfied and over.max_observed <= over.derived_bound
-            checked.append(("BE", t, m, over.max_observed, over.paper_bound))
+            for spec, tape, budget in runs:
+                program = compile_program(spec, RULESET_BE, params)
+                over = overhead_report(lockstep_verify(spec, RULESET_BE, tape, budget, program=program))
+                assert over.paper_bound == 5 * t + m
+                assert over.paper_bound_satisfied, (t, m)
+                assert over.derived_bound_satisfied and over.max_observed <= over.derived_bound
+                checked.append(("BE", t, m, over.max_observed, over.paper_bound))
 
     for b_rr in range(2, 5):
         params = dataclasses.replace(RulesetParams.defaults(RULESET_V), railroad_build_turns=b_rr)
-        program = compile_program(r10, RULESET_V, params)
-        records = []
-        records += lockstep_verify(bb3, RULESET_V, {}, 1000, params).records
-        records += lockstep_verify(r10, RULESET_V, {0: "1", 2: "b"}, 40, params, program=program).records
-        over = overhead_report(records, params, program)
-        assert over.paper_bound == 4 * b_rr + 1
-        assert over.paper_bound_satisfied, b_rr
-        assert over.derived_bound_satisfied and over.max_observed <= over.derived_bound
-        checked.append(("V", b_rr, None, over.max_observed, over.paper_bound))
+        for spec, tape, budget in runs:
+            program = compile_program(spec, RULESET_V, params)
+            over = overhead_report(lockstep_verify(spec, RULESET_V, tape, budget, program=program))
+            assert over.paper_bound == 4 * b_rr + 1
+            assert over.paper_bound_satisfied, b_rr
+            assert over.derived_bound_satisfied and over.max_observed <= over.derived_bound
+            checked.append(("V", b_rr, None, over.max_observed, over.paper_bound))
 
     params = RulesetParams.defaults(RULESET_VI)
-    report = lockstep_verify(builtin_program("rogozhin_24_2"), RULESET_VI, {0: "1"}, 60, params)
-    over = overhead_report(report.records, params, compile_program(builtin_program("rogozhin_24_2"), RULESET_VI, params))
+    r24 = builtin_program("rogozhin_24_2")
+    over = overhead_report(lockstep_verify(r24, RULESET_VI, {0: "1"}, 60, program=compile_program(r24, RULESET_VI, params)))
     assert over.extensions, "the VI run must extend the tape"
     for ext in over.extensions:
         cost_turns = -(-ext["settler_cost_production"] // params.production_per_turn)
@@ -205,7 +201,7 @@ def test_criterion_6_overhead_bounds():
     _report(
         6,
         elapsed < 120.0,
-        f"{len(checked)} BE/V parameter points within both bounds; "
+        f"{len(checked) // len(runs)} BE/V parameter points, {len(runs)} machines each, within both bounds; "
         f"{len(over.extensions)} VI extensions within C+S(L)+3 with movement itemized; {elapsed:.1f}s",
     )
 

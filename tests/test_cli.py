@@ -26,7 +26,7 @@ from civutm.errors import MachineStuck
 from civutm.tm import TMSpec, Transition, builtin_program, validate_spec
 from civutm.world import RULESET_BE, RULESET_V, RULESET_VI, RulesetParams, init_world, yields
 
-from reference import run_instructions, spec_to_json
+from reference import check_vi_boundary, run_instructions, spec_to_json
 
 
 def run_cli(capsys, *argv):
@@ -132,8 +132,8 @@ def test_verify_reports_divergence_with_status_one(capsys, monkeypatch):
 
     real = cli_mod.harness.lockstep_verify
 
-    def corrupted(spec, ruleset, tape, max_instructions, params, program=None):
-        report = real(spec, ruleset, tape, max_instructions, params, program)
+    def corrupted(spec, ruleset, tape, max_instructions, program=None):
+        report = real(spec, ruleset, tape, max_instructions, program)
         report.outcome = "diverged"
         report.first_divergence = {"instruction": 1}
         return report
@@ -152,6 +152,21 @@ def test_compile_diff_reports_differences_with_status_one(capsys, monkeypatch):
     status, out, _ = run_cli(capsys, "compile", "--builtin", "rogozhin_10_3", "--ruleset", "BE", "--diff-fixture")
     assert status == 1
     assert json.loads(out.splitlines()[-1])["differences"] == fake
+
+
+def test_compile_diff_against_a_perturbed_fixture_exits_one(capsys, monkeypatch):
+    load = cli.tables.load_fixture
+
+    def perturbed(name):
+        fixture = load(name)
+        fixture["rows"][0]["move"] = "L"
+        return fixture
+
+    monkeypatch.setattr(cli.tables, "load_fixture", perturbed)
+    status, out, _ = run_cli(capsys, "compile", "--builtin", "rogozhin_10_3", "--ruleset", "BE", "--diff-fixture")
+    assert status == 1
+    diff = {"row": "state 0 reading No Improvement", "field": "move", "expected": "L", "actual": "R"}
+    assert json.loads(out.splitlines()[-1]) == {"fixture": "civ_be_rogozhin_10_3", "differences": [diff]}
 
 
 def test_compile_region_bound_error(capsys):
@@ -237,6 +252,80 @@ def test_malformed_json_types_status(tmp_path, capsys, kind, field, value):
     assert out == ""
     [line] = err.splitlines()
     assert "error" in json.loads(line)
+
+
+def _bb3_json(**changes) -> dict:
+    return {**spec_to_json(builtin_program("bb3")), **changes}
+
+
+_BB3_ROWS = spec_to_json(builtin_program("bb3"))["transitions"]
+_ROW = {"state": "q0", "read": "0", "write": "1", "move": "R", "next": "q1"}
+
+# Malformed inputs, each refused with one JSON error line: (files to write
+# and pass, the run's extra arguments, the error). ``None`` passes no machine.
+MALFORMED_INPUTS = {
+    "duplicate alphabet": ({"machine": _bb3_json(alphabet=["0", "1", "1"])}, (), "duplicate alphabet symbols"),
+    "input symbol outside the alphabet": (
+        {"machine": _bb3_json(input_alphabet=["2"])},
+        (),
+        "input symbol '2' not in alphabet",
+    ),
+    "transition from an unknown state": (
+        {"machine": _bb3_json(transitions=[*_BB3_ROWS, {**_ROW, "state": "q9"}])},
+        (),
+        "transition from unknown state 'q9'",
+    ),
+    "halt write outside the alphabet": (
+        {"machine": _bb3_json(transitions=[*_BB3_ROWS[:-1], {**_BB3_ROWS[-1], "write": "7"}])},
+        (),
+        "halt write symbol '7' outside alphabet",
+    ),
+    "machine file not an object": ({"machine": ["q0"]}, (), "machine description must be a JSON object"),
+    "transition record not an object": (
+        {"machine": _bb3_json(transitions=[*_BB3_ROWS, "q0 0 1 R q1"])},
+        (),
+        "transition record must be a JSON object",
+    ),
+    "unknown record fields": (
+        {"machine": _bb3_json(transitions=[{**_ROW, "cost": "1"}, *_BB3_ROWS[1:]])},
+        (),
+        "unknown fields in transition record: ['cost']",
+    ),
+    "duplicate record": (
+        {"machine": _bb3_json(transitions=[*_BB3_ROWS, _ROW])},
+        (),
+        "duplicate transition record for ('q0', '0')",
+    ),
+    "no machine given": (
+        {"machine": None},
+        (),
+        "no machine given: pass a file path, a built-in name, or --builtin",
+    ),
+    "tape file not an object": (
+        {"tape": [["0", "1"]]},
+        (),
+        "tape file must be a JSON object mapping cell index to symbol",
+    ),
+    "params file not an object": ({"params": [["road_build_turns", 2]]}, (), "params file must be a JSON object"),
+    "negative param": ({"params": {"base_faith": -1}}, ("--ruleset", "VI"), "base_faith must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_two_with_one_json_line(tmp_path, capsys, case):
+    files, extra, error = MALFORMED_INPUTS[case]
+    files = {"machine": _bb3_json(), **files}
+    argv = ["run"]
+    for kind, doc in files.items():
+        if doc is None:
+            continue
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        argv += [str(path)] if kind == "machine" else [f"--{kind}", str(path)]
+    status, out, err = run_cli(capsys, *argv, *extra)
+    assert (status, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line) == {"error": error}
 
 
 def test_far_vi_tape_cell_status(tmp_path, capsys):
@@ -325,6 +414,30 @@ def test_cost_reports_bounds(capsys):
     report = json.loads(out)["overhead"]
     assert report["paper_bound"] == 9
     assert report["paper_bound_satisfied"] and report["derived_bound_satisfied"]
+
+
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V, RULESET_VI])
+def test_cost_past_a_bound_exits_one(capsys, monkeypatch, ruleset):
+    # bb3's third instruction takes 100 turns more than it did (on VI it is
+    # an extension), which the lockstep compare does not see.
+    execute = harness.execute_instruction
+
+    def slowed(world, program, index=0):
+        record = execute(world, program, index=index)
+        if index == 3:
+            record.turns += 100
+        return record
+
+    monkeypatch.setattr(harness, "execute_instruction", slowed)
+    status, out, err = run_cli(capsys, "cost", "bb3", "--ruleset", ruleset)
+    assert (status, err) == (1, "")
+    [line] = out.splitlines()
+    report = json.loads(line)["overhead"]
+    assert (report["paper_bound_satisfied"], report["derived_bound_satisfied"]) == (False, False)
+    if ruleset == RULESET_VI:
+        assert report["extensions"][0]["instruction"] == 3
+    else:
+        assert [excess["instruction"] for excess in report["excesses"]] == [3]
 
 
 @pytest.mark.parametrize(
@@ -484,6 +597,8 @@ def _reference_drive_game(spec, ruleset, tape, max_instructions):
         for record in run_instructions(world, program, max_instructions):
             records.append(record)
             boundaries.append(boundary(codec.decode(world, program)))
+            if ruleset == RULESET_VI:
+                check_vi_boundary(world)
             if record.halted:
                 outcome = "halted"
     except MachineStuck:
@@ -538,7 +653,7 @@ def test_drive_game_follows_written_cells_as_full_decodes_do(data, seed, num_sta
 
     with mock.patch.object(harness, "execute_instruction", execute if rewritten is None else execute_then_rewrite):
         program = compile_program(spec, ruleset)
-        report, boundaries = cli._drive_game(spec, program, tape, max_instructions, None)
+        report, boundaries = cli._drive_game(program, tape, max_instructions)
         lines, summary = _reference_drive_game(spec, ruleset, tape, max_instructions)
     assert report.first_divergence is None
     assert cli._trace_lines(boundaries) == lines
@@ -587,10 +702,11 @@ def test_run_fails_closed_on_an_unrecorded_write(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V, RULESET_VI])
-@pytest.mark.parametrize("command", ["run", "demo-bb3"])
+@pytest.mark.parametrize("command", ["run", "demo-bb3", "cost"])
 def test_a_run_that_diverges_prints_only_the_lockstep_line(tmp_path, capsys, monkeypatch, command, ruleset):
     # bb3's first macro compiled one state too far: the game runs, but no
-    # boundary after the start agrees with the oracle, so no trace is shown.
+    # boundary after the start agrees with the oracle, so no trace (and, for
+    # `cost`, which takes no --out, no overhead report) is shown.
     def corrupted(spec, ruleset, params=None):
         program = compile_program(spec, ruleset, params)
         key = (0, program.symbol_of[spec.blank])
@@ -601,7 +717,8 @@ def test_a_run_that_diverges_prints_only_the_lockstep_line(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "compile_program", corrupted)
     trace = tmp_path / "trace.jsonl"
     machine = () if command == "demo-bb3" else ("bb3",)
-    status, out, err = run_cli(capsys, command, *machine, "--ruleset", ruleset, "--out", str(trace))
+    out_file = () if command == "cost" else ("--out", str(trace))
+    status, out, err = run_cli(capsys, command, *machine, "--ruleset", ruleset, *out_file)
     assert (status, err, trace.exists()) == (1, "", False)
     [line] = out.splitlines()
     report = json.loads(line)["lockstep"]

@@ -29,6 +29,7 @@ from civutm.tm import HaltAction, TMConfig, TMSpec, Transition, builtin_program
 from civutm.world import (
     GAME_BLANK,
     GAME_SYMBOLS,
+    PLAYER,
     RULESET_BE,
     RULESET_V,
     RULESET_VI,
@@ -196,6 +197,66 @@ def test_table_fidelity_catches_corruption():
     assert any(d["field"] == "state_delta" for d in diffs)
 
 
+# One change per field table_fidelity compares (state_delta is covered
+# above), to the fixture's first row or to the program: (change, the one
+# difference it must report).
+_ROW0 = "state 0 reading No Improvement"
+
+
+def _fixture_row(**changes):
+    def change(fixture, program):
+        fixture["rows"][0].update(changes)
+
+    return change
+
+
+def _fixture_tm(fixture, program):
+    fixture["rows"][0]["tm"]["next"] = "q1"
+
+
+def _macro_missing(fixture, program):
+    del program.macros[(0, "none")]
+
+
+def _macro_extra(fixture, program):
+    program.macros[(10, "none")] = program.macros[(0, "none")]
+
+
+def _wrong_ruleset(fixture, program):
+    fixture["ruleset"] = RULESET_V
+
+
+FIDELITY_PERTURBATIONS = {
+    "halt": (_fixture_row(halt=True), {"row": _ROW0, "field": "halt", "expected": True, "actual": False}),
+    "tape": (_fixture_row(tape="leave"), {"row": _ROW0, "field": "tape", "expected": "leave", "actual": "build_road"}),
+    "move": (_fixture_row(move="L"), {"row": _ROW0, "field": "move", "expected": "L", "actual": "R"}),
+    "tm": (
+        _fixture_tm,
+        {
+            "row": _ROW0,
+            "field": "tm",
+            "expected": {"move": "R", "next": "q1", "read": "0", "state": "q0", "write": "1"},
+            "actual": repr(Transition("1", "R", "q0")),
+        },
+    ),
+    "missing row": (_macro_missing, {"row": _ROW0, "field": "macro", "expected": "present", "actual": "missing"}),
+    "extra macro": (
+        _macro_extra,
+        {"row": "state 10 reading none", "field": "row", "expected": "absent", "actual": "extra macro"},
+    ),
+    "wrong ruleset": (_wrong_ruleset, {"row": None, "field": "ruleset", "expected": RULESET_V, "actual": RULESET_BE}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FIDELITY_PERTURBATIONS))
+def test_table_fidelity_names_the_row_and_field_that_differ(field):
+    program = compile_program(builtin_program("rogozhin_10_3"), RULESET_BE)
+    fixture = load_fixture("civ_be_rogozhin_10_3")
+    change, difference = FIDELITY_PERTURBATIONS[field]
+    change(fixture, program)
+    assert table_fidelity(program, fixture) == [difference]
+
+
 def test_write_normalization_soundness():
     # No compiled macro ever asks for an improvement the cell already has.
     for name, ruleset in (("rogozhin_10_3", RULESET_BE), ("rogozhin_10_3", RULESET_V), ("rogozhin_24_2", RULESET_VI), ("bb3", RULESET_BE)):
@@ -281,6 +342,20 @@ def test_execute_requires_boundary():
     program = compile_program(builtin_program("bb3"), RULESET_BE)
     world = init_world(RULESET_BE, {})
     apply_command(world, TAPE_WORKER, Command(op="build_road", cell=3))
+    with pytest.raises(DecodeError, match="boundary"):
+        execute_instruction(world, program, index=1)
+
+
+def test_a_training_city_holds_the_boundary_back():
+    # No unit is busy, but city 0 trains a Settler: the world is not at an
+    # instruction boundary, so it does not decode and runs no instruction.
+    program = compile_program(builtin_program("bb3"), RULESET_VI)
+    world = init_world(RULESET_VI, {})
+    assert world.at_boundary() and decode(world, program) is not None
+    apply_command(world, PLAYER, Command(op="train_settler", city=0))
+    assert not world.jobs and world.cities[0].training_cost is not None
+    assert not world.at_boundary()
+    assert decode(world, program) is None
     with pytest.raises(DecodeError, match="boundary"):
         execute_instruction(world, program, index=1)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -26,7 +27,7 @@ from civutm.harness import (
     paper_instruction_bound,
     random_tm,
 )
-from civutm.errors import CivUtmError, IllegalCommand, MachineStuck, Starvation
+from civutm.errors import CivUtmError, CompileError, IllegalCommand, MachineStuck, Starvation
 from civutm.tm import (
     TMSpec,
     Transition,
@@ -46,7 +47,14 @@ from civutm.world import (
     yields,
 )
 
-from reference import Halted, cut_floodplains_food, eager_log, reference_step, run_instructions
+from reference import (
+    Halted,
+    check_vi_boundary,
+    cut_floodplains_food,
+    eager_log,
+    reference_step,
+    run_instructions,
+)
 
 
 def test_bb3_be_equivalent_through_halt():
@@ -103,8 +111,9 @@ def test_lockstep_nonhalting_hits_step_limit():
     assert report.first_divergence is None
 
 
-def test_lockstep_stuck_on_both_sides():
-    spec = validate_spec(
+def _one_row_machine() -> TMSpec:
+    """``a`` reading the blank writes 1, moves right and goes to ``b``, which has no rows."""
+    return validate_spec(
         TMSpec(
             states=("a", "b"),
             alphabet=("0", "1"),
@@ -115,10 +124,110 @@ def test_lockstep_stuck_on_both_sides():
             transitions={("a", "0"): Transition("1", "R", "b")},
         )
     )
-    report = lockstep_verify(spec, RULESET_BE, {}, 10)
+
+
+def test_lockstep_stuck_on_both_sides():
+    report = lockstep_verify(_one_row_machine(), RULESET_BE, {}, 10)
     assert report.outcome == ORACLE_STUCK
     assert report.first_divergence is None
     assert report.instructions_verified == 1
+
+
+# The verdicts of one side alone: a world that is wrong before the first
+# instruction, and a program that covers fewer or more pairs than its machine.
+_START = {"state": "q0", "head": 0, "tape": {}}
+
+
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V, RULESET_VI])
+@pytest.mark.parametrize("change", ["cell", "job"])
+def test_a_world_changed_before_the_first_boundary_diverges_at_instruction_zero(ruleset, change):
+    spec = builtin_program("bb3")
+    program = compile_program(spec, ruleset)
+    report, boundaries = harness.lockstep(spec, ruleset, {}, 100, program=program)
+    if change == "cell":
+        report.world.tape[3] = program.symbol_of["1"]
+    else:  # a pending job: the world is not at a boundary
+        world_module.apply_command(report.world, world_module.TAPE_WORKER, world_module.Command(op="move", to=1))
+    assert list(boundaries) == []
+    assert (report.outcome, report.instructions_verified, report.records) == (DIVERGED, 0, [])
+    decoded = {**_START, "tape": {"3": "1"}} if change == "cell" else "mid-instruction"
+    assert report.first_divergence == {"instruction": 0, "oracle": _START, "decoded": decoded}
+
+
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V, RULESET_VI])
+def test_a_macro_removed_leaves_the_game_stuck_where_the_oracle_runs(ruleset):
+    spec = builtin_program("bb3")
+    program = compile_program(spec, ruleset)
+    del program.macros[(0, program.symbol_of["0"])]
+    report = lockstep_verify(spec, ruleset, {}, 100, program=program)
+    assert (report.outcome, report.instructions_verified, report.oracle_steps) == (DIVERGED, 0, 1)
+    oracle = {"state": "q1", "head": 1, "tape": {"0": "1"}}
+    assert report.first_divergence == {"instruction": 1, "oracle": oracle, "decoded": "stuck"}
+
+
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V, RULESET_VI])
+def test_a_macro_added_runs_the_game_where_the_oracle_is_stuck(ruleset):
+    # State b has no rows; the added macro moves right and changes nothing else.
+    spec = _one_row_machine()
+    program = compile_program(spec, ruleset)
+    blank = program.symbol_of["0"]
+    first = program.macros[(0, blank)]
+    program.macros[(1, blank)] = dataclasses.replace(first, tape_action=TapeAction.LEAVE, state_delta=0, write_symbol=blank)
+    report = lockstep_verify(spec, ruleset, {}, 10, program=program)
+    assert (report.outcome, report.instructions_verified, len(report.records)) == (DIVERGED, 1, 1)
+    assert report.first_divergence == {"instruction": 2, "oracle": "stuck", "decoded": "ran"}
+
+
+# A run is described once, by its program: lockstep takes no params, builds
+# its world with the program's, and refuses a program of another machine or
+# ruleset before any world is built.
+
+
+def test_lockstep_takes_its_params_from_the_program():
+    for function in (harness.lockstep, lockstep_verify):
+        assert list(inspect.signature(function).parameters) == [
+            "spec",
+            "ruleset",
+            "initial_tape",
+            "max_instructions",
+            "program",
+        ]
+    spec = builtin_program("bb3")
+    params = dataclasses.replace(RulesetParams.defaults(RULESET_BE), road_build_turns=5)
+    program = compile_program(spec, RULESET_BE, params)
+    report = lockstep_verify(builtin_program("bb3"), RULESET_BE, {}, 100, program=program)  # an equal machine
+    assert report.outcome == EQUIVALENT
+    assert report.program is program and report.world.params is params
+    assert report.world.turn > lockstep_verify(spec, RULESET_BE, {}, 100).world.turn
+
+
+def _no_world(*args, **kwargs):
+    raise AssertionError("a world was built")
+
+
+@pytest.mark.parametrize("ruleset,compiled_for", [(RULESET_V, RULESET_BE), (RULESET_BE, RULESET_V), (RULESET_VI, RULESET_BE)])
+def test_a_program_for_another_ruleset_is_refused(monkeypatch, ruleset, compiled_for):
+    spec = builtin_program("bb3")
+    program = compile_program(spec, compiled_for)
+    monkeypatch.setattr(harness, "init_world", _no_world)
+    for run in (lockstep_verify, harness.lockstep):
+        with pytest.raises(CompileError, match=f"not compiled from this machine for ruleset {ruleset}"):
+            run(spec, ruleset, {}, 100, program=program)
+
+
+def test_a_program_of_another_machine_is_refused(monkeypatch):
+    # A program compiled under other params cannot reach the run either: the
+    # params that compile_program refuses for rogozhin_10_3 (10 states need 9
+    # state-region tiles) can only come in on a program of another machine.
+    r10 = builtin_program("rogozhin_10_3")
+    small = dataclasses.replace(RulesetParams.defaults(RULESET_BE), state_region_tiles=3)
+    with pytest.raises(CompileError, match="state region of at least 9 tiles"):
+        compile_program(r10, RULESET_BE, small)
+    program = compile_program(builtin_program("bb3"), RULESET_BE, small)
+    monkeypatch.setattr(harness, "init_world", _no_world)
+    for run in (lockstep_verify, harness.lockstep):
+        with pytest.raises(CompileError, match="not compiled from this machine for ruleset BE"):
+            run(r10, RULESET_BE, {0: "1", 2: "b"}, 200, program=program)
 
 
 def test_halting_state_transition_coincides():
@@ -168,8 +277,8 @@ def test_overhead_report_within_bounds():
     spec = builtin_program("rogozhin_10_3")
     for ruleset in (RULESET_BE, RULESET_V):
         params = RulesetParams.defaults(ruleset)
-        report = lockstep_verify(spec, ruleset, {0: "1", 2: "b"}, 60, params)
-        over = overhead_report(report.records, params, compile_program(spec, ruleset, params))
+        report = lockstep_verify(spec, ruleset, {0: "1", 2: "b"}, 60, program=compile_program(spec, ruleset, params))
+        over = overhead_report(report)
         assert over.paper_bound_satisfied
         assert over.derived_bound_satisfied
         assert over.max_observed <= over.derived_bound
@@ -179,13 +288,70 @@ def test_overhead_report_within_bounds():
 def test_overhead_vi_extensions_meet_paper_bound():
     spec = builtin_program("bb3")
     params = RulesetParams.defaults(RULESET_VI)
-    report = lockstep_verify(spec, RULESET_VI, {}, 100, params)
-    over = overhead_report(report.records, params, compile_program(spec, RULESET_VI, params))
+    report = lockstep_verify(spec, RULESET_VI, {}, 100, program=compile_program(spec, RULESET_VI, params))
+    over = overhead_report(report)
     assert over.extensions
     for ext in over.extensions:
         assert ext["counted_turns"] <= ext["paper_bound"]
         assert ext["itemized_excess"]["settler_movement"] == params.city_spacing
     assert over.paper_bound_satisfied
+
+
+def _pushed(report: LockstepReport, record, **fields) -> LockstepReport:
+    """A copy of ``report`` whose ``record`` is replaced by a copy with ``fields``."""
+    records = [dataclasses.replace(r, **fields) if r is record else r for r in report.records]
+    return dataclasses.replace(report, records=records)
+
+
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V])
+def test_overhead_report_flags_each_bound_a_record_exceeds(ruleset):
+    report = lockstep_verify(builtin_program("bb3"), ruleset, {}, 100)
+    within = overhead_report(report)
+    paper, derived = within.paper_bound, within.derived_bound
+    assert (within.paper_bound_satisfied, within.derived_bound_satisfied, within.excesses) == (True, True, [])
+    assert within.max_observed == derived < paper
+    record = report.records[2]
+    move = record.movement_turns
+    assert move > 0
+
+    # Past the derived bound alone.
+    over = overhead_report(_pushed(report, record, turns=derived + 1))
+    assert (over.paper_bound_satisfied, over.derived_bound_satisfied, over.excesses) == (True, False, [])
+    assert over.max_observed == derived + 1
+
+    # Past the paper bound only by the movement it does not count: an
+    # itemized excess, and the paper bound still holds.
+    excess = {"instruction": 3, "turns": paper + move, "paper_bound": paper, "itemized_excess": {"movement": move}}
+    over = overhead_report(_pushed(report, record, turns=paper + move))
+    assert (over.paper_bound_satisfied, over.derived_bound_satisfied, over.excesses) == (True, False, [excess])
+
+    # One turn more, and the counted turns exceed the paper bound too.
+    over = overhead_report(_pushed(report, record, turns=paper + move + 1))
+    assert (over.paper_bound_satisfied, over.derived_bound_satisfied) == (False, False)
+    assert over.excesses == [{**excess, "turns": paper + move + 1}]
+    assert over.per_instruction[2] == {"instruction": 3, "turns": paper + move + 1, "movement_turns": move, "extension": False}
+
+
+def test_overhead_report_flags_a_vi_extension_and_a_move_past_their_bounds():
+    report = lockstep_verify(builtin_program("bb3"), RULESET_VI, {}, 100)
+    assert overhead_report(report).paper_bound_satisfied and overhead_report(report).derived_bound_satisfied
+    extension = next(r for r in report.records if r.extension)
+    bound = paper_extension_bound(report.program.params, extension.settler_cost_turns)
+    itemized = extension.movement_turns + extension.pre_train_wait
+
+    # An extension whose counted turns exceed C+S(L)+3 fails both bounds.
+    over = overhead_report(_pushed(report, extension, turns=bound + itemized + 1))
+    assert (over.paper_bound_satisfied, over.derived_bound_satisfied) == (False, False)
+    [entry] = [e for e in over.extensions if e["instruction"] == extension.index]
+    assert (entry["counted_turns"], entry["paper_bound"]) == (bound + 1, bound)
+    assert over.excesses == []
+
+    # A plain move that takes a turn beyond its movement fails the derived
+    # bound alone: VI's published bound is per extension.
+    move = next(r for r in report.records if not r.extension and not r.halted)
+    over = overhead_report(_pushed(report, move, turns=move.movement_turns + 1))
+    assert (over.paper_bound_satisfied, over.derived_bound_satisfied) == (True, False)
+    assert all(e["counted_turns"] <= e["paper_bound"] for e in over.extensions)
 
 
 def test_random_tm_reproducible_and_valid():
@@ -234,7 +400,8 @@ def test_vi_food_params_that_validate_never_starve(base, grassland, floodplains,
         return
     # 30 instructions found 15 cities, so cities pass through 2, 3 and 4
     # Citizens; Starvation would propagate out of lockstep_verify.
-    report = lockstep_verify(builtin_program("rogozhin_24_2"), RULESET_VI, {}, 30, params)
+    spec = builtin_program("rogozhin_24_2")
+    report = lockstep_verify(spec, RULESET_VI, {}, 30, program=compile_program(spec, RULESET_VI, params))
     assert report.first_divergence is None
     assert report.world.min_food_observed >= 0
 
@@ -375,7 +542,8 @@ def test_golden_output_digest(name, ruleset, max_instructions):
 @pytest.mark.parametrize("name,ruleset,max_instructions,overrides", sorted(GOLDEN_PARAM_DIGESTS))
 def test_golden_output_digest_with_params(name, ruleset, max_instructions, overrides):
     params = dataclasses.replace(RulesetParams.defaults(ruleset), **dict(overrides))
-    report = lockstep_verify(_golden_machine(name), ruleset, {}, max_instructions, params)
+    spec = _golden_machine(name)
+    report = lockstep_verify(spec, ruleset, {}, max_instructions, program=compile_program(spec, ruleset, params))
     assert _output_digest(report) == GOLDEN_PARAM_DIGESTS[(name, ruleset, max_instructions, overrides)]
 
 
@@ -385,7 +553,7 @@ def test_golden_output_digest_with_waiting_units(name, ruleset, max_instructions
     spec = _golden_machine(name)
     program = compile_program(spec, ruleset, params)
     assert any(m.tape_action.value == action and m.read_symbol == read and m.head_move for m in program.macros.values())
-    report = lockstep_verify(spec, ruleset, {}, max_instructions, params, program=program)
+    report = lockstep_verify(spec, ruleset, {}, max_instructions, program=program)
     executed = [r.macro for r in report.records if r.macro and r.macro.tape_action.value == action and r.read == read]
     assert any(m.head_move and m.state_delta for m in executed)
     assert _output_digest(report) == GOLDEN_WAIT_DIGESTS[(name, ruleset, max_instructions, overrides, action, read)]
@@ -395,7 +563,8 @@ def test_golden_output_digest_with_waiting_units(name, ruleset, max_instructions
 def test_golden_output_digest_with_many_cities(seed, states, max_instructions, ones, overrides):
     params = dataclasses.replace(RulesetParams.defaults(RULESET_VI), **dict(overrides))
     tape = {cell: "1" for cell in ones}
-    report = lockstep_verify(random_tm(seed, states, 2), RULESET_VI, tape, max_instructions, params)
+    spec = random_tm(seed, states, 2)
+    report = lockstep_verify(spec, RULESET_VI, tape, max_instructions, program=compile_program(spec, RULESET_VI, params))
     assert _output_digest(report) == GOLDEN_VI_CITY_DIGESTS[(seed, states, max_instructions, ones, overrides)]
 
 
@@ -416,8 +585,14 @@ def _fast_and_plain(run):
 
 
 def _outcome(spec, ruleset, max_instructions, params):
+    """The run's outputs, or its error; every VI boundary is checked."""
     try:
-        return _output_lines(lockstep_verify(spec, ruleset, {}, max_instructions, params))
+        program = compile_program(spec, ruleset, params)
+        report, boundaries = harness.lockstep(spec, ruleset, {}, max_instructions, program=program)
+        for _ in boundaries:
+            if ruleset == RULESET_VI:
+                check_vi_boundary(report.world)
+        return _output_lines(report)
     except CivUtmError as error:
         return repr(error)
 
@@ -579,8 +754,10 @@ def test_the_food_cache_matches_a_fresh_computation(data, seed, num_states, skip
             patch.setattr(controller, "advance_turn", advance_observed)
             patch.setattr(controller, "skip_quiet_turns", lambda world: world)
         try:
+            check_vi_boundary(world)
             for _ in run_instructions(world, program, 30):
                 _check_food_cache(world)
+                check_vi_boundary(world)
         except MachineStuck:
             pass
 
@@ -678,6 +855,22 @@ def test_vi_double_training_initial_city():
     assert sorted(report.world.cities) == [-2, -1, 0, 1]
 
 
+@pytest.mark.parametrize("direction", ["L", "R"])
+def test_vi_boundary_invariant_holds_past_a_long_initial_tape(direction):
+    # The tape spans 61 cities founded up front; the runner crosses 30 of
+    # them and then extends the strip every second instruction. No extension
+    # waits before its Settler is trained: the end city is at its cap.
+    runner = _walker([("a", "0", "1", direction, "a"), ("a", "1", "1", direction, "a")], states=("a",))
+    tape = {cell: "1" for cell in (-60, -37, -12, 5, 28, 60)}
+    report, boundaries = harness.lockstep(runner, RULESET_VI, tape, 160)
+    assert len(report.world.cities) == 61
+    for _ in boundaries:
+        check_vi_boundary(report.world)
+    extensions = [record for record in report.records if record.extension]
+    assert (report.outcome, len(extensions), len(report.world.cities)) == (STEP_LIMIT, 50, 111)
+    assert all(record.pre_train_wait == 0 for record in extensions)
+
+
 def test_vi_halt_reached_through_an_extension():
     spec = _walker(
         [("a", "0", "1", "R", "b"), ("a", "1", "1", "R", "b"), ("b", "0", "1", "R", "h"), ("b", "1", "1", "R", "h")],
@@ -700,8 +893,8 @@ def test_vi_halt_reached_through_an_extension():
 
 def _reference_verify(spec, ruleset, initial_tape, max_instructions, program):
     """Lockstep verification with a full decode after every instruction."""
-    world = init_world(ruleset, codec.encode_tape(initial_tape, program))
-    report = LockstepReport(ruleset=ruleset, outcome=STEP_LIMIT, instructions_verified=0, world=world)
+    world = init_world(ruleset, codec.encode_tape(initial_tape, program), program.params)
+    report = LockstepReport(program=program, outcome=STEP_LIMIT, instructions_verified=0, world=world)
 
     def diverged(index, oracle_side, game_side):
         report.outcome = DIVERGED
@@ -732,6 +925,9 @@ def _reference_verify(spec, ruleset, initial_tape, max_instructions, program):
             decoded = codec.decode(world, program)
         except MachineStuck:
             game_stuck = True
+        else:
+            if ruleset == RULESET_VI:
+                check_vi_boundary(world)
         if oracle_stuck and game_stuck:
             report.outcome = ORACLE_STUCK
             break

@@ -61,6 +61,13 @@ MUTANTS = (
         ("tests/test_harness.py",),
     ),
     Mutant(
+        "cell-compare-keeps-last-cell-only",
+        HARNESS,
+        "agrees = agrees and read[1].get(cell) == oracle.tape.get(cell)",
+        "agrees = read[1].get(cell) == oracle.tape.get(cell)",
+        ("tests/test_harness.py",),
+    ),
+    Mutant(
         "final-decode-dropped",
         HARNESS,
         "if report.outcome != DIVERGED and codec.decode(world, program) != report.final_config:",
@@ -175,6 +182,28 @@ MUTANTS = (
         "events.append(turn + city.food_stock // -city._delta + 2)",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
+    # The skip's one job rule and its span: BE and V read the jobs table alone.
+    Mutant(
+        "skip-quiet-one-turn-long",
+        WORLD,
+        "quiet = -1 if nearest is None else nearest - turn - 1",
+        "quiet = -1 if nearest is None else nearest - turn",
+        ("tests/test_world.py",),
+    ),
+    Mutant(
+        "skip-quiet-one-turn-short",
+        WORLD,
+        "quiet = -1 if nearest is None else nearest - turn - 1",
+        "quiet = -1 if nearest is None else nearest - turn - 2",
+        ("tests/test_world.py",),
+    ),
+    Mutant(
+        "be-v-skip-taken-on-vi",
+        WORLD,
+        "    if vi:\n        events = [] if nearest is None else [nearest]\n",
+        "    if False:\n        events = [] if nearest is None else [nearest]\n",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
     Mutant(
         "skip-production-short",
         WORLD,
@@ -229,14 +258,14 @@ MUTANTS = (
     Mutant(
         "instruction-end-logged-before-run",
         CONTROLLER,
-        "    if program.ruleset == RULESET_VI:\n"
+        "    if program.params.ruleset == RULESET_VI:\n"
         "        _execute_vi(world, macro, head, record)\n"
         "    else:\n"
         "        _execute_be_v(world, macro, head, record)\n\n"
         "    record.turns = world.turn - start_turn\n"
         '    world.log("controller", "instruction_end", record)\n',
         '    world.log("controller", "instruction_end", record)\n'
-        "    if program.ruleset == RULESET_VI:\n"
+        "    if program.params.ruleset == RULESET_VI:\n"
         "        _execute_vi(world, macro, head, record)\n"
         "    else:\n"
         "        _execute_be_v(world, macro, head, record)\n\n"
@@ -301,8 +330,8 @@ MUTANTS = (
     Mutant(
         "jobs-complete-in-issue-order",
         WORLD,
-        "for uid in sorted(world.jobs):",
-        "for uid in list(world.jobs):",
+        "for uid in sorted(jobs):",
+        "for uid in list(jobs):",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     Mutant(
@@ -349,6 +378,14 @@ MUTANTS = (
         "if unit_id != STATE_WORKER:",
         "if False:",
         ("tests/test_world.py",),
+    ),
+    # The one move rule: a VI tape cell spans city_spacing // 2 hexes.
+    Mutant(
+        "move-turns-vi-factor-dropped",
+        WORLD,
+        "cells *= params.city_spacing // 2",
+        "pass",
+        ("tests/test_world.py", "tests/test_harness.py"),
     ),
     # The units each ruleset starts with.
     Mutant(

@@ -34,7 +34,7 @@ from . import harness, tables
 from .controller import ControllerProgram, compile_program, macro_paper_command, program_to_json
 from .errors import CivUtmError
 from .tm import BUILTIN_NAMES, TMSpec, builtin_program, count_symbol, load_spec
-from .world import RULESET_VI, RULESETS, RulesetParams, yields
+from .world import RULESET_VI, RULESETS, RulesetParams, params_for, yields
 
 TRACE_FORMAT_VERSION = 1
 
@@ -84,13 +84,13 @@ def _load_params(args) -> RulesetParams:
         overrides = json.loads(Path(args.params).read_text())
         if not isinstance(overrides, dict):
             raise CivUtmError("params file must be a JSON object")
-        known = {f.name for f in dataclasses.fields(RulesetParams)}
-        for key, value in overrides.items():
-            if key not in known:
-                raise CivUtmError(f"unknown parameter {key!r}")
-            if key == "ruleset" and value != args.ruleset:
-                raise CivUtmError(f"params file is for ruleset {value!r}, not {args.ruleset!r}")
-    return dataclasses.replace(RulesetParams.defaults(args.ruleset), **overrides)
+    # A file for another ruleset gets params_for's refusal first, whatever its key order.
+    params = params_for(args.ruleset, RulesetParams.defaults(overrides.pop("ruleset", args.ruleset)))
+    known = {f.name for f in dataclasses.fields(RulesetParams)}
+    for key in overrides:
+        if key not in known:
+            raise CivUtmError(f"unknown parameter {key!r}")
+    return dataclasses.replace(params, **overrides)
 
 
 def _compiled(args) -> tuple[dict[int, str], ControllerProgram]:

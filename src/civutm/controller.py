@@ -326,12 +326,6 @@ _TAPE_PLANS = {
 _BUILDS = (TapeAction.BUILD_ROAD, TapeAction.BUILD_RAILROAD)
 
 
-def _next_event(world: WorldState) -> None:
-    """Skip the quiet turns ahead, then take the turn of the next event."""
-    skip_quiet_turns(world)
-    advance_turn(world)
-
-
 def _drive(world: WorldState, lanes: list[tuple]) -> None:
     """Issue each lane's commands as its unit frees up; move from event to
     event until all are done.
@@ -343,7 +337,9 @@ def _drive(world: WorldState, lanes: list[tuple]) -> None:
     change only on event turns, so a second pass would issue nothing and no
     command waits through a skipped turn."""
     jobs = world.jobs
-    queued = sum(len(queue) for _, queue, _ in lanes)
+    queued = 0
+    for _, queue, _ in lanes:
+        queued += len(queue)
     for _ in range(_DRIVE_GUARD):
         for uid, queue, gate in lanes:
             if queue and uid not in jobs and (gate is None or gate(world)):
@@ -351,7 +347,8 @@ def _drive(world: WorldState, lanes: list[tuple]) -> None:
                 queued -= 1
         if not queued and not jobs:
             return
-        _next_event(world)
+        skip_quiet_turns(world)
+        advance_turn(world)
     raise CivUtmError("command schedule failed to converge")
 
 
@@ -383,7 +380,7 @@ def execute_instruction(world: WorldState, program: ControllerProgram, index: in
     record = InstructionRecord(index=index, state_index=idx, read=game_read, macro=macro, halted=macro.halt)
     world.log("controller", "instruction_start", record)
 
-    if program.ruleset == RULESET_VI:
+    if program.params.ruleset == RULESET_VI:
         _execute_vi(world, macro, head, record)
     else:
         _execute_be_v(world, macro, head, record)
@@ -413,8 +410,8 @@ def _execute_be_v(world: WorldState, macro: CommandMacro, head: int, record: Ins
         lanes.append((ROVER, rover, lambda w: w.symbol_at(head) == "road"))
     delta = macro.state_delta
     if delta:
-        state_op = "build_state" if delta > 0 else "remove_state"
-        lanes.append((STATE_WORKER, [Command(op=state_op) for _ in range(abs(delta))], None))
+        # One command, issued |delta| times: a logged command is not mutated.
+        lanes.append((STATE_WORKER, [Command(op="build_state" if delta > 0 else "remove_state")] * abs(delta), None))
     _drive(world, lanes)
 
 
@@ -470,21 +467,24 @@ def extend_tape(world: WorldState, direction: str, record: InstructionRecord) ->
 
     wait_start = world.turn
     while src.citizens < src.growth_cap:
-        _next_event(world)
+        skip_quiet_turns(world)
+        advance_turn(world)
     pre_train_wait = world.turn - wait_start
 
     tape_length = 2 * len(world.cities)
     apply_command(world, PLAYER, Command(op="train_settler", city=src.index))
     cost = src.training_cost
     while SETTLER not in world.units:
-        _next_event(world)
+        skip_quiet_turns(world)
+        advance_turn(world)
 
     settler = [Command(op="move", to=params.city_spacing * new_index), Command(op="found_city", city=new_index)]
     _drive(world, [(TAPE_WORKER, [Command(op="move", to=target)], None), (SETTLER, settler, None)])
 
     new_city = world.cities[new_index]
     while new_city.citizens < new_city.growth_cap:
-        _next_event(world)
+        skip_quiet_turns(world)
+        advance_turn(world)
 
     record.extension = True
     record.movement_turns = move_turns(params, SETTLER, params.city_spacing)  # center to center

@@ -159,7 +159,8 @@ def _boundaries(program: ControllerProgram, start: TMConfig, max_instructions: i
             read = codec.read_cells(world, program, cells)
             agrees = read is not None and read[0] == oracle.state and read[2] == oracle.head
             if agrees:  # on the cells that can have changed: the oracle's, and those the world wrote
-                agrees = all(read[1].get(cell) == oracle.tape.get(cell) for cell in cells)
+                for cell in cells:
+                    agrees = agrees and read[1].get(cell) == oracle.tape.get(cell)
 
         if oracle_stuck and game_stuck:
             report.outcome = ORACLE_STUCK

@@ -134,12 +134,6 @@ class RulesetParams:
         """Production cost of a Settler when the tape is ``tape_length`` cells."""
         return 15 * tape_length + 50
 
-    @property
-    def hexes_per_tape_cell(self) -> int:
-        """Physical hexes between adjacent tape cells (VI: cells sit at city
-        center +/- 1 with centers ``city_spacing`` apart)."""
-        return self.city_spacing // 2 if self.ruleset == RULESET_VI else 1
-
     def __post_init__(self) -> None:
         if self.ruleset not in RULESETS:
             raise IllegalCommand(f"unknown ruleset {self.ruleset!r}")
@@ -450,17 +444,19 @@ _DONE = {op: f"{op}_done" for op in (*_TAPE_OPS, "build_state", "remove_state", 
 
 
 def move_turns(params: RulesetParams, uid: str, cells: int) -> int:
-    """The turns unit ``uid`` takes to move ``cells`` cells: tape cells for
-    the tape worker, physical hexes for a Settler."""
-    per_cell = params.hexes_per_tape_cell if uid == TAPE_WORKER else 1
-    return cells * per_cell * params.worker_move_turns_per_hex
+    """The one move rule: the turns unit ``uid`` takes to move ``cells``
+    cells. A cell is a hex, but a VI tape worker's spans ``city_spacing // 2``
+    (tape cells sit at city center +/- 1, centers ``city_spacing`` apart)."""
+    if uid == TAPE_WORKER and params.ruleset == RULESET_VI:
+        cells *= params.city_spacing // 2
+    return cells * params.worker_move_turns_per_hex
 
 
-def _command_duration(world: WorldState, uid: str, command: Command) -> int:
+def _command_duration(world: WorldState, uid: str, command: Command, tape_op: _TapeOp | None) -> int:
     p = world.params
     op = command.op
-    if op in _TAPE_OPS:
-        return getattr(p, _TAPE_OPS[op].duration)
+    if tape_op is not None:
+        return getattr(p, tape_op.duration)
     if op == "remove_state":
         return p.remove_or_repair_turns
     if op == "build_state":
@@ -479,12 +475,11 @@ def _mistyped(command: Command, name: str, kind: type) -> IllegalCommand:
     return IllegalCommand(f"{command.op} needs {name} to be {kind.__name__}, not {getattr(command, name)!r}")
 
 
-def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
+def _check_legality(world: WorldState, unit_id: str, command: Command, tape_op: _TapeOp | None) -> None:
     op = command.op
     ruleset = world.params.ruleset
 
-    if op in _TAPE_OPS:
-        tape_op = _TAPE_OPS[op]
+    if tape_op is not None:
         if ruleset not in tape_op.rulesets:
             raise IllegalCommand(f"cannot {tape_op.verb} in ruleset {ruleset}")
         if tape_op.unit is not None and unit_id != tape_op.unit:
@@ -574,7 +569,8 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
     elif command.op not in _INSTANT_OPS:
         raise IllegalCommand(f"{command.op} must be issued to a unit")
 
-    _check_legality(world, unit_id, command)
+    tape_op = _TAPE_OPS.get(command.op)  # one lookup for the legality check and the duration
+    _check_legality(world, unit_id, command, tape_op)
 
     if command.op == "set_worked":
         # An unworked cell keeps its entry: the snapshot lists every cell
@@ -591,17 +587,21 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
         _rederive(world, city)
         world.log(unit_id, command.op, {"city": city.index, "cost": city.training_cost})
     else:
-        job = world.jobs[unit_id] = Job(command, world.turn + _command_duration(world, unit_id, command))
+        job = world.jobs[unit_id] = Job(command, world.turn + _command_duration(world, unit_id, command, tape_op))
         world.log(unit_id, command.op, job)
     return world
 
 
-def _complete_job(world: WorldState, uid: str) -> None:
-    job = world.jobs.pop(uid)
+def _complete_if_due(world: WorldState, uid: str) -> None:
+    job = world.jobs[uid]
+    if job.completes_at > world.turn:
+        return
+    del world.jobs[uid]
     command = job.command
     op = command.op
-    if op in _TAPE_OPS:
-        world.tape[command.cell] = _TAPE_OPS[op].result
+    tape_op = _TAPE_OPS.get(op)
+    if tape_op is not None:
+        world.tape[command.cell] = tape_op.result
     elif op == "build_state":
         world.state_count += 1
     elif op == "remove_state":
@@ -669,11 +669,16 @@ def advance_turn(world: WorldState) -> WorldState:
     order, then the live cities, in index order, collect food (a stock below
     zero raises ``Starvation``), make training progress and grow toward their
     caps. Every other city is at its cap, not training and gaining food, so
-    its stock reads through from the clock and the turn does not visit it."""
+    its stock reads through from the clock and the turn does not visit it.
+    A lone job has no order to keep, so only two or more jobs are sorted."""
     world.turn += 1
-    for uid in sorted(world.jobs):
-        if world.jobs[uid].completes_at <= world.turn:
-            _complete_job(world, uid)
+    jobs = world.jobs
+    if len(jobs) > 1:
+        for uid in sorted(jobs):
+            _complete_if_due(world, uid)
+    elif jobs:
+        (uid,) = jobs
+        _complete_if_due(world, uid)
 
     if world.params.ruleset != RULESET_VI:
         return world
@@ -717,18 +722,22 @@ def skip_quiet_turns(world: WorldState) -> WorldState:
 
     An event is a job completing, a city finishing its Settler, a Citizen
     born or a food stock falling below zero; only a live city can raise one
-    of the last three, so only the live cities are visited. Between events
-    every city's food, training and growth change by the same amount each
-    turn, so the skipped span leaves the world exactly as that many
-    ``advance_turn`` calls would; those quiet turns log nothing. With no
-    event pending, or the next one on the coming turn, the world is left as
-    it is. The event turn itself is ``advance_turn``'s, Starvation included.
-    """
+    of the last three, so only the live cities are visited; BE and V have
+    none, so there the jobs table alone is read. Between events, food,
+    training and growth change by the same amount each turn, so the skipped
+    span leaves the world exactly as that many ``advance_turn`` calls would,
+    logging nothing. With no event pending, or the next one on the coming
+    turn, the world is left as it is. The event turn, Starvation included,
+    is ``advance_turn``'s."""
     p = world.params
     turn = world.turn
-    events = [job.completes_at for job in world.jobs.values()]
+    nearest = None  # the next event's turn; a job's is its completes_at
+    for job in world.jobs.values():
+        if nearest is None or job.completes_at < nearest:
+            nearest = job.completes_at
     vi = p.ruleset == RULESET_VI
     if vi:
+        events = [] if nearest is None else [nearest]
         for index in world._live:
             city = world.cities[index]
             if city.training_cost is not None:
@@ -737,7 +746,8 @@ def skip_quiet_turns(world: WorldState) -> WorldState:
                 events.append(turn + p.city_growth_turns - city.growth_progress)
             if city._delta < 0:
                 events.append(turn + city.food_stock // -city._delta + 1)
-    quiet = min(events, default=turn) - turn - 1
+        nearest = min(events, default=None)
+    quiet = -1 if nearest is None else nearest - turn - 1
     if quiet < 1:
         return world
     if vi:

@@ -391,6 +391,26 @@ def test_params_file_rejects_unknown_key(tmp_path, capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize(
+    "params,error",
+    [
+        ({"ruleset": "V"}, "params are for ruleset 'V', not 'BE'"),
+        ({"ruleset": "V", "thz": 1}, "params are for ruleset 'V', not 'BE'"),
+        ({"thz": 1, "ruleset": "V"}, "params are for ruleset 'V', not 'BE'"),
+        ({"ruleset": "XYZ", "thz": 1}, "unknown ruleset 'XYZ'"),
+    ],
+    ids=["other-ruleset", "ruleset-first", "unknown-key-first", "no-such-ruleset"],
+)
+def test_params_file_of_another_ruleset_gets_one_refusal_whatever_the_key_order(tmp_path, capsys, params, error):
+    # The world's refusal (``params_for``, shared with compile_program and
+    # init_world) comes before the unknown-key check.
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    status, out, err = run_cli(capsys, "run", "bb3", "--ruleset", "BE", "--params", str(path))
+    assert (status, out) == (2, "")
+    assert [json.loads(line) for line in err.splitlines()] == [{"error": error}]
+
+
 def test_demo_bb3_rendering(capsys):
     status, out, _ = run_cli(capsys, "demo-bb3", "--ruleset", "BE")
     assert status == 0

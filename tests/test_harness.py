@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import inspect
 import json
+import sys
 
 import pytest
 from hypothesis import given, reject, settings
@@ -995,11 +997,20 @@ def _blank_walker(steps: int) -> TMSpec:
     return _walker(rows, states=states, halting=("h",))
 
 
+def _set_among_rewrites(tape, sym, blank):
+    """Rewrite cells -70 to -61 with the blank they hold, then set cell -60:
+    the changed cell is one of many written, not the last one compared."""
+    for cell in range(-70, -60):
+        tape[cell] = blank
+    tape[-60] = sym
+
+
 # Each changes cell -60 (unwritten) or -50 (holds "1") through the tape's one
 # write path; the walker's head visits cells 0 to 6 only, and it never writes.
 TAPE_MUTATIONS = {
     "setitem": lambda tape, sym, blank: tape.__setitem__(-60, sym),
     "blank": lambda tape, sym, blank: tape.__setitem__(-50, blank),
+    "setitem-among-rewrites": _set_among_rewrites,
 }
 
 
@@ -1109,6 +1120,39 @@ def test_decodes_do_not_grow_with_instructions(monkeypatch):
     report = lockstep_verify(runner, RULESET_BE, {}, 1000)
     assert report.outcome == STEP_LIMIT and report.instructions_verified == 1000
     assert calls == 2
+
+
+# The Python-level calls (``sys.setprofile`` "call" events, generator
+# resumptions included) that a 200-instruction BE run of the right-runner
+# makes, rounded up by 5 % from the CALLS_MEASURED count on Python 3.11.
+CALLS_MEASURED = 8035  # 10,235 before the event cycle was trimmed
+CALLS_BOUND = 8437
+
+
+def test_an_instruction_makes_a_bounded_number_of_calls():
+    # A deterministic cost guard, with no timing in it: each instruction plays
+    # two event cycles (build the road, move), and a change that adds calls
+    # per instruction or per event pushes the count past the bound.
+    runner = _walker([("a", "0", "1", "R", "a"), ("a", "1", "1", "R", "a")], states=("a",))
+    program = compile_program(runner, RULESET_BE)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    # A collection would add the calls of whatever it finalizes (another
+    # test's suspended generator, say) and of any gc callback: none runs.
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        report = lockstep_verify(runner, RULESET_BE, {}, 200, program=program)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert report.instructions_verified == 200
+    assert calls <= CALLS_BOUND, f"{calls} calls, against {CALLS_MEASURED} when the bound was set"
 
 
 def test_the_oracle_steps_one_tape_in_place(monkeypatch):

@@ -32,6 +32,7 @@ from civutm.world import (
     event_entries,
     event_log_lines,
     init_world,
+    move_turns,
     skip_quiet_turns,
     world_snapshot,
     yields,
@@ -499,6 +500,119 @@ def test_jobs_complete_in_unit_id_order():
         (ROVER, "pillage_road_done"),
         (TAPE_WORKER, "build_road_done"),
     ]
+
+
+# Three jobs due on turn 1 on BE (a Terrascape built in one turn), issued
+# tape worker first; a turn completes them in unit-id order.
+_DUE_ON_TURN_ONE = (
+    (TAPE_WORKER, Command(op="build_road", cell=2)),
+    (STATE_WORKER, Command(op="build_state")),
+    (ROVER, Command(op="pillage_road", cell=1)),
+)
+
+
+@pytest.mark.parametrize(
+    "issued,completed",
+    [
+        (0, []),
+        (1, [(TAPE_WORKER, "build_road_done", {"op": "build_road", "cell": 2})]),
+        (
+            3,
+            [
+                (ROVER, "pillage_road_done", {"op": "pillage_road", "cell": 1}),
+                (STATE_WORKER, "build_state_done", {"op": "build_state"}),
+                (TAPE_WORKER, "build_road_done", {"op": "build_road", "cell": 2}),
+            ],
+        ),
+    ],
+    ids=["none", "lone-job", "three-jobs"],
+)
+def test_advance_turn_completes_the_due_jobs_in_unit_id_order(issued, completed):
+    params = dataclasses.replace(RulesetParams.defaults(RULESET_BE), terrascape_build_turns=1)
+    world = init_world(RULESET_BE, {1: "road"}, params)
+    for unit, command in _DUE_ON_TURN_ONE[:issued]:
+        apply_command(world, unit, command)
+    logged = len(world.event_log)
+    advance_turn(world)
+    entries = list(event_entries(world))[logged:]
+    assert [(e["turn"], e["unit"], e["command"], e["detail"]) for e in entries] == [(1, *c) for c in completed]
+    assert world.turn == 1 and world.jobs == {}
+    assert (world.symbol_at(1), world.symbol_at(2), world.state_count) == (
+        ("pillaged_road", "road", 1) if issued == 3 else ("road", "road" if issued else "none", 0)
+    )
+
+
+@pytest.mark.parametrize("units", [(STATE_WORKER,), (TAPE_WORKER, STATE_WORKER)], ids=["lone-job", "two-jobs"])
+def test_advance_turn_keeps_the_jobs_not_yet_due(units):
+    # The state worker's Terrascape takes 3 turns; the tape worker's road 1.
+    world = init_world(RULESET_BE, {})
+    for unit in units:
+        apply_command(world, unit, dict(_DUE_ON_TURN_ONE)[unit])
+    advance_turn(world)
+    assert list(world.jobs) == [STATE_WORKER] and world.jobs[STATE_WORKER].completes_at == 3
+    assert world.state_count == 0 and world.symbol_at(2) == ("road" if TAPE_WORKER in units else "none")
+
+
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V])
+@pytest.mark.parametrize(
+    "road_turns,state_turns,skipped_to",
+    [(None, None, 2), (1, None, 2), (5, None, 6), (5, 3, 4), (None, 5, 6)],
+    ids=["no-job", "due-next-turn", "due-in-5", "earliest-of-two", "state-job-in-5"],
+)
+def test_be_v_skip_stops_the_turn_before_the_next_job(ruleset, road_turns, state_turns, skipped_to):
+    # From turn 2, a job issued for n turns completes on turn 2 + n: the skip
+    # stops one turn short of the earliest one, and logs nothing.
+    durations = {
+        "road_build_turns": road_turns or 1,
+        "terrascape_build_turns": state_turns or 3,  # BE's state job
+        "railroad_build_turns": state_turns or 2,  # V's
+    }
+    world = init_world(ruleset, {}, dataclasses.replace(RulesetParams.defaults(ruleset), **durations))
+    advance_turn(world)
+    advance_turn(world)
+    if road_turns:
+        apply_command(world, TAPE_WORKER, Command(op="build_road", cell=0))
+    if state_turns:
+        apply_command(world, STATE_WORKER, Command(op="build_state"))
+    log = list(world.event_log)
+    skip_quiet_turns(world)
+    assert world.turn == skipped_to and world.event_log == log
+    if road_turns or state_turns:
+        advance_turn(world)
+        assert len(world.event_log) == len(log) + 1  # the earliest job completes on the next turn
+        assert world.event_log[-1][0] == skipped_to + 1
+
+
+@pytest.mark.parametrize(
+    "ruleset,unit,cells,turns",
+    [
+        (RULESET_BE, TAPE_WORKER, 3, 3),
+        (RULESET_V, TAPE_WORKER, 3, 3),
+        (RULESET_VI, TAPE_WORKER, 3, 6),  # a VI tape cell spans city_spacing // 2 = 2 hexes
+        (RULESET_VI, SETTLER, 4, 4),
+    ],
+)
+def test_move_turns_at_the_default_params(ruleset, unit, cells, turns):
+    assert move_turns(RulesetParams.defaults(ruleset), unit, cells) == turns
+
+
+@given(
+    ruleset=st.sampled_from(RULESETS),
+    unit=st.sampled_from((TAPE_WORKER, STATE_WORKER, ROVER, SETTLER)),
+    spacing=st.integers(-2, 12),
+    per_hex=st.integers(-1, 6),
+    cells=st.integers(0, 40),
+)
+@settings(max_examples=300, deadline=None)
+def test_move_turns_is_cells_times_hexes_per_cell_times_turns_per_hex(ruleset, unit, spacing, per_hex, cells):
+    try:
+        params = dataclasses.replace(
+            RulesetParams.defaults(ruleset), city_spacing=spacing, worker_move_turns_per_hex=per_hex
+        )
+    except IllegalCommand:
+        reject()  # params that cannot be made
+    hexes_per_cell = spacing // 2 if ruleset == RULESET_VI and unit == TAPE_WORKER else 1
+    assert move_turns(params, unit, cells) == cells * hexes_per_cell * per_hex
 
 
 def _settler_world():

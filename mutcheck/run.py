@@ -3,12 +3,13 @@
 A mutant is one text replacement in one file under ``src/civutm``. Each is
 applied to a fresh temporary copy of ``src/``, ``tests/`` and
 ``pyproject.toml``, and the test files that cover the mutated code run with
-``pytest -x``. Hypothesis tests are deselected, so a kill does not depend
-on a random draw. Every chosen mutant's text must occur exactly once in its
-file, or the run names all that do not in one JSON error line and exits 2
-before any test runs. The unmutated copy runs first; if it fails, nothing is
-judged. Prints the kill matrix as JSON lines and exits 1 unless every
-mutant is killed.
+``pytest -x``, one mutant per CPU at a time. Hypothesis tests are
+deselected, so a kill does not depend on a random draw. Every chosen
+mutant's text must occur exactly once in its file, or the run names all
+that do not in one JSON error line and exits 2 before any test runs. The
+unmutated copy runs first; if it fails, nothing is judged. Prints the kill
+matrix as JSON lines, in ``MUTANTS`` order, and exits 1 unless every mutant
+is killed.
 
 Usage (from the repository root; stdlib plus the test dependencies)::
 
@@ -26,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,15 +173,23 @@ MUTANTS = (
     Mutant(
         "skip-growth-event-late",
         WORLD,
-        "events.append(turn + p.city_growth_turns - city.growth_progress)",
-        "events.append(turn + p.city_growth_turns - city.growth_progress + 1)",
+        "event = turn + p.city_growth_turns - city.growth_progress\n",
+        "event = turn + p.city_growth_turns - city.growth_progress + 1\n",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     Mutant(
         "skip-starvation-event-late",
         WORLD,
-        "events.append(turn + city.food_stock // -city._delta + 1)",
-        "events.append(turn + city.food_stock // -city._delta + 2)",
+        "event = turn + city.food_stock // -city._delta + 1\n",
+        "event = turn + city.food_stock // -city._delta + 2\n",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    # The VI scan's running minimum keeps the earliest event, not the first.
+    Mutant(
+        "running-minimum-keeps-first-vi-event",
+        WORLD,
+        "city.growth_progress\n                if nearest is None or event < nearest:",
+        "city.growth_progress\n                if nearest is None:",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     # The skip's one job rule and its span: BE and V read the jobs table alone.
@@ -200,8 +210,8 @@ MUTANTS = (
     Mutant(
         "be-v-skip-taken-on-vi",
         WORLD,
-        "    if vi:\n        events = [] if nearest is None else [nearest]\n",
-        "    if False:\n        events = [] if nearest is None else [nearest]\n",
+        "    if vi:\n        for index in world._live:\n",
+        "    if False:\n        for index in world._live:\n",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     Mutant(
@@ -243,8 +253,29 @@ MUTANTS = (
     Mutant(
         "first-turn-visit-dropped",
         WORLD,
-        "return world.cities if world.min_food_observed is None else world._live",
-        "return world._live",
+        "visited = world.cities if world.min_food_observed is None else world._live",
+        "visited = world._live",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "first-skip-visit-dropped",
+        WORLD,
+        "for index in world.cities if world.min_food_observed is None else world._live:",
+        "for index in world._live:",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "lone-live-city-not-copied",
+        WORLD,
+        "if len(visited) > 1 else list(visited):",
+        "if len(visited) > 1 else visited:",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "city-food-counts-first-cell-only",
+        WORLD,
+        '(get(cell) == "worked") + (get(cell + 1) == "worked")',
+        '(get(cell) == "worked")',
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     Mutant(
@@ -430,6 +461,19 @@ def _first_failure(output: str) -> str | None:
     return match.group(1) if match else None
 
 
+def _judge(tmp: Path, mutant: Mutant) -> dict:
+    dest = tmp / mutant.name
+    _copy(dest)
+    _apply(dest, mutant)
+    status, output, seconds = _pytest(dest, mutant.tests)
+    shutil.rmtree(dest)
+    # pytest exits 1 when a test failed; any other status means the mutant
+    # did not run (an import error, say), which proves nothing.
+    verdict = {0: "survived", 1: "killed"}.get(status, f"error (pytest status {status})")
+    row = {"mutant": mutant.name, "file": mutant.path, "verdict": verdict, "killed_by": _first_failure(output)}
+    return {**row, "s": round(seconds, 1)}
+
+
 def main(names: list[str]) -> int:
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
@@ -452,18 +496,10 @@ def main(names: list[str]) -> int:
             return 2
         print(json.dumps({"baseline": "passed", "tests": list(files), "s": round(seconds, 1)}))
         survivors = 0
-        for mutant in chosen:
-            dest = Path(tmp) / mutant.name
-            _copy(dest)
-            _apply(dest, mutant)
-            status, output, seconds = _pytest(dest, mutant.tests)
-            # pytest exits 1 when a test failed; any other status means the
-            # mutant did not run (an import error, say), which proves nothing.
-            verdict = {0: "survived", 1: "killed"}.get(status, f"error (pytest status {status})")
-            survivors += verdict != "killed"
-            row = {"mutant": mutant.name, "file": mutant.path, "verdict": verdict, "killed_by": _first_failure(output)}
-            print(json.dumps({**row, "s": round(seconds, 1)}))
-            shutil.rmtree(dest)
+        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+            for row in pool.map(lambda mutant: _judge(Path(tmp), mutant), chosen):
+                survivors += row["verdict"] != "killed"
+                print(json.dumps(row), flush=True)
     print(json.dumps({"mutants": len(chosen), "killed": len(chosen) - survivors}))
     return 0 if survivors == 0 else 1
 

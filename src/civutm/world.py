@@ -457,12 +457,12 @@ def _command_duration(world: WorldState, uid: str, command: Command, tape_op: _T
     op = command.op
     if tape_op is not None:
         return getattr(p, tape_op.duration)
+    if op == "move":
+        return move_turns(p, uid, abs(command.to - world.units[uid]))
     if op == "remove_state":
         return p.remove_or_repair_turns
     if op == "build_state":
         return p.terrascape_build_turns if p.ruleset == RULESET_BE else p.railroad_build_turns
-    if op == "move":
-        return move_turns(p, uid, abs(command.to - world.units[uid]))
     if op == "found_city":
         return p.settler_found_turns
     raise IllegalCommand(f"unknown command {op!r}")
@@ -489,14 +489,17 @@ def _check_legality(world: WorldState, unit_id: str, command: Command, tape_op: 
         symbol = world.symbol_at(command.cell)
         if symbol not in tape_op.requires:
             raise IllegalCommand(f"cannot {tape_op.verb} on {symbol} at cell {command.cell}")
-    elif op in ("build_state", "remove_state"):
-        build = op == "build_state"
-        if ruleset == RULESET_VI:
-            raise IllegalCommand("VI encodes state via citizen reassignment, not builds")
-        if unit_id != STATE_WORKER:
-            raise IllegalCommand(f"only the {STATE_WORKER} can {'build in' if build else 'remove from'} the state region")
-        if world.state_count == (world.params.state_region_tiles if build else 0):
-            raise IllegalCommand(f"state region is {'full' if build else 'empty'}")
+    elif op == "move":
+        if type(command.to) is not int:
+            raise _mistyped(command, "to", int)
+    elif op == "shift_monasteries":
+        if ruleset != RULESET_VI:
+            raise IllegalCommand("monasteries exist only in ruleset VI")
+        if type(command.count) is not int:
+            raise _mistyped(command, "count", int)
+        new_count = world.state_count + command.count
+        if not 0 <= new_count <= world.params.state_region_tiles:
+            raise IllegalCommand(f"cannot work {new_count} monasteries in a region of {world.params.state_region_tiles}")
     elif op == "set_worked":
         if ruleset != RULESET_VI:
             raise IllegalCommand("citizen assignment exists only in ruleset VI")
@@ -507,17 +510,9 @@ def _check_legality(world: WorldState, unit_id: str, command: Command, tape_op: 
         city = world.city_of_cell(command.cell)
         if city is None:
             raise IllegalCommand(f"cell {command.cell} is not owned by any city")
-        if command.worked:
-            if world.tape.get(command.cell) != "worked" and _worked_tape_cells(world, city) >= city.citizens - 1:
+        if command.worked and world.tape.get(command.cell) != "worked":
+            if list(map(world.tape.get, city.tape_cells)).count("worked") >= city.citizens - 1:
                 raise IllegalCommand(f"city {city.index} has no free citizen to work cell {command.cell}")
-    elif op == "shift_monasteries":
-        if ruleset != RULESET_VI:
-            raise IllegalCommand("monasteries exist only in ruleset VI")
-        if type(command.count) is not int:
-            raise _mistyped(command, "count", int)
-        new_count = world.state_count + command.count
-        if not 0 <= new_count <= world.params.state_region_tiles:
-            raise IllegalCommand(f"cannot work {new_count} monasteries in a region of {world.params.state_region_tiles}")
     elif op == "train_settler":
         if ruleset != RULESET_VI:
             raise IllegalCommand("settlers exist only in ruleset VI")
@@ -545,9 +540,14 @@ def _check_legality(world: WorldState, unit_id: str, command: Command, tape_op: 
         # extension keeps every pair of adjacent centers city_spacing apart.
         if world.cities and index - 1 not in world.cities and index + 1 not in world.cities:
             raise IllegalCommand(f"city {index} would not extend the strip contiguously")
-    elif op == "move":
-        if type(command.to) is not int:
-            raise _mistyped(command, "to", int)
+    elif op in ("build_state", "remove_state"):
+        build = op == "build_state"
+        if ruleset == RULESET_VI:
+            raise IllegalCommand("VI encodes state via citizen reassignment, not builds")
+        if unit_id != STATE_WORKER:
+            raise IllegalCommand(f"only the {STATE_WORKER} can {'build in' if build else 'remove from'} the state region")
+        if world.state_count == (world.params.state_region_tiles if build else 0):
+            raise IllegalCommand(f"state region is {'full' if build else 'empty'}")
     else:
         raise IllegalCommand(f"unknown command {op!r}")
 
@@ -602,15 +602,15 @@ def _complete_if_due(world: WorldState, uid: str) -> None:
     tape_op = _TAPE_OPS.get(op)
     if tape_op is not None:
         world.tape[command.cell] = tape_op.result
-    elif op == "build_state":
-        world.state_count += 1
-    elif op == "remove_state":
-        world.state_count -= 1
     elif op == "move":
         world.units[uid] = command.to
         if uid == TAPE_WORKER and ROVER in world.units:
             # The rover shadows the tape worker: both arrive together.
             world.units[ROVER] = command.to
+    elif op == "build_state":
+        world.state_count += 1
+    elif op == "remove_state":
+        world.state_count -= 1
     elif op == "found_city":
         index = command.city
         city = world.cities[index] = City(index=index, citizens=2, growth_cap=4, _world=weakref.proxy(world))
@@ -622,17 +622,14 @@ def _complete_if_due(world: WorldState, uid: str) -> None:
     world.log(uid, _DONE[op], command)
 
 
-def _worked_tape_cells(world: WorldState, city: City) -> int:
-    """How many of ``city``'s two tape cells are set worked."""
-    return sum(1 for c in city.tape_cells if world.tape.get(c) == "worked")
-
-
 def _city_food_delta(world: WorldState, city: City) -> tuple[int, int]:
     """(income, upkeep) for one turn. One citizen is locked to the center
     (its yield is inside city_base_food); citizens the tape demands work the
-    grassland cells; everyone else works a floodplain."""
+    grassland cells; everyone else works a floodplain. It runs on every event
+    that touches a city, so it reads the two tape cells directly."""
     p = world.params
-    tape_workers = min(_worked_tape_cells(world, city), city.citizens - 1)
+    get, cell = world.tape.get, 2 * city.index
+    tape_workers = min((get(cell) == "worked") + (get(cell + 1) == "worked"), city.citizens - 1)
     idle = city.citizens - 1 - tape_workers
     income = p.city_base_food + p.grassland_food * tape_workers + p.floodplains_food * idle
     upkeep = p.citizen_food_upkeep * city.citizens
@@ -656,21 +653,15 @@ def _rederive(world: WorldState, city: City) -> None:
         world._live.discard(city.index)
 
 
-def _visited(world: WorldState):
-    """The cities a turn visits: the live ones, or every city while no turn
-    has passed. A city outside the live set only gains food, so once a turn
-    has observed its stock, every later stock is at least one already seen
-    and ``min_food_observed`` needs no visit to it."""
-    return world.cities if world.min_food_observed is None else world._live
-
-
 def advance_turn(world: WorldState) -> WorldState:
     """Advance one turn: jobs whose time has come take effect in unit-id
-    order, then the live cities, in index order, collect food (a stock below
-    zero raises ``Starvation``), make training progress and grow toward their
-    caps. Every other city is at its cap, not training and gaining food, so
-    its stock reads through from the clock and the turn does not visit it.
-    A lone job has no order to keep, so only two or more jobs are sorted."""
+    order, then the live cities (every city while no turn has passed), in
+    index order, collect food (a stock below zero raises ``Starvation``),
+    make training progress and grow toward their caps. Any other city is at
+    its cap, not training and gaining food: its stock reads through from the
+    clock, and it is never below one already observed. Only two or more jobs
+    or cities are sorted; a lone city is still copied, as ``_rederive``
+    edits the live set during the loop."""
     world.turn += 1
     jobs = world.jobs
     if len(jobs) > 1:
@@ -684,7 +675,8 @@ def advance_turn(world: WorldState) -> WorldState:
         return world
 
     p = world.params
-    for index in sorted(_visited(world)):
+    visited = world.cities if world.min_food_observed is None else world._live
+    for index in sorted(visited) if len(visited) > 1 else list(visited):
         city = world.cities[index]
         stock = city.food_stock
         if world.min_food_observed is None or stock < world.min_food_observed:
@@ -721,14 +713,15 @@ def skip_quiet_turns(world: WorldState) -> WorldState:
     skipped turns in closed form.
 
     An event is a job completing, a city finishing its Settler, a Citizen
-    born or a food stock falling below zero; only a live city can raise one
-    of the last three, so only the live cities are visited; BE and V have
-    none, so there the jobs table alone is read. Between events, food,
-    training and growth change by the same amount each turn, so the skipped
-    span leaves the world exactly as that many ``advance_turn`` calls would,
-    logging nothing. With no event pending, or the next one on the coming
-    turn, the world is left as it is. The event turn, Starvation included,
-    is ``advance_turn``'s."""
+    born or a food stock falling below zero. The next one is a running
+    minimum over the jobs and, in VI, the live cities, the only ones that
+    can raise the last three (BE and V read the jobs table alone). Between
+    events, food, training and growth change by the same amount each turn,
+    so the skipped span leaves the world exactly as that many
+    ``advance_turn`` calls would, visiting the cities they visit and logging
+    nothing. With no event pending, or the next one on the coming turn, the
+    world is left as it is. The event turn, Starvation included, is
+    ``advance_turn``'s."""
     p = world.params
     turn = world.turn
     nearest = None  # the next event's turn; a job's is its completes_at
@@ -737,21 +730,25 @@ def skip_quiet_turns(world: WorldState) -> WorldState:
             nearest = job.completes_at
     vi = p.ruleset == RULESET_VI
     if vi:
-        events = [] if nearest is None else [nearest]
         for index in world._live:
             city = world.cities[index]
             if city.training_cost is not None:
-                events.append(turn - (city.production_stock - city.training_cost) // p.production_per_turn)
+                event = turn - (city.production_stock - city.training_cost) // p.production_per_turn
+                if nearest is None or event < nearest:
+                    nearest = event
             if city.citizens < city.growth_cap:
-                events.append(turn + p.city_growth_turns - city.growth_progress)
+                event = turn + p.city_growth_turns - city.growth_progress
+                if nearest is None or event < nearest:
+                    nearest = event
             if city._delta < 0:
-                events.append(turn + city.food_stock // -city._delta + 1)
-        nearest = min(events, default=None)
+                event = turn + city.food_stock // -city._delta + 1
+                if nearest is None or event < nearest:
+                    nearest = event
     quiet = -1 if nearest is None else nearest - turn - 1
     if quiet < 1:
         return world
     if vi:
-        for index in _visited(world):
+        for index in world.cities if world.min_food_observed is None else world._live:
             city = world.cities[index]
             # Food is linear over the span: its lowest stock is at one end.
             lowest = city.food_stock + city._delta * (1 if city._delta >= 0 else quiet)

@@ -1124,17 +1124,17 @@ def test_decodes_do_not_grow_with_instructions(monkeypatch):
 
 # The Python-level calls (``sys.setprofile`` "call" events, generator
 # resumptions included) that a 200-instruction BE run of the right-runner
-# makes, rounded up by 5 % from the CALLS_MEASURED count on Python 3.11.
+# and an 80-instruction VI run of rogozhin_24_2 make, each rounded up by 5 %
+# from its count measured on Python 3.11.
 CALLS_MEASURED = 8035  # 10,235 before the event cycle was trimmed
 CALLS_BOUND = 8437
+VI_CALLS_MEASURED = 5280  # 6,803 before the VI event cycle was trimmed
+VI_CALLS_BOUND = 5544
 
 
-def test_an_instruction_makes_a_bounded_number_of_calls():
-    # A deterministic cost guard, with no timing in it: each instruction plays
-    # two event cycles (build the road, move), and a change that adds calls
-    # per instruction or per event pushes the count past the bound.
-    runner = _walker([("a", "0", "1", "R", "a"), ("a", "1", "1", "R", "a")], states=("a",))
-    program = compile_program(runner, RULESET_BE)
+def _calls_of_a_run(spec, ruleset, max_instructions) -> int:
+    """The calls one ``lockstep_verify`` of a program compiled beforehand makes."""
+    program = compile_program(spec, ruleset)
     calls = 0
 
     def count(frame, event, arg):
@@ -1147,12 +1147,29 @@ def test_an_instruction_makes_a_bounded_number_of_calls():
     gc.disable()
     sys.setprofile(count)
     try:
-        report = lockstep_verify(runner, RULESET_BE, {}, 200, program=program)
+        report = lockstep_verify(spec, ruleset, {}, max_instructions, program=program)
     finally:
         sys.setprofile(None)
         gc.enable()
-    assert report.instructions_verified == 200
+    assert report.instructions_verified == max_instructions
+    return calls
+
+
+def test_an_instruction_makes_a_bounded_number_of_calls():
+    # A deterministic cost guard, with no timing in it: each instruction plays
+    # two event cycles (build the road, move), and a change that adds calls
+    # per instruction or per event pushes the count past the bound.
+    runner = _walker([("a", "0", "1", "R", "a"), ("a", "1", "1", "R", "a")], states=("a",))
+    calls = _calls_of_a_run(runner, RULESET_BE, 200)
     assert calls <= CALLS_BOUND, f"{calls} calls, against {CALLS_MEASURED} when the bound was set"
+
+
+def test_a_vi_instruction_makes_a_bounded_number_of_calls():
+    # The VI counterpart: rogozhin_24_2 from a blank tape founds a city every
+    # second instruction, so the run plays 280 event cycles, most of them
+    # inside a tape extension.
+    calls = _calls_of_a_run(builtin_program("rogozhin_24_2"), RULESET_VI, 80)
+    assert calls <= VI_CALLS_BOUND, f"{calls} calls, against {VI_CALLS_MEASURED} when the bound was set"
 
 
 def test_the_oracle_steps_one_tape_in_place(monkeypatch):

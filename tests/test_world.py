@@ -319,6 +319,25 @@ def test_vi_a_city_at_its_cap_starves_on_time():
     assert world.min_food_observed == -3
 
 
+def test_vi_skip_stops_before_a_birth_due_ahead_of_a_job():
+    # City 1's third Citizen is born city_growth_turns - 1 turns after its
+    # founding turn; a tape-worker move issued then takes 40 turns. The skip
+    # keeps the earlier event, whichever it met first.
+    world = init_world(RULESET_VI, {})
+    apply_command(world, PLAYER, Command(op="train_settler", city=0))
+    while SETTLER not in world.units:
+        advance_turn(world)
+    apply_command(world, SETTLER, Command(op="found_city", city=1))
+    while 1 not in world.cities:
+        advance_turn(world)
+    born = world.turn + world.params.city_growth_turns - 1
+    apply_command(world, TAPE_WORKER, Command(op="move", to=20))
+    skip_quiet_turns(world)
+    assert world.turn == born - 1
+    advance_turn(world)
+    assert world.event_log[-1][1:] == ("world", "citizen_born", {"city": 1, "citizens": 3})
+
+
 def test_vi_food_follows_the_events_that_touch_a_city():
     # A 4-Citizen city yields 5 food a turn with both cells unworked (three
     # floodplains), 4 with one worked and 3 with both; a city founded on a

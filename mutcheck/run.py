@@ -379,7 +379,7 @@ MUTANTS = (
         "pass",
         ("tests/test_controller.py", "tests/test_harness.py"),
     ),
-    # The BE/V tape-plan table.
+    # The BE/V tape plans: the table, and the remove-first rule in tape_plan.
     Mutant(
         "tape-plan-entry-swapped",
         CONTROLLER,
@@ -390,9 +390,17 @@ MUTANTS = (
     Mutant(
         "remove-first-check-dropped",
         CONTROLLER,
-        'if macro.tape_action in _BUILDS and world.symbol_at(head) != "none":',
+        'if macro.tape_action in ("build_road", "build_railroad") and macro.read_symbol != "none":',
         "if False:",
         ("tests/test_controller.py", "tests/test_harness.py"),
+    ),
+    # The derived bound folds the whole plan over the world's durations.
+    Mutant(
+        "macro-turns-rover-dropped",
+        HARNESS,
+        "for op in (*worker_ops, *rover_ops))",
+        "for op in worker_ops)",
+        ("tests/test_harness.py",),
     ),
     # Commands fail closed on a missing or mistyped target.
     Mutant(

@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 
 from . import harness, tables
-from .controller import ControllerProgram, compile_program, macro_paper_command, program_to_json
+from .controller import ControllerProgram, check_state_region, compile_program, macro_paper_command, program_to_json
 from .errors import CivUtmError
 from .tm import BUILTIN_NAMES, TMSpec, builtin_program, count_symbol, load_spec
 from .world import RULESET_VI, RULESETS, RulesetParams, params_for, yields
@@ -181,14 +181,15 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     tape, program = _compiled(args)
-    # The sweep's machines are drawn and compiled with the run's params
-    # first, so a malformed sweep argument, or a machine the params cannot
-    # hold, fails before anything is printed. VI encodes two symbols.
+    # A malformed sweep argument, or a machine the params cannot hold
+    # (refused before it is drawn), fails before anything is printed: the
+    # sweep's machines are drawn and compiled first. VI encodes two symbols.
     if not 1 <= args.random_symbols <= 3:
         raise CivUtmError("--random-symbols must be between 1 and 3")
     symbols = min(args.random_symbols, 2) if args.ruleset == RULESET_VI else args.random_symbols
     machines = []
     for seed in _parse_seeds(args.seeds):
+        check_state_region(args.random_states, program.params)
         rnd = harness.random_tm(seed, args.random_states, symbols)
         machines.append((seed, rnd, compile_program(rnd, args.ruleset, program.params)))
     report = harness.lockstep_verify(program.spec, args.ruleset, tape, args.max_instructions, program=program)

@@ -21,9 +21,10 @@ outcome, not an exception.
 ``overhead_report`` turns the records of a completed run's report into
 per-instruction turn counts and compares them against the published
 per-instruction bounds (5T+M for BE, 4·B_rr+1 for V, C+S(L)+3 per tape
-extension for VI) and against a tight bound derived from the params that
-the run's program was compiled with. Turns those bounds do not count
-(movement, the extra pillage turn, growth waits) are itemized, never hidden.
+extension for VI) and, on BE and V, against a tight bound: ``macro_turns``
+folds each macro's ``controller.tape_plan`` over the world's own job
+durations. Turns the published bounds do not count (movement, the extra
+pillage turn, growth waits) are itemized, never hidden.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ from .controller import (
     CommandMacro,
     ControllerProgram,
     InstructionRecord,
-    TapeAction,
     compile_program,
     execute_instruction,
+    tape_plan,
 )
 from .errors import CivUtmError, CompileError, MachineStuck
 from .tm import Machine, TMConfig, TMSpec, Transition, initial_config, validate_spec
 from .tm import step_in_place as step  # looked up here at call time, so a tracer can wrap it
-from .world import RULESET_BE, RULESET_V, RULESET_VI, TAPE_WORKER, RulesetParams, WorldState, init_world, move_turns
+from .world import RULESET_BE, RULESET_V, RULESET_VI, TAPE_WORKER, RulesetParams, WorldState, init_world, move_turns, op_turns
 
 EQUIVALENT = "equivalent"
 DIVERGED = "diverged"
@@ -227,33 +228,23 @@ class OverheadReport:
         return asdict(self)
 
 
-def _macro_costs(macro: CommandMacro, params: RulesetParams) -> tuple[int, int]:
-    """(tape turns, state turns) one macro costs, movement excluded."""
-    p = params
-    action = macro.tape_action
-    tape = {
-        TapeAction.LEAVE: 0,
-        TapeAction.BUILD_ROAD: p.road_build_turns,
-        TapeAction.BUILD_RAILROAD: p.railroad_build_turns,
-        TapeAction.REMOVE_IMPROVEMENT: p.remove_or_repair_turns,
-        TapeAction.PILLAGE_ROAD: p.remove_or_repair_turns,
-        TapeAction.REPAIR_ROAD: p.remove_or_repair_turns,
-        TapeAction.BUILD_ROAD_THEN_PILLAGE: p.road_build_turns + p.remove_or_repair_turns,
-        TapeAction.SET_WORKED: 0,
-        TapeAction.SET_UNWORKED: 0,
-    }[action]
-    if action in (TapeAction.BUILD_ROAD, TapeAction.BUILD_RAILROAD) and macro.read_symbol != "none":
-        tape += p.remove_or_repair_turns  # the standing improvement is removed first
-    build_cost = p.terrascape_build_turns if p.ruleset == RULESET_BE else p.railroad_build_turns
-    state = macro.state_delta * build_cost if macro.state_delta > 0 else -macro.state_delta * p.remove_or_repair_turns
-    return tape, state
+def macro_turns(macro: CommandMacro, params: RulesetParams) -> int:
+    """The turns a BE/V macro takes, folded from ``world``'s own durations:
+    its plan's ops one after another, then the head's move unless it halts,
+    against the state worker's |delta| builds or removals alongside. Exact
+    but for a rover's pillage, which may overlap the move."""
+    worker_ops, rover_ops = tape_plan(macro)
+    tape = sum(op_turns(params, op) for op in (*worker_ops, *rover_ops))
+    move = 0 if macro.halt else move_turns(params, TAPE_WORKER, 1)
+    state = abs(macro.state_delta) * op_turns(params, "build_state" if macro.state_delta > 0 else "remove_state")
+    return max(tape + move, state)
 
 
-def paper_instruction_bound(ruleset: str, params: RulesetParams) -> int | None:
+def paper_instruction_bound(params: RulesetParams) -> int | None:
     """The published per-instruction overhead bound (movement not counted)."""
-    if ruleset == RULESET_BE:
+    if params.ruleset == RULESET_BE:
         return 5 * params.terrascape_build_turns + params.road_build_turns
-    if ruleset == RULESET_V:
+    if params.ruleset == RULESET_V:
         return 4 * params.railroad_build_turns + 1
     return None  # VI's published bound is per tape extension, see below
 
@@ -266,18 +257,11 @@ def paper_extension_bound(params: RulesetParams, settler_cost_turns: int) -> int
 
 
 def derived_instruction_bound(program: ControllerProgram) -> int | None:
-    """Tight per-instruction bound from the macros and the program's params,
-    movement and the pillage turn included. The tape worker moves after its
-    tape job while the state worker may still build: the tracks overlap."""
+    """Tight per-instruction bound: the most ``macro_turns`` of any of the
+    program's macros, under its params; None for VI."""
     if program.ruleset == RULESET_VI:
         return None
-    move = move_turns(program.params, TAPE_WORKER, 1)
-    worst = 0
-    for macro in program.macros.values():
-        tape, state = _macro_costs(macro, program.params)
-        total = max(tape + (0 if macro.halt else move), state)
-        worst = max(worst, total)
-    return worst
+    return max((macro_turns(macro, program.params) for macro in program.macros.values()), default=0)
 
 
 def overhead_report(report: LockstepReport) -> OverheadReport:
@@ -286,7 +270,7 @@ def overhead_report(report: LockstepReport) -> OverheadReport:
     per_instruction = []
     excesses = []
     extensions = []
-    paper = paper_instruction_bound(program.ruleset, program.params)
+    paper = paper_instruction_bound(program.params)
     derived = derived_instruction_bound(program)
     paper_ok = derived_ok = True
 

@@ -452,19 +452,18 @@ def move_turns(params: RulesetParams, uid: str, cells: int) -> int:
     return cells * params.worker_move_turns_per_hex
 
 
-def _command_duration(world: WorldState, uid: str, command: Command, tape_op: _TapeOp | None) -> int:
-    p = world.params
-    op = command.op
+def op_turns(params: RulesetParams, op: str) -> int:
+    """The turns of a job that is not a move: a tape op, a state-region build
+    (a Terrascape on BE, a Railroad on V) or removal, or founding a city."""
+    tape_op = _TAPE_OPS.get(op)
     if tape_op is not None:
-        return getattr(p, tape_op.duration)
-    if op == "move":
-        return move_turns(p, uid, abs(command.to - world.units[uid]))
-    if op == "remove_state":
-        return p.remove_or_repair_turns
+        return getattr(params, tape_op.duration)
     if op == "build_state":
-        return p.terrascape_build_turns if p.ruleset == RULESET_BE else p.railroad_build_turns
+        return params.terrascape_build_turns if params.ruleset == RULESET_BE else params.railroad_build_turns
+    if op == "remove_state":
+        return params.remove_or_repair_turns
     if op == "found_city":
-        return p.settler_found_turns
+        return params.settler_found_turns
     raise IllegalCommand(f"unknown command {op!r}")
 
 
@@ -475,10 +474,11 @@ def _mistyped(command: Command, name: str, kind: type) -> IllegalCommand:
     return IllegalCommand(f"{command.op} needs {name} to be {kind.__name__}, not {getattr(command, name)!r}")
 
 
-def _check_legality(world: WorldState, unit_id: str, command: Command, tape_op: _TapeOp | None) -> None:
+def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
     op = command.op
     ruleset = world.params.ruleset
 
+    tape_op = _TAPE_OPS.get(op)
     if tape_op is not None:
         if ruleset not in tape_op.rulesets:
             raise IllegalCommand(f"cannot {tape_op.verb} in ruleset {ruleset}")
@@ -569,8 +569,7 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
     elif command.op not in _INSTANT_OPS:
         raise IllegalCommand(f"{command.op} must be issued to a unit")
 
-    tape_op = _TAPE_OPS.get(command.op)  # one lookup for the legality check and the duration
-    _check_legality(world, unit_id, command, tape_op)
+    _check_legality(world, unit_id, command)
 
     if command.op == "set_worked":
         # An unworked cell keeps its entry: the snapshot lists every cell
@@ -587,7 +586,11 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
         _rederive(world, city)
         world.log(unit_id, command.op, {"city": city.index, "cost": city.training_cost})
     else:
-        job = world.jobs[unit_id] = Job(command, world.turn + _command_duration(world, unit_id, command, tape_op))
+        if command.op == "move":
+            turns = move_turns(world.params, unit_id, abs(command.to - world.units[unit_id]))
+        else:
+            turns = op_turns(world.params, command.op)
+        job = world.jobs[unit_id] = Job(command, world.turn + turns)
         world.log(unit_id, command.op, job)
     return world
 

@@ -478,14 +478,21 @@ def test_malformed_budget_or_sweep_fails_before_any_output(capsys, argv):
     assert len(err.splitlines()) == 1 and "error" in json.loads(err)
 
 
-def test_sweep_machine_the_params_cannot_hold_fails_before_any_output(capsys):
-    # 11 states need 10 state-region tiles and BE's default params give 9:
-    # the sweep's machine is compiled before the main machine's lines print.
-    status, out, err = run_cli(capsys, "verify", "bb3", "--random-states", "11", "--seeds", "1")
-    assert status == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert json.loads(err) == {"error": "11 states need a state region of at least 10 tiles; params provide 9"}
+def test_sweep_machine_the_params_cannot_hold_fails_before_any_output(capsys, monkeypatch):
+    # 11 states need 10 state-region tiles and BE's default params give 9.
+    # The state region is checked before any machine is drawn (drawing one
+    # of 10**8 states would not finish) and before the main machine's lines
+    # print.
+    def draw(*args):
+        raise AssertionError("random_tm was called")
+
+    monkeypatch.setattr(harness, "random_tm", draw)
+    for states in (11, 200_000, 10**8):
+        status, out, err = run_cli(capsys, "verify", "bb3", "--random-states", str(states), "--seeds", "1")
+        assert (status, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        message = f"{states} states need a state region of at least {states - 1} tiles; params provide 9"
+        assert json.loads(err) == {"error": message}
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from civutm.controller import (
     extend_tape,
     macro_paper_command,
     program_to_json,
+    tape_plan,
     vi_state_delta,
     vi_work_command,
 )
@@ -483,8 +484,9 @@ def test_extend_tape_requires_crossing():
         extend_tape(world, "R", _blank_record())  # head 0 -> 1 stays inside city 0
 
 
-# The BE/V tape-plan table: every tape action the compiler emits for BE or V
-# has a plan, and executing it writes the symbol the action names.
+# The BE/V tape plans: every tape action the compiler emits for BE or V has
+# a plan, executing it issues the plan's ops and writes the symbol the action
+# names.
 _BE_V_WRITES = [
     (ruleset, read, write)
     for ruleset in (RULESET_BE, RULESET_V)
@@ -495,14 +497,15 @@ _BE_V_WRITES = [
 @pytest.mark.parametrize(("ruleset", "read", "write"), _BE_V_WRITES)
 def test_tape_plan_writes_what_its_action_names(ruleset, read, write):
     action = TapeAction.LEAVE if read == write else controller._TAPE_ACTIONS[ruleset][(read, write)]
-    assert action in controller._TAPE_PLANS
     macro = CommandMacro(tape_action=action, head_move=None, state_delta=0, read_symbol=read, write_symbol=write)
+    worker_ops, rover_ops = tape_plan(macro)  # raises for an action with no BE/V plan
     world = init_world(ruleset, {} if read == "none" else {0: read})
     record = InstructionRecord(index=1, state_index=0, read=read, macro=macro)
     controller._execute_be_v(world, macro, 0, record)
     assert world.symbol_at(0) == write
     assert world.at_boundary()
     issued = [entry["command"] for entry in event_entries(world) if "completes_at" in entry["detail"]]
+    assert issued == [*worker_ops, *rover_ops]
     if action is TapeAction.LEAVE:
         assert issued == []
     elif ruleset == RULESET_V and "none" not in (read, write):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from civutm import codec, controller, harness, tm
 from civutm import world as world_module
-from civutm.controller import TapeAction, compile_program
+from civutm.controller import TapeAction, compile_program, tape_plan
 from civutm.harness import (
     DIVERGED,
     EQUIVALENT,
@@ -24,6 +24,7 @@ from civutm.harness import (
     LockstepReport,
     _config_json,
     lockstep_verify,
+    macro_turns,
     overhead_report,
     paper_extension_bound,
     paper_instruction_bound,
@@ -31,6 +32,7 @@ from civutm.harness import (
 )
 from civutm.errors import CivUtmError, CompileError, IllegalCommand, MachineStuck, Starvation
 from civutm.tm import (
+    HaltAction,
     TMSpec,
     Transition,
     builtin_program,
@@ -253,11 +255,11 @@ def test_halting_state_transition_coincides():
 
 def test_paper_bounds_formulae():
     be = dataclasses.replace(RulesetParams.defaults(RULESET_BE), terrascape_build_turns=3, road_build_turns=1)
-    assert paper_instruction_bound(RULESET_BE, be) == 16
+    assert paper_instruction_bound(be) == 16
     v = dataclasses.replace(RulesetParams.defaults(RULESET_V), railroad_build_turns=2)
-    assert paper_instruction_bound(RULESET_V, v) == 9
+    assert paper_instruction_bound(v) == 9
     vi = RulesetParams.defaults(RULESET_VI)
-    assert paper_instruction_bound(RULESET_VI, vi) is None
+    assert paper_instruction_bound(vi) is None
     assert paper_extension_bound(vi, settler_cost_turns=16) == 2 * vi.city_growth_turns + 16 + 3
 
 
@@ -631,6 +633,66 @@ def test_skipping_quiet_turns_changes_no_output(data, seed, num_states):
     max_instructions = 30 if ruleset == RULESET_VI else 100
     fast, plain = _fast_and_plain(lambda: _outcome(spec, ruleset, max_instructions, params))
     assert fast == plain
+
+
+# The derived bound's fold against the world's clock: every executed BE/V
+# instruction takes exactly ``macro_turns`` of its macro, except that a
+# rover's pillage may overlap the head's move, so a BE macro that issues a
+# rover op takes at most that.
+def _check_turns_folded(spec, ruleset, params, tape) -> int:
+    """Run ``spec`` and check each executed instruction's turns; returns how
+    many were checked."""
+    report = lockstep_verify(spec, ruleset, tape, 100, program=compile_program(spec, ruleset, params))
+    assert report.first_divergence is None
+    executed = [record for record in report.records if record.macro is not None]
+    for record in executed:
+        folded = macro_turns(record.macro, params)
+        if ruleset == RULESET_BE and tape_plan(record.macro)[1]:
+            assert record.turns <= folded, record
+        else:
+            assert record.turns == folded, record
+    return len(executed)
+
+
+def _halt_writer(write: str) -> TMSpec:
+    """One state that halts on every symbol, writing ``write``: its one
+    instruction runs a tape action with no move for a pillage to overlap."""
+    transitions = {("a", read): HaltAction(write) for read in ("0", "1", "b")}
+    return validate_spec(TMSpec(("a",), ("0", "1", "b"), "0", ("1", "b"), "a", (), transitions))
+
+
+_TURNS_RUNS = [
+    pytest.param(builtin_program("bb3"), {}, id="bb3"),
+    pytest.param(builtin_program("rogozhin_10_3"), {0: "1", 2: "b"}, id="rogozhin_10_3"),
+    *(pytest.param(random_tm(seed, 3 + seed % 4, 3), {}, id=f"random:{seed}") for seed in range(4)),
+    *(pytest.param(_halt_writer(write), {0: read}, id=f"halt:{read}->{write}") for read in "01b" for write in "01b"),
+]
+# Every BE/V duration off its default, and a move longer than a pillage.
+_SLOW_BE_V = dict(road_build_turns=4, terrascape_build_turns=2, railroad_build_turns=5, worker_move_turns_per_hex=3)
+
+
+@pytest.mark.parametrize("slow", [False, True], ids=["defaults", "slow"])
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V])
+@pytest.mark.parametrize(("spec", "tape"), _TURNS_RUNS)
+def test_each_instruction_takes_the_turns_its_macro_folds_to(spec, tape, ruleset, slow):
+    params = RulesetParams.defaults(ruleset)
+    if slow:
+        params = dataclasses.replace(params, **_SLOW_BE_V)
+    assert _check_turns_folded(spec, ruleset, params, tape) >= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10**6), num_states=st.integers(2, 6))
+def test_each_instruction_takes_the_turns_its_macro_folds_to_under_any_params(data, seed, num_states):
+    ruleset = data.draw(st.sampled_from((RULESET_BE, RULESET_V)))
+    try:
+        params = dataclasses.replace(RulesetParams.defaults(ruleset), **data.draw(st.fixed_dictionaries(_BE_V_FIELDS)))
+    except IllegalCommand:
+        reject()
+    name = data.draw(st.sampled_from(("bb3", "rogozhin_10_3", "random")))
+    spec = random_tm(seed, num_states, 3) if name == "random" else builtin_program(name)
+    tape = data.draw(st.dictionaries(st.integers(-6, 6), st.sampled_from(spec.alphabet), max_size=5))
+    _check_turns_folded(spec, ruleset, params, tape)
 
 
 # The event log holds the logged commands, jobs and records and renders them

@@ -180,8 +180,8 @@ MUTANTS = (
     Mutant(
         "skip-starvation-event-late",
         WORLD,
-        "event = turn + city.food_stock // -city._delta + 1\n",
-        "event = turn + city.food_stock // -city._delta + 2\n",
+        "event = turn + city.food_stock(turn) // -city._delta + 1\n",
+        "event = turn + city.food_stock(turn) // -city._delta + 2\n",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     # The VI scan's running minimum keeps the earliest event, not the first.
@@ -244,9 +244,16 @@ MUTANTS = (
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     Mutant(
+        "rederive-keeps-old-delta",
+        WORLD,
+        "city._food, city._delta = stock - delta * world.turn, delta",
+        "city._food, city._delta = stock - city._delta * world.turn, delta",
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    Mutant(
         "founding-turn-food-skipped",
         WORLD,
-        "city._since -= 1",
+        "city._food += city._delta",
         "pass",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
@@ -281,7 +288,7 @@ MUTANTS = (
     Mutant(
         "starving-turn-feeds-later-cities",
         WORLD,
-        "later._since += 1",
+        "later._food -= later._delta",
         "pass",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
@@ -406,8 +413,8 @@ MUTANTS = (
     Mutant(
         "tape-cell-type-unchecked",
         WORLD,
-        'if type(command.cell) is not int:\n            raise _mistyped(command, "cell", int)\n        symbol',
-        "symbol",
+        'if type(command.cell) is not int:\n            raise _mistyped(command, "cell", int)\n        if world.units[unit_id]',
+        "if world.units[unit_id]",
         ("tests/test_world.py",),
     ),
     Mutant("move-target-type-unchecked", WORLD, "if type(command.to) is not int:", "if False:", ("tests/test_world.py",)),
@@ -417,6 +424,21 @@ MUTANTS = (
         "if unit_id != STATE_WORKER:",
         "if False:",
         ("tests/test_world.py",),
+    ),
+    # Units act where they stand: faults a lockstep compare cannot see.
+    Mutant(
+        "head-moves-before-its-build",
+        CONTROLLER,
+        'worker.append(Command(op="move", to=head + (1 if macro.head_move == "R" else -1)))',
+        'worker.insert(0, Command(op="move", to=head + (1 if macro.head_move == "R" else -1)))',
+        ("tests/test_controller.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "settler-founds-without-moving",
+        CONTROLLER,
+        'settler = [Command(op="move", to=params.city_spacing * new_index), Command(op="found_city", city=new_index)]',
+        'settler = [Command(op="found_city", city=new_index)]',
+        ("tests/test_controller.py", "tests/test_harness.py"),
     ),
     # The one move rule: a VI tape cell spans city_spacing // 2 hexes.
     Mutant(

@@ -130,7 +130,7 @@ def _drive_game(program: ControllerProgram, tape: dict[int, str], budget: int):
         entry["changed_cells"] = {str(cell): symbol for cell, symbol in changed.items()}
         if program.ruleset == RULESET_VI:
             entry["cities"] = [
-                {"index": c.index, "citizens": c.citizens, "growth_cap": c.growth_cap, "food_stock": c.food_stock}
+                {"index": c.index, "citizens": c.citizens, "growth_cap": c.growth_cap, "food_stock": c.food_stock(world.turn)}
                 for _, c in sorted(world.cities.items())
             ]
         return entry

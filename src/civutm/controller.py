@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
-from enum import Enum
 from types import MappingProxyType
 
 from .codec import _symbol_map
@@ -49,7 +48,9 @@ from .world import (
 PROGRAM_FORMAT_VERSION = 1
 
 
-class TapeAction(str, Enum):
+class TapeAction:
+    """The tape actions a macro names: plain strings, as the tables name them."""
+
     LEAVE = "leave"
     BUILD_ROAD = "build_road"
     REMOVE_IMPROVEMENT = "remove_improvement"
@@ -70,7 +71,7 @@ class CommandMacro:
     It has no slots: the benchmark digests records with ``json.dumps(...,
     default=vars)``, which needs a macro's ``__dict__``."""
 
-    tape_action: TapeAction
+    tape_action: str  # a TapeAction string
     head_move: str | None  # "L" | "R" | None on halt
     state_delta: int
     halt: bool = False
@@ -239,7 +240,7 @@ def _state_text(ruleset: str, delta: int) -> str:
 
 def macro_paper_command(macro: CommandMacro, ruleset: str) -> str:
     """The worker-command cell of a table row, reconstructed from a macro."""
-    if macro.halt and macro.tape_action is TapeAction.LEAVE:
+    if macro.halt and macro.tape_action == TapeAction.LEAVE:
         return "HALT"
     if ruleset == RULESET_VI:
         tape = PAPER_SYMBOL_NAMES[ruleset][macro.write_symbol]
@@ -257,7 +258,7 @@ def program_to_json(program: ControllerProgram) -> dict:
             {
                 "state_index": idx,
                 "read": game_read,
-                "tape_action": macro.tape_action.value,
+                "tape_action": macro.tape_action,
                 "move": macro.head_move,
                 "state_delta": macro.state_delta,
                 "halt": macro.halt,
@@ -335,7 +336,6 @@ def tape_plan(macro: CommandMacro) -> tuple[tuple[str, ...], tuple[str, ...]]:
     plan = _TAPE_PLANS.get(macro.tape_action)
     if plan is None:
         raise IllegalCommand(f"tape action {macro.tape_action} is not a BE/V action")
-    # str compares, as in _execute_vi: cheaper than Enum member reads.
     if macro.tape_action in ("build_road", "build_railroad") and macro.read_symbol != "none":
         return ("remove_improvement", *plan[0]), plan[1]
     return plan
@@ -424,7 +424,6 @@ def _execute_be_v(world: WorldState, macro: CommandMacro, head: int, record: Ins
 
 
 def _execute_vi(world: WorldState, macro: CommandMacro, head: int, record: InstructionRecord) -> None:
-    # A TapeAction equals its value; a str compare costs less than an Enum member read.
     if macro.tape_action in ("set_worked", "set_unworked"):
         apply_command(world, PLAYER, Command(op="set_worked", cell=head, worked=macro.write_symbol == "worked"))
     elif macro.tape_action != "leave":

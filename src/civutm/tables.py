@@ -81,9 +81,9 @@ def table_fidelity(program: ControllerProgram, fixture: dict) -> list[dict]:
         if macro.halt != expected_halt:
             diffs.append({"row": label, "field": "halt", "expected": expected_halt, "actual": macro.halt})
             continue
-        expected_tape = TapeAction.LEAVE.value if expected_halt else row["tape"]
-        if macro.tape_action.value != expected_tape:
-            diffs.append({"row": label, "field": "tape", "expected": expected_tape, "actual": macro.tape_action.value})
+        expected_tape = TapeAction.LEAVE if expected_halt else row["tape"]
+        if macro.tape_action != expected_tape:
+            diffs.append({"row": label, "field": "tape", "expected": expected_tape, "actual": macro.tape_action})
         expected_move = None if expected_halt else row["move"]
         if macro.head_move != expected_move:
             diffs.append({"row": label, "field": "move", "expected": expected_move, "actual": macro.head_move})

@@ -18,10 +18,11 @@ tape (a ``Tape``) has one write path, which records the cell, so a reader
 can follow the world by the cells written since it last looked. Turn
 counters and cell indices are unbounded.
 
-A unit is its id (which gives its kind) and its cell, ``WorldState.units``;
-its pending job lives in one table, ``WorldState.jobs`` (unit id ->
-``Job``), so a busy check is a key lookup and a turn visits the pending
-jobs, not every unit.
+A unit is its id (which gives its kind) and its cell, ``WorldState.units``,
+and it acts where it stands: a tape op must be on its unit's cell, and a
+Settler founds a city only on that city's center. A unit's pending job lives
+in one table, ``WorldState.jobs`` (unit id -> ``Job``), so a busy check is a
+key lookup and a turn visits the pending jobs, not every unit.
 
 All operations mutate the passed ``WorldState`` in place and also return it;
 they are deterministic functions of the state, and the append-only event log
@@ -38,18 +39,15 @@ when the log is read, so a run builds no descriptions it does not export.
 A VI city's food changes by the same delta every turn until an event touches
 the city (a cell of it set worked or not, a birth, a trained Settler, its
 founding, the start of training), so each ``City`` caches its delta and holds
-its stock as of the turn the delta last changed; ``food_stock`` reads it
-through from the clock. The world keeps the sum of the deltas (the food
-``yields`` reports) and the set of **live** cities: those training, below
-their growth cap or losing food. Only a live city can raise an event, so a
-turn or a skip visits the live cities alone and costs per event, not per
-city.
+its stock as a linear function of the turn; ``food_stock(turn)`` evaluates
+it. The world keeps the set of **live** cities: those training, below their
+growth cap or losing food. Only a live city can raise an event, so a turn or
+a skip visits the live cities alone and costs per event, not per city.
 """
 
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, NamedTuple
 
@@ -243,11 +241,9 @@ class City:
     ``city_spacing * index`` physical hexes.
 
     ``_delta`` caches ``_city_food_delta`` (income minus upkeep) and is
-    re-derived only by ``_rederive``; ``_food`` is the stock at the end of
-    turn ``_since``, and the delta is added for every turn after it. The
-    clock is read through ``_world``, a weak proxy, so a world and its
-    cities are freed as soon as the world is dropped, not by the cycle
-    collector.
+    re-derived only by ``_rederive``. Between two re-derivations the stock
+    grows by ``_delta`` a turn, so ``_food`` holds it extrapolated back to
+    turn 0 and the stock at the end of a turn is ``food_stock(turn)``.
     """
 
     index: int
@@ -256,14 +252,11 @@ class City:
     production_stock: int = 0
     growth_progress: int = 0
     training_cost: int | None = None
-    _world: WorldState | None = field(default=None, repr=False, compare=False)
     _food: int = 0
-    _since: int = 0
     _delta: int = 0
 
-    @property
-    def food_stock(self) -> int:
-        return self._food + self._delta * (self._world.turn - self._since)
+    def food_stock(self, turn: int) -> int:
+        return self._food + self._delta * turn
 
     @property
     def tape_cells(self) -> tuple[int, int]:
@@ -323,10 +316,8 @@ class WorldState:
     event_log: list[tuple] = field(default_factory=list)  # see ``log``
     jobs: dict[str, Job] = field(default_factory=dict)
     min_food_observed: int | None = None
-    # VI food cache: the live cities' indices and the sum of every city's
-    # cached delta.
+    # VI food cache: the live cities' indices.
     _live: set[int] = field(default_factory=set, repr=False)
-    _food_total: int = 0
 
     def symbol_at(self, cell: int) -> str:
         return self.tape.get(cell, GAME_BLANK[self.params.ruleset])
@@ -396,7 +387,6 @@ def init_world(ruleset: str, initial_content: dict[int, str] | None = None, para
                 index=index,
                 citizens=4 if end_city else 3,
                 growth_cap=4 if end_city else 3,
-                _world=weakref.proxy(world),
             )
             _rederive(world, city)
     world.log("world", "init", {"ruleset": ruleset, "cells": {str(k): v for k, v in sorted(content.items())}})
@@ -486,6 +476,8 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
             raise IllegalCommand(f"only the {tape_op.unit} can {tape_op.verb}")
         if type(command.cell) is not int:
             raise _mistyped(command, "cell", int)
+        if world.units[unit_id] != command.cell:
+            raise IllegalCommand(f"the {unit_id} at cell {world.units[unit_id]} cannot {tape_op.verb} at cell {command.cell}")
         symbol = world.symbol_at(command.cell)
         if symbol not in tape_op.requires:
             raise IllegalCommand(f"cannot {tape_op.verb} on {symbol} at cell {command.cell}")
@@ -533,6 +525,8 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
         if type(command.city) is not int:
             raise _mistyped(command, "city", int)
         index = command.city
+        if world.units[SETTLER] != world.params.city_spacing * index:
+            raise IllegalCommand(f"the settler at hex {world.units[SETTLER]} is not on city {index}'s center")
         if index in world.cities:
             raise IllegalCommand(f"city {index} already exists")
         # The strip is contiguous, so a new city next to one of its cities
@@ -616,9 +610,9 @@ def _complete_if_due(world: WorldState, uid: str) -> None:
         world.state_count -= 1
     elif op == "found_city":
         index = command.city
-        city = world.cities[index] = City(index=index, citizens=2, growth_cap=4, _world=weakref.proxy(world))
+        city = world.cities[index] = City(index=index, citizens=2, growth_cap=4)
         _rederive(world, city)
-        city._since -= 1  # founded before this turn's harvest, it collects this turn's food
+        city._food += city._delta  # founded before this turn's harvest, it collects this turn's food
         del world.units[SETTLER]
         world.log("world", "city_founded", {"city": index, "citizens": 2})
         return
@@ -642,14 +636,14 @@ def _city_food_delta(world: WorldState, city: City) -> tuple[int, int]:
 def _rederive(world: WorldState, city: City) -> None:
     """Re-derive ``city``'s cached food delta after an event touched it.
 
-    The stock so far is held as of this turn, so the new delta counts from
-    the next one; the world's food total and live set follow.
+    This turn's stock stands and the new delta counts from the next turn,
+    so ``_food`` moves to put this turn's stock on the new line; the live
+    set follows.
     """
-    city._food, city._since = city.food_stock, world.turn
+    stock = city.food_stock(world.turn)
     income, upkeep = _city_food_delta(world, city)
     delta = income - upkeep
-    world._food_total += delta - city._delta
-    city._delta = delta
+    city._food, city._delta = stock - delta * world.turn, delta
     if city.training_cost is not None or city.citizens < city.growth_cap or delta < 0:
         world._live.add(city.index)
     else:
@@ -681,13 +675,13 @@ def advance_turn(world: WorldState) -> WorldState:
     visited = world.cities if world.min_food_observed is None else world._live
     for index in sorted(visited) if len(visited) > 1 else list(visited):
         city = world.cities[index]
-        stock = city.food_stock
+        stock = city.food_stock(world.turn)
         if world.min_food_observed is None or stock < world.min_food_observed:
             world.min_food_observed = stock
         if stock < 0:
             for later in world.cities.values():
                 if later.index > index:
-                    later._since += 1  # not fed this turn
+                    later._food -= later._delta  # not fed this turn
             raise Starvation(f"city {city.index} food stock fell to {stock} on turn {world.turn}")
         if city.training_cost is not None:
             city.production_stock += p.production_per_turn
@@ -744,7 +738,7 @@ def skip_quiet_turns(world: WorldState) -> WorldState:
                 if nearest is None or event < nearest:
                     nearest = event
             if city._delta < 0:
-                event = turn + city.food_stock // -city._delta + 1
+                event = turn + city.food_stock(turn) // -city._delta + 1
                 if nearest is None or event < nearest:
                     nearest = event
     quiet = -1 if nearest is None else nearest - turn - 1
@@ -754,7 +748,7 @@ def skip_quiet_turns(world: WorldState) -> WorldState:
         for index in world.cities if world.min_food_observed is None else world._live:
             city = world.cities[index]
             # Food is linear over the span: its lowest stock is at one end.
-            lowest = city.food_stock + city._delta * (1 if city._delta >= 0 else quiet)
+            lowest = city.food_stock(turn) + city._delta * (1 if city._delta >= 0 else quiet)
             if world.min_food_observed is None or lowest < world.min_food_observed:
                 world.min_food_observed = lowest
             if city.training_cost is not None:
@@ -766,10 +760,11 @@ def skip_quiet_turns(world: WorldState) -> WorldState:
 
 def yields(world: WorldState) -> dict[str, int]:
     """Per-turn resource income as a pure function of the state (VI food is
-    the cached total of the cities' deltas)."""
+    the sum of the cities' cached deltas)."""
     p = world.params
     if p.ruleset == RULESET_VI:
-        return {"faith": p.base_faith + p.monastery_faith * world.state_count, "food": world._food_total}
+        food = sum(city._delta for city in world.cities.values())
+        return {"faith": p.base_faith + p.monastery_faith * world.state_count, "food": food}
     culture = p.base_culture + (p.terrascape_culture * world.state_count if p.ruleset == RULESET_BE else 0)
     return {"culture": culture}
 
@@ -811,7 +806,7 @@ def world_snapshot(world: WorldState) -> dict:
             "index": c.index,
             "citizens": c.citizens,
             "growth_cap": c.growth_cap,
-            "food_stock": c.food_stock,
+            "food_stock": c.food_stock(world.turn),
             "production_stock": c.production_stock,
             "training_cost": c.training_cost,
             "tape_cells": list(c.tape_cells),

@@ -24,17 +24,21 @@ the world at each boundary itself, or drive the world past a point that
 
 ``check_vi_boundary`` asserts the invariant the README states for every VI
 instruction boundary.
+
+``tree_normal_form`` enumerates the small machines of the busy-beaver
+census, each rule made only when a run first reads it.
 """
 
 from __future__ import annotations
 
 import copy
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from civutm import harness
 from civutm.controller import ControllerProgram, InstructionRecord
 from civutm.errors import MachineStuck
-from civutm.tm import HaltAction, TMConfig, TMSpec
+from civutm.tm import HaltAction, TMConfig, TMSpec, Transition
 from civutm import world as world_module
 from civutm.world import TAPE_WORKER, Command, Job, WorldState
 
@@ -153,3 +157,37 @@ def run_instructions(world: WorldState, program: ControllerProgram, max_instruct
         yield record
         if record.halted:
             return
+
+
+def tree_normal_form(num_states: int, budget: int) -> Iterator[tuple[TMSpec, bool]]:
+    """Every 2-symbol machine of ``num_states`` states in tree normal form,
+    with whether it halts within ``budget`` steps from the blank tape.
+
+    A rule is made only when the run first reads its (state, symbol): either
+    a halt, modelled as ``HaltAction("1")``, or any write and move to a
+    state already used or the first one not yet used. A run is cut after
+    ``budget`` steps, leaving the rules it never read undefined. The machine
+    that halts at once is left out."""
+    states = tuple(f"q{i}" for i in range(num_states))
+
+    def grow(rules: dict, config: TMConfig, steps: int, used: int) -> Iterator[tuple[TMSpec, bool]]:
+        spec = TMSpec(states, ("0", "1"), "0", ("1",), states[0], (), rules)
+        for steps in range(steps, budget):
+            try:
+                config = reference_step(spec, config)
+            except MachineStuck:
+                key = (config.state, config.tape.get(config.head, "0"))
+                if rules:
+                    yield from grow({**rules, key: HaltAction("1")}, config, steps, used)
+                for index, state in enumerate(states[: used + 1]):
+                    for write in ("0", "1"):
+                        for move in ("L", "R"):
+                            rule = Transition(write, move, state)
+                            yield from grow({**rules, key: rule}, config, steps, max(used, index + 1))
+                return
+            if isinstance(config, Halted):
+                yield spec, True
+                return
+        yield spec, False
+
+    return grow({}, TMConfig(state=states[0]), 0, 1)

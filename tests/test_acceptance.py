@@ -24,7 +24,9 @@ from civutm.harness import (
 )
 from civutm.tables import FIXTURE_FOR, load_fixture, table_fidelity
 from civutm.tm import TMConfig, builtin_program, count_symbol, initial_config, run
-from civutm.world import RULESET_BE, RULESET_V, RULESET_VI, RulesetParams, init_world
+from civutm.world import RULESET_BE, RULESET_V, RULESET_VI, RULESETS, RulesetParams, init_world
+
+from reference import tree_normal_form
 
 NO_DIVERGENCE = (EQUIVALENT, STEP_LIMIT, ORACLE_STUCK)
 
@@ -230,3 +232,40 @@ def test_criterion_7_roundtrip_and_determinism(tmp_path):
     identical = a.read_bytes() == b.read_bytes()
     elapsed = time.monotonic() - started
     _report(7, identical and roundtrips == 300, f"{roundtrips} codec round-trips; traces byte-identical; {elapsed:.1f}s")
+
+
+# The busy-beaver values for 2 symbols (T. Rado, "On non-computable
+# functions", 1962; S. Lin and T. Rado, "Computer studies of Turing machine
+# problems", 1965): n states -> (most ones a halting machine leaves, most
+# steps it runs), a halt step included.
+BUSY_BEAVER = {2: (4, 6), 3: (6, 21)}
+
+
+def test_busy_beaver_census_in_every_game():
+    # Every 2-state machine in tree normal form and every halting 3-state
+    # one runs in lockstep on each ruleset for S(n) + 1 instructions: no
+    # halting machine is cut, and none diverges.
+    started = time.monotonic()
+    census = {}
+    for num_states, (sigma, shift) in BUSY_BEAVER.items():
+        budget = shift + 1
+        machines = [(spec, halts) for spec, halts in tree_normal_form(num_states, budget) if halts or num_states == 2]
+        oracle = [run(spec, initial_config(spec), budget) for spec, _ in machines]
+        for ruleset in RULESETS:
+            ones = steps = 0
+            outcomes = {EQUIVALENT: 0, STEP_LIMIT: 0}
+            for (spec, halts), result in zip(machines, oracle):
+                report = lockstep_verify(spec, ruleset, {}, budget)
+                assert report.outcome == (EQUIVALENT if halts else STEP_LIMIT), (spec.transitions, ruleset)
+                assert report.final_config == result.trace[-1]
+                outcomes[report.outcome] += 1
+                if halts:
+                    ones = max(ones, count_symbol(report.final_config, "1"))
+                    steps = max(steps, report.oracle_steps)
+            assert (ones, steps) == (sigma, shift)
+            census[num_states, ruleset] = outcomes
+    assert census == {
+        **{(2, ruleset): {EQUIVALENT: 36, STEP_LIMIT: 260} for ruleset in RULESETS},
+        **{(3, ruleset): {EQUIVALENT: 3542, STEP_LIMIT: 0} for ruleset in RULESETS},
+    }
+    print(f"\nbusy-beaver census: {census}; {time.monotonic() - started:.1f}s")

@@ -612,7 +612,7 @@ def _reference_drive_game(spec, ruleset, tape, max_instructions):
         entry = {"decoded": decoded, "turn": world.turn, "yields": yields(world)}
         if ruleset == RULESET_VI:
             entry["cities"] = [
-                {"index": c.index, "citizens": c.citizens, "growth_cap": c.growth_cap, "food_stock": c.food_stock}
+                {"index": c.index, "citizens": c.citizens, "growth_cap": c.growth_cap, "food_stock": c.food_stock(world.turn)}
                 for _, c in sorted(world.cities.items())
             ]
         return entry

@@ -152,7 +152,7 @@ def test_read_cells_reads_what_decode_gives_on_the_cells_given():
     for read in (lambda: decode(world, program), lambda: read_cells(world, program, [])):
         with pytest.raises(DecodeError, match="state index 5 out of range"):
             read()
-    apply_command(world, TAPE_WORKER, Command(op="build_road", cell=0))
+    apply_command(world, TAPE_WORKER, Command(op="build_road", cell=3))
     # Off a boundary there is no configuration, and nothing is read.
     assert read_cells(world, program, [4]) is None and decode(world, program) is None
 

@@ -263,11 +263,11 @@ def test_write_normalization_soundness():
     for name, ruleset in (("rogozhin_10_3", RULESET_BE), ("rogozhin_10_3", RULESET_V), ("rogozhin_24_2", RULESET_VI), ("bb3", RULESET_BE)):
         program = compile_program(builtin_program(name), ruleset)
         for (idx, read), macro in program.macros.items():
-            if macro.tape_action is TapeAction.BUILD_ROAD:
+            if macro.tape_action == TapeAction.BUILD_ROAD:
                 assert read != "road"
-            if macro.tape_action is TapeAction.BUILD_RAILROAD:
+            if macro.tape_action == TapeAction.BUILD_RAILROAD:
                 assert read != "railroad"
-            if macro.tape_action is TapeAction.LEAVE:
+            if macro.tape_action == TapeAction.LEAVE:
                 assert macro.write_symbol == read
 
 
@@ -342,6 +342,7 @@ def test_execute_stuck_raises():
 def test_execute_requires_boundary():
     program = compile_program(builtin_program("bb3"), RULESET_BE)
     world = init_world(RULESET_BE, {})
+    world.units[TAPE_WORKER] = 3
     apply_command(world, TAPE_WORKER, Command(op="build_road", cell=3))
     with pytest.raises(DecodeError, match="boundary"):
         execute_instruction(world, program, index=1)
@@ -506,11 +507,11 @@ def test_tape_plan_writes_what_its_action_names(ruleset, read, write):
     assert world.at_boundary()
     issued = [entry["command"] for entry in event_entries(world) if "completes_at" in entry["detail"]]
     assert issued == [*worker_ops, *rover_ops]
-    if action is TapeAction.LEAVE:
+    if action == TapeAction.LEAVE:
         assert issued == []
     elif ruleset == RULESET_V and "none" not in (read, write):
         # Road over Railroad or Railroad over Road: the standing one is removed first.
-        assert issued == ["remove_improvement", action.value]
+        assert issued == ["remove_improvement", action]
 
 
 @pytest.mark.parametrize("action", [TapeAction.SET_WORKED, TapeAction.SET_UNWORKED])

@@ -8,6 +8,7 @@ import hashlib
 import inspect
 import json
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, reject, settings
@@ -270,7 +271,7 @@ def test_move_only_instruction_costs_movement_only():
     moves_only = [
         r
         for r in report.records
-        if r.macro and r.macro.tape_action is TapeAction.LEAVE and r.macro.state_delta == 0 and not r.halted
+        if r.macro and r.macro.tape_action == TapeAction.LEAVE and r.macro.state_delta == 0 and not r.halted
     ]
     assert moves_only
     for r in moves_only:
@@ -556,9 +557,9 @@ def test_golden_output_digest_with_waiting_units(name, ruleset, max_instructions
     params = dataclasses.replace(RulesetParams.defaults(ruleset), **dict(overrides))
     spec = _golden_machine(name)
     program = compile_program(spec, ruleset, params)
-    assert any(m.tape_action.value == action and m.read_symbol == read and m.head_move for m in program.macros.values())
+    assert any(m.tape_action == action and m.read_symbol == read and m.head_move for m in program.macros.values())
     report = lockstep_verify(spec, ruleset, {}, max_instructions, program=program)
-    executed = [r.macro for r in report.records if r.macro and r.macro.tape_action.value == action and r.read == read]
+    executed = [r.macro for r in report.records if r.macro and r.macro.tape_action == action and r.read == read]
     assert any(m.head_move and m.state_delta for m in executed)
     assert _output_digest(report) == GOLDEN_WAIT_DIGESTS[(name, ruleset, max_instructions, overrides, action, read)]
 
@@ -747,8 +748,8 @@ def test_skipping_quiet_turns_keeps_the_starvation_turn():
 
 # ---------------------------------------------------------------------------
 # The VI food cache against the plain computation: each city's cached delta,
-# the world's food total and its live set, every stock read through from the
-# clock, and the lowest stock observed.
+# the food ``yields`` sums from them, the live set, every stock evaluated at
+# the turn, and the lowest stock observed.
 # ---------------------------------------------------------------------------
 
 
@@ -760,7 +761,7 @@ def _check_food_cache(world) -> dict[int, int]:
         deltas[index] = income - upkeep
     assert {index: city._delta for index, city in world.cities.items()} == deltas
     assert min(deltas.values()) >= 0  # validated params feed every city
-    assert world._food_total == sum(deltas.values()) == yields(world)["food"]
+    assert sum(deltas.values()) == yields(world)["food"]
     assert world._live == {
         index
         for index, city in world.cities.items()
@@ -775,11 +776,11 @@ def _checked(play):
 
     def checked(world):
         deltas = _check_food_cache(world)
-        stocks = {index: city.food_stock for index, city in world.cities.items()}
+        stocks = {index: city.food_stock(world.turn) for index, city in world.cities.items()}
         turn = world.turn
         play(world)
         for index, stock in stocks.items():
-            assert world.cities[index].food_stock == stock + deltas[index] * (world.turn - turn)
+            assert world.cities[index].food_stock(world.turn) == stock + deltas[index] * (world.turn - turn)
         _check_food_cache(world)
         return world
 
@@ -805,7 +806,7 @@ def test_the_food_cache_matches_a_fresh_computation(data, seed, num_states, skip
         # the stocks read after each turn.
         nonlocal lowest
         advance(world)
-        stocks = [city.food_stock for city in world.cities.values()]
+        stocks = [city.food_stock(world.turn) for city in world.cities.values()]
         lowest = min(stocks) if lowest is None else min(lowest, *stocks)
         assert world.min_food_observed == lowest
         return world
@@ -1021,6 +1022,9 @@ def _verdict(verify, spec, ruleset, tape, max_instructions, program):
         return type(error).__name__, str(error)
 
 
+_ALL_TAPE_ACTIONS = [value for name, value in vars(TapeAction).items() if name.isupper()]
+
+
 def _corrupt(data, program):
     """Change one field of one drawn macro."""
     key = data.draw(st.sampled_from(sorted(program.macros)))
@@ -1031,7 +1035,7 @@ def _corrupt(data, program):
     elif name == "head_move":
         value = {"L": "R", "R": "L", None: "R"}[macro.head_move]
     elif name == "tape_action":
-        value = data.draw(st.sampled_from(list(TapeAction)))
+        value = data.draw(st.sampled_from(_ALL_TAPE_ACTIONS))
     else:
         value = not macro.halt
     program.macros[key] = dataclasses.replace(macro, **{name: value})
@@ -1148,7 +1152,7 @@ def test_a_move_only_instruction_is_compared_on_state_and_head(ruleset):
     spec = dataclasses.replace(spec, transitions={**spec.transitions, ("q0", "0"): dataclasses.replace(first, write="0")})
     program = compile_program(spec, ruleset)
     key = (0, program.symbol_of["0"])
-    assert program.macros[key].tape_action is TapeAction.LEAVE
+    assert program.macros[key].tape_action == TapeAction.LEAVE
     report, boundaries = harness.lockstep(spec, ruleset, {}, 1, program=program)
     next(boundaries)
     record, oracle, changed = next(boundaries)
@@ -1232,6 +1236,21 @@ def test_a_vi_instruction_makes_a_bounded_number_of_calls():
     # inside a tape extension.
     calls = _calls_of_a_run(builtin_program("rogozhin_24_2"), RULESET_VI, 80)
     assert calls <= VI_CALLS_BOUND, f"{calls} calls, against {VI_CALLS_MEASURED} when the bound was set"
+
+
+def test_a_run_leaves_no_reference_cycle():
+    # Nothing a VI world holds (its cities, jobs, log and tape) refers back
+    # to it, so dropping the report frees the world at once, with the cycle
+    # collector off.
+    report = lockstep_verify(builtin_program("rogozhin_24_2"), RULESET_VI, {}, 20)
+    assert len(report.world.cities) > 1
+    world = weakref.ref(report.world)
+    gc.disable()
+    try:
+        del report
+        assert world() is None
+    finally:
+        gc.enable()
 
 
 def test_the_oracle_steps_one_tape_in_place(monkeypatch):

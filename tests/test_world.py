@@ -278,14 +278,14 @@ def test_vi_food_balance_full_city():
     assert grass_income == upkeep == 8
     assert yields(world)["food"] == p.floodplains_food
     advance_turn(world)
-    assert world.cities[0].food_stock == p.floodplains_food
+    assert world.cities[0].food_stock(world.turn) == p.floodplains_food
 
 
 def test_vi_food_never_negative_when_idle():
     world = init_world(RULESET_VI, {})
     for _ in range(50):
         advance_turn(world)
-    assert world.cities[0].food_stock > 0
+    assert world.cities[0].food_stock(world.turn) > 0
     assert world.min_food_observed >= 0
 
 
@@ -306,7 +306,7 @@ def test_vi_a_city_at_its_cap_starves_on_time():
     world = init_world(RULESET_VI, {9: "worked"})
 
     def stocks():
-        return [city.food_stock for _, city in sorted(world.cities.items())]
+        return [city.food_stock(world.turn) for _, city in sorted(world.cities.items())]
 
     advance_turn(world)
     assert stocks() == [5, 4, 4, 4, 4]
@@ -327,6 +327,7 @@ def test_vi_skip_stops_before_a_birth_due_ahead_of_a_job():
     apply_command(world, PLAYER, Command(op="train_settler", city=0))
     while SETTLER not in world.units:
         advance_turn(world)
+    world.units[SETTLER] = world.params.city_spacing  # on city 1's center
     apply_command(world, SETTLER, Command(op="found_city", city=1))
     while 1 not in world.cities:
         advance_turn(world)
@@ -345,29 +346,30 @@ def test_vi_food_follows_the_events_that_touch_a_city():
     world = init_world(RULESET_VI, {})
     city = world.cities[0]
     advance_turn(world)
-    assert (city.food_stock, yields(world)["food"]) == (5, 5)
+    assert (city.food_stock(world.turn), yields(world)["food"]) == (5, 5)
     apply_command(world, "player", Command(op="set_worked", cell=0, worked=True))
     assert yields(world)["food"] == 4
     advance_turn(world)
     apply_command(world, "player", Command(op="set_worked", cell=1, worked=True))
     advance_turn(world)
-    assert (city.food_stock, yields(world)["food"], world.min_food_observed) == (12, 3, 5)
+    assert (city.food_stock(world.turn), yields(world)["food"], world.min_food_observed) == (12, 3, 5)
     apply_command(world, "player", Command(op="train_settler", city=0))
     while SETTLER not in world.units:
         advance_turn(world)
     # Down to 3 Citizens, both on the tape: 4 + 2 * 2 - 3 * 2 = 2 a turn.
     assert (city.citizens, yields(world)["food"]) == (3, 2)
+    world.units[SETTLER] = world.params.city_spacing  # on city 1's center
     apply_command(world, SETTLER, Command(op="found_city", city=1))
     for _ in range(world.params.settler_found_turns):
         advance_turn(world)
     new = world.cities[1]
-    assert (new.citizens, new.food_stock) == (2, 3)  # 4 + 3 - 2 * 2 on its founding turn
+    assert (new.citizens, new.food_stock(world.turn)) == (2, 3)  # 4 + 3 - 2 * 2 on its founding turn
     assert world.min_food_observed == 3
     for _ in range(world.params.city_growth_turns):
         advance_turn(world)
     # The third Citizen is born on the city's tenth turn, at 30 food (3 a
     # turn); from then on the city gains 4 a turn.
-    assert (new.citizens, new.food_stock, yields(world)["food"]) == (3, 34, 2 + 4)
+    assert (new.citizens, new.food_stock(world.turn), yields(world)["food"]) == (3, 34, 2 + 4)
 
 
 def test_vi_growth_clock_and_cap():
@@ -378,6 +380,7 @@ def test_vi_growth_clock_and_cap():
     apply_command(world, "player", Command(op="train_settler", city=0))
     while SETTLER not in world.units:
         advance_turn(world)
+    world.units[SETTLER] = p.city_spacing  # on city 1's center
     apply_command(world, SETTLER, Command(op="found_city", city=1))
     for _ in range(p.settler_found_turns - 1):
         advance_turn(world)
@@ -430,9 +433,57 @@ def test_vi_settler_needs_two_citizens():
 
 def test_vi_found_city_must_extend_contiguously():
     world = init_world(RULESET_VI, {})
-    world.units[SETTLER] = 0
+    world.units[SETTLER] = world.params.city_spacing * 5  # on city 5's center
     with pytest.raises(IllegalCommand, match="contiguously"):
         apply_command(world, SETTLER, Command(op="found_city", city=5))
+
+
+def _refused(world, unit, command, match=None):
+    """Issue ``command``, which must be refused (with ``match``) and leave
+    ``world`` as it was."""
+    log, snapshot = list(world.event_log), world_snapshot(world)
+    with pytest.raises(IllegalCommand, match=match):
+        apply_command(world, unit, command)
+    assert world.event_log == log
+    assert world_snapshot(world) == snapshot
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+@pytest.mark.parametrize(
+    "ruleset,unit,op,symbol",
+    [
+        (RULESET_BE, TAPE_WORKER, "build_road", None),
+        (RULESET_BE, TAPE_WORKER, "repair_road", "pillaged_road"),
+        (RULESET_BE, ROVER, "pillage_road", "road"),
+        (RULESET_V, TAPE_WORKER, "build_railroad", None),
+        (RULESET_V, TAPE_WORKER, "remove_improvement", "railroad"),
+    ],
+)
+def test_a_tape_op_one_cell_away_is_refused(ruleset, unit, op, symbol, offset):
+    # The op is legal on both cells, but a unit works only the cell it
+    # stands on.
+    world = init_world(ruleset, {0: symbol, offset: symbol} if symbol else {})
+    _refused(world, unit, Command(op=op, cell=offset), f"the {unit} at cell 0 cannot .* at cell {offset}")
+    apply_command(world, unit, Command(op=op, cell=0))
+    assert list(world.jobs) == [unit]
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_founding_one_hex_off_center_is_refused(offset):
+    world = _settler_world()
+    center = world.params.city_spacing  # city 1's
+    apply_command(world, SETTLER, Command(op="move", to=center + offset))
+    while world.jobs:
+        advance_turn(world)
+    hex_off = f"the settler at hex {center + offset} is not on city"
+    _refused(world, SETTLER, Command(op="found_city", city=1), f"{hex_off} 1's center")
+    # Where the Settler stands is checked before whether the city exists.
+    _refused(world, SETTLER, Command(op="found_city", city=0), f"{hex_off} 0's center")
+    apply_command(world, SETTLER, Command(op="move", to=center))
+    while world.jobs:
+        advance_turn(world)
+    apply_command(world, SETTLER, Command(op="found_city", city=1))
+    assert list(world.jobs) == [SETTLER]
 
 
 def test_vi_set_worked_needs_free_citizen():
@@ -453,11 +504,13 @@ def _scripted_run(seed: int):
                 apply_command(world, STATE_WORKER, Command(op="build_state"))
             elif roll < 0.5:
                 apply_command(world, STATE_WORKER, Command(op="remove_state"))
-            elif roll < 0.7:
-                cell = rng.randint(-2, 2)
-                apply_command(world, TAPE_WORKER, Command(op="build_road", cell=cell))
+            elif roll < 0.6:
+                apply_command(world, TAPE_WORKER, Command(op="move", to=rng.randint(-2, 2)))
+            elif roll < 0.8:
+                # A unit works the cell it stands on; the rover shadows the tape worker.
+                apply_command(world, TAPE_WORKER, Command(op="build_road", cell=world.units[TAPE_WORKER]))
             else:
-                apply_command(world, ROVER, Command(op="pillage_road", cell=rng.randint(-2, 2)))
+                apply_command(world, ROVER, Command(op="pillage_road", cell=world.units[ROVER]))
         except IllegalCommand:
             pass
         advance_turn(world)
@@ -500,6 +553,7 @@ def test_state_region_is_built_by_the_state_worker_only():
 
 def test_busy_unit_is_a_key_of_the_jobs_table():
     world = init_world(RULESET_BE, {})
+    world.units[TAPE_WORKER] = 3
     apply_command(world, TAPE_WORKER, Command(op="build_road", cell=3))
     assert list(world.jobs) == [TAPE_WORKER] and not world.at_boundary()
     assert world_snapshot(world)["units"][TAPE_WORKER]["job"] == {"op": "build_road", "cell": 3}
@@ -512,6 +566,7 @@ def test_busy_unit_is_a_key_of_the_jobs_table():
 def test_jobs_complete_in_unit_id_order():
     # Issued tape worker first, both done on turn 1: the rover completes first.
     world = init_world(RULESET_BE, {1: "road"})
+    world.units.update(_ON_THEIR_CELLS)
     apply_command(world, TAPE_WORKER, Command(op="build_road", cell=2))
     apply_command(world, ROVER, Command(op="pillage_road", cell=1))
     advance_turn(world)
@@ -522,7 +577,9 @@ def test_jobs_complete_in_unit_id_order():
 
 
 # Three jobs due on turn 1 on BE (a Terrascape built in one turn), issued
-# tape worker first; a turn completes them in unit-id order.
+# tape worker first; a turn completes them in unit-id order. Each unit stands
+# on the cell it works, ``_ON_THEIR_CELLS``.
+_ON_THEIR_CELLS = {TAPE_WORKER: 2, ROVER: 1}
 _DUE_ON_TURN_ONE = (
     (TAPE_WORKER, Command(op="build_road", cell=2)),
     (STATE_WORKER, Command(op="build_state")),
@@ -549,6 +606,7 @@ _DUE_ON_TURN_ONE = (
 def test_advance_turn_completes_the_due_jobs_in_unit_id_order(issued, completed):
     params = dataclasses.replace(RulesetParams.defaults(RULESET_BE), terrascape_build_turns=1)
     world = init_world(RULESET_BE, {1: "road"}, params)
+    world.units.update(_ON_THEIR_CELLS)
     for unit, command in _DUE_ON_TURN_ONE[:issued]:
         apply_command(world, unit, command)
     logged = len(world.event_log)
@@ -565,6 +623,7 @@ def test_advance_turn_completes_the_due_jobs_in_unit_id_order(issued, completed)
 def test_advance_turn_keeps_the_jobs_not_yet_due(units):
     # The state worker's Terrascape takes 3 turns; the tape worker's road 1.
     world = init_world(RULESET_BE, {})
+    world.units.update(_ON_THEIR_CELLS)
     for unit in units:
         apply_command(world, unit, dict(_DUE_ON_TURN_ONE)[unit])
     advance_turn(world)
@@ -673,11 +732,9 @@ _MALFORMED = [
 @pytest.mark.parametrize("ruleset,unit,command", _MALFORMED)
 def test_command_without_a_target_fails_closed(ruleset, unit, command):
     world = _settler_world() if unit == SETTLER else init_world(ruleset, {})
-    log, snapshot = list(world.event_log), world_snapshot(world)
-    with pytest.raises(IllegalCommand):
-        apply_command(world, unit, command)
-    assert world.event_log == log
-    assert world_snapshot(world) == snapshot
+    if command.cell is not None and unit != PLAYER:
+        world.units[unit] = 1  # a unit works its own cell, and True == 1: the type check refuses it
+    _refused(world, unit, command)
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +788,12 @@ class LegalityClosure(RuleBasedStateMachine):
         op=st.sampled_from(_WORK),
         cell=_TARGETS,
         to=_TARGETS,
+        here=st.booleans(),
     )
-    def work(self, unit, op, cell, to):
+    def work(self, unit, op, cell, to, here):
+        """``here`` aims the op at the unit's own cell, the only one it works."""
+        if here:
+            cell = self.world.units.get(unit, cell)
         self._issue(unit, Command(op=op, cell=cell, to=to))
 
     @rule(

@@ -65,8 +65,17 @@ MUTANTS = (
     Mutant(
         "cell-compare-keeps-last-cell-only",
         HARNESS,
-        "agrees = agrees and read[1].get(cell) == oracle.tape.get(cell)",
-        "agrees = read[1].get(cell) == oracle.tape.get(cell)",
+        "if read[1].get(cell) != oracle.tape.get(cell):\n"
+        "                        agrees = False\n"
+        "                        break\n",
+        "agrees = read[1].get(cell) == oracle.tape.get(cell)\n",
+        ("tests/test_harness.py",),
+    ),
+    Mutant(
+        "cell-compare-stops-before-first-cell",
+        HARNESS,
+        "for cell in cells:\n                    if read[1].get(cell) != oracle.tape.get(cell):",
+        "for cell in cells:\n                    break\n                    if read[1].get(cell) != oracle.tape.get(cell):",
         ("tests/test_harness.py",),
     ),
     Mutant(
@@ -296,14 +305,14 @@ MUTANTS = (
     Mutant(
         "instruction-end-logged-before-run",
         CONTROLLER,
-        "    if program.params.ruleset == RULESET_VI:\n"
+        "    if ruleset == RULESET_VI:\n"
         "        _execute_vi(world, macro, head, record)\n"
         "    else:\n"
         "        _execute_be_v(world, macro, head, record)\n\n"
         "    record.turns = world.turn - start_turn\n"
-        '    world.log("controller", "instruction_end", record)\n',
-        '    world.log("controller", "instruction_end", record)\n'
-        "    if program.params.ruleset == RULESET_VI:\n"
+        '    world.event_log.append((world.turn, "controller", "instruction_end", record))\n',
+        '    world.event_log.append((world.turn, "controller", "instruction_end", record))\n'
+        "    if ruleset == RULESET_VI:\n"
         "        _execute_vi(world, macro, head, record)\n"
         "    else:\n"
         "        _execute_be_v(world, macro, head, record)\n\n"
@@ -313,8 +322,8 @@ MUTANTS = (
     Mutant(
         "issue-entry-logs-command",
         WORLD,
-        "world.log(unit_id, command.op, job)",
-        "world.log(unit_id, command.op, command)",
+        "world.event_log.append((world.turn, unit_id, op, job))",
+        "world.event_log.append((world.turn, unit_id, op, command))",
         ("tests/test_controller.py", "tests/test_harness.py"),
     ),
     # The snapshot's state region, read from the params.
@@ -375,15 +384,15 @@ MUTANTS = (
     Mutant(
         "rover-gate-dropped",
         CONTROLLER,
-        'lanes.append((ROVER, rover, lambda w: w.symbol_at(head) == "road"))',
+        'lanes.append((ROVER, rover, lambda w: w.tape.get(head) == "road"))',
         "lanes.append((ROVER, rover, None))",
         ("tests/test_acceptance.py", "tests/test_harness.py"),
     ),
     Mutant(
-        "queued-count-not-decremented",
+        "drive-returns-with-a-command-left",
         CONTROLLER,
-        "queued -= 1",
-        "pass",
+        "            if queue:\n                waiting = True\n",
+        "",
         ("tests/test_controller.py", "tests/test_harness.py"),
     ),
     # The BE/V tape plans: the table, and the remove-first rule in tape_plan.
@@ -429,14 +438,22 @@ MUTANTS = (
     Mutant(
         "head-moves-before-its-build",
         CONTROLLER,
-        'worker.append(Command(op="move", to=head + (1 if macro.head_move == "R" else -1)))',
-        'worker.insert(0, Command(op="move", to=head + (1 if macro.head_move == "R" else -1)))',
+        "    if macro.head_move is not None:\n"
+        '        worker.append(Command("move", None, head + (1 if macro.head_move == "R" else -1)))\n'
+        "        record.movement_turns = move_turns(world.params, TAPE_WORKER, 1)\n"
+        "    for op in reversed(worker_ops):\n"
+        "        worker.append(Command(op, head))\n",
+        "    for op in reversed(worker_ops):\n"
+        "        worker.append(Command(op, head))\n"
+        "    if macro.head_move is not None:\n"
+        '        worker.append(Command("move", None, head + (1 if macro.head_move == "R" else -1)))\n'
+        "        record.movement_turns = move_turns(world.params, TAPE_WORKER, 1)\n",
         ("tests/test_controller.py", "tests/test_harness.py"),
     ),
     Mutant(
         "settler-founds-without-moving",
         CONTROLLER,
-        'settler = [Command(op="move", to=params.city_spacing * new_index), Command(op="found_city", city=new_index)]',
+        'settler = [Command(op="found_city", city=new_index), Command(op="move", to=params.city_spacing * new_index)]',
         'settler = [Command(op="found_city", city=new_index)]',
         ("tests/test_controller.py", "tests/test_harness.py"),
     ),

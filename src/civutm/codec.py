@@ -82,11 +82,12 @@ def read_cells(world: WorldState, program: "ControllerProgram", cells) -> tuple[
         raise DecodeError(f"state index {index} out of range for {len(program.index_to_state)} states")
     tape: dict[int, str] = {}
     blank_game = GAME_BLANK[world.params.ruleset]
+    read, machine_symbol = world.tape.get, program.symbol_from_game.get
     for cell in cells:
-        game_sym = world.tape.get(cell, blank_game)
+        game_sym = read(cell, blank_game)
         if game_sym == blank_game:
             continue
-        sym = program.symbol_from_game.get(game_sym)
+        sym = machine_symbol(game_sym)
         if sym is None:
             raise DecodeError(f"cell {cell} holds {game_sym!r}, outside the machine alphabet")
         tape[cell] = sym

@@ -27,6 +27,7 @@ from .codec import _symbol_map
 from .errors import CivUtmError, CompileError, DecodeError, IllegalCommand, MachineStuck
 from .tm import HaltAction, TMSpec, validate_spec
 from .world import (
+    GAME_BLANK,
     PLAYER,
     ROVER,
     RULESET_BE,
@@ -345,22 +346,23 @@ def _drive(world: WorldState, lanes: list[tuple]) -> None:
     """Issue each lane's commands as its unit frees up; move from event to
     event until all are done.
 
-    A lane is (unit id, its queued commands, a gate or None), and the lanes
-    are given in issue order. Each event turn takes one pass over them: a
-    unit with commands left, no job in ``world.jobs`` and an open gate gets
-    its next command. Issuing only makes that unit busy, and units and gates
-    change only on event turns, so a second pass would issue nothing and no
-    command waits through a skipped turn."""
+    A lane is (unit id, its commands in reverse issue order, a gate or
+    None), and the lanes are given in issue order. Each event turn takes one
+    pass over them: a unit with commands left, no job in ``world.jobs`` and
+    an open gate gets its next command, popped off the end of its list. The
+    pass notes whether a lane still holds a command, and the drive ends when
+    none does and no job is pending. Issuing only makes that unit busy, and
+    units and gates change only on event turns, so a second pass would issue
+    nothing and no command waits through a skipped turn."""
     jobs = world.jobs
-    queued = 0
-    for _, queue, _ in lanes:
-        queued += len(queue)
     for _ in range(_DRIVE_GUARD):
+        waiting = False
         for uid, queue, gate in lanes:
             if queue and uid not in jobs and (gate is None or gate(world)):
-                apply_command(world, uid, queue.pop(0))
-                queued -= 1
-        if not queued and not jobs:
+                apply_command(world, uid, queue.pop())
+            if queue:
+                waiting = True
+        if not waiting and not jobs:
             return
         skip_quiet_turns(world)
         advance_turn(world)
@@ -381,45 +383,50 @@ def execute_instruction(world: WorldState, program: ControllerProgram, index: in
     idx = world.state_count
     state = program.index_to_state[idx]
     head = world.units[TAPE_WORKER]
-    game_read = world.symbol_at(head)
+    ruleset = program.params.ruleset
+    game_read = world.tape.get(head, GAME_BLANK[ruleset])
 
     if state in program.spec.halting:
-        world.log("controller", "instruction_halt", {"index": index, "state_index": idx})
-        return InstructionRecord(index=index, state_index=idx, read=game_read, macro=None, halted=True)
+        world.event_log.append((world.turn, "controller", "instruction_halt", {"index": index, "state_index": idx}))
+        return InstructionRecord(index, idx, game_read, None, halted=True)
 
     macro = program.macros.get((idx, game_read))
     if macro is None:
         raise MachineStuck(state, program.symbol_from_game.get(game_read, game_read))
 
     start_turn = world.turn
-    record = InstructionRecord(index=index, state_index=idx, read=game_read, macro=macro, halted=macro.halt)
-    world.log("controller", "instruction_start", record)
+    record = InstructionRecord(index, idx, game_read, macro)  # positional: keywords double its cost
+    record.halted = macro.halt
+    world.event_log.append((start_turn, "controller", "instruction_start", record))
 
-    if program.params.ruleset == RULESET_VI:
+    if ruleset == RULESET_VI:
         _execute_vi(world, macro, head, record)
     else:
         _execute_be_v(world, macro, head, record)
 
     record.turns = world.turn - start_turn
-    world.log("controller", "instruction_end", record)
+    world.event_log.append((world.turn, "controller", "instruction_end", record))
     return record
 
 
 def _execute_be_v(world: WorldState, macro: CommandMacro, head: int, record: InstructionRecord) -> None:
+    # Each lane lists its commands in reverse issue order (see ``_drive``).
     worker_ops, rover_ops = tape_plan(macro)
-    worker = [Command(op=op, cell=head) for op in worker_ops]
+    worker = []
     if macro.head_move is not None:
-        worker.append(Command(op="move", to=head + (1 if macro.head_move == "R" else -1)))
+        worker.append(Command("move", None, head + (1 if macro.head_move == "R" else -1)))
         record.movement_turns = move_turns(world.params, TAPE_WORKER, 1)
+    for op in reversed(worker_ops):
+        worker.append(Command(op, head))
     lanes = [(TAPE_WORKER, worker, None)] if worker else []
     if rover_ops:
         # The rover pillages the road the tape worker builds first, if any.
-        rover = [Command(op=op, cell=head) for op in rover_ops]
-        lanes.append((ROVER, rover, lambda w: w.symbol_at(head) == "road"))
+        rover = [Command(op, head) for op in reversed(rover_ops)]
+        lanes.append((ROVER, rover, lambda w: w.tape.get(head) == "road"))
     delta = macro.state_delta
     if delta:
         # One command, issued |delta| times: a logged command is not mutated.
-        lanes.append((STATE_WORKER, [Command(op="build_state" if delta > 0 else "remove_state")] * abs(delta), None))
+        lanes.append((STATE_WORKER, [Command("build_state" if delta > 0 else "remove_state")] * abs(delta), None))
     _drive(world, lanes)
 
 
@@ -488,7 +495,7 @@ def extend_tape(world: WorldState, direction: str, record: InstructionRecord) ->
         skip_quiet_turns(world)
         advance_turn(world)
 
-    settler = [Command(op="move", to=params.city_spacing * new_index), Command(op="found_city", city=new_index)]
+    settler = [Command(op="found_city", city=new_index), Command(op="move", to=params.city_spacing * new_index)]
     _drive(world, [(TAPE_WORKER, [Command(op="move", to=target)], None), (SETTLER, settler, None)])
 
     new_city = world.cities[new_index]

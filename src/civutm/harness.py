@@ -151,7 +151,7 @@ def _boundaries(program: ControllerProgram, start: TMConfig, max_instructions: i
                 report.oracle_steps += 1
 
         try:
-            record = execute_instruction(world, program, index=index)
+            record = execute_instruction(world, program, index)
         except MachineStuck:
             game_stuck = True
         else:
@@ -161,7 +161,9 @@ def _boundaries(program: ControllerProgram, start: TMConfig, max_instructions: i
             agrees = read is not None and read[0] == oracle.state and read[2] == oracle.head
             if agrees:  # on the cells that can have changed: the oracle's, and those the world wrote
                 for cell in cells:
-                    agrees = agrees and read[1].get(cell) == oracle.tape.get(cell)
+                    if read[1].get(cell) != oracle.tape.get(cell):
+                        agrees = False
+                        break
 
         if oracle_stuck and game_stuck:
             report.outcome = ORACLE_STUCK

@@ -232,9 +232,11 @@ def step_in_place(spec: TMSpec, machine: Machine) -> bool:
     rule = spec.transitions.get((machine.state, read))
     if rule is None:
         raise MachineStuck(machine.state, read)
-    if rule.write is not None:
-        _write(machine.tape, head, None if rule.write == spec.blank else rule.write)
-    if isinstance(rule, HaltAction):
+    if rule.write == spec.blank:
+        machine.tape.pop(head, None)
+    elif rule.write is not None:
+        machine.tape[head] = rule.write
+    if type(rule) is HaltAction:
         return True
     machine.head = head + (1 if rule.move == "R" else -1)
     machine.state = rule.next_state

@@ -313,7 +313,10 @@ class WorldState:
     cities: dict[int, City]
     state_count: int = 0
     turn: int = 0
-    event_log: list[tuple] = field(default_factory=list)  # see ``log``
+    # (turn, unit, command, detail). A detail that is not a dict renders on
+    # read through ``describe()`` (see ``event_entries``) and is not mutated
+    # once logged, but for the fields an ``instruction_start`` entry omits.
+    event_log: list[tuple] = field(default_factory=list)
     jobs: dict[str, Job] = field(default_factory=dict)
     min_food_observed: int | None = None
     # VI food cache: the live cities' indices.
@@ -335,13 +338,6 @@ class WorldState:
             if self.cities[index].training_cost is not None:
                 return False
         return True
-
-    def log(self, unit: str, command: str, detail) -> None:
-        """Append ``(turn, unit, command, detail)``. ``detail`` is a dict or an
-        object whose ``describe()`` renders it on read (see
-        ``event_entries``); that object is not mutated once logged, except
-        for the fields an ``instruction_start`` entry does not render."""
-        self.event_log.append((self.turn, unit, command, detail))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +385,8 @@ def init_world(ruleset: str, initial_content: dict[int, str] | None = None, para
                 growth_cap=4 if end_city else 3,
             )
             _rederive(world, city)
-    world.log("world", "init", {"ruleset": ruleset, "cells": {str(k): v for k, v in sorted(content.items())}})
+    detail = {"ruleset": ruleset, "cells": {str(k): v for k, v in sorted(content.items())}}
+    world.event_log.append((world.turn, "world", "init", detail))
     return world
 
 
@@ -549,43 +546,44 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
 def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldState:
     """Validate and accept a command.
 
-    Instant commands (citizen reassignment, starting settler training) take
-    effect in the same turn. Everything else becomes the unit's single
-    pending job in ``world.jobs``, completing in ``advance_turn`` after its
-    duration.
+    A command that is not instant becomes the unit's single pending job in
+    ``world.jobs``, completing in ``advance_turn`` after its duration; BE and
+    V issue only these, so they are tested first. Instant commands (citizen
+    reassignment, starting settler training) take effect in the same turn.
     """
+    op = command.op
     if unit_id != PLAYER:
         if unit_id not in world.units:
             raise IllegalCommand(f"no unit {unit_id!r}")
         job = world.jobs.get(unit_id)
         if job is not None:
             raise IllegalCommand(f"unit {unit_id} is busy until turn {job.completes_at}")
-    elif command.op not in _INSTANT_OPS:
-        raise IllegalCommand(f"{command.op} must be issued to a unit")
+    elif op not in _INSTANT_OPS:
+        raise IllegalCommand(f"{op} must be issued to a unit")
 
     _check_legality(world, unit_id, command)
 
-    if command.op == "set_worked":
+    if op not in _INSTANT_OPS:
+        if op == "move":
+            turns = move_turns(world.params, unit_id, abs(command.to - world.units[unit_id]))
+        else:
+            turns = op_turns(world.params, op)
+        job = world.jobs[unit_id] = Job(command, world.turn + turns)
+        world.event_log.append((world.turn, unit_id, op, job))
+    elif op == "set_worked":
         # An unworked cell keeps its entry: the snapshot lists every cell
         # ever written.
         world.tape[command.cell] = "worked" if command.worked else "unworked"
         _rederive(world, world.city_of_cell(command.cell))
-        world.log(unit_id, command.op, command)
-    elif command.op == "shift_monasteries":
+        world.event_log.append((world.turn, unit_id, op, command))
+    elif op == "shift_monasteries":
         world.state_count += command.count
-        world.log(unit_id, command.op, command)
-    elif command.op == "train_settler":
+        world.event_log.append((world.turn, unit_id, op, command))
+    else:  # train_settler
         city = world.cities[command.city]
         city.training_cost = world.params.settler_cost(2 * len(world.cities))
         _rederive(world, city)
-        world.log(unit_id, command.op, {"city": city.index, "cost": city.training_cost})
-    else:
-        if command.op == "move":
-            turns = move_turns(world.params, unit_id, abs(command.to - world.units[unit_id]))
-        else:
-            turns = op_turns(world.params, command.op)
-        job = world.jobs[unit_id] = Job(command, world.turn + turns)
-        world.log(unit_id, command.op, job)
+        world.event_log.append((world.turn, unit_id, op, {"city": city.index, "cost": city.training_cost}))
     return world
 
 
@@ -596,10 +594,7 @@ def _complete_if_due(world: WorldState, uid: str) -> None:
     del world.jobs[uid]
     command = job.command
     op = command.op
-    tape_op = _TAPE_OPS.get(op)
-    if tape_op is not None:
-        world.tape[command.cell] = tape_op.result
-    elif op == "move":
+    if op == "move":
         world.units[uid] = command.to
         if uid == TAPE_WORKER and ROVER in world.units:
             # The rover shadows the tape worker: both arrive together.
@@ -614,9 +609,11 @@ def _complete_if_due(world: WorldState, uid: str) -> None:
         _rederive(world, city)
         city._food += city._delta  # founded before this turn's harvest, it collects this turn's food
         del world.units[SETTLER]
-        world.log("world", "city_founded", {"city": index, "citizens": 2})
+        world.event_log.append((world.turn, "world", "city_founded", {"city": index, "citizens": 2}))
         return
-    world.log(uid, _DONE[op], command)
+    else:  # a tape op
+        world.tape[command.cell] = _TAPE_OPS[op].result
+    world.event_log.append((world.turn, uid, _DONE[op], command))
 
 
 def _city_food_delta(world: WorldState, city: City) -> tuple[int, int]:
@@ -692,14 +689,14 @@ def advance_turn(world: WorldState) -> WorldState:
                 city.growth_cap = 3
                 _rederive(world, city)
                 world.units[SETTLER] = p.city_spacing * city.index  # the city's center
-                world.log("world", "settler_trained", {"city": city.index, "citizens": city.citizens})
+                world.event_log.append((world.turn, "world", "settler_trained", {"city": city.index, "citizens": city.citizens}))
         if city.citizens < city.growth_cap:
             city.growth_progress += 1
             if city.growth_progress >= p.city_growth_turns:
                 city.growth_progress = 0
                 city.citizens += 1
                 _rederive(world, city)
-                world.log("world", "citizen_born", {"city": city.index, "citizens": city.citizens})
+                world.event_log.append((world.turn, "world", "citizen_born", {"city": city.index, "citizens": city.citizens}))
         else:
             city.growth_progress = 0
     return world

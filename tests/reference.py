@@ -5,10 +5,10 @@ a fresh configuration per step and never touches its argument, so tests can
 check the in-place rule, ``tm.run`` and ``harness.lockstep_verify`` against
 a rule written without them.
 
-``WorldState.log`` keeps a reference to the command, job or instruction
-record it logs and renders it on read; ``eager_log`` builds each entry's
-detail dict at log time instead, so a test can patch it in and compare the
-exported logs.
+``WorldState.event_log`` keeps a reference to the command, job or
+instruction record it logs and renders it on read; an ``EagerLog`` builds
+each entry's detail dict when it is appended instead, so a test can give a
+world one (``with_eager_log``) and compare the exported logs.
 
 ``RulesetParams`` is frozen and refuses food params that starve a city;
 ``cut_floodplains_food`` breaks that on purpose, for the tests of the
@@ -27,18 +27,22 @@ instruction boundary.
 
 ``tree_normal_form`` enumerates the small machines of the busy-beaver
 census, each rule made only when a run first reads it.
+
+``harness.random_tm`` draws no ``HaltAction``, so its machines never run a
+halting macro that writes; ``with_halt_writer`` swaps one rule for one.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from civutm import harness
 from civutm.controller import ControllerProgram, InstructionRecord
 from civutm.errors import MachineStuck
-from civutm.tm import HaltAction, TMConfig, TMSpec, Transition
+from civutm.tm import HaltAction, TMConfig, TMSpec, Transition, validate_spec
 from civutm import world as world_module
 from civutm.world import TAPE_WORKER, Command, Job, WorldState
 
@@ -81,22 +85,36 @@ def _written(tape: dict[int, str], cell: int, symbol: str, blank: str) -> dict[i
     return new
 
 
-def eager_log(world: WorldState, unit: str, command: str, detail) -> None:
-    """``WorldState.log`` with every detail made a dict when it is logged: a
+class EagerLog(list):
+    """An event log that makes every detail a dict when it is appended: a
     job's command description plus ``completes_at``, a command's
     description, an instruction's start as its ``index``, ``state_index``
     and ``read``, and an instruction record's fields less ``state_index``,
     ``read`` and ``macro``."""
-    if isinstance(detail, Job):
-        detail = {**detail.command.describe(), "completes_at": detail.completes_at}
-    elif isinstance(detail, Command):
-        detail = detail.describe()
-    elif isinstance(detail, InstructionRecord) and command == "instruction_start":
-        detail = {"index": detail.index, "state_index": detail.state_index, "read": detail.read}
-    elif isinstance(detail, InstructionRecord):
-        detail = dict(vars(detail))
-        del detail["state_index"], detail["read"], detail["macro"]
-    world.event_log.append((world.turn, unit, command, detail))
+
+    def append(self, entry: tuple) -> None:
+        turn, unit, command, detail = entry
+        if isinstance(detail, Job):
+            detail = {**detail.command.describe(), "completes_at": detail.completes_at}
+        elif isinstance(detail, Command):
+            detail = detail.describe()
+        elif isinstance(detail, InstructionRecord) and command == "instruction_start":
+            detail = {"index": detail.index, "state_index": detail.state_index, "read": detail.read}
+        elif isinstance(detail, InstructionRecord):
+            detail = dict(vars(detail))
+            del detail["state_index"], detail["read"], detail["macro"]
+        super().append((turn, unit, command, detail))
+
+
+def with_eager_log(init_world):
+    """``init_world`` whose worlds log into an :class:`EagerLog`."""
+
+    def init(*args, **kwargs) -> WorldState:
+        world = init_world(*args, **kwargs)
+        world.event_log = EagerLog(world.event_log)
+        return world
+
+    return init
 
 
 def cut_floodplains_food(world: WorldState) -> None:
@@ -109,6 +127,12 @@ def cut_floodplains_food(world: WorldState) -> None:
     object.__setattr__(params, "floodplains_food", 0)
     for city in world.cities.values():
         world_module._rederive(world, city)
+
+
+def with_halt_writer(spec: TMSpec, key: tuple[str, str], write: str) -> TMSpec:
+    """``spec`` with its rule for ``key`` (state, read symbol) swapped for a
+    halt that writes ``write``."""
+    return validate_spec(dataclasses.replace(spec, transitions={**spec.transitions, key: HaltAction(write)}))
 
 
 def spec_to_json(spec: TMSpec) -> dict:
@@ -167,27 +191,37 @@ def tree_normal_form(num_states: int, budget: int) -> Iterator[tuple[TMSpec, boo
     a halt, modelled as ``HaltAction("1")``, or any write and move to a
     state already used or the first one not yet used. A run is cut after
     ``budget`` steps, leaving the rules it never read undefined. The machine
-    that halts at once is left out."""
+    that halts at once is left out. A run steps its own tape in place, and
+    each branch starts from a copy of the tape it branches from."""
     states = tuple(f"q{i}" for i in range(num_states))
 
-    def grow(rules: dict, config: TMConfig, steps: int, used: int) -> Iterator[tuple[TMSpec, bool]]:
-        spec = TMSpec(states, ("0", "1"), "0", ("1",), states[0], (), rules)
-        for steps in range(steps, budget):
-            try:
-                config = reference_step(spec, config)
-            except MachineStuck:
-                key = (config.state, config.tape.get(config.head, "0"))
-                if rules:
-                    yield from grow({**rules, key: HaltAction("1")}, config, steps, used)
-                for index, state in enumerate(states[: used + 1]):
-                    for write in ("0", "1"):
-                        for move in ("L", "R"):
-                            rule = Transition(write, move, state)
-                            yield from grow({**rules, key: rule}, config, steps, max(used, index + 1))
-                return
-            if isinstance(config, Halted):
-                yield spec, True
-                return
-        yield spec, False
+    def spec(rules: dict) -> TMSpec:
+        return TMSpec(states, ("0", "1"), "0", ("1",), states[0], (), rules)
 
-    return grow({}, TMConfig(state=states[0]), 0, 1)
+    # Runs still to make: (rules, state, tape, head, steps taken, states used),
+    # the next one last.
+    runs = [({}, states[0], {}, 0, 0, 1)]
+    while runs:
+        rules, state, tape, head, steps, used = runs.pop()
+        for steps in range(steps, budget):
+            key = (state, tape.get(head, "0"))
+            rule = rules.get(key)
+            if rule is None:
+                if rules:
+                    yield spec({**rules, key: HaltAction("1")}), True
+                branches = [
+                    ({**rules, key: Transition(write, move, target)}, state, dict(tape), head, steps, max(used, index + 1))
+                    for index, target in enumerate(states[: used + 1])
+                    for write in ("0", "1")
+                    for move in ("L", "R")
+                ]
+                runs += reversed(branches)
+                break
+            if rule.write == "0":
+                tape.pop(head, None)
+            else:
+                tape[head] = rule.write
+            head += 1 if rule.move == "R" else -1
+            state = rule.next_state
+        else:
+            yield spec(rules), False

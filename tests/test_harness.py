@@ -53,12 +53,14 @@ from civutm.world import (
 )
 
 from reference import (
+    EagerLog,
     Halted,
     check_vi_boundary,
     cut_floodplains_food,
-    eager_log,
     reference_step,
     run_instructions,
+    with_eager_log,
+    with_halt_writer,
 )
 
 
@@ -655,6 +657,16 @@ def _check_turns_folded(spec, ruleset, params, tape) -> int:
     return len(executed)
 
 
+def _draw_halt_writer(data, spec: TMSpec) -> TMSpec:
+    """``spec``, or ``spec`` with one rule swapped for a halt that writes:
+    ``random_tm`` draws no halt rule, so a sweep of its machines would run
+    no halting macro that writes."""
+    if not data.draw(st.booleans()):
+        return spec
+    key = data.draw(st.sampled_from(sorted(spec.transitions)))
+    return with_halt_writer(spec, key, data.draw(st.sampled_from(spec.alphabet)))
+
+
 def _halt_writer(write: str) -> TMSpec:
     """One state that halts on every symbol, writing ``write``: its one
     instruction runs a tape action with no move for a pillage to overlap."""
@@ -692,12 +704,13 @@ def test_each_instruction_takes_the_turns_its_macro_folds_to_under_any_params(da
         reject()
     name = data.draw(st.sampled_from(("bb3", "rogozhin_10_3", "random")))
     spec = random_tm(seed, num_states, 3) if name == "random" else builtin_program(name)
+    spec = _draw_halt_writer(data, spec)
     tape = data.draw(st.dictionaries(st.integers(-6, 6), st.sampled_from(spec.alphabet), max_size=5))
     _check_turns_folded(spec, ruleset, params, tape)
 
 
 # The event log holds the logged commands, jobs and records and renders them
-# on read; with ``eager_log`` patched in, each entry's dict is built when it
+# on read; with an ``EagerLog`` patched in, each entry's dict is built when it
 # is logged. The exports must agree, which also catches a logged object that
 # is mutated later. Each built-in runs where it compiles under the default
 # params: rogozhin_10_3 has more symbols than VI encodes, and rogozhin_24_2
@@ -716,14 +729,15 @@ def test_rendered_event_log_equals_the_eager_one(name, ruleset):
     spec = random_tm(int(seed), 3 + int(seed) % 4, 2 if vi else 3) if seed else builtin_program(name)
     max_instructions = 40 if vi else 100
 
-    def lines():
-        return event_log_lines(lockstep_verify(spec, ruleset, {}, max_instructions).world)
+    def world():
+        return lockstep_verify(spec, ruleset, {}, max_instructions).world
 
-    rendered = lines()
+    rendered = event_log_lines(world())
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(world_module.WorldState, "log", eager_log)
-        eager = lines()
-    assert rendered == eager
+        patch.setattr(harness, "init_world", with_eager_log(harness.init_world))
+        eager = world()
+    assert type(eager.event_log) is EagerLog
+    assert rendered == event_log_lines(eager)
 
 
 def test_skipping_quiet_turns_keeps_the_starvation_turn():
@@ -1045,7 +1059,7 @@ def _corrupt(data, program):
 @given(data=st.data(), seed=st.integers(0, 10**6), num_states=st.integers(2, 6))
 def test_written_cell_checks_agree_with_full_decodes(data, seed, num_states):
     ruleset = data.draw(st.sampled_from((RULESET_BE, RULESET_V, RULESET_VI)))
-    spec = random_tm(seed, num_states, 2 if ruleset == RULESET_VI else 3)
+    spec = _draw_halt_writer(data, random_tm(seed, num_states, 2 if ruleset == RULESET_VI else 3))
     tape = data.draw(st.dictionaries(st.integers(-6, 6), st.sampled_from(spec.alphabet), max_size=5))
     program = compile_program(spec, ruleset)
     if data.draw(st.booleans()):
@@ -1189,17 +1203,21 @@ def test_decodes_do_not_grow_with_instructions(monkeypatch):
 
 
 # The Python-level calls (``sys.setprofile`` "call" events, generator
-# resumptions included) that a 200-instruction BE run of the right-runner
-# and an 80-instruction VI run of rogozhin_24_2 make, each rounded up by 5 %
-# from its count measured on Python 3.11.
-CALLS_MEASURED = 8035  # 10,235 before the event cycle was trimmed
-CALLS_BOUND = 8437
-VI_CALLS_MEASURED = 5280  # 6,803 before the VI event cycle was trimmed
-VI_CALLS_BOUND = 5544
+# resumptions included) that a 200-instruction BE run of the right-runner,
+# an 80-instruction VI run of rogozhin_24_2 and a 200-instruction BE run of
+# random_tm(144, 5, 3) make, each rounded up by 5 % from its count measured
+# on Python 3.11.
+CALLS_MEASURED = 6234  # 10,235 before the event cycle was trimmed, 8,035 before the command path was
+CALLS_BOUND = 6546
+VI_CALLS_MEASURED = 4239  # 6,803 before the VI event cycle was trimmed, 5,160 before the command path was
+VI_CALLS_BOUND = 4451
+ROVER_CALLS_MEASURED = 8722  # 11,395 before the command path was trimmed
+ROVER_CALLS_BOUND = 9159
 
 
-def _calls_of_a_run(spec, ruleset, max_instructions) -> int:
-    """The calls one ``lockstep_verify`` of a program compiled beforehand makes."""
+def _calls_of_a_run(spec, ruleset, max_instructions) -> tuple[int, LockstepReport]:
+    """The calls one ``lockstep_verify`` of a program compiled beforehand
+    makes, and its report."""
     program = compile_program(spec, ruleset)
     calls = 0
 
@@ -1218,7 +1236,7 @@ def _calls_of_a_run(spec, ruleset, max_instructions) -> int:
         sys.setprofile(None)
         gc.enable()
     assert report.instructions_verified == max_instructions
-    return calls
+    return calls, report
 
 
 def test_an_instruction_makes_a_bounded_number_of_calls():
@@ -1226,7 +1244,7 @@ def test_an_instruction_makes_a_bounded_number_of_calls():
     # two event cycles (build the road, move), and a change that adds calls
     # per instruction or per event pushes the count past the bound.
     runner = _walker([("a", "0", "1", "R", "a"), ("a", "1", "1", "R", "a")], states=("a",))
-    calls = _calls_of_a_run(runner, RULESET_BE, 200)
+    calls, _ = _calls_of_a_run(runner, RULESET_BE, 200)
     assert calls <= CALLS_BOUND, f"{calls} calls, against {CALLS_MEASURED} when the bound was set"
 
 
@@ -1234,8 +1252,18 @@ def test_a_vi_instruction_makes_a_bounded_number_of_calls():
     # The VI counterpart: rogozhin_24_2 from a blank tape founds a city every
     # second instruction, so the run plays 280 event cycles, most of them
     # inside a tape extension.
-    calls = _calls_of_a_run(builtin_program("rogozhin_24_2"), RULESET_VI, 80)
+    calls, _ = _calls_of_a_run(builtin_program("rogozhin_24_2"), RULESET_VI, 80)
     assert calls <= VI_CALLS_BOUND, f"{calls} calls, against {VI_CALLS_MEASURED} when the bound was set"
+
+
+def test_a_rover_and_state_instruction_makes_a_bounded_number_of_calls():
+    # The right-runner never pillages and never builds state. In this run
+    # the rover pillages 133 times, the tape worker repairs and builds roads
+    # and the state worker builds and removes Terrascapes alongside.
+    calls, report = _calls_of_a_run(random_tm(144, 5, 3), RULESET_BE, 200)
+    ops = {command for _, _, command, _ in report.world.event_log}
+    assert {"pillage_road", "repair_road", "build_road", "build_state", "remove_state"} <= ops
+    assert calls <= ROVER_CALLS_BOUND, f"{calls} calls, against {ROVER_CALLS_MEASURED} when the bound was set"
 
 
 def test_a_run_leaves_no_reference_cycle():

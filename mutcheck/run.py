@@ -306,16 +306,16 @@ MUTANTS = (
         "instruction-end-logged-before-run",
         CONTROLLER,
         "    if ruleset == RULESET_VI:\n"
-        "        _execute_vi(world, macro, head, record)\n"
+        "        _execute_vi(world, macro, head, game_read, record)\n"
         "    else:\n"
-        "        _execute_be_v(world, macro, head, record)\n\n"
+        "        _execute_be_v(world, macro, head, game_read, record)\n\n"
         "    record.turns = world.turn - start_turn\n"
         '    world.event_log.append((world.turn, "controller", "instruction_end", record))\n',
         '    world.event_log.append((world.turn, "controller", "instruction_end", record))\n'
         "    if ruleset == RULESET_VI:\n"
-        "        _execute_vi(world, macro, head, record)\n"
+        "        _execute_vi(world, macro, head, game_read, record)\n"
         "    else:\n"
-        "        _execute_be_v(world, macro, head, record)\n\n"
+        "        _execute_be_v(world, macro, head, game_read, record)\n\n"
         "    record.turns = world.turn - start_turn\n",
         ("tests/test_harness.py",),
     ),
@@ -395,20 +395,31 @@ MUTANTS = (
         "",
         ("tests/test_controller.py", "tests/test_harness.py"),
     ),
-    # The BE/V tape plans: the table, and the remove-first rule in tape_plan.
+    # The one table of tape writes: V's build-road and build-railroad rows
+    # with their ops swapped, and V's road-to-railroad row without its removal.
     Mutant(
         "tape-plan-entry-swapped",
         CONTROLLER,
-        'TapeAction.BUILD_ROAD: (("build_road",), ()),\n    TapeAction.BUILD_RAILROAD: (("build_railroad",), ()),',
-        'TapeAction.BUILD_ROAD: (("build_railroad",), ()),\n    TapeAction.BUILD_RAILROAD: (("build_road",), ()),',
+        '("none", "road"): ("build_road", ("build_road",), ()),\n'
+        '        ("none", "railroad"): ("build_railroad", ("build_railroad",), ()),',
+        '("none", "road"): ("build_road", ("build_railroad",), ()),\n'
+        '        ("none", "railroad"): ("build_railroad", ("build_road",), ()),',
         ("tests/test_controller.py", "tests/test_harness.py"),
     ),
     Mutant(
         "remove-first-check-dropped",
         CONTROLLER,
-        'if macro.tape_action in ("build_road", "build_railroad") and macro.read_symbol != "none":',
-        "if False:",
+        '("road", "railroad"): ("build_railroad", ("remove_improvement", "build_railroad"), ()),',
+        '("road", "railroad"): ("build_railroad", ("build_railroad",), ()),',
         ("tests/test_controller.py", "tests/test_harness.py"),
+    ),
+    # A VI macro's write is carried out as written, not inverted.
+    Mutant(
+        "vi-write-inverted",
+        CONTROLLER,
+        'Command(op="set_worked", cell=head, worked=write == "worked")',
+        'Command(op="set_worked", cell=head, worked=write != "worked")',
+        ("tests/test_harness.py",),
     ),
     # The derived bound folds the whole plan over the world's durations.
     Mutant(

@@ -1,11 +1,11 @@
 """The compiler and driver: machine transitions become worker-command macros.
 
 ``compile_program`` translates every (state, read symbol) transition into a
-:class:`CommandMacro` (one tape action, one head move, one signed state-index
-change), assigning state indices by declaration order with the initial state
-at index 0. Identity writes are normalized to ``leave`` because the games
-forbid rebuilding an existing improvement, and writes over a conflicting
-improvement expand to remove-then-build in the macro's plan (``tape_plan``).
+:class:`CommandMacro` (the symbol written, one head move, one signed
+state-index change), with state indices in declaration order and the initial
+state at index 0. A write's tape action and ops are looked up from (read,
+write) in one table (``tape_plan``): an identity write is ``leave``, as the
+games forbid rebuilding an improvement; a build over another removes it first.
 
 ``execute_instruction`` runs one macro against a world: it issues the tape,
 state, and movement commands to the workers, moves the clock from event to
@@ -49,20 +49,6 @@ from .world import (
 PROGRAM_FORMAT_VERSION = 1
 
 
-class TapeAction:
-    """The tape actions a macro names: plain strings, as the tables name them."""
-
-    LEAVE = "leave"
-    BUILD_ROAD = "build_road"
-    REMOVE_IMPROVEMENT = "remove_improvement"
-    PILLAGE_ROAD = "pillage_road"
-    REPAIR_ROAD = "repair_road"
-    BUILD_RAILROAD = "build_railroad"
-    BUILD_ROAD_THEN_PILLAGE = "build_road_then_pillage"
-    SET_WORKED = "set_worked"
-    SET_UNWORKED = "set_unworked"
-
-
 @dataclass(frozen=True)
 class CommandMacro:
     """What one machine instruction asks of the workers.
@@ -72,7 +58,9 @@ class CommandMacro:
     It has no slots: the benchmark digests records with ``json.dumps(...,
     default=vars)``, which needs a macro's ``__dict__``."""
 
-    tape_action: str  # a TapeAction string
+    # Set by ``compile_program`` alone; every reader looks the action up from (read,
+    # write). Kept for the benchmark's ``__dict__`` digest until ROADMAP item 13.
+    tape_action: str
     head_move: str | None  # "L" | "R" | None on halt
     state_delta: int
     halt: bool = False
@@ -122,30 +110,46 @@ def _shape(states: tuple[str, ...], initial: str, alphabet: tuple[str, ...], bla
     return ordered, state_index_of, symbol_of, MappingProxyType({v: k for k, v in symbol_of.items()})
 
 
-# Tape action for writing `write` over `read`, per ruleset. Identity writes
-# never appear here (normalized to LEAVE before lookup).
+# The one description of a tape write: per ruleset, (read, write) -> (tape action,
+# tape-worker ops, rover ops). A build over another improvement removes it first.
 _TAPE_ACTIONS = {
     RULESET_BE: {
-        ("none", "road"): TapeAction.BUILD_ROAD,
-        ("none", "pillaged_road"): TapeAction.BUILD_ROAD_THEN_PILLAGE,
-        ("road", "none"): TapeAction.REMOVE_IMPROVEMENT,
-        ("road", "pillaged_road"): TapeAction.PILLAGE_ROAD,
-        ("pillaged_road", "none"): TapeAction.REMOVE_IMPROVEMENT,
-        ("pillaged_road", "road"): TapeAction.REPAIR_ROAD,
+        ("none", "none"): ("leave", (), ()),
+        ("none", "road"): ("build_road", ("build_road",), ()),
+        ("none", "pillaged_road"): ("build_road_then_pillage", ("build_road",), ("pillage_road",)),
+        ("road", "none"): ("remove_improvement", ("remove_improvement",), ()),
+        ("road", "road"): ("leave", (), ()),
+        ("road", "pillaged_road"): ("pillage_road", (), ("pillage_road",)),
+        ("pillaged_road", "none"): ("remove_improvement", ("remove_improvement",), ()),
+        ("pillaged_road", "road"): ("repair_road", ("repair_road",), ()),
+        ("pillaged_road", "pillaged_road"): ("leave", (), ()),
     },
     RULESET_V: {
-        ("none", "road"): TapeAction.BUILD_ROAD,
-        ("none", "railroad"): TapeAction.BUILD_RAILROAD,
-        ("road", "none"): TapeAction.REMOVE_IMPROVEMENT,
-        ("road", "railroad"): TapeAction.BUILD_RAILROAD,
-        ("railroad", "none"): TapeAction.REMOVE_IMPROVEMENT,
-        ("railroad", "road"): TapeAction.BUILD_ROAD,
+        ("none", "none"): ("leave", (), ()),
+        ("none", "road"): ("build_road", ("build_road",), ()),
+        ("none", "railroad"): ("build_railroad", ("build_railroad",), ()),
+        ("road", "none"): ("remove_improvement", ("remove_improvement",), ()),
+        ("road", "road"): ("leave", (), ()),
+        ("road", "railroad"): ("build_railroad", ("remove_improvement", "build_railroad"), ()),
+        ("railroad", "none"): ("remove_improvement", ("remove_improvement",), ()),
+        ("railroad", "road"): ("build_road", ("remove_improvement", "build_road"), ()),
+        ("railroad", "railroad"): ("leave", (), ()),
     },
     RULESET_VI: {
-        ("unworked", "worked"): TapeAction.SET_WORKED,
-        ("worked", "unworked"): TapeAction.SET_UNWORKED,
+        ("unworked", "unworked"): ("leave", (), ()),
+        ("unworked", "worked"): ("set_worked", (), ()),
+        ("worked", "unworked"): ("set_unworked", (), ()),
+        ("worked", "worked"): ("leave", (), ()),
     },
 }
+
+
+def tape_plan(ruleset: str, read: str, write: str) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """The ``_TAPE_ACTIONS`` row for writing ``write`` over ``read``, or IllegalCommand."""
+    row = _TAPE_ACTIONS[ruleset].get((read, write))
+    if row is None:
+        raise IllegalCommand(f"writing {write} over {read} is not a tape action of ruleset {ruleset}")
+    return row
 
 
 def check_state_region(num_states: int, params: RulesetParams) -> None:
@@ -168,13 +172,14 @@ def compile_program(spec: TMSpec, ruleset: str, params: RulesetParams | None = N
     )
     check_state_region(len(spec.states), params)
 
+    rows = _TAPE_ACTIONS[ruleset]  # every pair of two of the ruleset's symbols has a row
     macros: dict[tuple[int, str], CommandMacro] = {}
     for (state, read), rule in spec.transitions.items():
         idx = state_index_of[state]
         halt = isinstance(rule, HaltAction)  # writes (or leaves the cell), never moves
         game_read, game_write = symbols[read], symbols[read if rule.write is None else rule.write]
         macros[_macro_key(idx, game_read)] = _macro(
-            tape_action=TapeAction.LEAVE if game_write == game_read else _TAPE_ACTIONS[ruleset][(game_read, game_write)],
+            tape_action=rows[game_read, game_write][0],
             head_move=None if halt else rule.move,
             state_delta=0 if halt else state_index_of[rule.next_state] - idx,
             halt=halt,
@@ -196,13 +201,13 @@ PAPER_SYMBOL_NAMES = {
 }
 
 _TAPE_TEXT = {
-    TapeAction.LEAVE: "No Improvement",
-    TapeAction.BUILD_ROAD: "Build a Road",
-    TapeAction.REMOVE_IMPROVEMENT: "Remove Improvement",
-    TapeAction.PILLAGE_ROAD: "Pillage the Road",
-    TapeAction.REPAIR_ROAD: "Repair the Road",
-    TapeAction.BUILD_RAILROAD: "Build a Railroad",
-    TapeAction.BUILD_ROAD_THEN_PILLAGE: "Build a Road, Pillage it,",
+    "leave": "No Improvement",
+    "build_road": "Build a Road",
+    "remove_improvement": "Remove Improvement",
+    "pillage_road": "Pillage the Road",
+    "repair_road": "Repair the Road",
+    "build_railroad": "Build a Railroad",
+    "build_road_then_pillage": "Build a Road, Pillage it,",
 }
 
 
@@ -241,14 +246,15 @@ def _state_text(ruleset: str, delta: int) -> str:
 
 def macro_paper_command(macro: CommandMacro, ruleset: str) -> str:
     """The worker-command cell of a table row, reconstructed from a macro."""
-    if macro.halt and macro.tape_action == TapeAction.LEAVE:
+    action = tape_plan(ruleset, macro.read_symbol, macro.write_symbol)[0]
+    if macro.halt and action == "leave":
         return "HALT"
     if ruleset == RULESET_VI:
         tape = PAPER_SYMBOL_NAMES[ruleset][macro.write_symbol]
         move = f", move {macro.head_move}" if macro.head_move else ""
-        return f"{tape}{move}; {_state_text(ruleset, macro.state_delta)}"
-    tape = _TAPE_TEXT[macro.tape_action]
-    move = f" and move {macro.head_move}" if macro.head_move else ""
+    else:
+        tape = _TAPE_TEXT[action]
+        move = f" and move {macro.head_move}" if macro.head_move else ""
     return f"{tape}{move}; {_state_text(ruleset, macro.state_delta)}"
 
 
@@ -259,7 +265,7 @@ def program_to_json(program: ControllerProgram) -> dict:
             {
                 "state_index": idx,
                 "read": game_read,
-                "tape_action": macro.tape_action,
+                "tape_action": tape_plan(program.ruleset, game_read, macro.write_symbol)[0],
                 "move": macro.head_move,
                 "state_delta": macro.state_delta,
                 "halt": macro.halt,
@@ -317,30 +323,6 @@ class InstructionRecord:
 # Bounds the turns ``_drive`` takes with ``advance_turn``, not the turns that
 # pass: each is an event turn, or one plain turn when nothing is pending.
 _DRIVE_GUARD = 1_000_000
-
-# What each BE/V tape action asks of the workers; see ``tape_plan``.
-_TAPE_PLANS = {
-    TapeAction.LEAVE: ((), ()),
-    TapeAction.BUILD_ROAD: (("build_road",), ()),
-    TapeAction.BUILD_RAILROAD: (("build_railroad",), ()),
-    TapeAction.REMOVE_IMPROVEMENT: (("remove_improvement",), ()),
-    TapeAction.REPAIR_ROAD: (("repair_road",), ()),
-    TapeAction.PILLAGE_ROAD: ((), ("pillage_road",)),
-    TapeAction.BUILD_ROAD_THEN_PILLAGE: (("build_road",), ("pillage_road",)),
-}
-
-
-def tape_plan(macro: CommandMacro) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The ops a BE/V macro issues on the head's cell: (tape-worker ops,
-    rover ops). The macro's read symbol is the head's, since the macro is
-    looked up by it; a build over a standing improvement removes it first."""
-    plan = _TAPE_PLANS.get(macro.tape_action)
-    if plan is None:
-        raise IllegalCommand(f"tape action {macro.tape_action} is not a BE/V action")
-    if macro.tape_action in ("build_road", "build_railroad") and macro.read_symbol != "none":
-        return ("remove_improvement", *plan[0]), plan[1]
-    return plan
-
 
 def _drive(world: WorldState, lanes: list[tuple]) -> None:
     """Issue each lane's commands as its unit frees up; move from event to
@@ -400,18 +382,18 @@ def execute_instruction(world: WorldState, program: ControllerProgram, index: in
     world.event_log.append((start_turn, "controller", "instruction_start", record))
 
     if ruleset == RULESET_VI:
-        _execute_vi(world, macro, head, record)
+        _execute_vi(world, macro, head, game_read, record)
     else:
-        _execute_be_v(world, macro, head, record)
+        _execute_be_v(world, macro, head, game_read, record)
 
     record.turns = world.turn - start_turn
     world.event_log.append((world.turn, "controller", "instruction_end", record))
     return record
 
 
-def _execute_be_v(world: WorldState, macro: CommandMacro, head: int, record: InstructionRecord) -> None:
+def _execute_be_v(world: WorldState, macro: CommandMacro, head: int, read: str, record: InstructionRecord) -> None:
     # Each lane lists its commands in reverse issue order (see ``_drive``).
-    worker_ops, rover_ops = tape_plan(macro)
+    _, worker_ops, rover_ops = tape_plan(world.params.ruleset, read, macro.write_symbol)
     worker = []
     if macro.head_move is not None:
         worker.append(Command("move", None, head + (1 if macro.head_move == "R" else -1)))
@@ -430,11 +412,13 @@ def _execute_be_v(world: WorldState, macro: CommandMacro, head: int, record: Ins
     _drive(world, lanes)
 
 
-def _execute_vi(world: WorldState, macro: CommandMacro, head: int, record: InstructionRecord) -> None:
-    if macro.tape_action in ("set_worked", "set_unworked"):
-        apply_command(world, PLAYER, Command(op="set_worked", cell=head, worked=macro.write_symbol == "worked"))
-    elif macro.tape_action != "leave":
-        raise IllegalCommand(f"tape action {macro.tape_action} is not a VI action")
+def _execute_vi(world: WorldState, macro: CommandMacro, head: int, read: str, record: InstructionRecord) -> None:
+    write = macro.write_symbol
+    if write != read:
+        # VI's one tape op is the player's; its row is checked inline, with no call.
+        if (read, write) not in _TAPE_ACTIONS[RULESET_VI]:
+            tape_plan(RULESET_VI, read, write)  # raises: the pair has no row
+        apply_command(world, PLAYER, Command(op="set_worked", cell=head, worked=write == "worked"))
     if macro.state_delta:
         apply_command(world, PLAYER, Command(op="shift_monasteries", count=macro.state_delta))
     if macro.head_move is None:

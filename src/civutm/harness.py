@@ -1,6 +1,6 @@
 """Lockstep equivalence verification, overhead accounting, random machines.
 
-``lockstep`` is the one loop that executes a compiled machine; the verifier
+``lockstep`` is the one loop that executes a compiled program; the verifier
 and the CLI consume it. It runs the reference interpreter and the game
 construction side by side and checks at every instruction boundary that the
 world decodes to the oracle's configuration: state identifier, head index
@@ -18,13 +18,13 @@ that did not diverge is decoded in full once more at the end, and
 oracle: a cell changed without being recorded. A divergence is a report
 outcome, not an exception.
 
-``overhead_report`` turns the records of a completed run's report into
-per-instruction turn counts and compares them against the published
-per-instruction bounds (5T+M for BE, 4·B_rr+1 for V, C+S(L)+3 per tape
-extension for VI) and, on BE and V, against a tight bound: ``macro_turns``
-folds each macro's ``controller.tape_plan`` over the world's own job
-durations. Turns the published bounds do not count (movement, the extra
-pillage turn, growth waits) are itemized, never hidden.
+``overhead_report`` turns a completed run's records into per-instruction
+turn counts and compares them against the published bounds (5T+M for BE,
+4·B_rr+1 for V, C+S(L)+3 per tape extension for VI) and, on BE and V,
+against a tight bound: ``macro_turns`` folds the ops that
+``controller.tape_plan`` looks up for a macro's (read, write) over the
+world's own job durations. Turns the published bounds do not count
+(movement, the extra pillage turn, growth waits) are itemized, never hidden.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import random
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import codec
 from .controller import (
@@ -93,15 +93,9 @@ def _config_json(config: TMConfig | Machine) -> dict:
 
 
 def lockstep(
-    spec: TMSpec,
-    ruleset: str,
-    initial_tape: dict[int, str] | None = None,
-    max_instructions: int = 100,
-    program: ControllerProgram | None = None,
+    program: ControllerProgram, initial_tape: dict[int, str] | None = None, max_instructions: int = 100
 ) -> tuple[LockstepReport, Iterator[tuple]]:
-    """Set up a run of ``program`` (``spec`` compiled for ``ruleset`` when
-    None) in a world built with its params; returns the report and the
-    boundaries. Another machine's or ruleset's program raises CompileError.
+    """Set up a run of ``program`` in a world built with its params: (report, boundaries).
 
     The iterator yields ``(None, oracle, oracle.tape)`` at the start, then
     ``(record, oracle, changed)`` per instruction, each once the world has
@@ -113,12 +107,9 @@ def lockstep(
     """
     if max_instructions < 0:
         raise ValueError("max_instructions must be >= 0")
-    program = program or compile_program(spec, ruleset)
-    if program.ruleset != ruleset or program.spec != spec:
-        raise CompileError(f"the program was not compiled from this machine for ruleset {ruleset}")
-    world = init_world(ruleset, codec.encode_tape(initial_tape or {}, program), program.params)
+    world = init_world(program.params.ruleset, codec.encode_tape(initial_tape or {}, program), program.params)
     report = LockstepReport(program=program, outcome=STEP_LIMIT, instructions_verified=0, world=world)
-    return report, _boundaries(program, initial_config(spec, initial_tape or {}), max_instructions, report)
+    return report, _boundaries(program, initial_config(program.spec, initial_tape or {}), max_instructions, report)
 
 
 def _boundaries(program: ControllerProgram, start: TMConfig, max_instructions: int, report: LockstepReport):
@@ -202,8 +193,12 @@ def lockstep_verify(
     max_instructions: int = 100,
     program: ControllerProgram | None = None,
 ) -> LockstepReport:
-    """Run :func:`lockstep` to its end and return the complete report."""
-    report, boundaries = lockstep(spec, ruleset, initial_tape, max_instructions, program)
+    """Run :func:`lockstep` of ``program`` (``spec`` compiled for ``ruleset``
+    when None) to its end; another machine's or ruleset's raises CompileError."""
+    program = program or compile_program(spec, ruleset)
+    if program.ruleset != ruleset or program.spec != spec:
+        raise CompileError(f"the program was not compiled from this machine for ruleset {ruleset}")
+    report, boundaries = lockstep(program, initial_tape, max_instructions)
     for _ in boundaries:
         pass
     return report
@@ -214,28 +209,12 @@ def lockstep_verify(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OverheadReport:
-    ruleset: str
-    per_instruction: list[dict]
-    max_observed: int
-    paper_bound: int | None  # 5T+M (BE) or 4*B_rr+1 (V); None for VI
-    derived_bound: int | None
-    paper_bound_satisfied: bool
-    derived_bound_satisfied: bool
-    excesses: list[dict]  # instructions whose counted turns exceed the paper bound
-    extensions: list[dict] = field(default_factory=list)  # VI only
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
 def macro_turns(macro: CommandMacro, params: RulesetParams) -> int:
     """The turns a BE/V macro takes, folded from ``world``'s own durations:
     its plan's ops one after another, then the head's move unless it halts,
     against the state worker's |delta| builds or removals alongside. Exact
     but for a rover's pillage, which may overlap the move."""
-    worker_ops, rover_ops = tape_plan(macro)
+    _, worker_ops, rover_ops = tape_plan(params.ruleset, macro.read_symbol, macro.write_symbol)
     tape = sum(op_turns(params, op) for op in (*worker_ops, *rover_ops))
     move = 0 if macro.halt else move_turns(params, TAPE_WORKER, 1)
     state = abs(macro.state_delta) * op_turns(params, "build_state" if macro.state_delta > 0 else "remove_state")
@@ -266,8 +245,8 @@ def derived_instruction_bound(program: ControllerProgram) -> int | None:
     return max((macro_turns(macro, program.params) for macro in program.macros.values()), default=0)
 
 
-def overhead_report(report: LockstepReport) -> OverheadReport:
-    """Turn accounting for a completed run, under its program's params."""
+def overhead_report(report: LockstepReport) -> dict:
+    """Turn accounting for a completed run under its program's params, as ``cost`` prints it."""
     program, records = report.program, report.records
     per_instruction = []
     excesses = []
@@ -323,17 +302,17 @@ def overhead_report(report: LockstepReport) -> OverheadReport:
         if rec.turns > derived:
             derived_ok = False
 
-    return OverheadReport(
-        ruleset=program.ruleset,
-        per_instruction=per_instruction,
-        max_observed=max((rec.turns for rec in records), default=0),
-        paper_bound=paper,
-        derived_bound=derived,
-        paper_bound_satisfied=paper_ok,
-        derived_bound_satisfied=derived_ok,
-        excesses=excesses,
-        extensions=extensions,
-    )
+    return {
+        "ruleset": program.ruleset,
+        "per_instruction": per_instruction,
+        "max_observed": max((rec.turns for rec in records), default=0),
+        "paper_bound": paper,
+        "derived_bound": derived,
+        "paper_bound_satisfied": paper_ok,
+        "derived_bound_satisfied": derived_ok,
+        "excesses": excesses,
+        "extensions": extensions,
+    }
 
 
 # ---------------------------------------------------------------------------

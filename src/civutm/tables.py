@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .controller import PAPER_SYMBOL_NAMES, ControllerProgram, TapeAction, vi_state_delta
+from .controller import PAPER_SYMBOL_NAMES, ControllerProgram, tape_plan, vi_state_delta
 from .tm import HaltAction, Transition
 
 # (ruleset, builtin machine) -> fixture name
@@ -81,9 +81,10 @@ def table_fidelity(program: ControllerProgram, fixture: dict) -> list[dict]:
         if macro.halt != expected_halt:
             diffs.append({"row": label, "field": "halt", "expected": expected_halt, "actual": macro.halt})
             continue
-        expected_tape = TapeAction.LEAVE if expected_halt else row["tape"]
-        if macro.tape_action != expected_tape:
-            diffs.append({"row": label, "field": "tape", "expected": expected_tape, "actual": macro.tape_action})
+        expected_tape = "leave" if expected_halt else row["tape"]
+        action = tape_plan(ruleset, key[1], macro.write_symbol)[0]
+        if action != expected_tape:
+            diffs.append({"row": label, "field": "tape", "expected": expected_tape, "actual": action})
         expected_move = None if expected_halt else row["move"]
         if macro.head_move != expected_move:
             diffs.append({"row": label, "field": "move", "expected": expected_move, "actual": macro.head_move})

@@ -172,39 +172,39 @@ def test_criterion_6_overhead_bounds():
             for spec, tape, budget in runs:
                 program = compile_program(spec, RULESET_BE, params)
                 over = overhead_report(lockstep_verify(spec, RULESET_BE, tape, budget, program=program))
-                assert over.paper_bound == 5 * t + m
-                assert over.paper_bound_satisfied, (t, m)
-                assert over.derived_bound_satisfied and over.max_observed <= over.derived_bound
-                checked.append(("BE", t, m, over.max_observed, over.paper_bound))
+                assert over["paper_bound"] == 5 * t + m
+                assert over["paper_bound_satisfied"], (t, m)
+                assert over["derived_bound_satisfied"] and over["max_observed"] <= over["derived_bound"]
+                checked.append(("BE", t, m, over["max_observed"], over["paper_bound"]))
 
     for b_rr in range(2, 5):
         params = dataclasses.replace(RulesetParams.defaults(RULESET_V), railroad_build_turns=b_rr)
         for spec, tape, budget in runs:
             program = compile_program(spec, RULESET_V, params)
             over = overhead_report(lockstep_verify(spec, RULESET_V, tape, budget, program=program))
-            assert over.paper_bound == 4 * b_rr + 1
-            assert over.paper_bound_satisfied, b_rr
-            assert over.derived_bound_satisfied and over.max_observed <= over.derived_bound
-            checked.append(("V", b_rr, None, over.max_observed, over.paper_bound))
+            assert over["paper_bound"] == 4 * b_rr + 1
+            assert over["paper_bound_satisfied"], b_rr
+            assert over["derived_bound_satisfied"] and over["max_observed"] <= over["derived_bound"]
+            checked.append(("V", b_rr, None, over["max_observed"], over["paper_bound"]))
 
     params = RulesetParams.defaults(RULESET_VI)
     r24 = builtin_program("rogozhin_24_2")
     over = overhead_report(lockstep_verify(r24, RULESET_VI, {0: "1"}, 60, program=compile_program(r24, RULESET_VI, params)))
-    assert over.extensions, "the VI run must extend the tape"
-    for ext in over.extensions:
+    assert over["extensions"], "the VI run must extend the tape"
+    for ext in over["extensions"]:
         cost_turns = -(-ext["settler_cost_production"] // params.production_per_turn)
         assert ext["settler_cost_production"] == 15 * ext["tape_length_before"] + 50
         assert ext["paper_bound"] == 2 * params.city_growth_turns + cost_turns + params.settler_found_turns
         assert ext["counted_turns"] <= ext["paper_bound"], ext
         assert ext["itemized_excess"]["settler_movement"] == params.city_spacing
-    assert over.paper_bound_satisfied
+    assert over["paper_bound_satisfied"]
 
     elapsed = time.monotonic() - started
     _report(
         6,
         elapsed < 120.0,
         f"{len(checked) // len(runs)} BE/V parameter points, {len(runs)} machines each, within both bounds; "
-        f"{len(over.extensions)} VI extensions within C+S(L)+3 with movement itemized; {elapsed:.1f}s",
+        f"{len(over['extensions'])} VI extensions within C+S(L)+3 with movement itemized; {elapsed:.1f}s",
     )
 
 

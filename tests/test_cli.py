@@ -576,8 +576,9 @@ def test_demo_bb3_output_digest(tmp_path, capsys, ruleset):
 
 
 # Stdout of `cost` and `verify` (the lockstep and overhead JSON), pinned on
-# the commit before `OverheadReport.to_json` became `dataclasses.asdict`, so
-# a field added to either report shows here.
+# the commit before the overhead report's JSON became `dataclasses.asdict` (it
+# is now the dict `overhead_report` returns), so a field added to either report
+# shows here.
 REPORT_DIGESTS = {
     ("cost", "bb3", "BE"): "248b276d1fb07a8feb7d4610ef6814b6c052ba7e49d5aa0a0a4728bc6d12cc64",
     ("cost", "bb3", "V"): "9ebd84bf76c14b5a5fa889d145398451786a5501acf6a87e8d7ae3332633a9a9",

@@ -13,7 +13,6 @@ from civutm.codec import _symbol_map, decode
 from civutm.controller import (
     CommandMacro,
     InstructionRecord,
-    TapeAction,
     compile_program,
     execute_instruction,
     extend_tape,
@@ -40,6 +39,7 @@ from civutm.world import (
     RulesetParams,
     apply_command,
     event_entries,
+    event_log_lines,
     init_world,
 )
 
@@ -48,10 +48,10 @@ def test_compile_bb3_be_macros():
     program = compile_program(builtin_program("bb3"), RULESET_BE)
     assert len(program.macros) == 6
     m = program.macros[(0, "none")]
-    assert (m.tape_action, m.head_move, m.state_delta, m.halt) == (TapeAction.BUILD_ROAD, "R", 1, False)
+    assert (m.tape_action, m.head_move, m.state_delta, m.halt) == ("build_road", "R", 1, False)
     # Write-equals-read normalizes to leave: rebuilding a standing road is illegal.
     m = program.macros[(0, "road")]
-    assert (m.tape_action, m.head_move, m.state_delta) == (TapeAction.LEAVE, "L", 2)
+    assert (m.tape_action, m.head_move, m.state_delta) == ("leave", "L", 2)
     m = program.macros[(2, "road")]
     assert m.halt and m.head_move is None and m.state_delta == 0
 
@@ -154,12 +154,12 @@ def test_compiled_programs_keep_only_their_own_macros():
 def test_compile_appendix_spot_checks():
     be = compile_program(builtin_program("rogozhin_10_3"), RULESET_BE)
     m = be.macros[(0, "road")]
-    assert (m.tape_action, m.head_move, m.state_delta) == (TapeAction.REMOVE_IMPROVEMENT, "L", 1)
+    assert (m.tape_action, m.head_move, m.state_delta) == ("remove_improvement", "L", 1)
     m = be.macros[(4, "none")]
-    assert (m.tape_action, m.head_move, m.state_delta) == (TapeAction.BUILD_ROAD_THEN_PILLAGE, "L", -2)
+    assert (m.tape_action, m.head_move, m.state_delta) == ("build_road_then_pillage", "L", -2)
     vi = compile_program(builtin_program("rogozhin_24_2"), RULESET_VI)
     m = vi.macros[(0, "unworked")]
-    assert (m.tape_action, m.head_move, m.state_delta) == (TapeAction.LEAVE, "R", 4)
+    assert (m.tape_action, m.head_move, m.state_delta) == ("leave", "R", 4)
     assert macro_paper_command(m, RULESET_VI) == "Is Not Being Worked, move R; Work 5 more Monasteries"
 
 
@@ -263,11 +263,11 @@ def test_write_normalization_soundness():
     for name, ruleset in (("rogozhin_10_3", RULESET_BE), ("rogozhin_10_3", RULESET_V), ("rogozhin_24_2", RULESET_VI), ("bb3", RULESET_BE)):
         program = compile_program(builtin_program(name), ruleset)
         for (idx, read), macro in program.macros.items():
-            if macro.tape_action == TapeAction.BUILD_ROAD:
+            if macro.tape_action == "build_road":
                 assert read != "road"
-            if macro.tape_action == TapeAction.BUILD_RAILROAD:
+            if macro.tape_action == "build_railroad":
                 assert read != "railroad"
-            if macro.tape_action == TapeAction.LEAVE:
+            if macro.tape_action == "leave":
                 assert macro.write_symbol == read
 
 
@@ -485,40 +485,84 @@ def test_extend_tape_requires_crossing():
         extend_tape(world, "R", _blank_record())  # head 0 -> 1 stays inside city 0
 
 
-# The BE/V tape plans: every tape action the compiler emits for BE or V has
-# a plan, executing it issues the plan's ops and writes the symbol the action
-# names.
+# The BE/V tape plans: every (read, write) pair of two symbols of BE or V has
+# a row, and executing a macro that writes ``write`` over ``read`` issues the
+# row's ops and writes ``write``.
 _BE_V_WRITES = [
     (ruleset, read, write)
     for ruleset in (RULESET_BE, RULESET_V)
-    for read, write in controller._TAPE_ACTIONS[ruleset]
-] + [(ruleset, symbol, symbol) for ruleset in (RULESET_BE, RULESET_V) for symbol in GAME_SYMBOLS[ruleset]]
+    for read in GAME_SYMBOLS[ruleset]
+    for write in GAME_SYMBOLS[ruleset]
+]
 
 
 @pytest.mark.parametrize(("ruleset", "read", "write"), _BE_V_WRITES)
 def test_tape_plan_writes_what_its_action_names(ruleset, read, write):
-    action = TapeAction.LEAVE if read == write else controller._TAPE_ACTIONS[ruleset][(read, write)]
+    action, worker_ops, rover_ops = tape_plan(ruleset, read, write)  # raises for a pair with no row
     macro = CommandMacro(tape_action=action, head_move=None, state_delta=0, read_symbol=read, write_symbol=write)
-    worker_ops, rover_ops = tape_plan(macro)  # raises for an action with no BE/V plan
     world = init_world(ruleset, {} if read == "none" else {0: read})
     record = InstructionRecord(index=1, state_index=0, read=read, macro=macro)
-    controller._execute_be_v(world, macro, 0, record)
+    controller._execute_be_v(world, macro, 0, read, record)
     assert world.symbol_at(0) == write
     assert world.at_boundary()
     issued = [entry["command"] for entry in event_entries(world) if "completes_at" in entry["detail"]]
     assert issued == [*worker_ops, *rover_ops]
-    if action == TapeAction.LEAVE:
+    if action == "leave":
         assert issued == []
     elif ruleset == RULESET_V and "none" not in (read, write):
         # Road over Railroad or Railroad over Road: the standing one is removed first.
         assert issued == ["remove_improvement", action]
 
 
-@pytest.mark.parametrize("action", [TapeAction.SET_WORKED, TapeAction.SET_UNWORKED])
+# A macro's ``tape_action`` is a label that no reader trusts: each looks the
+# action up from (read, write), so a program whose macros all carry another
+# action's name runs, exports, renders and diffs as the compiled one does.
+_ACTION_NAMES = sorted({row[0] for rows in controller._TAPE_ACTIONS.values() for row in rows.values()})
+
+
+def _labelled(program, action):
+    macros = {key: dataclasses.replace(macro, tape_action=action) for key, macro in program.macros.items()}
+    return dataclasses.replace(program, macros=macros)
+
+
+def _what_a_run_shows(program):
+    report = lockstep_verify(program.spec, program.ruleset, {}, 100, program=program)
+    papers = [macro_paper_command(macro, program.ruleset) for _, macro in sorted(program.macros.items())]
+    return report.to_json(), event_log_lines(report.world), program_to_json(program), papers
+
+
+@pytest.mark.parametrize("action", _ACTION_NAMES)
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V, RULESET_VI])
+def test_a_macro_label_cannot_change_a_run(ruleset, action):
+    program = compile_program(builtin_program("bb3"), ruleset)
+    assert _what_a_run_shows(_labelled(program, action)) == _what_a_run_shows(program)
+
+
+@pytest.mark.parametrize("action", _ACTION_NAMES)
+@pytest.mark.parametrize("ruleset,name", sorted(FIXTURE_FOR))
+def test_a_macro_label_cannot_change_table_fidelity(ruleset, name, action):
+    program = _labelled(compile_program(builtin_program(name), ruleset), action)
+    assert table_fidelity(program, load_fixture(FIXTURE_FOR[(ruleset, name)])) == []
+
+
+@pytest.mark.parametrize("write", GAME_SYMBOLS[RULESET_BE])
+def test_a_be_v_write_symbol_on_a_vi_world_is_refused(write):
+    program = compile_program(builtin_program("bb3"), RULESET_VI)
+    program.macros[(0, "unworked")] = dataclasses.replace(program.macros[(0, "unworked")], write_symbol=write)
+    world = init_world(RULESET_VI, {})
+    message = f"writing {write} over unworked is not a tape action of ruleset VI"
+    with pytest.raises(IllegalCommand, match=re.escape(message)):
+        execute_instruction(world, program, index=1)
+
+
+@pytest.mark.parametrize("action", ["set_worked", "set_unworked"])
 @pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V])
 def test_vi_tape_action_on_a_be_v_world_is_refused(ruleset, action):
+    # A macro that writes what VI's ``action`` row writes: BE and V have no row for it.
+    (write,) = [write for (_, write), row in controller._TAPE_ACTIONS[RULESET_VI].items() if row[0] == action]
     program = compile_program(builtin_program("bb3"), ruleset)
-    program.macros[(0, "none")] = dataclasses.replace(program.macros[(0, "none")], tape_action=action)
+    program.macros[(0, "none")] = dataclasses.replace(program.macros[(0, "none")], write_symbol=write)
     world = init_world(ruleset, {})
-    with pytest.raises(IllegalCommand, match=re.escape(f"tape action {action} is not a BE/V action")):
+    message = f"writing {write} over none is not a tape action of ruleset {ruleset}"
+    with pytest.raises(IllegalCommand, match=re.escape(message)):
         execute_instruction(world, program, index=1)

@@ -11,12 +11,12 @@ import sys
 import weakref
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from civutm import codec, controller, harness, tm
 from civutm import world as world_module
-from civutm.controller import TapeAction, compile_program, tape_plan
+from civutm.controller import compile_program, tape_plan
 from civutm.harness import (
     DIVERGED,
     EQUIVALENT,
@@ -42,6 +42,7 @@ from civutm.tm import (
     validate_spec,
 )
 from civutm.world import (
+    GAME_SYMBOLS,
     RULESET_BE,
     RULESET_V,
     RULESET_VI,
@@ -88,12 +89,13 @@ def test_corrupted_macro_diverges_at_instruction_one():
 @pytest.mark.parametrize("corruption", ["write_left_out", "head_move_flipped"])
 def test_a_corrupted_macro_diverges_at_its_first_use(ruleset, corruption):
     # bb3's first instruction writes a 1 on cell 0 and moves right. With the
-    # write left out the world writes nothing, so only the oracle's cell
-    # shows the difference; with the move flipped only the head differs.
+    # write left out (the macro writes the symbol it reads) the world writes
+    # nothing, so only the oracle's cell shows the difference; with the move
+    # flipped only the head differs.
     spec = builtin_program("bb3")
     program = compile_program(spec, ruleset)
     key = (0, program.symbol_of[spec.blank])
-    change = {"tape_action": TapeAction.LEAVE} if corruption == "write_left_out" else {"head_move": "L"}
+    change = {"write_symbol": key[1]} if corruption == "write_left_out" else {"head_move": "L"}
     program.macros[key] = dataclasses.replace(program.macros[key], **change)
     report = lockstep_verify(spec, ruleset, {}, 100, program=program)
     assert report.outcome == DIVERGED
@@ -150,7 +152,7 @@ _START = {"state": "q0", "head": 0, "tape": {}}
 def test_a_world_changed_before_the_first_boundary_diverges_at_instruction_zero(ruleset, change):
     spec = builtin_program("bb3")
     program = compile_program(spec, ruleset)
-    report, boundaries = harness.lockstep(spec, ruleset, {}, 100, program=program)
+    report, boundaries = harness.lockstep(program, {}, 100)
     if change == "cell":
         report.world.tape[3] = program.symbol_of["1"]
     else:  # a pending job: the world is not at a boundary
@@ -179,26 +181,26 @@ def test_a_macro_added_runs_the_game_where_the_oracle_is_stuck(ruleset):
     program = compile_program(spec, ruleset)
     blank = program.symbol_of["0"]
     first = program.macros[(0, blank)]
-    program.macros[(1, blank)] = dataclasses.replace(first, tape_action=TapeAction.LEAVE, state_delta=0, write_symbol=blank)
+    program.macros[(1, blank)] = dataclasses.replace(first, state_delta=0, write_symbol=blank)
     report = lockstep_verify(spec, ruleset, {}, 10, program=program)
     assert (report.outcome, report.instructions_verified, len(report.records)) == (DIVERGED, 1, 1)
     assert report.first_divergence == {"instruction": 2, "oracle": "stuck", "decoded": "ran"}
 
 
-# A run is described once, by its program: lockstep takes no params, builds
-# its world with the program's, and refuses a program of another machine or
-# ruleset before any world is built.
+# A run is described once, by its program: lockstep takes the program and
+# no params, and builds its world with the program's; lockstep_verify refuses
+# a program of another machine or ruleset before any world is built.
 
 
 def test_lockstep_takes_its_params_from_the_program():
-    for function in (harness.lockstep, lockstep_verify):
-        assert list(inspect.signature(function).parameters) == [
-            "spec",
-            "ruleset",
-            "initial_tape",
-            "max_instructions",
-            "program",
-        ]
+    assert list(inspect.signature(harness.lockstep).parameters) == ["program", "initial_tape", "max_instructions"]
+    assert list(inspect.signature(lockstep_verify).parameters) == [
+        "spec",
+        "ruleset",
+        "initial_tape",
+        "max_instructions",
+        "program",
+    ]
     spec = builtin_program("bb3")
     params = dataclasses.replace(RulesetParams.defaults(RULESET_BE), road_build_turns=5)
     program = compile_program(spec, RULESET_BE, params)
@@ -217,9 +219,8 @@ def test_a_program_for_another_ruleset_is_refused(monkeypatch, ruleset, compiled
     spec = builtin_program("bb3")
     program = compile_program(spec, compiled_for)
     monkeypatch.setattr(harness, "init_world", _no_world)
-    for run in (lockstep_verify, harness.lockstep):
-        with pytest.raises(CompileError, match=f"not compiled from this machine for ruleset {ruleset}"):
-            run(spec, ruleset, {}, 100, program=program)
+    with pytest.raises(CompileError, match=f"not compiled from this machine for ruleset {ruleset}"):
+        lockstep_verify(spec, ruleset, {}, 100, program=program)
 
 
 def test_a_program_of_another_machine_is_refused(monkeypatch):
@@ -232,9 +233,8 @@ def test_a_program_of_another_machine_is_refused(monkeypatch):
         compile_program(r10, RULESET_BE, small)
     program = compile_program(builtin_program("bb3"), RULESET_BE, small)
     monkeypatch.setattr(harness, "init_world", _no_world)
-    for run in (lockstep_verify, harness.lockstep):
-        with pytest.raises(CompileError, match="not compiled from this machine for ruleset BE"):
-            run(r10, RULESET_BE, {0: "1", 2: "b"}, 200, program=program)
+    with pytest.raises(CompileError, match="not compiled from this machine for ruleset BE"):
+        lockstep_verify(r10, RULESET_BE, {0: "1", 2: "b"}, 200, program=program)
 
 
 def test_halting_state_transition_coincides():
@@ -273,7 +273,7 @@ def test_move_only_instruction_costs_movement_only():
     moves_only = [
         r
         for r in report.records
-        if r.macro and r.macro.tape_action == TapeAction.LEAVE and r.macro.state_delta == 0 and not r.halted
+        if r.macro and r.macro.write_symbol == r.read and r.macro.state_delta == 0 and not r.halted
     ]
     assert moves_only
     for r in moves_only:
@@ -286,10 +286,10 @@ def test_overhead_report_within_bounds():
         params = RulesetParams.defaults(ruleset)
         report = lockstep_verify(spec, ruleset, {0: "1", 2: "b"}, 60, program=compile_program(spec, ruleset, params))
         over = overhead_report(report)
-        assert over.paper_bound_satisfied
-        assert over.derived_bound_satisfied
-        assert over.max_observed <= over.derived_bound
-        assert len(over.per_instruction) == len(report.records)
+        assert over["paper_bound_satisfied"]
+        assert over["derived_bound_satisfied"]
+        assert over["max_observed"] <= over["derived_bound"]
+        assert len(over["per_instruction"]) == len(report.records)
 
 
 def test_overhead_vi_extensions_meet_paper_bound():
@@ -297,11 +297,11 @@ def test_overhead_vi_extensions_meet_paper_bound():
     params = RulesetParams.defaults(RULESET_VI)
     report = lockstep_verify(spec, RULESET_VI, {}, 100, program=compile_program(spec, RULESET_VI, params))
     over = overhead_report(report)
-    assert over.extensions
-    for ext in over.extensions:
+    assert over["extensions"]
+    for ext in over["extensions"]:
         assert ext["counted_turns"] <= ext["paper_bound"]
         assert ext["itemized_excess"]["settler_movement"] == params.city_spacing
-    assert over.paper_bound_satisfied
+    assert over["paper_bound_satisfied"]
 
 
 def _pushed(report: LockstepReport, record, **fields) -> LockstepReport:
@@ -314,51 +314,51 @@ def _pushed(report: LockstepReport, record, **fields) -> LockstepReport:
 def test_overhead_report_flags_each_bound_a_record_exceeds(ruleset):
     report = lockstep_verify(builtin_program("bb3"), ruleset, {}, 100)
     within = overhead_report(report)
-    paper, derived = within.paper_bound, within.derived_bound
-    assert (within.paper_bound_satisfied, within.derived_bound_satisfied, within.excesses) == (True, True, [])
-    assert within.max_observed == derived < paper
+    paper, derived = within["paper_bound"], within["derived_bound"]
+    assert (within["paper_bound_satisfied"], within["derived_bound_satisfied"], within["excesses"]) == (True, True, [])
+    assert within["max_observed"] == derived < paper
     record = report.records[2]
     move = record.movement_turns
     assert move > 0
 
     # Past the derived bound alone.
     over = overhead_report(_pushed(report, record, turns=derived + 1))
-    assert (over.paper_bound_satisfied, over.derived_bound_satisfied, over.excesses) == (True, False, [])
-    assert over.max_observed == derived + 1
+    assert (over["paper_bound_satisfied"], over["derived_bound_satisfied"], over["excesses"]) == (True, False, [])
+    assert over["max_observed"] == derived + 1
 
     # Past the paper bound only by the movement it does not count: an
     # itemized excess, and the paper bound still holds.
     excess = {"instruction": 3, "turns": paper + move, "paper_bound": paper, "itemized_excess": {"movement": move}}
     over = overhead_report(_pushed(report, record, turns=paper + move))
-    assert (over.paper_bound_satisfied, over.derived_bound_satisfied, over.excesses) == (True, False, [excess])
+    assert (over["paper_bound_satisfied"], over["derived_bound_satisfied"], over["excesses"]) == (True, False, [excess])
 
     # One turn more, and the counted turns exceed the paper bound too.
     over = overhead_report(_pushed(report, record, turns=paper + move + 1))
-    assert (over.paper_bound_satisfied, over.derived_bound_satisfied) == (False, False)
-    assert over.excesses == [{**excess, "turns": paper + move + 1}]
-    assert over.per_instruction[2] == {"instruction": 3, "turns": paper + move + 1, "movement_turns": move, "extension": False}
+    assert (over["paper_bound_satisfied"], over["derived_bound_satisfied"]) == (False, False)
+    assert over["excesses"] == [{**excess, "turns": paper + move + 1}]
+    assert over["per_instruction"][2] == {"instruction": 3, "turns": paper + move + 1, "movement_turns": move, "extension": False}
 
 
 def test_overhead_report_flags_a_vi_extension_and_a_move_past_their_bounds():
     report = lockstep_verify(builtin_program("bb3"), RULESET_VI, {}, 100)
-    assert overhead_report(report).paper_bound_satisfied and overhead_report(report).derived_bound_satisfied
+    assert overhead_report(report)["paper_bound_satisfied"] and overhead_report(report)["derived_bound_satisfied"]
     extension = next(r for r in report.records if r.extension)
     bound = paper_extension_bound(report.program.params, extension.settler_cost_turns)
     itemized = extension.movement_turns + extension.pre_train_wait
 
     # An extension whose counted turns exceed C+S(L)+3 fails both bounds.
     over = overhead_report(_pushed(report, extension, turns=bound + itemized + 1))
-    assert (over.paper_bound_satisfied, over.derived_bound_satisfied) == (False, False)
-    [entry] = [e for e in over.extensions if e["instruction"] == extension.index]
+    assert (over["paper_bound_satisfied"], over["derived_bound_satisfied"]) == (False, False)
+    [entry] = [e for e in over["extensions"] if e["instruction"] == extension.index]
     assert (entry["counted_turns"], entry["paper_bound"]) == (bound + 1, bound)
-    assert over.excesses == []
+    assert over["excesses"] == []
 
     # A plain move that takes a turn beyond its movement fails the derived
     # bound alone: VI's published bound is per extension.
     move = next(r for r in report.records if not r.extension and not r.halted)
     over = overhead_report(_pushed(report, move, turns=move.movement_turns + 1))
-    assert (over.paper_bound_satisfied, over.derived_bound_satisfied) == (True, False)
-    assert all(e["counted_turns"] <= e["paper_bound"] for e in over.extensions)
+    assert (over["paper_bound_satisfied"], over["derived_bound_satisfied"]) == (True, False)
+    assert all(e["counted_turns"] <= e["paper_bound"] for e in over["extensions"])
 
 
 def test_random_tm_reproducible_and_valid():
@@ -559,9 +559,10 @@ def test_golden_output_digest_with_waiting_units(name, ruleset, max_instructions
     params = dataclasses.replace(RulesetParams.defaults(ruleset), **dict(overrides))
     spec = _golden_machine(name)
     program = compile_program(spec, ruleset, params)
-    assert any(m.tape_action == action and m.read_symbol == read and m.head_move for m in program.macros.values())
+    macros = [m for m in program.macros.values() if tape_plan(ruleset, m.read_symbol, m.write_symbol)[0] == action]
+    assert any(m.read_symbol == read and m.head_move for m in macros)
     report = lockstep_verify(spec, ruleset, {}, max_instructions, program=program)
-    executed = [r.macro for r in report.records if r.macro and r.macro.tape_action == action and r.read == read]
+    executed = [r.macro for r in report.records if r.macro in macros and r.read == read]
     assert any(m.head_move and m.state_delta for m in executed)
     assert _output_digest(report) == GOLDEN_WAIT_DIGESTS[(name, ruleset, max_instructions, overrides, action, read)]
 
@@ -595,7 +596,7 @@ def _outcome(spec, ruleset, max_instructions, params):
     """The run's outputs, or its error; every VI boundary is checked."""
     try:
         program = compile_program(spec, ruleset, params)
-        report, boundaries = harness.lockstep(spec, ruleset, {}, max_instructions, program=program)
+        report, boundaries = harness.lockstep(program, {}, max_instructions)
         for _ in boundaries:
             if ruleset == RULESET_VI:
                 check_vi_boundary(report.world)
@@ -650,7 +651,7 @@ def _check_turns_folded(spec, ruleset, params, tape) -> int:
     executed = [record for record in report.records if record.macro is not None]
     for record in executed:
         folded = macro_turns(record.macro, params)
-        if ruleset == RULESET_BE and tape_plan(record.macro)[1]:
+        if ruleset == RULESET_BE and tape_plan(ruleset, record.read, record.macro.write_symbol)[2]:
             assert record.turns <= folded, record
         else:
             assert record.turns == folded, record
@@ -695,17 +696,32 @@ def test_each_instruction_takes_the_turns_its_macro_folds_to(spec, tape, ruleset
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), seed=st.integers(0, 10**6), num_states=st.integers(2, 6))
-def test_each_instruction_takes_the_turns_its_macro_folds_to_under_any_params(data, seed, num_states):
-    ruleset = data.draw(st.sampled_from((RULESET_BE, RULESET_V)))
+@given(
+    ruleset=st.sampled_from((RULESET_BE, RULESET_V)),
+    fields=st.fixed_dictionaries(_BE_V_FIELDS),
+    name=st.sampled_from(("bb3", "rogozhin_10_3", "random")),
+    seed=st.integers(0, 10**6),
+    num_states=st.integers(2, 6),
+    halt=st.none() | st.tuples(st.integers(0, 100), st.integers(0, 2)),
+    cells=st.dictionaries(st.integers(-6, 6), st.integers(0, 2), max_size=5),
+)
+# A halting pillage on BE, whose turns only the rover's op accounts for:
+# random_tm(0, 2, 3)'s q0 reads a "1" (a Road) on cell 0 and halts writing a
+# "b" (a Pillaged Road). ``halt`` and ``cells`` index the sorted transition
+# keys and the alphabet.
+@example(ruleset=RULESET_BE, fields={}, name="random", seed=0, num_states=2, halt=(1, 2), cells={0: 1})
+def test_each_instruction_takes_the_turns_its_macro_folds_to_under_any_params(
+    ruleset, fields, name, seed, num_states, halt, cells
+):
     try:
-        params = dataclasses.replace(RulesetParams.defaults(ruleset), **data.draw(st.fixed_dictionaries(_BE_V_FIELDS)))
+        params = dataclasses.replace(RulesetParams.defaults(ruleset), **fields)
     except IllegalCommand:
         reject()
-    name = data.draw(st.sampled_from(("bb3", "rogozhin_10_3", "random")))
     spec = random_tm(seed, num_states, 3) if name == "random" else builtin_program(name)
-    spec = _draw_halt_writer(data, spec)
-    tape = data.draw(st.dictionaries(st.integers(-6, 6), st.sampled_from(spec.alphabet), max_size=5))
+    if halt is not None:  # random_tm draws no halt rule, so none that writes
+        keys = sorted(spec.transitions)
+        spec = with_halt_writer(spec, keys[halt[0] % len(keys)], spec.alphabet[halt[1] % len(spec.alphabet)])
+    tape = {cell: spec.alphabet[index % len(spec.alphabet)] for cell, index in cells.items()}
     _check_turns_folded(spec, ruleset, params, tape)
 
 
@@ -941,7 +957,7 @@ def test_vi_boundary_invariant_holds_past_a_long_initial_tape(direction):
     # waits before its Settler is trained: the end city is at its cap.
     runner = _walker([("a", "0", "1", direction, "a"), ("a", "1", "1", direction, "a")], states=("a",))
     tape = {cell: "1" for cell in (-60, -37, -12, 5, 28, 60)}
-    report, boundaries = harness.lockstep(runner, RULESET_VI, tape, 160)
+    report, boundaries = harness.lockstep(compile_program(runner, RULESET_VI), tape, 160)
     assert len(report.world.cities) == 61
     for _ in boundaries:
         check_vi_boundary(report.world)
@@ -1036,20 +1052,17 @@ def _verdict(verify, spec, ruleset, tape, max_instructions, program):
         return type(error).__name__, str(error)
 
 
-_ALL_TAPE_ACTIONS = [value for name, value in vars(TapeAction).items() if name.isupper()]
-
-
 def _corrupt(data, program):
     """Change one field of one drawn macro."""
     key = data.draw(st.sampled_from(sorted(program.macros)))
     macro = program.macros[key]
-    name = data.draw(st.sampled_from(("state_delta", "head_move", "tape_action", "halt")))
+    name = data.draw(st.sampled_from(("state_delta", "head_move", "write_symbol", "halt")))
     if name == "state_delta":
         value = macro.state_delta + data.draw(st.sampled_from((-1, 1)))
     elif name == "head_move":
         value = {"L": "R", "R": "L", None: "R"}[macro.head_move]
-    elif name == "tape_action":
-        value = data.draw(st.sampled_from(_ALL_TAPE_ACTIONS))
+    elif name == "write_symbol":
+        value = data.draw(st.sampled_from([sym for sym in GAME_SYMBOLS[program.ruleset] if sym != macro.write_symbol]))
     else:
         value = not macro.halt
     program.macros[key] = dataclasses.replace(macro, **{name: value})
@@ -1166,8 +1179,8 @@ def test_a_move_only_instruction_is_compared_on_state_and_head(ruleset):
     spec = dataclasses.replace(spec, transitions={**spec.transitions, ("q0", "0"): dataclasses.replace(first, write="0")})
     program = compile_program(spec, ruleset)
     key = (0, program.symbol_of["0"])
-    assert program.macros[key].tape_action == TapeAction.LEAVE
-    report, boundaries = harness.lockstep(spec, ruleset, {}, 1, program=program)
+    assert program.macros[key].write_symbol == key[1]
+    report, boundaries = harness.lockstep(program, {}, 1)
     next(boundaries)
     record, oracle, changed = next(boundaries)
     assert (record.index, changed) == (1, {})
@@ -1316,4 +1329,4 @@ def test_a_negative_budget_is_refused(ruleset):
     with pytest.raises(ValueError, match="max_instructions must be >= 0"):
         lockstep_verify(builtin_program("bb3"), ruleset, {}, -1)
     with pytest.raises(ValueError, match="max_instructions must be >= 0"):
-        harness.lockstep(builtin_program("bb3"), ruleset, {}, -1)
+        harness.lockstep(compile_program(builtin_program("bb3"), ruleset), {}, -1)

@@ -234,8 +234,8 @@ MUTANTS = (
     Mutant(
         "set-worked-delta-not-rederived",
         WORLD,
-        "_rederive(world, world.city_of_cell(command.cell))",
-        "pass",
+        'world.tape[command.cell] = "worked" if command.worked else "unworked"\n        _rederive(world, city)\n',
+        'world.tape[command.cell] = "worked" if command.worked else "unworked"\n',
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     Mutant(
@@ -387,6 +387,29 @@ MUTANTS = (
         'lanes.append((ROVER, rover, lambda w: w.tape.get(head) == "road"))',
         "lanes.append((ROVER, rover, None))",
         ("tests/test_acceptance.py", "tests/test_harness.py"),
+    ),
+    # The one boundary: the drive ends at it, a VI city below its cap holds
+    # it back, and a lane waits for its unit to exist.
+    Mutant(
+        "drive-ends-on-jobs-alone",
+        CONTROLLER,
+        "if not waiting and not jobs and world.at_boundary():",
+        "if not waiting and not jobs:",
+        ("tests/test_acceptance.py", "tests/test_controller.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "boundary-ignores-cap",
+        WORLD,
+        "if city.training_cost is not None or city.citizens < city.growth_cap:\n                return False",
+        "if city.training_cost is not None:\n                return False",
+        ("tests/test_acceptance.py", "tests/test_controller.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "drive-issues-to-absent-unit",
+        CONTROLLER,
+        "uid not in jobs and uid in units and",
+        "uid not in jobs and",
+        ("tests/test_acceptance.py", "tests/test_controller.py", "tests/test_harness.py"),
     ),
     Mutant(
         "drive-returns-with-a-command-left",

@@ -264,7 +264,7 @@ def cmd_demo_bb3(args) -> int:
     print(f"t00  state {boundaries[0]['state']:>3}  {render(boundaries[0])}")
     for record, entry in zip(report.records, boundaries[1:]):
         macro = record.macro
-        did = "HALT" if macro is None or macro.halt else macro_paper_command(macro, args.ruleset)
+        did = "HALT" if macro is None or macro.halt else macro_paper_command(macro, args.ruleset, record.read)
         evidence = entry["yields"][resource] - base if resource else program.state_index_of[entry["state"]]
         print(
             f"t{record.index:02d}  state {entry['state']:>3}  {render(entry)}  "

@@ -7,13 +7,13 @@ state at index 0. A write's tape action and ops are looked up from (read,
 write) in one table (``tape_plan``): an identity write is ``leave``, as the
 games forbid rebuilding an improvement; a build over another removes it first.
 
-``execute_instruction`` runs one macro against a world: it issues the tape,
-state, and movement commands to the workers, moves the clock from event to
-event until every job is done (the quiet turns in between are skipped in
-closed form by ``world.skip_quiet_turns``), and returns the world at the next
-instruction boundary. For VI, a head move that leaves the built strip
-triggers the tape-extension procedure (train a Settler, found a city, grow it
-to its cap).
+``execute_instruction`` runs one macro against a world. Every wait is one
+``_drive``: it issues the tape, state and movement commands to the workers
+and moves the clock from event to event (the quiet turns in between are
+skipped in closed form by ``world.skip_quiet_turns``) until
+``world.at_boundary()`` holds. For VI, a head move that leaves the built
+strip extends the tape: the end city trains a Settler, and one drive founds
+the new city and grows it to its cap.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class CommandMacro:
     head_move: str | None  # "L" | "R" | None on halt
     state_delta: int
     halt: bool = False
-    read_symbol: str = ""  # game symbol this macro fires on
+    read_symbol: str = ""  # copy of the key's game read, which every reader takes instead
     write_symbol: str = ""  # game symbol the cell holds afterwards
 
 
@@ -244,9 +244,9 @@ def _state_text(ruleset: str, delta: int) -> str:
     return f"{verb} a {noun}" if n == 1 else f"{verb} {n} {noun}s"
 
 
-def macro_paper_command(macro: CommandMacro, ruleset: str) -> str:
-    """The worker-command cell of a table row, reconstructed from a macro."""
-    action = tape_plan(ruleset, macro.read_symbol, macro.write_symbol)[0]
+def macro_paper_command(macro: CommandMacro, ruleset: str, read: str) -> str:
+    """The worker-command cell of a table row, from a macro firing on ``read``."""
+    action = tape_plan(ruleset, read, macro.write_symbol)[0]
     if macro.halt and action == "leave":
         return "HALT"
     if ruleset == RULESET_VI:
@@ -269,7 +269,7 @@ def program_to_json(program: ControllerProgram) -> dict:
                 "move": macro.head_move,
                 "state_delta": macro.state_delta,
                 "halt": macro.halt,
-                "paper_command": macro_paper_command(macro, program.ruleset),
+                "paper_command": macro_paper_command(macro, program.ruleset, game_read),
             }
         )
     return {
@@ -326,25 +326,26 @@ _DRIVE_GUARD = 1_000_000
 
 def _drive(world: WorldState, lanes: list[tuple]) -> None:
     """Issue each lane's commands as its unit frees up; move from event to
-    event until all are done.
+    event until the next instruction boundary. Called with no job pending.
 
     A lane is (unit id, its commands in reverse issue order, a gate or
     None), and the lanes are given in issue order. Each event turn takes one
-    pass over them: a unit with commands left, no job in ``world.jobs`` and
-    an open gate gets its next command, popped off the end of its list. The
-    pass notes whether a lane still holds a command, and the drive ends when
-    none does and no job is pending. Issuing only makes that unit busy, and
-    units and gates change only on event turns, so a second pass would issue
-    nothing and no command waits through a skipped turn."""
-    jobs = world.jobs
+    pass over them: a unit that exists, has commands left, no job in
+    ``world.jobs`` and an open gate gets its next command, popped off the
+    end of its list. The drive ends once no lane holds a command, no job is
+    pending and ``world.at_boundary()`` holds (a new VI city has grown to its
+    cap). Issuing only makes that unit busy, and units and gates change only
+    on event turns, so a second pass would issue nothing and no command
+    waits through a skipped turn."""
+    jobs, units = world.jobs, world.units
     for _ in range(_DRIVE_GUARD):
         waiting = False
         for uid, queue, gate in lanes:
-            if queue and uid not in jobs and (gate is None or gate(world)):
+            if queue and uid not in jobs and uid in units and (gate is None or gate(world)):
                 apply_command(world, uid, queue.pop())
             if queue:
                 waiting = True
-        if not waiting and not jobs:
+        if not waiting and not jobs and world.at_boundary():
             return
         skip_quiet_turns(world)
         advance_turn(world)
@@ -426,10 +427,7 @@ def _execute_vi(world: WorldState, macro: CommandMacro, head: int, read: str, re
     target = head + (1 if macro.head_move == "R" else -1)
     if target // 2 in world.cities:
         # Within the head's city or into an existing neighbour: a plain move.
-        apply_command(world, TAPE_WORKER, Command(op="move", to=target))
-        while world.jobs:
-            skip_quiet_turns(world)
-            advance_turn(world)
+        _drive(world, [(TAPE_WORKER, [Command(op="move", to=target)], None)])
         record.movement_turns = move_turns(world.params, TAPE_WORKER, 1)
         return
     extend_tape(world, macro.head_move, record)
@@ -439,15 +437,15 @@ def extend_tape(world: WorldState, direction: str, record: InstructionRecord) ->
     """Extend the strip by one city in ``direction`` and carry the head onto it.
 
     The head must stand on the end city's outer cell, facing a city that does
-    not exist yet; a move into an existing city is a plain move. The end city
-    (still at growth cap 4 unless it already extended the other way) trains a
-    Settler once its population matches its cap, the Settler travels one
-    spacing and founds the new city, and the worker waits on the new near
-    cell until the city grows to its cap of 4. The strip's end is found by
-    which cities exist, not by population: an end city that has trained a
-    Settler holds 3 Citizens. Each wait jumps from event to event (a birth,
-    the finished Settler, a job), so its cost is the events it spans, not its
-    turns. The extension's costs are filled into ``record``.
+    not exist yet; a move into an existing city is a plain move. The boundary
+    holds the end city at its growth cap (4 unless it already extended the
+    other way), so it trains a Settler at once. One ``_drive`` runs the rest:
+    once the Settler exists the worker moves onto the new near cell and the
+    Settler travels one spacing and founds the new city, and the drive ends
+    at the boundary, once that city has grown to its cap of 4. The strip's
+    end is found by which cities exist, not by population: an end city that
+    has trained a Settler holds 3 Citizens. The extension's costs are filled
+    into ``record``.
     """
     if world.params.ruleset != RULESET_VI:
         raise IllegalCommand("tape extension applies to ruleset VI only")
@@ -466,30 +464,15 @@ def extend_tape(world: WorldState, direction: str, record: InstructionRecord) ->
     if src is None or (src_index - 1 in world.cities and src_index + 1 in world.cities):
         raise IllegalCommand(f"cell {head} is not on the end city of the strip")
 
-    wait_start = world.turn
-    while src.citizens < src.growth_cap:
-        skip_quiet_turns(world)
-        advance_turn(world)
-    pre_train_wait = world.turn - wait_start
-
     tape_length = 2 * len(world.cities)
     apply_command(world, PLAYER, Command(op="train_settler", city=src.index))
     cost = src.training_cost
-    while SETTLER not in world.units:
-        skip_quiet_turns(world)
-        advance_turn(world)
-
     settler = [Command(op="found_city", city=new_index), Command(op="move", to=params.city_spacing * new_index)]
-    _drive(world, [(TAPE_WORKER, [Command(op="move", to=target)], None), (SETTLER, settler, None)])
-
-    new_city = world.cities[new_index]
-    while new_city.citizens < new_city.growth_cap:
-        skip_quiet_turns(world)
-        advance_turn(world)
+    move = [Command(op="move", to=target)]
+    _drive(world, [(TAPE_WORKER, move, lambda w: SETTLER in w.units), (SETTLER, settler, None)])
 
     record.extension = True
     record.movement_turns = move_turns(params, SETTLER, params.city_spacing)  # center to center
-    record.pre_train_wait = pre_train_wait
     record.tape_length_before = tape_length
     record.settler_cost_production = cost
     record.settler_cost_turns = -(-cost // params.production_per_turn)

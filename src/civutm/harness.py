@@ -209,12 +209,12 @@ def lockstep_verify(
 # ---------------------------------------------------------------------------
 
 
-def macro_turns(macro: CommandMacro, params: RulesetParams) -> int:
-    """The turns a BE/V macro takes, folded from ``world``'s own durations:
-    its plan's ops one after another, then the head's move unless it halts,
-    against the state worker's |delta| builds or removals alongside. Exact
-    but for a rover's pillage, which may overlap the move."""
-    _, worker_ops, rover_ops = tape_plan(params.ruleset, macro.read_symbol, macro.write_symbol)
+def macro_turns(macro: CommandMacro, params: RulesetParams, read: str) -> int:
+    """The turns a BE/V macro takes on ``read``, folded from ``world``'s
+    durations: its plan's ops one after another, then the head's move unless
+    it halts, against the state worker's |delta| builds or removals
+    alongside. Exact but for a rover's pillage, which may overlap the move."""
+    _, worker_ops, rover_ops = tape_plan(params.ruleset, read, macro.write_symbol)
     tape = sum(op_turns(params, op) for op in (*worker_ops, *rover_ops))
     move = 0 if macro.halt else move_turns(params, TAPE_WORKER, 1)
     state = abs(macro.state_delta) * op_turns(params, "build_state" if macro.state_delta > 0 else "remove_state")
@@ -242,7 +242,7 @@ def derived_instruction_bound(program: ControllerProgram) -> int | None:
     program's macros, under its params; None for VI."""
     if program.ruleset == RULESET_VI:
         return None
-    return max((macro_turns(macro, program.params) for macro in program.macros.values()), default=0)
+    return max((macro_turns(macro, program.params, read) for (_, read), macro in program.macros.items()), default=0)
 
 
 def overhead_report(report: LockstepReport) -> dict:

@@ -330,12 +330,13 @@ class WorldState:
 
     def at_boundary(self) -> bool:
         """True at an instruction boundary: no unit has a pending job and no
-        city is training (a training city is live, so BE and V, which have
-        no cities, test the jobs table alone)."""
+        city trains or is below its cap (a city only losing food may). Such
+        a city is live, so BE and V, with no cities, test the jobs alone."""
         if self.jobs:
             return False
         for index in self._live:
-            if self.cities[index].training_cost is not None:
+            city = self.cities[index]
+            if city.training_cost is not None or city.citizens < city.growth_cap:
                 return False
         return True
 
@@ -461,8 +462,26 @@ def _mistyped(command: Command, name: str, kind: type) -> IllegalCommand:
     return IllegalCommand(f"{command.op} needs {name} to be {kind.__name__}, not {getattr(command, name)!r}")
 
 
-def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
+def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldState:
+    """Check and accept a command, dispatching on its op once.
+
+    Each op's branch raises every refusal before it changes anything. An
+    instant op (citizen reassignment, a Monastery shift, starting Settler
+    training) then takes effect in the same turn, is logged and returns. Any
+    other op sets its ``turns`` through ``op_turns`` or ``move_turns`` and
+    becomes the unit's single pending job in ``world.jobs``, completing in
+    ``advance_turn`` after its duration; BE and V issue only these, so the
+    tape ops are tested first.
+    """
     op = command.op
+    if unit_id != PLAYER:
+        if unit_id not in world.units:
+            raise IllegalCommand(f"no unit {unit_id!r}")
+        job = world.jobs.get(unit_id)
+        if job is not None:
+            raise IllegalCommand(f"unit {unit_id} is busy until turn {job.completes_at}")
+    elif op not in _INSTANT_OPS:
+        raise IllegalCommand(f"{op} must be issued to a unit")
     ruleset = world.params.ruleset
 
     tape_op = _TAPE_OPS.get(op)
@@ -478,9 +497,11 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
         symbol = world.symbol_at(command.cell)
         if symbol not in tape_op.requires:
             raise IllegalCommand(f"cannot {tape_op.verb} on {symbol} at cell {command.cell}")
+        turns = op_turns(world.params, op)
     elif op == "move":
         if type(command.to) is not int:
             raise _mistyped(command, "to", int)
+        turns = move_turns(world.params, unit_id, abs(command.to - world.units[unit_id]))
     elif op == "shift_monasteries":
         if ruleset != RULESET_VI:
             raise IllegalCommand("monasteries exist only in ruleset VI")
@@ -489,6 +510,9 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
         new_count = world.state_count + command.count
         if not 0 <= new_count <= world.params.state_region_tiles:
             raise IllegalCommand(f"cannot work {new_count} monasteries in a region of {world.params.state_region_tiles}")
+        world.state_count = new_count
+        world.event_log.append((world.turn, unit_id, op, command))
+        return world
     elif op == "set_worked":
         if ruleset != RULESET_VI:
             raise IllegalCommand("citizen assignment exists only in ruleset VI")
@@ -502,6 +526,12 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
         if command.worked and world.tape.get(command.cell) != "worked":
             if list(map(world.tape.get, city.tape_cells)).count("worked") >= city.citizens - 1:
                 raise IllegalCommand(f"city {city.index} has no free citizen to work cell {command.cell}")
+        # An unworked cell keeps its entry: the snapshot lists every cell
+        # ever written.
+        world.tape[command.cell] = "worked" if command.worked else "unworked"
+        _rederive(world, city)
+        world.event_log.append((world.turn, unit_id, op, command))
+        return world
     elif op == "train_settler":
         if ruleset != RULESET_VI:
             raise IllegalCommand("settlers exist only in ruleset VI")
@@ -516,6 +546,10 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
             raise IllegalCommand(f"city {city.index} is already training a settler")
         if SETTLER in world.units:
             raise IllegalCommand("a settler is already in the field")
+        city.training_cost = world.params.settler_cost(2 * len(world.cities))
+        _rederive(world, city)
+        world.event_log.append((world.turn, unit_id, op, {"city": city.index, "cost": city.training_cost}))
+        return world
     elif op == "found_city":
         if unit_id != SETTLER:
             raise IllegalCommand("only a settler can found a city")
@@ -531,6 +565,7 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
         # extension keeps every pair of adjacent centers city_spacing apart.
         if world.cities and index - 1 not in world.cities and index + 1 not in world.cities:
             raise IllegalCommand(f"city {index} would not extend the strip contiguously")
+        turns = op_turns(world.params, op)
     elif op in ("build_state", "remove_state"):
         build = op == "build_state"
         if ruleset == RULESET_VI:
@@ -539,51 +574,11 @@ def _check_legality(world: WorldState, unit_id: str, command: Command) -> None:
             raise IllegalCommand(f"only the {STATE_WORKER} can {'build in' if build else 'remove from'} the state region")
         if world.state_count == (world.params.state_region_tiles if build else 0):
             raise IllegalCommand(f"state region is {'full' if build else 'empty'}")
+        turns = op_turns(world.params, op)
     else:
         raise IllegalCommand(f"unknown command {op!r}")
-
-
-def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldState:
-    """Validate and accept a command.
-
-    A command that is not instant becomes the unit's single pending job in
-    ``world.jobs``, completing in ``advance_turn`` after its duration; BE and
-    V issue only these, so they are tested first. Instant commands (citizen
-    reassignment, starting settler training) take effect in the same turn.
-    """
-    op = command.op
-    if unit_id != PLAYER:
-        if unit_id not in world.units:
-            raise IllegalCommand(f"no unit {unit_id!r}")
-        job = world.jobs.get(unit_id)
-        if job is not None:
-            raise IllegalCommand(f"unit {unit_id} is busy until turn {job.completes_at}")
-    elif op not in _INSTANT_OPS:
-        raise IllegalCommand(f"{op} must be issued to a unit")
-
-    _check_legality(world, unit_id, command)
-
-    if op not in _INSTANT_OPS:
-        if op == "move":
-            turns = move_turns(world.params, unit_id, abs(command.to - world.units[unit_id]))
-        else:
-            turns = op_turns(world.params, op)
-        job = world.jobs[unit_id] = Job(command, world.turn + turns)
-        world.event_log.append((world.turn, unit_id, op, job))
-    elif op == "set_worked":
-        # An unworked cell keeps its entry: the snapshot lists every cell
-        # ever written.
-        world.tape[command.cell] = "worked" if command.worked else "unworked"
-        _rederive(world, world.city_of_cell(command.cell))
-        world.event_log.append((world.turn, unit_id, op, command))
-    elif op == "shift_monasteries":
-        world.state_count += command.count
-        world.event_log.append((world.turn, unit_id, op, command))
-    else:  # train_settler
-        city = world.cities[command.city]
-        city.training_cost = world.params.settler_cost(2 * len(world.cities))
-        _rederive(world, city)
-        world.event_log.append((world.turn, unit_id, op, {"city": city.index, "cost": city.training_cost}))
+    job = world.jobs[unit_id] = Job(command, world.turn + turns)
+    world.event_log.append((world.turn, unit_id, op, job))
     return world
 
 

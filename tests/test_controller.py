@@ -23,7 +23,7 @@ from civutm.controller import (
     vi_work_command,
 )
 from civutm.errors import CivUtmError, CompileError, DecodeError, IllegalCommand, MachineStuck
-from civutm.harness import lockstep_verify, random_tm
+from civutm.harness import derived_instruction_bound, lockstep_verify, random_tm
 from civutm.tables import FIXTURE_FOR, load_fixture, table_fidelity
 from civutm.tm import HaltAction, TMConfig, TMSpec, Transition, builtin_program
 from civutm.world import (
@@ -160,7 +160,7 @@ def test_compile_appendix_spot_checks():
     vi = compile_program(builtin_program("rogozhin_24_2"), RULESET_VI)
     m = vi.macros[(0, "unworked")]
     assert (m.tape_action, m.head_move, m.state_delta) == ("leave", "R", 4)
-    assert macro_paper_command(m, RULESET_VI) == "Is Not Being Worked, move R; Work 5 more Monasteries"
+    assert macro_paper_command(m, RULESET_VI, "unworked") == "Is Not Being Worked, move R; Work 5 more Monasteries"
 
 
 def test_vi_work_command_convention_roundtrip():
@@ -362,6 +362,29 @@ def test_a_training_city_holds_the_boundary_back():
         execute_instruction(world, program, index=1)
 
 
+def test_a_city_below_its_cap_holds_the_boundary_back(monkeypatch):
+    # Once an extension's Settler has founded city 1, no unit is busy and no
+    # city trains, but the new city holds fewer Citizens than its cap: the
+    # world is not at an instruction boundary until it has grown, so it
+    # does not decode. Each event turn of the extension is looked at.
+    program = compile_program(builtin_program("bb3"), RULESET_VI)
+    world = init_world(RULESET_VI, {})
+    world.units[TAPE_WORKER] = 1
+    turn, seen = controller.advance_turn, []
+
+    def looked_at(world):
+        turn(world)
+        city = world.cities.get(1)
+        if city is not None and city.citizens < city.growth_cap:
+            seen.append((dict(world.jobs), world.at_boundary(), decode(world, program)))
+        return world
+
+    monkeypatch.setattr(controller, "advance_turn", looked_at)
+    extend_tape(world, "R", _blank_record())
+    assert seen and all(view == ({}, False, None) for view in seen)
+    assert world.at_boundary() and decode(world, program) is not None
+
+
 def test_execute_halt_entry_with_write_applies_then_stops():
     spec = TMSpec(
         states=("a",),
@@ -525,10 +548,14 @@ def _labelled(program, action):
     return dataclasses.replace(program, macros=macros)
 
 
+def _papers(program):
+    """Every macro's paper command, in key order, each from its key's read."""
+    return [macro_paper_command(macro, program.ruleset, read) for (_, read), macro in sorted(program.macros.items())]
+
+
 def _what_a_run_shows(program):
     report = lockstep_verify(program.spec, program.ruleset, {}, 100, program=program)
-    papers = [macro_paper_command(macro, program.ruleset) for _, macro in sorted(program.macros.items())]
-    return report.to_json(), event_log_lines(report.world), program_to_json(program), papers
+    return report.to_json(), event_log_lines(report.world), program_to_json(program), _papers(program)
 
 
 @pytest.mark.parametrize("action", _ACTION_NAMES)
@@ -543,6 +570,25 @@ def test_a_macro_label_cannot_change_a_run(ruleset, action):
 def test_a_macro_label_cannot_change_table_fidelity(ruleset, name, action):
     program = _labelled(compile_program(builtin_program(name), ruleset), action)
     assert table_fidelity(program, load_fixture(FIXTURE_FOR[(ruleset, name)])) == []
+
+
+def _paper_text_and_bound(program):
+    return program_to_json(program), _papers(program), derived_instruction_bound(program)
+
+
+@pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V, RULESET_VI])
+def test_a_macro_read_symbol_cannot_change_its_text_or_bound(ruleset):
+    # A macro fires on its key's read: editing the copy it holds, to the next
+    # symbol of the ruleset, leaves the paper text and the derived bound alone.
+    program = compile_program(builtin_program("bb3"), ruleset)
+    symbols = GAME_SYMBOLS[ruleset]
+    macros = {
+        (idx, read): dataclasses.replace(macro, read_symbol=symbols[(symbols.index(read) + 1) % len(symbols)])
+        for (idx, read), macro in program.macros.items()
+    }
+    assert all(macro.read_symbol != read for (_, read), macro in macros.items())
+    edited = dataclasses.replace(program, macros=macros)
+    assert _paper_text_and_bound(edited) == _paper_text_and_bound(program)
 
 
 @pytest.mark.parametrize("write", GAME_SYMBOLS[RULESET_BE])

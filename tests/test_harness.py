@@ -650,7 +650,7 @@ def _check_turns_folded(spec, ruleset, params, tape) -> int:
     assert report.first_divergence is None
     executed = [record for record in report.records if record.macro is not None]
     for record in executed:
-        folded = macro_turns(record.macro, params)
+        folded = macro_turns(record.macro, params, record.read)
         if ruleset == RULESET_BE and tape_plan(ruleset, record.read, record.macro.write_symbol)[2]:
             assert record.turns <= folded, record
         else:
@@ -1220,12 +1220,12 @@ def test_decodes_do_not_grow_with_instructions(monkeypatch):
 # an 80-instruction VI run of rogozhin_24_2 and a 200-instruction BE run of
 # random_tm(144, 5, 3) make, each rounded up by 5 % from its count measured
 # on Python 3.11.
-CALLS_MEASURED = 6234  # 10,235 before the event cycle was trimmed, 8,035 before the command path was
-CALLS_BOUND = 6546
-VI_CALLS_MEASURED = 4239  # 6,803 before the VI event cycle was trimmed, 5,160 before the command path was
-VI_CALLS_BOUND = 4451
-ROVER_CALLS_MEASURED = 8722  # 11,395 before the command path was trimmed
-ROVER_CALLS_BOUND = 9159
+CALLS_MEASURED = 6034  # 6,234 before one dispatch per command; 8,035 and 10,235 earlier
+CALLS_BOUND = 6336
+VI_CALLS_MEASURED = 4159  # 4,239 before one dispatch per command; 5,160 and 6,803 earlier
+VI_CALLS_BOUND = 4367
+ROVER_CALLS_MEASURED = 8186  # 8,722 before one dispatch per command; 11,395 earlier
+ROVER_CALLS_BOUND = 8596
 
 
 def _calls_of_a_run(spec, ruleset, max_instructions) -> tuple[int, LockstepReport]:

@@ -178,12 +178,12 @@ MUTANTS = (
         "if False:",
         ("tests/test_world.py", "tests/test_cli.py"),
     ),
-    # world.skip_quiet_turns, one closed-form term each.
+    # world.skip_quiet_turns, one event term each.
     Mutant(
         "skip-growth-event-late",
         WORLD,
-        "event = turn + p.city_growth_turns - city.growth_progress\n",
-        "event = turn + p.city_growth_turns - city.growth_progress + 1\n",
+        "event = city.growing_since + p.city_growth_turns\n",
+        "event = city.growing_since + p.city_growth_turns + 1\n",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     Mutant(
@@ -197,8 +197,8 @@ MUTANTS = (
     Mutant(
         "running-minimum-keeps-first-vi-event",
         WORLD,
-        "city.growth_progress\n                if nearest is None or event < nearest:",
-        "city.growth_progress\n                if nearest is None:",
+        "p.city_growth_turns\n                if nearest is None or event < nearest:",
+        "p.city_growth_turns\n                if nearest is None:",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     # The skip's one job rule and its span: BE and V read the jobs table alone.
@@ -226,8 +226,8 @@ MUTANTS = (
     Mutant(
         "skip-production-short",
         WORLD,
-        "city.production_stock += p.production_per_turn * quiet",
-        "city.production_stock += p.production_per_turn * (quiet - 1)",
+        "event = city.training_since - -city.training_cost // p.production_per_turn",
+        "event = city.training_since + 1 - -city.training_cost // p.production_per_turn",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     # The VI food cache: cached deltas, live set, lazy stocks.
@@ -236,6 +236,14 @@ MUTANTS = (
         WORLD,
         'world.tape[command.cell] = "worked" if command.worked else "unworked"\n        _rederive(world, city)\n',
         'world.tape[command.cell] = "worked" if command.worked else "unworked"\n',
+        ("tests/test_world.py", "tests/test_harness.py"),
+    ),
+    # Growth reads through the clock: training a city at its cap restarts it.
+    Mutant(
+        "growth-clock-not-restarted-by-training",
+        WORLD,
+        "if city.citizens == city.growth_cap:\n                    city.growing_since = world.turn - 1",
+        "if False:\n                    city.growing_since = world.turn - 1",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     Mutant(
@@ -276,8 +284,8 @@ MUTANTS = (
     Mutant(
         "first-skip-visit-dropped",
         WORLD,
-        "for index in world.cities if world.min_food_observed is None else world._live:",
-        "for index in world._live:",
+        "min(city.food_stock(turn + 1) for city in world.cities.values())",
+        "min((world.cities[index].food_stock(turn + 1) for index in world._live), default=None)",
         ("tests/test_world.py", "tests/test_harness.py"),
     ),
     Mutant(
@@ -366,6 +374,13 @@ MUTANTS = (
         "uid not in jobs",
         "True",
         ("tests/test_controller.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "unit-issues-player-op",
+        WORLD,
+        "if op in _INSTANT_OPS:\n            raise",
+        "if False:\n            raise",
+        ("tests/test_world.py",),
     ),
     Mutant(
         "apply-busy-check-dropped",

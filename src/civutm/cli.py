@@ -355,7 +355,8 @@ def main(argv: list[str] | None = None) -> int:
         # at exit cannot raise too, and end quietly: this is no usage error.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (CivUtmError, json.JSONDecodeError, OSError, ValueError) as exc:
+    # A JSON file nested deeper than the parser can recurse raises RecursionError.
+    except (CivUtmError, OSError, ValueError, RecursionError) as exc:
         print(_dump({"error": str(exc)}), file=sys.stderr)
         return EXIT_PARSE
 

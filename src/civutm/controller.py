@@ -9,8 +9,8 @@ games forbid rebuilding an improvement; a build over another removes it first.
 
 ``execute_instruction`` runs one macro against a world. Every wait is one
 ``_drive``: it issues the tape, state and movement commands to the workers
-and moves the clock from event to event (the quiet turns in between are
-skipped in closed form by ``world.skip_quiet_turns``) until
+and moves the clock from event to event (``world.skip_quiet_turns`` moves
+it over the quiet turns in between) until
 ``world.at_boundary()`` holds. For VI, a head move that leaves the built
 strip extends the tape: the end city trains a Settler, and one drive founds
 the new city and grows it to its cap.

@@ -27,8 +27,9 @@ key lookup and a turn visits the pending jobs, not every unit.
 All operations mutate the passed ``WorldState`` in place and also return it;
 they are deterministic functions of the state, and the append-only event log
 records every accepted command and completion. ``advance_turn`` plays one
-turn; ``skip_quiet_turns`` jumps over the turns before the next event in
-closed form, leaving the same state those turns would.
+turn; ``skip_quiet_turns`` jumps over the turns before the next event by
+moving the clock alone, as everything that changes between events reads
+through the turn.
 
 The log holds references and renders them on read: an entry for a command,
 a job or an instruction record keeps that object, which is not mutated once
@@ -40,9 +41,11 @@ A VI city's food changes by the same delta every turn until an event touches
 the city (a cell of it set worked or not, a birth, a trained Settler, its
 founding, the start of training), so each ``City`` caches its delta and holds
 its stock as a linear function of the turn; ``food_stock(turn)`` evaluates
-it. The world keeps the set of **live** cities: those training, below their
-growth cap or losing food. Only a live city can raise an event, so a turn or
-a skip visits the live cities alone and costs per event, not per city.
+it. A city's training and growth are anchored on the turns they began, so
+they read through the clock too. The world keeps the set of **live** cities:
+those training, below their growth cap or losing food. Only a live city can
+raise an event, so a turn or a skip visits the live cities alone and costs
+per event, not per city.
 """
 
 from __future__ import annotations
@@ -132,6 +135,15 @@ class RulesetParams:
         """Production cost of a Settler when the tape is ``tape_length`` cells."""
         return 15 * tape_length + 50
 
+    def food_balance(self, citizens: int, on_tape: int) -> tuple[int, int]:
+        """(income, upkeep) for one turn of a city of ``citizens`` Citizens,
+        ``on_tape`` of them on its tape cells. One is locked to the center
+        (its yield is inside ``city_base_food``); everyone else works a
+        floodplain."""
+        idle = citizens - 1 - on_tape
+        income = self.city_base_food + self.grassland_food * on_tape + self.floodplains_food * idle
+        return income, self.citizen_food_upkeep * citizens
+
     def __post_init__(self) -> None:
         if self.ruleset not in RULESETS:
             raise IllegalCommand(f"unknown ruleset {self.ruleset!r}")
@@ -180,13 +192,8 @@ class RulesetParams:
             # the tape cells, the rest on floodplains. Every such city must
             # feed itself, or the construction starves.
             for citizens in (2, 3, 4):
-                upkeep = self.citizen_food_upkeep * citizens
                 for on_tape in range(min(2, citizens - 1) + 1):
-                    income = (
-                        self.city_base_food
-                        + self.grassland_food * on_tape
-                        + self.floodplains_food * (citizens - 1 - on_tape)
-                    )
+                    income, upkeep = self.food_balance(citizens, on_tape)
                     if income < upkeep:
                         raise IllegalCommand(
                             f"a city of {citizens} Citizens with {on_tape} on the tape starves: "
@@ -240,18 +247,23 @@ class City:
     ``2*index`` and ``2*index + 1`` and its center sits at
     ``city_spacing * index`` physical hexes.
 
-    ``_delta`` caches ``_city_food_delta`` (income minus upkeep) and is
+    ``_delta`` caches the food balance (income minus upkeep) and is
     re-derived only by ``_rederive``. Between two re-derivations the stock
     grows by ``_delta`` a turn, so ``_food`` holds it extrapolated back to
     turn 0 and the stock at the end of a turn is ``food_stock(turn)``.
+
+    Training and growth are read through the clock the same way. While a
+    Settler trains, ``production_per_turn * (turn - training_since)``
+    Production is in; below its cap the city has grown ``turn -
+    growing_since`` turns toward its next Citizen.
     """
 
     index: int
     citizens: int
     growth_cap: int
-    production_stock: int = 0
-    growth_progress: int = 0
     training_cost: int | None = None
+    training_since: int = 0
+    growing_since: int = 0
     _food: int = 0
     _delta: int = 0
 
@@ -477,6 +489,8 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
     if unit_id != PLAYER:
         if unit_id not in world.units:
             raise IllegalCommand(f"no unit {unit_id!r}")
+        if op in _INSTANT_OPS:
+            raise IllegalCommand(f"{op} must be issued by the {PLAYER}")
         job = world.jobs.get(unit_id)
         if job is not None:
             raise IllegalCommand(f"unit {unit_id} is busy until turn {job.completes_at}")
@@ -547,6 +561,7 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
         if SETTLER in world.units:
             raise IllegalCommand("a settler is already in the field")
         city.training_cost = world.params.settler_cost(2 * len(world.cities))
+        city.training_since = world.turn
         _rederive(world, city)
         world.event_log.append((world.turn, unit_id, op, {"city": city.index, "cost": city.training_cost}))
         return world
@@ -600,9 +615,9 @@ def _complete_if_due(world: WorldState, uid: str) -> None:
         world.state_count -= 1
     elif op == "found_city":
         index = command.city
-        city = world.cities[index] = City(index=index, citizens=2, growth_cap=4)
+        city = world.cities[index] = City(index=index, citizens=2, growth_cap=4, growing_since=world.turn - 1)
         _rederive(world, city)
-        city._food += city._delta  # founded before this turn's harvest, it collects this turn's food
+        city._food += city._delta  # founded before this turn's harvest and growth, it has both
         del world.units[SETTLER]
         world.event_log.append((world.turn, "world", "city_founded", {"city": index, "citizens": 2}))
         return
@@ -611,29 +626,18 @@ def _complete_if_due(world: WorldState, uid: str) -> None:
     world.event_log.append((world.turn, uid, _DONE[op], command))
 
 
-def _city_food_delta(world: WorldState, city: City) -> tuple[int, int]:
-    """(income, upkeep) for one turn. One citizen is locked to the center
-    (its yield is inside city_base_food); citizens the tape demands work the
-    grassland cells; everyone else works a floodplain. It runs on every event
-    that touches a city, so it reads the two tape cells directly."""
-    p = world.params
-    get, cell = world.tape.get, 2 * city.index
-    tape_workers = min((get(cell) == "worked") + (get(cell + 1) == "worked"), city.citizens - 1)
-    idle = city.citizens - 1 - tape_workers
-    income = p.city_base_food + p.grassland_food * tape_workers + p.floodplains_food * idle
-    upkeep = p.citizen_food_upkeep * city.citizens
-    return income, upkeep
-
-
 def _rederive(world: WorldState, city: City) -> None:
     """Re-derive ``city``'s cached food delta after an event touched it.
 
-    This turn's stock stands and the new delta counts from the next turn,
-    so ``_food`` moves to put this turn's stock on the new line; the live
-    set follows.
+    Citizens the tape demands work its grassland cells, read directly, as
+    this runs on every event that touches a city. This turn's stock stands
+    and the new delta counts from the next turn, so ``_food`` moves to put
+    this turn's stock on the new line; the live set follows.
     """
     stock = city.food_stock(world.turn)
-    income, upkeep = _city_food_delta(world, city)
+    get, cell = world.tape.get, 2 * city.index
+    on_tape = min((get(cell) == "worked") + (get(cell + 1) == "worked"), city.citizens - 1)
+    income, upkeep = world.params.food_balance(city.citizens, on_tape)
     delta = income - upkeep
     city._food, city._delta = stock - delta * world.turn, delta
     if city.training_cost is not None or city.citizens < city.growth_cap or delta < 0:
@@ -645,12 +649,12 @@ def _rederive(world: WorldState, city: City) -> None:
 def advance_turn(world: WorldState) -> WorldState:
     """Advance one turn: jobs whose time has come take effect in unit-id
     order, then the live cities (every city while no turn has passed), in
-    index order, collect food (a stock below zero raises ``Starvation``),
-    make training progress and grow toward their caps. Any other city is at
-    its cap, not training and gaining food: its stock reads through from the
-    clock, and it is never below one already observed. Only two or more jobs
-    or cities are sorted; a lone city is still copied, as ``_rederive``
-    edits the live set during the loop."""
+    index order, have their food stock observed (below zero it raises
+    ``Starvation``), finish a Settler once its cost is in and bear a Citizen
+    once due. Any other city is at its cap, not training and gaining food:
+    its stock is never below one already observed. Only two or more jobs or
+    cities are sorted; a lone city is still copied, as ``_rederive`` edits
+    the live set during the loop."""
     world.turn += 1
     jobs = world.jobs
     if len(jobs) > 1:
@@ -676,9 +680,9 @@ def advance_turn(world: WorldState) -> WorldState:
                     later._food -= later._delta  # not fed this turn
             raise Starvation(f"city {city.index} food stock fell to {stock} on turn {world.turn}")
         if city.training_cost is not None:
-            city.production_stock += p.production_per_turn
-            if city.production_stock >= city.training_cost:
-                city.production_stock = 0
+            if p.production_per_turn * (world.turn - city.training_since) >= city.training_cost:
+                if city.citizens == city.growth_cap:
+                    city.growing_since = world.turn - 1  # at its cap until now, it grows from this turn
                 city.training_cost = None
                 city.citizens -= 1
                 city.growth_cap = 3
@@ -686,31 +690,30 @@ def advance_turn(world: WorldState) -> WorldState:
                 world.units[SETTLER] = p.city_spacing * city.index  # the city's center
                 world.event_log.append((world.turn, "world", "settler_trained", {"city": city.index, "citizens": city.citizens}))
         if city.citizens < city.growth_cap:
-            city.growth_progress += 1
-            if city.growth_progress >= p.city_growth_turns:
-                city.growth_progress = 0
+            if world.turn - city.growing_since >= p.city_growth_turns:
+                city.growing_since = world.turn
                 city.citizens += 1
                 _rederive(world, city)
                 world.event_log.append((world.turn, "world", "citizen_born", {"city": city.index, "citizens": city.citizens}))
-        else:
-            city.growth_progress = 0
     return world
 
 
 def skip_quiet_turns(world: WorldState) -> WorldState:
-    """Move the clock to the turn just before the next event, applying the
-    skipped turns in closed form.
+    """Move the clock to the turn just before the next event.
 
     An event is a job completing, a city finishing its Settler, a Citizen
     born or a food stock falling below zero. The next one is a running
     minimum over the jobs and, in VI, the live cities, the only ones that
-    can raise the last three (BE and V read the jobs table alone). Between
-    events, food, training and growth change by the same amount each turn,
-    so the skipped span leaves the world exactly as that many
-    ``advance_turn`` calls would, visiting the cities they visit and logging
-    nothing. With no event pending, or the next one on the coming turn, the
-    world is left as it is. The event turn, Starvation included, is
-    ``advance_turn``'s."""
+    can raise the last three (BE and V read the jobs table alone). Food,
+    Production and growth read through from the clock, so the skipped span
+    leaves the world exactly as that many ``advance_turn`` calls would,
+    logging nothing. Nor does a lowest food stock go unobserved: a growing
+    stock is lowest on the first skipped turn, which a world's first skip
+    observes (later, a lower one is already observed), and a falling one on
+    the event turn, which the next ``advance_turn`` reads for every live
+    city before an event touches it. With no event pending, or the next one
+    on the coming turn, the world is left as it is. The event turn,
+    Starvation included, is ``advance_turn``'s."""
     p = world.params
     turn = world.turn
     nearest = None  # the next event's turn; a job's is its completes_at
@@ -722,11 +725,11 @@ def skip_quiet_turns(world: WorldState) -> WorldState:
         for index in world._live:
             city = world.cities[index]
             if city.training_cost is not None:
-                event = turn - (city.production_stock - city.training_cost) // p.production_per_turn
+                event = city.training_since - -city.training_cost // p.production_per_turn  # + ceil(cost / ppt)
                 if nearest is None or event < nearest:
                     nearest = event
             if city.citizens < city.growth_cap:
-                event = turn + p.city_growth_turns - city.growth_progress
+                event = city.growing_since + p.city_growth_turns
                 if nearest is None or event < nearest:
                     nearest = event
             if city._delta < 0:
@@ -736,16 +739,8 @@ def skip_quiet_turns(world: WorldState) -> WorldState:
     quiet = -1 if nearest is None else nearest - turn - 1
     if quiet < 1:
         return world
-    if vi:
-        for index in world.cities if world.min_food_observed is None else world._live:
-            city = world.cities[index]
-            # Food is linear over the span: its lowest stock is at one end.
-            lowest = city.food_stock(turn) + city._delta * (1 if city._delta >= 0 else quiet)
-            if world.min_food_observed is None or lowest < world.min_food_observed:
-                world.min_food_observed = lowest
-            if city.training_cost is not None:
-                city.production_stock += p.production_per_turn * quiet
-            city.growth_progress = city.growth_progress + quiet if city.citizens < city.growth_cap else 0
+    if vi and world.min_food_observed is None:
+        world.min_food_observed = min(city.food_stock(turn + 1) for city in world.cities.values())
     world.turn += quiet
     return world
 
@@ -799,7 +794,7 @@ def world_snapshot(world: WorldState) -> dict:
             "citizens": c.citizens,
             "growth_cap": c.growth_cap,
             "food_stock": c.food_stock(world.turn),
-            "production_stock": c.production_stock,
+            "production_stock": 0 if c.training_cost is None else p.production_per_turn * (world.turn - c.training_since),
             "training_cost": c.training_cost,
             "tape_cells": list(c.tape_cells),
         }

@@ -85,6 +85,18 @@ def test_parse_error_status(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [("{path}",), ("bb3", "--tape", "{path}"), ("bb3", "--params", "{path}")])
+def test_json_nested_past_the_parser_exits_two_with_one_json_line(tmp_path, capsys, argv):
+    # The parser gives up with a RecursionError; exit 1 would read as a
+    # divergence.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    status, out, err = run_cli(capsys, "run", *(arg.format(path=deep) for arg in argv), "--ruleset", "BE")
+    assert (status, out) == (2, "")
+    [line] = err.splitlines()
+    assert "recursion" in json.loads(line)["error"]
+
+
 @pytest.mark.parametrize("missing", ["state", "read", "write", "move", "next"])
 def test_transition_missing_field_status(tmp_path, capsys, missing):
     data = spec_to_json(builtin_program("bb3"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
 import re
@@ -9,7 +10,7 @@ import re
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from civutm import world as world_module
 from civutm.errors import IllegalCommand, Starvation
@@ -115,7 +116,7 @@ def test_validated_food_params_feed_every_city(base, grassland, floodplains, upk
     city = world.cities[0]
     city.citizens = city.growth_cap = citizens
     world_module._rederive(world, city)
-    income, cost = world_module._city_food_delta(world, city)
+    income, cost = params.food_balance(citizens, min(sum(flags), citizens - 1))
     assert income >= cost
     assert city.training_cost is None and city.index not in world._live
 
@@ -339,6 +340,37 @@ def test_vi_skip_stops_before_a_birth_due_ahead_of_a_job():
     assert world.event_log[-1][1:] == ("world", "citizen_born", {"city": 1, "citizens": 3})
 
 
+def _all_but_the_clock(world):
+    """A copy of every field of ``world`` but ``turn`` and ``min_food_observed``."""
+    state = {f.name: getattr(world, f.name) for f in dataclasses.fields(world)}
+    del state["turn"], state["min_food_observed"]
+    state["tape"] = dict(state["tape"].items())
+    return copy.deepcopy(state)
+
+
+def test_a_vi_skip_moves_only_the_clock():
+    # Food, Production and growth read through the turn, so a skip over a
+    # training city and a growing one changes no City field. The first skip
+    # of a world also observes every city's stock on the first skipped turn.
+    world = init_world(RULESET_VI, {})
+    apply_command(world, PLAYER, Command(op="train_settler", city=0))
+    before = _all_but_the_clock(world)
+    skip_quiet_turns(world)
+    assert world.turn > 1 and world.min_food_observed == world.cities[0].food_stock(1)
+    assert _all_but_the_clock(world) == before
+
+    world = _settler_world()
+    world.units[SETTLER] = world.params.city_spacing  # on city 1's center
+    apply_command(world, SETTLER, Command(op="found_city", city=1))
+    while 1 not in world.cities:
+        advance_turn(world)
+    apply_command(world, PLAYER, Command(op="train_settler", city=0))
+    before, turn, lowest = _all_but_the_clock(world), world.turn, world.min_food_observed
+    skip_quiet_turns(world)
+    assert world.turn > turn + 1 and world.min_food_observed == lowest
+    assert _all_but_the_clock(world) == before
+
+
 def test_vi_food_follows_the_events_that_touch_a_city():
     # A 4-Citizen city yields 5 food a turn with both cells unworked (three
     # floodplains), 4 with one worked and 3 with both; a city founded on a
@@ -466,6 +498,21 @@ def test_a_tape_op_one_cell_away_is_refused(ruleset, unit, op, symbol, offset):
     _refused(world, unit, Command(op=op, cell=offset), f"the {unit} at cell 0 cannot .* at cell {offset}")
     apply_command(world, unit, Command(op=op, cell=0))
     assert list(world.jobs) == [unit]
+
+
+@pytest.mark.parametrize("unit", [TAPE_WORKER, SETTLER])
+@pytest.mark.parametrize(
+    "command",
+    [
+        Command(op="set_worked", cell=0, worked=True),
+        Command(op="shift_monasteries", count=1),
+        Command(op="train_settler", city=0),
+    ],
+    ids=lambda command: command.op,
+)
+def test_a_unit_cannot_issue_the_players_ops(unit, command):
+    world = _settler_world()
+    _refused(world, unit, command, f"{command.op} must be issued by the player")
 
 
 @pytest.mark.parametrize("offset", [-1, 1])
@@ -756,22 +803,30 @@ _TARGETS = st.one_of(st.integers(-3, 3), st.sampled_from((None, 2.5, True)))
 
 
 class LegalityClosure(RuleBasedStateMachine):
-    """Random commands, turns and quiet-turn skips on BE and V.
+    """Random commands, turns and quiet-turn skips on all three rulesets.
 
     The world stays legal after every step, a refused command changes
     nothing, and a twin world that gets the same commands but plays every
-    skipped turn with ``advance_turn`` stays equal to it.
+    skipped turn with ``advance_turn`` stays equal to it. On VI that takes
+    in cities in the middle of training and growth, which no instruction
+    boundary holds.
     """
 
     @initialize(
-        ruleset=st.sampled_from((RULESET_BE, RULESET_V)),
+        ruleset=st.sampled_from(RULESETS),
         durations=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(2, 6), st.integers(1, 3)),
+        vi=st.tuples(st.integers(1, 4), st.integers(10, 60), st.integers(0, 3), st.sampled_from((2, 4))),
         tiles=st.integers(0, 3),
         tape=st.dictionaries(st.integers(-3, 3), st.integers(1, 2), max_size=4),
+        train=st.booleans(),
     )
-    def start(self, ruleset, durations, tiles, tape):
+    def start(self, ruleset, durations, vi, tiles, tape, train):
+        """``train`` starts a VI world with its low end city training a
+        Settler, so more runs go on to found a city."""
         road, terrascape, railroad, move = durations
-        tape = {cell: GAME_SYMBOLS[ruleset][symbol] for cell, symbol in tape.items()}
+        growth, production, founding, spacing = vi
+        symbols = GAME_SYMBOLS[ruleset][1:]  # the blank is what an unwritten cell holds
+        tape = {cell: symbols[(symbol - 1) % len(symbols)] for cell, symbol in tape.items()}
         params = dataclasses.replace(
             RulesetParams.defaults(ruleset),
             road_build_turns=road,
@@ -779,9 +834,15 @@ class LegalityClosure(RuleBasedStateMachine):
             railroad_build_turns=railroad,
             worker_move_turns_per_hex=move,
             state_region_tiles=tiles,
+            city_growth_turns=growth,
+            production_per_turn=production,
+            settler_found_turns=founding,
+            city_spacing=spacing,
         )
         self.world = init_world(ruleset, tape, params)
         self.twin = init_world(ruleset, tape, dataclasses.replace(params))
+        if ruleset == RULESET_VI and train:
+            self._issue(PLAYER, Command(op="train_settler", city=min(self.world.cities)))
 
     @rule(
         unit=st.sampled_from((TAPE_WORKER, STATE_WORKER, ROVER)),
@@ -807,6 +868,32 @@ class LegalityClosure(RuleBasedStateMachine):
         """Ops of another ruleset, or none, and issuers without units."""
         self._issue(unit, Command(op=op, cell=cell, city=cell, count=count, worked=worked))
 
+    @precondition(lambda self: self.world.params.ruleset == RULESET_VI)
+    @rule(
+        op=st.sampled_from(("set_worked", "shift_monasteries", "train_settler")),
+        city=st.integers(-3, 2),
+        second=st.booleans(),
+        count=st.integers(-2, 2),
+        worked=st.booleans(),
+    )
+    def player(self, op, city, second, count, worked):
+        """The player's VI ops, aimed at a city or one of its two cells."""
+        self._issue(PLAYER, Command(op=op, cell=2 * city + second, city=city, count=count, worked=worked))
+
+    @precondition(lambda self: SETTLER in self.world.units)
+    @rule(city=st.integers(-4, 3), stray=st.booleans())
+    def settle(self, city, stray):
+        """The Settler founds a city on the free center it stands on, if it
+        does; else it moves to the center of the city past the strip's end on
+        the side of ``city``'s sign, or to city ``city``'s if ``stray``."""
+        spacing, cities, hex_ = self.world.params.city_spacing, self.world.cities, self.world.units[SETTLER]
+        if hex_ % spacing == 0 and hex_ // spacing not in cities:
+            self._issue(SETTLER, Command(op="found_city", city=hex_ // spacing))
+            return
+        if not stray:
+            city = max(cities) + 1 if city >= 0 else min(cities) - 1
+        self._issue(SETTLER, Command(op="move", to=spacing * city))
+
     def _issue(self, unit, command):
         refusals = []
         for world in (self.world, self.twin):
@@ -820,15 +907,15 @@ class LegalityClosure(RuleBasedStateMachine):
                 refusals.append(str(exc))
         assert refusals[0] == refusals[1]
 
-    @rule()
-    def turn(self):
-        advance_turn(self.world)
-        advance_turn(self.twin)
-
-    @rule()
-    def skip(self):
+    @rule(skip=st.booleans(), play=st.booleans())
+    def time(self, skip, play):
+        """Skip the quiet turns if ``skip``, then play a turn if ``play``.
+        The twin plays every turn the world moved."""
         before = self.world.turn
-        skip_quiet_turns(self.world)
+        if skip:
+            skip_quiet_turns(self.world)
+        if play:
+            advance_turn(self.world)
         for _ in range(self.world.turn - before):
             advance_turn(self.twin)
 
@@ -846,7 +933,8 @@ class LegalityClosure(RuleBasedStateMachine):
     def skipping_equals_playing(self):
         assert self.twin.event_log == self.world.event_log
         assert world_snapshot(self.twin) == world_snapshot(self.world)
+        assert self.twin.min_food_observed == self.world.min_food_observed
 
 
 TestLegalityClosure = pytest.mark.hypothesis(LegalityClosure.TestCase)
-TestLegalityClosure.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
+TestLegalityClosure.settings = settings(max_examples=90, stateful_step_count=40, deadline=None)

@@ -433,22 +433,31 @@ MUTANTS = (
         "",
         ("tests/test_controller.py", "tests/test_harness.py"),
     ),
-    # The one table of tape writes: V's build-road and build-railroad rows
-    # with their ops swapped, and V's road-to-railroad row without its removal.
+    # The one table of tape ops, which every plan is searched in: the
+    # build-road and build-railroad entries swapped, a Railroad built over a
+    # Road without removing it, and a plan that gives the rover's ops to the
+    # tape worker.
     Mutant(
         "tape-plan-entry-swapped",
-        CONTROLLER,
-        '("none", "road"): ("build_road", ("build_road",), ()),\n'
-        '        ("none", "railroad"): ("build_railroad", ("build_railroad",), ()),',
-        '("none", "road"): ("build_road", ("build_railroad",), ()),\n'
-        '        ("none", "railroad"): ("build_railroad", ("build_road",), ()),',
+        WORLD,
+        '"build_road": _TapeOp("build a road", (RULESET_BE, RULESET_V), None, ("none",), "road_build_turns", "road"),\n'
+        '    "build_railroad": _TapeOp("build a railroad", (RULESET_V,), None, ("none",), "railroad_build_turns", "railroad"),',
+        '"build_road": _TapeOp("build a railroad", (RULESET_V,), None, ("none",), "railroad_build_turns", "railroad"),\n'
+        '    "build_railroad": _TapeOp("build a road", (RULESET_BE, RULESET_V), None, ("none",), "road_build_turns", "road"),',
         ("tests/test_controller.py", "tests/test_harness.py"),
     ),
     Mutant(
         "remove-first-check-dropped",
+        WORLD,
+        '(RULESET_V,), None, ("none",), "railroad_build_turns"',
+        '(RULESET_V,), None, ("none", "road"), "railroad_build_turns"',
+        ("tests/test_controller.py", "tests/test_harness.py"),
+    ),
+    Mutant(
+        "plan-ignores-unit",
         CONTROLLER,
-        '("road", "railroad"): ("build_railroad", ("remove_improvement", "build_railroad"), ()),',
-        '("road", "railroad"): ("build_railroad", ("build_railroad",), ()),',
+        "if _TAPE_OPS[op].unit == ROVER)",
+        "if False)",
         ("tests/test_controller.py", "tests/test_harness.py"),
     ),
     # A VI macro's write is carried out as written, not inverted.

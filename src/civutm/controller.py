@@ -3,9 +3,9 @@
 ``compile_program`` translates every (state, read symbol) transition into a
 :class:`CommandMacro` (the symbol written, one head move, one signed
 state-index change), with state indices in declaration order and the initial
-state at index 0. A write's tape action and ops are looked up from (read,
-write) in one table (``tape_plan``): an identity write is ``leave``, as the
-games forbid rebuilding an improvement; a build over another removes it first.
+state at index 0. ``tape_plan`` finds a write's tape action and ops in the
+world's own tape ops: an identity write is ``leave``, as the games forbid
+rebuilding an improvement; a build over another removes it first.
 
 ``execute_instruction`` runs one macro against a world. Every wait is one
 ``_drive``: it issues the tape, state and movement commands to the workers
@@ -28,6 +28,7 @@ from .errors import CivUtmError, CompileError, DecodeError, IllegalCommand, Mach
 from .tm import HaltAction, TMSpec, validate_spec
 from .world import (
     GAME_BLANK,
+    GAME_SYMBOLS,
     PLAYER,
     ROVER,
     RULESET_BE,
@@ -36,6 +37,7 @@ from .world import (
     SETTLER,
     STATE_WORKER,
     TAPE_WORKER,
+    _TAPE_OPS,
     Command,
     RulesetParams,
     WorldState,
@@ -58,8 +60,8 @@ class CommandMacro:
     It has no slots: the benchmark digests records with ``json.dumps(...,
     default=vars)``, which needs a macro's ``__dict__``."""
 
-    # Set by ``compile_program`` alone; every reader looks the action up from (read,
-    # write). Kept for the benchmark's ``__dict__`` digest until ROADMAP item 13.
+    # Set by ``compile_program`` alone; every reader finds the action with
+    # ``tape_plan``. Kept for the benchmark's ``__dict__`` digest until ROADMAP item 13.
     tape_action: str
     head_move: str | None  # "L" | "R" | None on halt
     state_delta: int
@@ -110,46 +112,37 @@ def _shape(states: tuple[str, ...], initial: str, alphabet: tuple[str, ...], bla
     return ordered, state_index_of, symbol_of, MappingProxyType({v: k for k, v in symbol_of.items()})
 
 
-# The one description of a tape write: per ruleset, (read, write) -> (tape action,
-# tape-worker ops, rover ops). A build over another improvement removes it first.
-_TAPE_ACTIONS = {
-    RULESET_BE: {
-        ("none", "none"): ("leave", (), ()),
-        ("none", "road"): ("build_road", ("build_road",), ()),
-        ("none", "pillaged_road"): ("build_road_then_pillage", ("build_road",), ("pillage_road",)),
-        ("road", "none"): ("remove_improvement", ("remove_improvement",), ()),
-        ("road", "road"): ("leave", (), ()),
-        ("road", "pillaged_road"): ("pillage_road", (), ("pillage_road",)),
-        ("pillaged_road", "none"): ("remove_improvement", ("remove_improvement",), ()),
-        ("pillaged_road", "road"): ("repair_road", ("repair_road",), ()),
-        ("pillaged_road", "pillaged_road"): ("leave", (), ()),
-    },
-    RULESET_V: {
-        ("none", "none"): ("leave", (), ()),
-        ("none", "road"): ("build_road", ("build_road",), ()),
-        ("none", "railroad"): ("build_railroad", ("build_railroad",), ()),
-        ("road", "none"): ("remove_improvement", ("remove_improvement",), ()),
-        ("road", "road"): ("leave", (), ()),
-        ("road", "railroad"): ("build_railroad", ("remove_improvement", "build_railroad"), ()),
-        ("railroad", "none"): ("remove_improvement", ("remove_improvement",), ()),
-        ("railroad", "road"): ("build_road", ("remove_improvement", "build_road"), ()),
-        ("railroad", "railroad"): ("leave", (), ()),
-    },
-    RULESET_VI: {
-        ("unworked", "unworked"): ("leave", (), ()),
-        ("unworked", "worked"): ("set_worked", (), ()),
-        ("worked", "unworked"): ("set_unworked", (), ()),
-        ("worked", "worked"): ("leave", (), ()),
-    },
-}
+# The paper's name for a plan that is not named by its last op.
+_PLAN_NAMES = {("build_road", "pillage_road"): "build_road_then_pillage"}
 
 
+@functools.cache
 def tape_plan(ruleset: str, read: str, write: str) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
-    """The ``_TAPE_ACTIONS`` row for writing ``write`` over ``read``, or IllegalCommand."""
-    row = _TAPE_ACTIONS[ruleset].get((read, write))
-    if row is None:
+    """(tape action, tape-worker ops, rover ops) for writing ``write`` over
+    ``read``, or IllegalCommand unless both are symbols of the ruleset.
+
+    On BE and V the plan is the shortest path of the ruleset's
+    ``world._TAPE_OPS`` from ``read`` to ``write``, each op going from a
+    symbol it ``requires`` to its ``result``, found by a breadth-first search
+    once per (ruleset, read, write). VI's one write is the player's
+    ``set_worked``."""
+    symbols = GAME_SYMBOLS[ruleset]
+    if read not in symbols or write not in symbols:
         raise IllegalCommand(f"writing {write} over {read} is not a tape action of ruleset {ruleset}")
-    return row
+    if read == write:
+        return "leave", (), ()
+    if ruleset == RULESET_VI:
+        return ("set_worked" if write == "worked" else "set_unworked"), (), ()
+    paths = {read: ()}  # symbol -> the first shortest op path that writes it over read
+    queue = [read]
+    for symbol in queue:  # grows as it is read: breadth first
+        for op, tape_op in _TAPE_OPS.items():
+            if ruleset in tape_op.rulesets and symbol in tape_op.requires and tape_op.result not in paths:
+                paths[tape_op.result] = paths[symbol] + (op,)
+                queue.append(tape_op.result)
+    path = paths[write]  # every BE or V symbol reaches every other
+    rover_ops = tuple(op for op in path if _TAPE_OPS[op].unit == ROVER)
+    return _PLAN_NAMES.get(path, path[-1]), tuple(op for op in path if op not in rover_ops), rover_ops
 
 
 def check_state_region(num_states: int, params: RulesetParams) -> None:
@@ -172,14 +165,13 @@ def compile_program(spec: TMSpec, ruleset: str, params: RulesetParams | None = N
     )
     check_state_region(len(spec.states), params)
 
-    rows = _TAPE_ACTIONS[ruleset]  # every pair of two of the ruleset's symbols has a row
     macros: dict[tuple[int, str], CommandMacro] = {}
     for (state, read), rule in spec.transitions.items():
         idx = state_index_of[state]
         halt = isinstance(rule, HaltAction)  # writes (or leaves the cell), never moves
         game_read, game_write = symbols[read], symbols[read if rule.write is None else rule.write]
         macros[_macro_key(idx, game_read)] = _macro(
-            tape_action=rows[game_read, game_write][0],
+            tape_action=tape_plan(ruleset, game_read, game_write)[0],
             head_move=None if halt else rule.move,
             state_delta=0 if halt else state_index_of[rule.next_state] - idx,
             halt=halt,
@@ -416,9 +408,8 @@ def _execute_be_v(world: WorldState, macro: CommandMacro, head: int, read: str, 
 def _execute_vi(world: WorldState, macro: CommandMacro, head: int, read: str, record: InstructionRecord) -> None:
     write = macro.write_symbol
     if write != read:
-        # VI's one tape op is the player's; its row is checked inline, with no call.
-        if (read, write) not in _TAPE_ACTIONS[RULESET_VI]:
-            tape_plan(RULESET_VI, read, write)  # raises: the pair has no row
+        # VI's one tape op is the player's; a cached plan refuses a pair of non-VI symbols.
+        tape_plan(RULESET_VI, read, write)
         apply_command(world, PLAYER, Command(op="set_worked", cell=head, worked=write == "worked"))
     if macro.state_delta:
         apply_command(world, PLAYER, Command(op="shift_monasteries", count=macro.state_delta))

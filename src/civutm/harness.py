@@ -22,9 +22,9 @@ outcome, not an exception.
 turn counts and compares them against the published bounds (5T+M for BE,
 4·B_rr+1 for V, C+S(L)+3 per tape extension for VI) and, on BE and V,
 against a tight bound: ``macro_turns`` folds the ops that
-``controller.tape_plan`` looks up for a macro's (read, write) over the
-world's own job durations. Turns the published bounds do not count
-(movement, the extra pillage turn, growth waits) are itemized, never hidden.
+``controller.tape_plan`` finds in the world's tape ops for a macro's (read,
+write) over the world's own job durations. Turns the published bounds do not
+count (movement, the extra pillage turn, growth waits) are itemized.
 """
 
 from __future__ import annotations

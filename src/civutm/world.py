@@ -480,10 +480,10 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
     Each op's branch raises every refusal before it changes anything. An
     instant op (citizen reassignment, a Monastery shift, starting Settler
     training) then takes effect in the same turn, is logged and returns. Any
-    other op sets its ``turns`` through ``op_turns`` or ``move_turns`` and
-    becomes the unit's single pending job in ``world.jobs``, completing in
-    ``advance_turn`` after its duration; BE and V issue only these, so the
-    tape ops are tested first.
+    other op sets its ``turns`` (a tape op from its ``_TAPE_OPS`` entry, the
+    rest through ``op_turns`` or ``move_turns``) and becomes the unit's single
+    pending job in ``world.jobs``, completing in ``advance_turn`` after its
+    duration; BE and V issue only these, so the tape ops are tested first.
     """
     op = command.op
     if unit_id != PLAYER:
@@ -511,7 +511,7 @@ def apply_command(world: WorldState, unit_id: str, command: Command) -> WorldSta
         symbol = world.symbol_at(command.cell)
         if symbol not in tape_op.requires:
             raise IllegalCommand(f"cannot {tape_op.verb} on {symbol} at cell {command.cell}")
-        turns = op_turns(world.params, op)
+        turns = getattr(world.params, tape_op.duration)
     elif op == "move":
         if type(command.to) is not int:
             raise _mistyped(command, "to", int)

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -30,11 +34,13 @@ from civutm.world import (
     GAME_BLANK,
     GAME_SYMBOLS,
     PLAYER,
+    ROVER,
     RULESET_BE,
     RULESET_V,
     RULESET_VI,
     SETTLER,
     TAPE_WORKER,
+    _TAPE_OPS,
     Command,
     RulesetParams,
     apply_command,
@@ -537,10 +543,97 @@ def test_tape_plan_writes_what_its_action_names(ruleset, read, write):
         assert issued == ["remove_improvement", action]
 
 
+# The reference plans, one row per pair of two symbols of a ruleset:
+# (ruleset, read, write) -> (tape action, tape-worker ops, rover ops).
+_REFERENCE_PLANS = {
+    (RULESET_BE, "none", "none"): ("leave", (), ()),
+    (RULESET_BE, "none", "road"): ("build_road", ("build_road",), ()),
+    (RULESET_BE, "none", "pillaged_road"): ("build_road_then_pillage", ("build_road",), ("pillage_road",)),
+    (RULESET_BE, "road", "none"): ("remove_improvement", ("remove_improvement",), ()),
+    (RULESET_BE, "road", "road"): ("leave", (), ()),
+    (RULESET_BE, "road", "pillaged_road"): ("pillage_road", (), ("pillage_road",)),
+    (RULESET_BE, "pillaged_road", "none"): ("remove_improvement", ("remove_improvement",), ()),
+    (RULESET_BE, "pillaged_road", "road"): ("repair_road", ("repair_road",), ()),
+    (RULESET_BE, "pillaged_road", "pillaged_road"): ("leave", (), ()),
+    (RULESET_V, "none", "none"): ("leave", (), ()),
+    (RULESET_V, "none", "road"): ("build_road", ("build_road",), ()),
+    (RULESET_V, "none", "railroad"): ("build_railroad", ("build_railroad",), ()),
+    (RULESET_V, "road", "none"): ("remove_improvement", ("remove_improvement",), ()),
+    (RULESET_V, "road", "road"): ("leave", (), ()),
+    (RULESET_V, "road", "railroad"): ("build_railroad", ("remove_improvement", "build_railroad"), ()),
+    (RULESET_V, "railroad", "none"): ("remove_improvement", ("remove_improvement",), ()),
+    (RULESET_V, "railroad", "road"): ("build_road", ("remove_improvement", "build_road"), ()),
+    (RULESET_V, "railroad", "railroad"): ("leave", (), ()),
+    (RULESET_VI, "unworked", "unworked"): ("leave", (), ()),
+    (RULESET_VI, "unworked", "worked"): ("set_worked", (), ()),
+    (RULESET_VI, "worked", "unworked"): ("set_unworked", (), ()),
+    (RULESET_VI, "worked", "worked"): ("leave", (), ()),
+}
+_ALL_SYMBOLS = sorted({symbol for symbols in GAME_SYMBOLS.values() for symbol in symbols})
+
+
+def test_tape_plan_finds_the_reference_plans():
+    # Every (ruleset, read, write) over the six game symbols: a reference
+    # row is found as written, and any other triple is refused.
+    assert len(_REFERENCE_PLANS) == 22 and len(_ALL_SYMBOLS) == 6
+    for ruleset in (RULESET_BE, RULESET_V, RULESET_VI):
+        for read in _ALL_SYMBOLS:
+            for write in _ALL_SYMBOLS:
+                row = _REFERENCE_PLANS.get((ruleset, read, write))
+                if row is not None:
+                    assert tape_plan(ruleset, read, write) == row, (ruleset, read, write)
+                    continue
+                message = f"writing {write} over {read} is not a tape action of ruleset {ruleset}"
+                with pytest.raises(IllegalCommand, match=re.escape(message)):
+                    tape_plan(ruleset, read, write)
+
+
+def _shortest_op_paths(ruleset, read, write):
+    """Every shortest sequence of the ruleset's tape ops that the world's
+    rules accept from ``read`` and that leaves ``write``."""
+    ops = [op for op, tape_op in _TAPE_OPS.items() if ruleset in tape_op.rulesets]
+    paths = [((), read)]
+    while paths and not any(symbol == write for _, symbol in paths):
+        paths = [
+            (path + (op,), _TAPE_OPS[op].result) for path, symbol in paths for op in ops if symbol in _TAPE_OPS[op].requires
+        ]
+    return [path for path, symbol in paths if symbol == write]
+
+
+@pytest.mark.parametrize(("ruleset", "read", "write"), [case for case in _BE_V_WRITES if case[1] != case[2]])
+def test_each_be_v_plan_is_the_unique_shortest_op_path(ruleset, read, write):
+    # So the order of the world's tape ops cannot choose a plan.
+    (path,) = _shortest_op_paths(ruleset, read, write)
+    _, worker_ops, rover_ops = tape_plan(ruleset, read, write)
+    assert (*worker_ops, *rover_ops) == path
+    assert all(_TAPE_OPS[op].unit == ROVER for op in rover_ops)
+    assert all(_TAPE_OPS[op].unit != ROVER for op in worker_ops)
+
+
+def test_no_plan_is_searched_at_import():
+    # ``tape_plan`` searches on first use: importing the package fills no entry.
+    code = (
+        "import civutm.cli, civutm.harness\n"
+        "from civutm.controller import compile_program, tape_plan\n"
+        "from civutm.tm import builtin_program\n"
+        "before = tape_plan.cache_info().currsize\n"
+        "compile_program(builtin_program('bb3'), 'BE')\n"
+        "print(before, tape_plan.cache_info().currsize)\n"
+    )
+    src = Path(controller.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr
+    before, after = map(int, child.stdout.split())
+    assert before == 0 and after > 0
+
+
 # A macro's ``tape_action`` is a label that no reader trusts: each looks the
 # action up from (read, write), so a program whose macros all carry another
 # action's name runs, exports, renders and diffs as the compiled one does.
-_ACTION_NAMES = sorted({row[0] for rows in controller._TAPE_ACTIONS.values() for row in rows.values()})
+_ACTION_NAMES = sorted(
+    {tape_plan(ruleset, read, write)[0] for ruleset, symbols in GAME_SYMBOLS.items() for read in symbols for write in symbols}
+)
 
 
 def _labelled(program, action):
@@ -605,7 +698,8 @@ def test_a_be_v_write_symbol_on_a_vi_world_is_refused(write):
 @pytest.mark.parametrize("ruleset", [RULESET_BE, RULESET_V])
 def test_vi_tape_action_on_a_be_v_world_is_refused(ruleset, action):
     # A macro that writes what VI's ``action`` row writes: BE and V have no row for it.
-    (write,) = [write for (_, write), row in controller._TAPE_ACTIONS[RULESET_VI].items() if row[0] == action]
+    symbols = GAME_SYMBOLS[RULESET_VI]
+    (write,) = [write for read in symbols for write in symbols if tape_plan(RULESET_VI, read, write)[0] == action]
     program = compile_program(builtin_program("bb3"), ruleset)
     program.macros[(0, "none")] = dataclasses.replace(program.macros[(0, "none")], write_symbol=write)
     world = init_world(ruleset, {})

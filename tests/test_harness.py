@@ -1221,12 +1221,12 @@ def test_decodes_do_not_grow_with_instructions(monkeypatch):
 # an 80-instruction VI run of rogozhin_24_2 and a 200-instruction BE run of
 # random_tm(144, 5, 3) make, each rounded up by 5 % from its count measured
 # on Python 3.11.
-CALLS_MEASURED = 6034  # 6,234 before one dispatch per command; 8,035 and 10,235 earlier
-CALLS_BOUND = 6336
+CALLS_MEASURED = 5634  # 6,034 before a tape op was timed from its own entry; 6,234, 8,035 and 10,235 earlier
+CALLS_BOUND = 5916
 VI_CALLS_MEASURED = 4041  # 4,159 before a skip moved only the clock; 4,239, 5,160 and 6,803 earlier
 VI_CALLS_BOUND = 4244
-ROVER_CALLS_MEASURED = 8186  # 8,722 before one dispatch per command; 11,395 earlier
-ROVER_CALLS_BOUND = 8596
+ROVER_CALLS_MEASURED = 7719  # 8,186 before a tape op was timed from its own entry; 8,722 and 11,395 earlier
+ROVER_CALLS_BOUND = 8105
 
 
 def _calls_of_a_run(spec, ruleset, max_instructions) -> tuple[int, LockstepReport]:
